@@ -56,9 +56,10 @@ def _cmd_gradcheck(args) -> int:
     # report everything before deciding, so a failure still shows the full table
     report = harness.gradcheck_report(seed=args.seed)
     failed = sorted(k for k, v in report.items() if not (v < args.threshold))
+    width = max(map(len, report))
     for name in sorted(report):
         status = "FAIL" if name in failed else "ok"
-        print(f"{name:<16} max_err={report[name]:.3e}  {status}")
+        print(f"{name:<{width}} max_err={report[name]:.3e}  {status}")
     if failed:
         raise VerificationFailure("gradient check failed for: " + ", ".join(failed))
     print(f"all {len(report)} checks below {args.threshold:g}")

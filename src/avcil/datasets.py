@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, FormatError
+from .fileio import write_atomic
 
 MAGIC = b"AVCF"
 FORMAT_VERSION = 1
@@ -250,8 +251,7 @@ def save_dataset(ds: FeatureDataset, path) -> None:
     manifest = json.dumps(ds.manifest, sort_keys=True, separators=(",", ":")).encode()
     blob += struct.pack("<I", len(manifest))
     blob += manifest
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 def load_dataset(path) -> FeatureDataset:
@@ -268,10 +268,14 @@ def load_dataset(path) -> FeatureDataset:
     offset = 28
     samples: list[FeatureSample] = []
     splits = np.empty(n, dtype=np.uint8)
+    seen_ids: set[int] = set()
     for i in range(n):
         if offset + record > len(blob):
             raise FormatError(f"record {i} truncated at offset {offset}")
         sample_id, label, tag = struct.unpack_from("<IIB", blob, offset)
+        if sample_id in seen_ids:
+            raise FormatError(f"duplicate sample_id {sample_id} at offset {offset}")
+        seen_ids.add(sample_id)
         if tag not in (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST):
             raise FormatError(f"bad split tag {tag} at offset {offset + 8}")
         if label >= num_classes:
@@ -279,6 +283,8 @@ def load_dataset(path) -> FeatureDataset:
         audio = np.frombuffer(blob, dtype="<f4", count=d, offset=offset + 9)
         visual = np.frombuffer(blob, dtype="<f4", count=ell * s_cells * d,
                                offset=offset + 9 + 4 * d)
+        if not (np.isfinite(audio).all() and np.isfinite(visual).all()):
+            raise FormatError(f"non-finite feature in record {i} at offset {offset + 9}")
         samples.append(FeatureSample(
             sample_id, label,
             audio.astype(np.float64),
@@ -295,6 +301,8 @@ def load_dataset(path) -> FeatureDataset:
         manifest = json.loads(blob[offset:offset + manifest_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"manifest unreadable at offset {offset}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise FormatError(f"manifest at offset {offset} is not a JSON object")
     if offset + manifest_len != len(blob):
         raise FormatError(f"trailing bytes at offset {offset + manifest_len}")
     return FeatureDataset(d=d, frames=ell, cells=s_cells, num_classes=num_classes,

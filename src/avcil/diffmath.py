@@ -29,10 +29,12 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
-    "concat",
     "take",
     "slice_axis",
     "softmax",
+    "tanh_matmul",
+    "softmax_of_product",
+    "product_sum",
     "log_softmax",
     "logsumexp",
     "kl_rows",
@@ -88,9 +90,6 @@ class DiffTensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "DiffTensor":
-        return DiffTensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -208,34 +207,54 @@ def _broadcast_op(a: DiffTensor, b: DiffTensor, fn, op, da, db) -> DiffTensor:
     out = fn(a.data, b.data)
 
     def vjp(g: Array):
-        return (_unbroadcast(da(a, b, g), a.data.shape),
-                _unbroadcast(db(a, b, g), b.data.shape))
+        return (_unbroadcast(da(a, b, g), a.data.shape) if a.requires_grad else None,
+                _unbroadcast(db(a, b, g), b.data.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), vjp, op)
+
+
+def _product_vjp(a: DiffTensor, b: DiffTensor, g: Array):
+    """Gradients of a * b (broadcast) for the operands that track them."""
+    return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
 
 # --- primitives -----------------------------------------------------------
 
 
-def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """Contract the last axis of `a` with the first of a 2-d `b`."""
+def _check_matmul(a: DiffTensor, b: DiffTensor) -> None:
     if b.ndim != 2:
         raise ContractError("matmul right operand must be 2-d")
     if a.ndim < 1 or a.data.shape[-1] != b.data.shape[0]:
         raise ContractError(
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
 
-    def vjp(g: Array):
-        ga = g @ b.data.T
+
+def _matmul_vjp(a: DiffTensor, b: DiffTensor, g: Array):
+    ga = g @ b.data.T if a.requires_grad else None
+    gb = None
+    if b.requires_grad:
         if a.ndim == 1:
             gb = np.outer(a.data, g)
         else:
             lead = list(range(a.ndim - 1))
             gb = np.tensordot(a.data, g, axes=(lead, lead))
-        return ga, gb
+    return ga, gb
 
-    return _node(out, (a, b), vjp, "matmul")
+
+def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
+    """Contract the last axis of `a` with the first of a 2-d `b`."""
+    _check_matmul(a, b)
+    return _node(a.data @ b.data, (a, b), lambda g: _matmul_vjp(a, b, g), "matmul")
+
+
+def tanh_matmul(x: DiffTensor, w: DiffTensor) -> DiffTensor:
+    """tanh(x @ w) as one node; only the tanh output is kept for the VJP."""
+    _check_matmul(x, w)
+    out = x.data @ w.data
+    np.tanh(out, out=out)
+    return _node(out, (x, w), lambda g: _matmul_vjp(x, w, g * (1.0 - out * out)),
+                 "tanh_matmul")
 
 
 def tanh(x: DiffTensor) -> DiffTensor:
@@ -259,20 +278,6 @@ def sqrt(x: DiffTensor) -> DiffTensor:
         raise NumericDomainError("sqrt of a negative entry")
     out = np.sqrt(x.data)
     return _node(out, (x,), lambda g: (g * 0.5 / out,), "sqrt")
-
-
-def concat(tensors: Sequence[DiffTensor], axis: int) -> DiffTensor:
-    if not tensors:
-        raise ContractError("concat of zero tensors")
-    ax = _check_axis(axis, tensors[0].ndim)
-    out = np.concatenate([t.data for t in tensors], axis=ax)
-    sizes = [t.data.shape[ax] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g: Array):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=ax))
-
-    return _node(out, tuple(tensors), vjp, "concat")
 
 
 def take(x: DiffTensor, indices) -> DiffTensor:
@@ -310,20 +315,53 @@ def slice_axis(x: DiffTensor, axis: int, start: int, stop: int) -> DiffTensor:
     return _node(out, (x,), vjp, "slice")
 
 
+def _check_softmax_input(x: Array) -> None:
+    if not np.all(np.isfinite(x)):
+        raise NumericDomainError("softmax of a non-finite input")
+
+
+def _softmax_data(x: Array, ax: int, out: Array | None = None) -> Array:
+    """Stable softmax of `x` along `ax`, written into `out` when given."""
+    e = np.subtract(x, x.max(axis=ax, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=ax, keepdims=True)
+    return e
+
+
+def _softmax_vjp(out: Array, ax: int, g: Array) -> Array:
+    dot = (out * g).sum(axis=ax, keepdims=True)
+    return out * (g - dot)
+
+
 def softmax(x: DiffTensor, axis: int) -> DiffTensor:
     """Stable softmax along `axis`; rows sum to 1 and stay strictly positive."""
-    if not np.all(np.isfinite(x.data)):
-        raise NumericDomainError("softmax of a non-finite input")
+    _check_softmax_input(x.data)
     ax = _check_axis(axis, x.ndim)
-    shifted = x.data - x.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
+    out = _softmax_data(x.data, ax)
+    return _node(out, (x,), lambda g: (_softmax_vjp(out, ax, g),), "softmax")
+
+
+def softmax_of_product(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
+    """softmax(a * b) along `axis`, `a` and `b` broadcast; the product is not kept."""
+    product = a.data * b.data
+    _check_softmax_input(product)
+    ax = _check_axis(axis, product.ndim)
+    out = _softmax_data(product, ax, out=product)
+    return _node(out, (a, b), lambda g: _product_vjp(a, b, _softmax_vjp(out, ax, g)),
+                 "softmax_of_product")
+
+
+def product_sum(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
+    """(a * b).sum(axis), `a` and `b` broadcast; the product is not kept."""
+    product = a.data * b.data
+    ax = _check_axis(axis, product.ndim)
+    shape = product.shape
+    out = product.sum(axis=ax)
 
     def vjp(g: Array):
-        dot = (out * g).sum(axis=ax, keepdims=True)
-        return (out * (g - dot),)
+        return _product_vjp(a, b, np.broadcast_to(np.expand_dims(g, ax), shape))
 
-    return _node(out, (x,), vjp, "softmax")
+    return _node(out, (a, b), vjp, "product_sum")
 
 
 def logsumexp(x: DiffTensor, axis: int, keepdims: bool = False) -> DiffTensor:
@@ -371,8 +409,11 @@ def kl_rows(p: DiffTensor, q: DiffTensor, axis: int, clamp: float = 1e-12) -> Di
 
     def vjp(g: Array):
         gs = float(g) / n_slices
-        gp = np.where(pos, np.log(np.where(pos, p.data, 1.0)) - np.log(qc) + 1.0, 0.0) * gs
-        gq = np.where(q.data >= clamp, -p.data / qc, 0.0) * gs
+        gp = gq = None
+        if p.requires_grad:
+            gp = np.where(pos, np.log(np.where(pos, p.data, 1.0)) - np.log(qc) + 1.0, 0.0) * gs
+        if q.requires_grad:
+            gq = np.where(q.data >= clamp, -p.data / qc, 0.0) * gs
         return gp, gq
 
     return _node(out, (p, q), vjp, "kl_rows")
@@ -382,10 +423,14 @@ def kl_rows(p: DiffTensor, q: DiffTensor, axis: int, clamp: float = 1e-12) -> Di
 
 
 def backward(loss: DiffTensor) -> None:
-    """Accumulate dLoss/dT into `.grad` for every tracked tensor below `loss`.
+    """Accumulate dLoss/dT into `.grad` for every tracked leaf below `loss`.
 
-    The loss must be a finite scalar. A second call on the same node raises;
-    build a fresh graph per optimization step instead.
+    Only tensors with `requires_grad` are visited. A leaf's first gradient
+    is stored as its own copy and later ones are added in place; an
+    intermediate's gradient is dropped once its VJP has run, so afterwards
+    only leaves hold a `.grad`. The loss must be a finite scalar. A second
+    call on the same node raises; build a fresh graph per optimization step
+    instead.
     """
     if loss.data.shape != ():
         raise ContractError("backward expects a scalar loss")
@@ -408,19 +453,24 @@ def backward(loss: DiffTensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
 
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(order):
         if node._vjp is None or node.grad is None:
             continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
+        g_out, node.grad = node.grad, None
+        for parent, g in zip(node._parents, node._vjp(g_out)):
             if g is None or not parent.requires_grad:
                 continue
+            leaf = parent._vjp is None
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+                parent.grad = np.array(g, dtype=np.float64) if leaf else g
+            elif leaf:
+                parent.grad += g
+            else:
+                parent.grad = parent.grad + g
 
 
 def zero_grad(tensors: Sequence[DiffTensor]) -> None:

@@ -1,0 +1,26 @@
+"""Atomic file writes, shared by every module that persists an artifact."""
+
+from __future__ import annotations
+
+import os
+import tempfile
+from pathlib import Path
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temp file beside `path`, then rename it into place.
+
+    A failure at any point leaves the previous file (if any) untouched and
+    removes the temp file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

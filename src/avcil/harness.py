@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,8 +28,9 @@ from . import model as mdl
 from . import objectives as obj
 from .datasets import (FeatureDataset, GeneratorSpec, generate_synthetic,
                        load_dataset, save_dataset)
-from .errors import (ConfigError, ContractError, TrainingDiverged,
+from .errors import (ConfigError, ContractError, FormatError, TrainingDiverged,
                      VerificationFailure)
+from .fileio import write_atomic
 from .metrics import average_forgetting, mean_accuracy
 from .objectives import LossWeights, TaskLayout
 from .protocol import TrainConfig, build_task_sequence, run_incremental
@@ -56,19 +56,6 @@ def content_hash(payload: dict) -> str:
     """Hash of the canonical form with the hash field itself left out."""
     stripped = {k: v for k, v in payload.items() if k != "content_hash"}
     return hashlib.sha256(canonical_json(stripped).encode()).hexdigest()
-
-
-def write_atomic(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -358,24 +345,54 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _read_result(path: Path) -> dict:
+    """A `result.json` payload, checked for kind, version and content hash.
+
+    Raises FormatError naming the file for anything else.
+    """
+    try:
+        payload = json.loads(path.read_bytes())
+    except (OSError, ValueError) as err:
+        raise FormatError(f"{path}: not a readable JSON file: {err}") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: not a JSON object")
+    if payload.get("kind") != "result":
+        raise FormatError(f"{path}: kind is {payload.get('kind')!r}, expected 'result'")
+    if payload.get("format_version") != FORMAT_VERSION:
+        raise FormatError(f"{path}: format_version is {payload.get('format_version')!r}, "
+                          f"expected {FORMAT_VERSION}")
+    try:
+        expected = content_hash(payload)
+    except ValueError as err:
+        raise FormatError(f"{path}: cannot hash content: {err}") from None
+    if payload.get("content_hash") != expected:
+        raise FormatError(f"{path}: content_hash does not match the content")
+    return payload
+
+
+def _compare_row(path: Path) -> dict:
+    payload = _read_result(path)
+    try:
+        matrix = payload["accuracy_matrix"]
+        forget = payload["average_forgetting"]
+        return {
+            "strategy": str(payload["config"]["strategy"]),
+            "modality": str(payload["config"]["modality"]),
+            "mean_acc": float(payload["mean_accuracy"]),
+            "avg_forget": None if forget is None else float(forget),
+            "per_step": [float(matrix[i][i]) for i in range(len(matrix))],
+            "seed": int(payload["seed"]),
+        }
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise FormatError(f"{path}: malformed result field: {err!r}") from None
+
+
 def cli_compare(results_dir, out_csv) -> List[dict]:
     """One CSV row per result file, best mean accuracy first."""
     files = sorted(Path(results_dir).rglob("result.json"))
     if not files:
         raise ConfigError(f"no result.json files under {results_dir}")
-    rows = []
-    for path in files:
-        payload = json.loads(path.read_text())
-        diag = [payload["accuracy_matrix"][i][i]
-                for i in range(len(payload["accuracy_matrix"]))]
-        rows.append({
-            "strategy": payload["config"]["strategy"],
-            "modality": payload["config"]["modality"],
-            "mean_acc": payload["mean_accuracy"],
-            "avg_forget": payload["average_forgetting"],
-            "per_step": diag,
-            "seed": payload["seed"],
-        })
+    rows = [_compare_row(path) for path in files]
     rows.sort(key=lambda r: (-r["mean_acc"], r["strategy"], r["modality"], r["seed"]))
     steps = max(len(r["per_step"]) for r in rows)
     header = ["strategy", "modality", "mean_acc", "avg_forget"] + \
@@ -522,7 +539,6 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
     check("logsumexp", lambda x: dm.logsumexp(x, axis=1).sum(), a)
     check("log_softmax", lambda x: (dm.log_softmax(x, axis=1)
                                     * dm.constant(np.eye(n, d))).sum(), a)
-    check("concat", lambda x: dm.concat([x, dm.constant(a)], axis=0).sum(), a)
     check("take", lambda x: dm.take(x, np.array([0, 2, 2])).sum(), a)
     check("slice", lambda x: dm.slice_axis(x, 1, 1, 4).sum(), a)
     q = rng.dirichlet(np.ones(d), size=n)
@@ -571,6 +587,25 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
         mdl.forward_arrays(teacher, batch_audio, batch_visual).maps,
         mask, weights.lambda_vad), params.w_audio.data.copy())
     check("loss_total", through_model, params.w_audio.data.copy())
+
+    # the fused primitives, each in both operands; `row` broadcasts against `grid`
+    row = rng.normal(size=(n, 1, d))
+    grid = rng.normal(size=(n, ell, d))
+    probe_grid = rng.normal(size=(n, ell, d))
+
+    def weighted(t, weights):
+        return (t * dm.constant(weights)).sum()
+
+    check("tanh_matmul_x", lambda x: weighted(dm.tanh_matmul(x, dm.constant(b)), probe), a)
+    check("tanh_matmul_w", lambda x: weighted(dm.tanh_matmul(dm.constant(a), x), probe), b)
+    check("softmax_of_product_a", lambda x: weighted(
+        dm.softmax_of_product(x, dm.constant(grid), axis=1), probe_grid), row)
+    check("softmax_of_product_b", lambda x: weighted(
+        dm.softmax_of_product(dm.constant(row), x, axis=1), probe_grid), grid)
+    check("product_sum_a", lambda x: weighted(
+        dm.product_sum(x, dm.constant(grid), axis=1), probe), row)
+    check("product_sum_b", lambda x: weighted(
+        dm.product_sum(dm.constant(row), x, axis=1), probe), grid)
     return report
 
 

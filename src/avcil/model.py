@@ -19,6 +19,7 @@ import numpy as np
 from . import diffmath as dm
 from .diffmath import DiffTensor
 from .errors import ContractError, FormatError
+from .fileio import write_atomic
 
 MODALITIES = ("audiovisual", "audio", "visual")
 
@@ -113,10 +114,9 @@ def spatial_attention(f_audio: DiffTensor, f_visual: DiffTensor,
     if f_visual.ndim != 4 or f_visual.shape[0] != n or f_visual.shape[3] != d:
         raise ContractError(
             f"visual batch must be (N, L, S, {d}), got {f_visual.shape}")
-    score_audio = dm.tanh(f_audio @ params.w_audio)
-    score_visual = dm.tanh(f_visual @ params.w_visual)
-    product = score_audio.reshape((n, 1, 1, d)) * score_visual
-    w_spa = dm.softmax(product, axis=2)
+    score_audio = dm.tanh_matmul(f_audio, params.w_audio)
+    score_visual = dm.tanh_matmul(f_visual, params.w_visual)
+    w_spa = dm.softmax_of_product(score_audio.reshape((n, 1, 1, d)), score_visual, axis=2)
     return w_spa, score_visual
 
 
@@ -124,33 +124,33 @@ def temporal_attention(w_spa: DiffTensor, score_visual: DiffTensor) -> DiffTenso
     """Frame weights from spatially pooled visual scores, softmax over L per channel."""
     if w_spa.shape != score_visual.shape:
         raise ContractError("spatial weights and visual scores must share a shape")
-    frame_score = (w_spa * score_visual).sum(axis=2)
-    return dm.softmax(frame_score, axis=1)
+    return dm.softmax(dm.product_sum(w_spa, score_visual, axis=2), axis=1)
 
 
 def pool_visual(f_visual: DiffTensor, maps: AttentionMaps) -> DiffTensor:
     """Collapse the grid: spatial weights inside each frame, temporal across frames."""
     if maps.spatial.shape != f_visual.shape:
         raise ContractError("spatial map shape must match the visual batch")
-    per_frame = (f_visual * maps.spatial).sum(axis=2)
-    return (maps.temporal * per_frame).sum(axis=1)
+    per_frame = dm.product_sum(f_visual, maps.spatial, axis=2)
+    return dm.product_sum(maps.temporal, per_frame, axis=1)
 
 
 def fuse_and_classify(f_audio: DiffTensor, attended_visual: DiffTensor,
                       params: ModelParams) -> tuple[DiffTensor, DiffTensor]:
-    fused = dm.tanh(f_audio @ params.u_audio) + dm.tanh(attended_visual @ params.u_visual)
+    fused = (dm.tanh_matmul(f_audio, params.u_audio)
+             + dm.tanh_matmul(attended_visual, params.u_visual))
     return fused, classify(fused, params)
 
 
 def classify(fused: DiffTensor, params: ModelParams) -> DiffTensor:
-    """Linear head as broadcast multiply + sum over d.
+    """Linear head as a broadcast product summed over d.
 
     Written this way (not matmul) so each logit's reduction order depends only
     on d: growing the classifier leaves existing logits bit-identical.
     """
     n = fused.shape[0]
-    prod = fused.reshape((n, 1, params.d)) * params.cls_weight
-    return prod.sum(axis=2) + params.cls_bias
+    return dm.product_sum(fused.reshape((n, 1, params.d)), params.cls_weight,
+                          axis=2) + params.cls_bias
 
 
 def forward(params: ModelParams, batch: Sequence, modality: str = "audiovisual") -> ForwardTrace:
@@ -173,12 +173,12 @@ def forward_arrays(params: ModelParams, audio: DiffTensor, visual: DiffTensor,
                    modality: str = "audiovisual") -> ForwardTrace:
     if modality == "audio":
         _check_audio(audio, params.d)
-        fused = dm.tanh(audio @ params.u_audio)
+        fused = dm.tanh_matmul(audio, params.u_audio)
         return ForwardTrace(audio=audio, attended_visual=None, fused=fused,
                             logits=classify(fused, params), maps=None)
     if modality == "visual":
         pooled = visual.mean(axis=2).mean(axis=1)
-        fused = dm.tanh(pooled @ params.u_visual)
+        fused = dm.tanh_matmul(pooled, params.u_visual)
         return ForwardTrace(audio=audio, attended_visual=pooled, fused=fused,
                             logits=classify(fused, params), maps=None)
     w_spa, score_visual = spatial_attention(audio, visual, params)
@@ -246,8 +246,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     for name in _FIELD_ORDER:
         arr = np.ascontiguousarray(getattr(params, name).data, dtype="<f8")
         blob += arr.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -303,6 +303,8 @@ def train_step(state: StepState, task_classes: Sequence[int],
                 p.grad = None
             dm.backward(loss)
             dm.adam_step(trainable, opt)
+            # free this batch's graph before the next forward builds its own
+            del trace, teacher_trace, loss
             total += value * len(batch)
         curve.append(total / n)
         if events is not None:

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from avcil import cli
 from avcil import datasets as dsets
 from avcil.datasets import FeatureDataset, FeatureSample, GeneratorSpec
 from avcil.errors import ContractError, FormatError
@@ -125,6 +128,53 @@ def test_load_rejects_corruption(tmp_path):
     truncated.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(FormatError, match="offset"):
         dsets.load_dataset(truncated)
+
+
+def _small_dataset():
+    return dsets.generate_synthetic(aligned_spec(num_classes=2, train_per_class=1,
+                                                 val_per_class=0, test_per_class=1))
+
+
+def _reload(ds, path):
+    dsets.save_dataset(ds, path)
+    return dsets.load_dataset(path)
+
+
+def test_load_rejects_duplicate_sample_ids(tmp_path):
+    ds = _small_dataset()
+    ds.samples[2].sample_id = ds.samples[0].sample_id
+    with pytest.raises(FormatError, match="duplicate sample_id 0"):
+        _reload(ds, tmp_path / "dup.avcf")
+
+
+def test_load_rejects_a_manifest_that_is_not_an_object(tmp_path):
+    ds = _small_dataset()
+    ds.manifest = ["not", "an", "object"]
+    with pytest.raises(FormatError, match="manifest .*not a JSON object"):
+        _reload(ds, tmp_path / "manifest.avcf")
+
+
+@pytest.mark.parametrize("field", ["audio", "visual"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_features(tmp_path, field, value):
+    ds = _small_dataset()
+    getattr(ds.samples[1], field).flat[-1] = value
+    with pytest.raises(FormatError, match="non-finite feature in record 1"):
+        _reload(ds, tmp_path / "nonfinite.avcf")
+
+
+def test_run_on_a_corrupt_dataset_exits_2(tmp_path, capsys):
+    ds = _small_dataset()
+    ds.samples[3].sample_id = ds.samples[1].sample_id
+    path = tmp_path / "dup.avcf"
+    dsets.save_dataset(ds, path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "format_version": 1, "name": "dup", "dataset_path": str(path),
+        "steps": 1, "classes_per_step": 2, "epochs": 1,
+        "output_root": str(tmp_path / "out")}))
+    assert cli.main(["run", str(config)]) == 2
+    assert "duplicate sample_id" in capsys.readouterr().err
 
 
 def test_validate_requires_train_and_test_presence():

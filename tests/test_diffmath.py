@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avcil import diffmath as dm
+from avcil import model as mdl
+from avcil import objectives as obj
 from avcil.errors import ContractError, NumericDomainError
 
 
@@ -153,15 +155,6 @@ def test_take_and_slice_backward():
     y = dm.parameter(np.arange(12.0).reshape(4, 3))
     dm.backward(dm.slice_axis(y, 1, 1, 3).sum())
     assert np.array_equal(y.grad, [[0, 1, 1]] * 4)
-
-
-def test_concat_backward_splits():
-    a = dm.parameter(np.ones((2, 2)))
-    b = dm.parameter(np.ones((2, 3)))
-    out = dm.concat([a, b], axis=1)
-    dm.backward((out * dm.constant(np.arange(10.0).reshape(2, 5))).sum())
-    assert np.array_equal(a.grad, [[0, 1], [5, 6]])
-    assert np.array_equal(b.grad, [[2, 3, 4], [7, 8, 9]])
 
 
 def test_grad_check_quadratic_is_tight():
@@ -316,3 +309,233 @@ def test_adam_is_deterministic():
         return p.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+# --- fused primitives against the composites they replace -----------------
+
+
+@st.composite
+def broadcast_operands(draw):
+    """Two broadcast-compatible shapes, a reduction axis of their product,
+    and which operands track gradients."""
+    ndim = draw(st.integers(1, 4))
+    full = draw(st.lists(st.integers(1, 4), min_size=ndim, max_size=ndim))
+
+    def operand():
+        lead = draw(st.integers(0, ndim - 1))
+        return tuple(1 if draw(st.booleans()) else n for n in full[lead:])
+
+    a_shape, b_shape = operand(), operand()
+    out_ndim = max(len(a_shape), len(b_shape))
+    axis = draw(st.integers(-out_ndim, out_ndim - 1))
+    tracked = draw(st.sampled_from([(True, True), (True, False), (False, True),
+                                    (False, False)]))
+    return a_shape, b_shape, axis, tracked, draw(st.integers(0, 2**32 - 1))
+
+
+def _through(fn, a_data, b_data, tracked, probe_seed):
+    """Value of fn(a, b) and both operand gradients of sum(fn(a, b) * probe)."""
+    a = dm.DiffTensor(a_data.copy(), requires_grad=tracked[0])
+    b = dm.DiffTensor(b_data.copy(), requires_grad=tracked[1])
+    out = fn(a, b)
+    if any(tracked):
+        probe = np.random.default_rng(probe_seed).normal(size=out.shape)
+        dm.backward((out * dm.constant(probe)).sum())
+    return out.data, a.grad, b.grad
+
+
+def _assert_same_bits(fused, composite):
+    value, *grads = fused
+    ref_value, *ref_grads = composite
+    assert np.array_equal(value, ref_value)
+    for g, ref in zip(grads, ref_grads):
+        assert (g is None) == (ref is None)
+        if g is not None:
+            assert g.shape == ref.shape
+            assert np.array_equal(g, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(broadcast_operands())
+def test_product_sum_matches_composite_bitwise(case):
+    a_shape, b_shape, axis, tracked, seed = case
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+    _assert_same_bits(
+        _through(lambda x, y: dm.product_sum(x, y, axis), a, b, tracked, seed),
+        _through(lambda x, y: (x * y).sum(axis=axis), a, b, tracked, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(broadcast_operands())
+def test_softmax_of_product_matches_composite_bitwise(case):
+    a_shape, b_shape, axis, tracked, seed = case
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=a_shape) * 3.0, rng.normal(size=b_shape)
+    _assert_same_bits(
+        _through(lambda x, y: dm.softmax_of_product(x, y, axis), a, b, tracked, seed),
+        _through(lambda x, y: dm.softmax(x * y, axis=axis), a, b, tracked, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(1, 5),
+       st.sampled_from([(True, True), (True, False), (False, True), (False, False)]),
+       st.integers(0, 2**32 - 1))
+def test_tanh_matmul_matches_composite_bitwise(x_shape, m, tracked, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=(x_shape[-1], m))
+    _assert_same_bits(
+        _through(dm.tanh_matmul, x, w, tracked, seed),
+        _through(lambda a, b: dm.tanh(a @ b), x, w, tracked, seed))
+
+
+def test_softmax_of_product_rejects_nonfinite_product():
+    with pytest.raises(NumericDomainError):
+        dm.softmax_of_product(dm.parameter([np.inf, 1.0]), dm.constant([1.0, 1.0]), axis=0)
+
+
+def test_fused_primitives_keep_one_node():
+    x = dm.parameter(np.ones((2, 3)))
+    y = dm.parameter(np.ones((2, 3)))
+    w = dm.parameter(np.ones((3, 3)))
+    for out, parents in ((dm.tanh_matmul(x, w), (x, w)),
+                         (dm.softmax_of_product(x, y, axis=1), (x, y)),
+                         (dm.product_sum(x, y, axis=1), (x, y))):
+        assert out._parents == parents
+
+
+# --- what backward computes and keeps -------------------------------------
+
+
+BINARY_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "matmul": dm.matmul,
+    "tanh_matmul": dm.tanh_matmul,
+    "softmax_of_product": lambda a, b: dm.softmax_of_product(a, b, axis=1),
+    "product_sum": lambda a, b: dm.product_sum(a, b, axis=1),
+}
+
+
+@pytest.mark.parametrize("op", sorted(BINARY_OPS))
+@pytest.mark.parametrize("constant_side", [0, 1])
+def test_vjp_skips_constant_operands(op, constant_side):
+    rng = np.random.default_rng(1)
+    operands = [rng.uniform(1.0, 2.0, size=(3, 3)) for _ in range(2)]
+    a, b = (dm.constant(x) if i == constant_side else dm.parameter(x)
+            for i, x in enumerate(operands))
+    out = BINARY_OPS[op](a, b)
+    grads = out._vjp(np.ones(out.shape))
+    assert grads[constant_side] is None
+    assert grads[1 - constant_side].shape == (3, 3)
+
+
+@pytest.mark.parametrize("constant_side", [0, 1])
+def test_kl_rows_vjp_skips_a_constant_side(constant_side):
+    rows = np.random.default_rng(4).dirichlet(np.ones(3), size=(2, 2))
+    p, q = (dm.constant(x) if i == constant_side else dm.parameter(x)
+            for i, x in enumerate(rows))
+    grads = dm.kl_rows(p, q, axis=1)._vjp(np.ones(()))
+    assert grads[constant_side] is None
+    assert grads[1 - constant_side].shape == (2, 3)
+
+
+def _graph(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def assert_gradient_memory_rule(loss):
+    """After backward: only tracked leaves hold a gradient, each its own
+    writable array shared with no other tensor."""
+    nodes = _graph(loss)
+    dm.backward(loss)
+    leaf_grads = []
+    for node in nodes:
+        if node._vjp is not None or not node.requires_grad:
+            assert node.grad is None, node
+        elif node.grad is not None:
+            assert isinstance(node.grad, np.ndarray) and node.grad.flags.writeable
+            assert node.grad.shape == node.data.shape
+            leaf_grads.append(node.grad)
+    assert leaf_grads
+    for i, g in enumerate(leaf_grads):
+        for other in leaf_grads[i + 1:]:
+            assert not np.shares_memory(g, other)
+        for node in nodes:
+            assert not np.shares_memory(g, node.data)
+    return nodes
+
+
+def test_backward_keeps_gradients_only_on_leaves():
+    rng = np.random.default_rng(2)
+    x = dm.parameter(rng.normal(size=(2, 3)))
+    y = dm.parameter(rng.normal(size=(2, 3)))
+    w = dm.parameter(rng.normal(size=(3, 3)))
+    c = dm.constant(rng.normal(size=(2, 3)))
+    h = dm.tanh_matmul(x, w)
+    s = dm.softmax_of_product(h, c, axis=1)
+    loss = (dm.product_sum(s, y, axis=1).sum() + (x + y).sum()
+            + (h * h).sum() + (x + x).sum())
+    assert_gradient_memory_rule(loss)
+
+
+def test_leaf_gradients_are_independent_copies():
+    # `add` hands the same array to both operands; each leaf must get its own
+    x = dm.parameter([1.0, 2.0])
+    y = dm.parameter([3.0, 4.0])
+    loss = (x + y).sum() + (x * 2.0).sum()
+    dm.backward(loss)
+    assert np.array_equal(x.grad, [3.0, 3.0])
+    assert np.array_equal(y.grad, [1.0, 1.0])
+    assert not np.shares_memory(x.grad, y.grad)
+
+
+class CountingConstant(dm.DiffTensor):
+    """A constant that counts how often a graph walk expands it."""
+
+    __slots__ = ("expanded",)
+
+    @property
+    def _parents(self):
+        self.expanded += 1
+        return ()
+
+    @_parents.setter
+    def _parents(self, value):
+        self.expanded = 0
+
+
+def test_backward_never_visits_constants():
+    c = CountingConstant([1.0, 2.0])
+    x = dm.parameter([3.0, 4.0])
+    dm.backward((x * c).sum())
+    assert c.expanded == 0 and c.grad is None
+    assert np.array_equal(x.grad, [1.0, 2.0])
+
+
+def test_model_loss_backward_keeps_gradients_only_on_parameters():
+    rng = np.random.default_rng(3)
+    params = mdl.init_params(4, 4, seed=3)
+    teacher = mdl.snapshot(mdl.init_params(4, 2, seed=4))
+    audio = dm.constant(rng.normal(size=(5, 4)))
+    visual = dm.constant(rng.normal(size=(5, 2, 3, 4)))
+    labels = np.array([0, 1, 2, 3, 2])
+    mask = np.array([True, True, False, False, False])
+    trace = mdl.forward_arrays(params, audio, visual)
+    teacher_trace = mdl.forward_arrays(teacher, audio, visual)
+    loss = obj.total_loss(trace, teacher_trace, labels, mask, obj.TaskLayout((2, 2)),
+                          obj.LossWeights())
+    assert_gradient_memory_rule(loss)
+    assert all(p.grad is not None for p in params.parameters())
+    assert audio.grad is None and visual.grad is None
+    assert all(p.grad is None for p in teacher.parameters())

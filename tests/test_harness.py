@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import avcil.diffmath as dm
 import avcil.model as mdl
 import avcil.protocol as proto
 from avcil import cli, harness
+from avcil import datasets as dsets
 from avcil.baselines import Strategy
-from avcil.datasets import load_dataset
+from avcil.datasets import GeneratorSpec, load_dataset
 from avcil.errors import ConfigError
 from avcil.metrics import AccuracyMatrix, average_forgetting, mean_accuracy
 
@@ -106,6 +108,53 @@ def test_write_atomic_leaves_no_temp_files(tmp_path):
     harness.write_atomic(target, b"abc")
     assert target.read_bytes() == b"abc"
     assert [p.name for p in target.parent.iterdir()] == ["file.bin"]
+
+
+def _fail_halfway(monkeypatch):
+    """Make the next file write stop halfway with an error, like a full disk."""
+    real_fdopen = os.fdopen
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+            return False
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: HalfWriter(real_fdopen(fd, mode)))
+
+
+def _save_checkpoint(path, seed):
+    mdl.save_checkpoint(mdl.init_params(3, 2, seed=seed), path)
+
+
+def _save_dataset(path, seed):
+    spec = GeneratorSpec(mode="aligned", num_classes=2, d=3, frames=1, cells=2,
+                         train_per_class=1, test_per_class=1, seed=seed)
+    dsets.save_dataset(dsets.generate_synthetic(spec), path)
+
+
+@pytest.mark.parametrize("save", [_save_checkpoint, _save_dataset])
+def test_interrupted_save_keeps_the_old_file(tmp_path, monkeypatch, save):
+    path = tmp_path / "artifact.bin"
+    save(path, 0)
+    old = path.read_bytes()
+    _fail_halfway(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        save(path, 1)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+    save(path, 1)
+    assert path.read_bytes() != old
 
 
 # --- cli_run --------------------------------------------------------------
@@ -264,6 +313,66 @@ def test_compare_sorts_and_reparses(tmp_path):
 def test_compare_empty_dir_exits_2(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert cli.main(["compare", str(tmp_path / "empty"), str(tmp_path / "o.csv")]) == 2
+
+
+def _fake_result(path, **fields):
+    payload = {"format_version": 1, "kind": "result", "seed": 0,
+               "config": {"strategy": "finetune", "modality": "audiovisual"},
+               "accuracy_matrix": [[50.0]], "mean_accuracy": 50.0,
+               "average_forgetting": None}
+    payload.update(fields)
+    harness.write_json(path, payload)
+
+
+def _compare_exit(tmp_path, capsys):
+    code = cli.main(["compare", str(tmp_path / "res"), str(tmp_path / "o.csv")])
+    return code, capsys.readouterr().err
+
+
+def test_compare_reads_a_well_formed_result(tmp_path, capsys):
+    _fake_result(tmp_path / "res" / "result.json")
+    assert _compare_exit(tmp_path, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe", b"[1, 2]", b"null",
+                                     b'{"kind":"aggregate"}'])
+def test_compare_rejects_foreign_file(tmp_path, capsys, content):
+    path = tmp_path / "res" / "x" / "result.json"
+    path.parent.mkdir(parents=True)
+    path.write_bytes(content)
+    code, err = _compare_exit(tmp_path, capsys)
+    assert code == 2 and str(path) in err
+
+
+def test_compare_rejects_wrong_kind(tmp_path, capsys):
+    path = tmp_path / "res" / "result.json"
+    _fake_result(path, kind="aggregate")
+    code, err = _compare_exit(tmp_path, capsys)
+    assert code == 2 and str(path) in err and "kind" in err
+
+
+def test_compare_rejects_wrong_format_version(tmp_path, capsys):
+    path = tmp_path / "res" / "result.json"
+    _fake_result(path, format_version=2)
+    code, err = _compare_exit(tmp_path, capsys)
+    assert code == 2 and str(path) in err and "format_version" in err
+
+
+def test_compare_rejects_content_hash_mismatch(tmp_path, capsys):
+    path = tmp_path / "res" / "result.json"
+    _fake_result(path)
+    payload = json.loads(path.read_text())
+    payload["mean_accuracy"] = 99.0
+    path.write_text(json.dumps(payload))
+    code, err = _compare_exit(tmp_path, capsys)
+    assert code == 2 and str(path) in err and "content_hash" in err
+
+
+def test_compare_rejects_malformed_fields_with_a_valid_hash(tmp_path, capsys):
+    path = tmp_path / "res" / "result.json"
+    _fake_result(path, accuracy_matrix="oops")
+    code, err = _compare_exit(tmp_path, capsys)
+    assert code == 2 and str(path) in err
 
 
 # --- cli_ablate -----------------------------------------------------------
