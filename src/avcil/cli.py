@@ -21,7 +21,7 @@ EXIT_VERIFICATION = 4
 
 def _cmd_generate(args) -> int:
     ds = harness.cli_generate(args.spec, args.out)
-    print(f"wrote {args.out}: {len(ds.samples)} samples, d={ds.d}, "
+    print(f"wrote {args.out}: {len(ds)} samples, d={ds.d}, "
           f"frames={ds.frames}, cells={ds.cells}, classes={ds.num_classes}")
     return EXIT_OK
 

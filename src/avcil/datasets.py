@@ -10,8 +10,8 @@ Two generator modes cover the behaviors the training engine must exhibit:
 * `xor_pairs` factors the label into (a, b) with `a` present only in audio
   and `b` only in visual, so no single modality can beat chance-per-factor.
 
-Features are float32 on disk and widened to float64 in memory; the generator
-quantizes to float32 up front so save/load round-trips are bit-exact.
+Features are float32 on disk and in memory, so save/load round-trips are
+bit-exact; the model widens each batch to float64 when it wraps it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .fileio import write_atomic
+from .fileio import read_input, write_atomic
 
 MAGIC = b"AVCF"
 FORMAT_VERSION = 1
@@ -40,49 +40,57 @@ DISTRACTOR_SCALE = 0.3
 
 
 @dataclass
-class FeatureSample:
-    sample_id: int
-    label: int
+class FeatureDataset:
+    """Struct of arrays, one row per clip: `audio` (N, d) and `visual`
+    (N, L, S, d) float32, `labels` and `ids` int64, `splits` uint8 tags."""
+
     audio: np.ndarray
     visual: np.ndarray
-
-
-@dataclass
-class FeatureDataset:
-    d: int
-    frames: int
-    cells: int
-    num_classes: int
-    samples: list[FeatureSample]
+    labels: np.ndarray
+    ids: np.ndarray
     splits: np.ndarray
+    num_classes: int
     manifest: dict = field(default_factory=dict)
 
+    @property
+    def d(self) -> int:
+        return self.audio.shape[1]
+
+    @property
+    def frames(self) -> int:
+        return self.visual.shape[1]
+
+    @property
+    def cells(self) -> int:
+        return self.visual.shape[2]
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.labels)
 
-    def by_split(self, split: str) -> list[FeatureSample]:
-        tag = _SPLIT_NAMES[split]
-        return [s for s, t in zip(self.samples, self.splits) if t == tag]
-
-    def of_class(self, label: int, split: str | None = None) -> list[FeatureSample]:
-        if split is None:
-            return [s for s in self.samples if s.label == label]
-        tag = _SPLIT_NAMES[split]
-        return [s for s, t in zip(self.samples, self.splits)
-                if t == tag and s.label == label]
+    def of_class(self, label: int, split: str | None = None) -> np.ndarray:
+        """Row indices of one class (optionally one split), in dataset order."""
+        hit = self.labels == label
+        if split is not None:
+            hit &= self.splits == _SPLIT_NAMES[split]
+        return np.flatnonzero(hit)
 
     def validate(self) -> None:
         """Observed classes must appear in both train and test; labels in range."""
-        if len(self.splits) != len(self.samples):
+        n = len(self.labels)
+        if not len(self.splits) == len(self.ids) == len(self.audio) == len(self.visual) == n:
             raise ContractError("one split tag per sample required")
-        seen: dict[int, set[int]] = {}
-        for s, tag in zip(self.samples, self.splits):
-            if not 0 <= s.label < self.num_classes:
-                raise ContractError(f"label {s.label} outside {self.num_classes} classes")
-            seen.setdefault(s.label, set()).add(int(tag))
-        for label, tags in sorted(seen.items()):
-            if SPLIT_TRAIN not in tags or SPLIT_TEST not in tags:
-                raise ContractError(f"class {label} missing a train or test sample")
+        outside = self.labels[(self.labels < 0) | (self.labels >= self.num_classes)]
+        if outside.size:
+            raise ContractError(f"label {outside[0]} outside {self.num_classes} classes")
+
+        def has(rows) -> np.ndarray:
+            """Per class: whether any of `rows` carries it."""
+            return np.bincount(self.labels[rows], minlength=self.num_classes) > 0
+
+        complete = has(self.splits == SPLIT_TRAIN) & has(self.splits == SPLIT_TEST)
+        missing = np.flatnonzero(has(slice(None)) & ~complete)
+        if missing.size:
+            raise ContractError(f"class {missing[0]} missing a train or test sample")
 
 
 @dataclass(frozen=True)
@@ -118,14 +126,27 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _f32(v: np.ndarray) -> np.ndarray:
-    return v.astype(np.float32).astype(np.float64)
+def _allocate(spec: GeneratorSpec, class_names: list[str]) -> FeatureDataset:
+    """Labels, ids and split tags of every sample, features still to be written.
 
-
-def _split_plan(spec: GeneratorSpec):
-    return ((SPLIT_TRAIN, spec.train_per_class),
-            (SPLIT_VAL, spec.val_per_class),
-            (SPLIT_TEST, spec.test_per_class))
+    Rows run class by class; within a class, train then val then test.
+    """
+    counts = (spec.train_per_class, spec.val_per_class, spec.test_per_class)
+    per_class = sum(counts)
+    n = spec.num_classes * per_class
+    tags = np.repeat(np.array([SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST], dtype=np.uint8), counts)
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "generator": asdict(spec),
+        "class_names": class_names,
+    }
+    return FeatureDataset(
+        audio=np.empty((n, spec.d), dtype=np.float32),
+        visual=np.empty((n, spec.frames, spec.cells, spec.d), dtype=np.float32),
+        labels=np.repeat(np.arange(spec.num_classes, dtype=np.int64), per_class),
+        ids=np.arange(n, dtype=np.int64),
+        splits=np.tile(tags, spec.num_classes),
+        num_classes=spec.num_classes, manifest=manifest)
 
 
 def generate_synthetic(spec: GeneratorSpec, _b_permutation: Sequence[int] | None = None) -> FeatureDataset:
@@ -160,35 +181,19 @@ def _generate_aligned(spec: GeneratorSpec) -> FeatureDataset:
                 visual_dirs[c, l, s] = spec.separation * _unit(
                     LATENT_MIX * latent + (1.0 - LATENT_MIX) * own)
 
-    samples: list[FeatureSample] = []
-    splits: list[int] = []
-    sample_id = 0
-    for c in range(spec.num_classes):
-        for tag, count in _split_plan(spec):
-            for _ in range(count):
-                audio = audio_means[c] + spec.noise_sigma * rng_noise.normal(size=d)
-                visual = np.empty((ell, s_cells, d))
-                for l in range(ell):
-                    signal_cell = int(rng_cells.integers(s_cells))
-                    for s in range(s_cells):
-                        if s == signal_cell:
-                            base = visual_dirs[c, l, s]
-                        else:
-                            base = DISTRACTOR_SCALE * spec.separation \
-                                * _unit(rng_noise.normal(size=d))
-                        visual[l, s] = base + spec.noise_sigma * rng_noise.normal(size=d)
-                samples.append(FeatureSample(sample_id, c, _f32(audio), _f32(visual)))
-                splits.append(tag)
-                sample_id += 1
-
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "generator": asdict(spec),
-        "class_names": [f"class_{c}" for c in range(spec.num_classes)],
-    }
-    return FeatureDataset(d=d, frames=ell, cells=s_cells, num_classes=spec.num_classes,
-                          samples=samples, splits=np.array(splits, dtype=np.uint8),
-                          manifest=manifest)
+    ds = _allocate(spec, [f"class_{c}" for c in range(spec.num_classes)])
+    for row, c in enumerate(ds.labels):
+        ds.audio[row] = audio_means[c] + spec.noise_sigma * rng_noise.normal(size=d)
+        for l in range(ell):
+            signal_cell = int(rng_cells.integers(s_cells))
+            for s in range(s_cells):
+                if s == signal_cell:
+                    base = visual_dirs[c, l, s]
+                else:
+                    base = DISTRACTOR_SCALE * spec.separation \
+                        * _unit(rng_noise.normal(size=d))
+                ds.visual[row, l, s] = base + spec.noise_sigma * rng_noise.normal(size=d)
+    return ds
 
 
 def _generate_xor(spec: GeneratorSpec, b_permutation: Sequence[int] | None) -> FeatureDataset:
@@ -211,86 +216,71 @@ def _generate_xor(spec: GeneratorSpec, b_permutation: Sequence[int] | None) -> F
     visual_streams = [np.random.default_rng(np.random.SeedSequence([spec.seed, 22, b]))
                       for b in range(k)]
 
-    samples: list[FeatureSample] = []
-    splits: list[int] = []
-    sample_id = 0
-    for a in range(k):
-        for b in range(k):
-            label = a * k + b
-            for tag, count in _split_plan(spec):
-                for _ in range(count):
-                    audio = audio_dirs[a] + spec.noise_sigma * audio_streams[a].normal(size=d)
-                    visual = visual_dirs[perm[b]] \
-                        + spec.noise_sigma * visual_streams[b].normal(size=(ell, s_cells, d))
-                    samples.append(FeatureSample(sample_id, label, _f32(audio), _f32(visual)))
-                    splits.append(tag)
-                    sample_id += 1
-
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "generator": asdict(spec),
-        "class_names": [f"a{a}b{b}" for a in range(k) for b in range(k)],
-    }
-    return FeatureDataset(d=d, frames=ell, cells=s_cells, num_classes=spec.num_classes,
-                          samples=samples, splits=np.array(splits, dtype=np.uint8),
-                          manifest=manifest)
+    # label = a * k + b, so rows visit (a, b) in the order of the label
+    ds = _allocate(spec, [f"a{a}b{b}" for a in range(k) for b in range(k)])
+    for row, label in enumerate(ds.labels):
+        a, b = divmod(int(label), k)
+        ds.audio[row] = audio_dirs[a] + spec.noise_sigma * audio_streams[a].normal(size=d)
+        ds.visual[row] = visual_dirs[perm[b]] + spec.noise_sigma \
+            * visual_streams[b].normal(size=(ell, s_cells, d))
+    return ds
 
 
 # --- serialization --------------------------------------------------------
+#
+# Little-endian: a 28-byte header (magic, version, n, d, frames, cells,
+# num_classes), n fixed-size records (sample_id u32, label u32, split u8,
+# audio f32[d], visual f32[frames * cells * d]), then a u32 manifest length
+# and the manifest as canonical JSON.
+
+HEADER_SIZE = 28
+
+
+def _record_dtype(d: int, ell: int, s_cells: int) -> np.dtype:
+    return np.dtype([("sample_id", "<u4"), ("label", "<u4"), ("split", "u1"),
+                     ("audio", "<f4", (d,)), ("visual", "<f4", (ell * s_cells * d,))])
 
 
 def save_dataset(ds: FeatureDataset, path) -> None:
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<IIIIII", FORMAT_VERSION, len(ds.samples), ds.d,
-                        ds.frames, ds.cells, ds.num_classes)
-    for sample, tag in zip(ds.samples, ds.splits):
-        blob += struct.pack("<IIB", sample.sample_id, sample.label, int(tag))
-        blob += np.ascontiguousarray(sample.audio, dtype="<f4").tobytes()
-        blob += np.ascontiguousarray(sample.visual, dtype="<f4").tobytes()
+    n = len(ds)
+    records = np.empty(n, dtype=_record_dtype(ds.d, ds.frames, ds.cells))
+    records["sample_id"] = ds.ids
+    records["label"] = ds.labels
+    records["split"] = ds.splits
+    records["audio"] = ds.audio
+    records["visual"] = ds.visual.reshape(n, ds.frames * ds.cells * ds.d)
     manifest = json.dumps(ds.manifest, sort_keys=True, separators=(",", ":")).encode()
-    blob += struct.pack("<I", len(manifest))
-    blob += manifest
-    write_atomic(path, bytes(blob))
+    header = MAGIC + struct.pack("<IIIIII", FORMAT_VERSION, n, ds.d, ds.frames,
+                                 ds.cells, ds.num_classes)
+    write_atomic(path, b"".join([header, records.tobytes(),
+                                 struct.pack("<I", len(manifest)), manifest]))
 
 
 def load_dataset(path) -> FeatureDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_input(path, "dataset")
     if blob[:4] != MAGIC:
         raise FormatError("bad dataset magic at offset 0")
-    if len(blob) < 28:
+    if len(blob) < HEADER_SIZE:
         raise FormatError(f"dataset header truncated at offset {len(blob)}")
     version, n, d, ell, s_cells, num_classes = struct.unpack_from("<IIIIII", blob, 4)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported dataset version {version} at offset 4")
     record = 9 + 4 * d + 4 * ell * s_cells * d
-    offset = 28
-    samples: list[FeatureSample] = []
-    splits = np.empty(n, dtype=np.uint8)
-    seen_ids: set[int] = set()
-    for i in range(n):
-        if offset + record > len(blob):
-            raise FormatError(f"record {i} truncated at offset {offset}")
-        sample_id, label, tag = struct.unpack_from("<IIB", blob, offset)
-        if sample_id in seen_ids:
-            raise FormatError(f"duplicate sample_id {sample_id} at offset {offset}")
-        seen_ids.add(sample_id)
-        if tag not in (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST):
-            raise FormatError(f"bad split tag {tag} at offset {offset + 8}")
-        if label >= num_classes:
-            raise FormatError(f"label {label} out of range at offset {offset + 4}")
-        audio = np.frombuffer(blob, dtype="<f4", count=d, offset=offset + 9)
-        visual = np.frombuffer(blob, dtype="<f4", count=ell * s_cells * d,
-                               offset=offset + 9 + 4 * d)
-        if not (np.isfinite(audio).all() and np.isfinite(visual).all()):
-            raise FormatError(f"non-finite feature in record {i} at offset {offset + 9}")
-        samples.append(FeatureSample(
-            sample_id, label,
-            audio.astype(np.float64),
-            visual.astype(np.float64).reshape(ell, s_cells, d)))
-        splits[i] = tag
-        offset += record
+    # numpy caps a record dtype below 2 GiB
+    if min(d, ell, s_cells) < 1 or record >= 2 ** 31:
+        raise FormatError(f"bad feature shape ({ell}, {s_cells}, {d}) at offset 12")
+    whole = min(n, (len(blob) - HEADER_SIZE) // record)
+    rec = np.frombuffer(blob, dtype=_record_dtype(d, ell, s_cells), count=whole,
+                        offset=HEADER_SIZE)
+    ids = rec["sample_id"].astype(np.int64)
+    labels = rec["label"].astype(np.int64)
+    splits = rec["split"].copy()
+    audio = rec["audio"].astype(np.float32)
+    visual = rec["visual"].astype(np.float32).reshape(whole, ell, s_cells, d)
+    _check_records(ids, labels, splits, audio, visual, num_classes, record)
+    offset = HEADER_SIZE + whole * record
+    if whole < n:
+        raise FormatError(f"record {whole} truncated at offset {offset}")
     if offset + 4 > len(blob):
         raise FormatError(f"manifest length truncated at offset {offset}")
     (manifest_len,) = struct.unpack_from("<I", blob, offset)
@@ -305,44 +295,30 @@ def load_dataset(path) -> FeatureDataset:
         raise FormatError(f"manifest at offset {offset} is not a JSON object")
     if offset + manifest_len != len(blob):
         raise FormatError(f"trailing bytes at offset {offset + manifest_len}")
-    return FeatureDataset(d=d, frames=ell, cells=s_cells, num_classes=num_classes,
-                          samples=samples, splits=splits, manifest=manifest)
+    return FeatureDataset(audio=audio, visual=visual, labels=labels, ids=ids,
+                          splits=splits, num_classes=num_classes, manifest=manifest)
 
 
-def split_dataset(ds: FeatureDataset, val: float | int, test: float | int,
-                  seed: int) -> FeatureDataset:
-    """Re-tag splits stratified by class; remaining samples become train.
-
-    `val` / `test` are absolute per-class counts when int, fractions of each
-    class's count when float.
-    """
-    if isinstance(val, float) and isinstance(test, float) and val + test > 1.0:
-        raise ContractError("val and test fractions sum over 1")
-    splits = np.empty(len(ds.samples), dtype=np.uint8)
-    index_of = {id(s): i for i, s in enumerate(ds.samples)}
-    for label in range(ds.num_classes):
-        members = ds.of_class(label)
-        if not members:
-            continue
-        n = len(members)
-        n_val = int(val) if isinstance(val, int) else int(val * n)
-        n_test = int(test) if isinstance(test, int) else int(test * n)
-        if n_val + n_test >= n:
-            raise ContractError(
-                f"class {label}: {n_val} val + {n_test} test leaves no train sample of {n}")
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 31, label]))
-        order = rng.permutation(n)
-        for pos, j in enumerate(order):
-            i = index_of[id(members[j])]
-            if pos < n_val:
-                splits[i] = SPLIT_VAL
-            elif pos < n_val + n_test:
-                splits[i] = SPLIT_TEST
-            else:
-                splits[i] = SPLIT_TRAIN
-    out = FeatureDataset(d=ds.d, frames=ds.frames, cells=ds.cells,
-                         num_classes=ds.num_classes, samples=ds.samples,
-                         splits=splits, manifest=dict(ds.manifest))
-    out.manifest["resplit"] = {"val": val, "test": test, "seed": seed}
-    out.validate()
-    return out
+def _check_records(ids, labels, splits, audio, visual, num_classes: int,
+                   record: int) -> None:
+    """Raise for the first bad record; within a record, checks run in this order."""
+    # a stable sort keeps each id's first record ahead of its repeats
+    order = np.argsort(ids, kind="stable")
+    repeat = ids[order[1:]] == ids[order[:-1]]
+    duplicate = np.zeros(len(ids), dtype=bool)
+    duplicate[order[1:][repeat]] = True
+    # a float64 sum over finite float32 values cannot overflow
+    finite = (np.isfinite(audio.sum(axis=1, dtype=np.float64))
+              & np.isfinite(visual.sum(axis=(1, 2, 3), dtype=np.float64)))
+    checks = (
+        (duplicate, lambda i, at: f"duplicate sample_id {ids[i]} at offset {at}"),
+        (splits > SPLIT_TEST, lambda i, at: f"bad split tag {splits[i]} at offset {at + 8}"),
+        (labels >= num_classes,
+         lambda i, at: f"label {labels[i]} out of range at offset {at + 4}"),
+        (~finite, lambda i, at: f"non-finite feature in record {i} at offset {at + 9}"),
+    )
+    firsts = [(hits[0], rank) for rank, (bad, _) in enumerate(checks)
+              if (hits := np.flatnonzero(bad)).size]
+    if firsts:
+        i, rank = min(firsts)
+        raise FormatError(checks[rank][1](i, HEADER_SIZE + i * record))

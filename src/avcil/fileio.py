@@ -1,10 +1,20 @@
-"""Atomic file writes, shared by every module that persists an artifact."""
+"""File reads and atomic writes, shared by every module that persists an artifact."""
 
 from __future__ import annotations
 
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import FormatError
+
+
+def read_input(path, what: str) -> bytes:
+    """The whole file; one that cannot be opened or read raises FormatError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as err:
+        raise FormatError(f"cannot read {what} {path}: {err.strerror or err}") from None
 
 
 def write_atomic(path, data: bytes) -> None:

@@ -18,7 +18,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,7 +219,7 @@ def output_dir(cfg: RunConfig) -> Path:
 def run_one_seed(dataset: FeatureDataset, cfg: RunConfig, seed: int
                  ) -> Tuple[dict, List[dict]]:
     """Train one seed and build its (deterministic) result payload."""
-    classes = sorted({s.label for s in dataset.samples})
+    classes = sorted(set(dataset.labels.tolist()))
     sequence = build_task_sequence(classes, cfg.steps, cfg.classes_per_step, seed)
     events: List[dict] = []
     try:
@@ -288,28 +288,34 @@ def cli_run(config_path, workers: int = 1) -> Path:
     """
     cfg = load_config(config_path)
     out_dir = output_dir(cfg)
-    per_seed: Dict[int, dict] = {}
     if workers > 1 and len(cfg.seeds) > 1:
         cfg_json = canonical_json(json.loads(Path(config_path).read_text()))
         jobs = [(cfg_json, s) for s in cfg.seeds]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for seed, result, events in pool.map(_seed_worker, jobs):
-                _write_seed(out_dir, seed, result, events)
-                per_seed[seed] = result
+            _write_seeds(out_dir, cfg, pool.map(_seed_worker, jobs))
     else:
-        dataset = load_run_dataset(cfg)
-        for seed in cfg.seeds:
-            result, events = run_one_seed(dataset, cfg, seed)
-            _write_seed(out_dir, seed, result, events)
-            per_seed[seed] = result
-    write_json(out_dir / "aggregate.json", aggregate_payload(cfg, per_seed))
+        _run_seeds(load_run_dataset(cfg), cfg, out_dir)
     return out_dir
 
 
-def _write_seed(out_dir: Path, seed: int, result: dict, events: List[dict]) -> None:
-    seed_dir = out_dir / f"seed_{seed}"
-    write_json(seed_dir / "result.json", result)
-    write_run_log(seed_dir / "run.log.jsonl", events)
+def _run_seeds(dataset: FeatureDataset, cfg: RunConfig, out_dir: Path) -> dict:
+    """Train and write every seed of `cfg` in turn; returns the aggregate."""
+    return _write_seeds(out_dir, cfg, ((seed, *run_one_seed(dataset, cfg, seed))
+                                       for seed in cfg.seeds))
+
+
+def _write_seeds(out_dir: Path, cfg: RunConfig,
+                 jobs: Iterable[Tuple[int, dict, List[dict]]]) -> dict:
+    """Write each (seed, result, events) job as it arrives, then `aggregate.json`."""
+    per_seed: Dict[int, dict] = {}
+    for seed, result, events in jobs:
+        seed_dir = out_dir / f"seed_{seed}"
+        write_json(seed_dir / "result.json", result)
+        write_run_log(seed_dir / "run.log.jsonl", events)
+        per_seed[seed] = result
+    aggregate = aggregate_payload(cfg, per_seed)
+    write_json(out_dir / "aggregate.json", aggregate)
+    return aggregate
 
 
 # ---------------------------------------------------------------------------
@@ -445,21 +451,12 @@ def cli_ablate(config_path) -> Path:
     table: List[dict] = []
 
     def sweep(tag: str, variant: str, vcfg: RunConfig, flags: Tuple[int, int, int]):
-        per_seed: Dict[int, dict] = {}
-        vdir = out_dir / tag / variant.replace("+", "_")
-        for seed in cfg.seeds:
-            result, events = run_one_seed(dataset, vcfg, seed)
-            _write_seed(vdir, seed, result, events)
-            per_seed[seed] = result
-        write_json(vdir / "aggregate.json", aggregate_payload(vcfg, per_seed))
-        accs = [per_seed[s]["mean_accuracy"] for s in cfg.seeds]
-        forgets = [per_seed[s]["average_forgetting"] for s in cfg.seeds]
+        aggregate = _run_seeds(dataset, vcfg, out_dir / tag / variant.replace("+", "_"))
         table.append({
             "sweep": tag, "variant": variant,
             "i_avss": flags[0], "c_avss": flags[1], "vad": flags[2],
-            "mean_acc": float(np.mean(accs)),
-            "avg_forget": (float(np.mean(forgets))
-                           if all(f is not None for f in forgets) else None),
+            "mean_acc": aggregate["mean_accuracy"]["mean"],
+            "avg_forget": aggregate["average_forgetting"]["mean"],
         })
 
     for modality in MODALITY_SWEEP:
@@ -487,15 +484,15 @@ def cli_export_attention(checkpoint_path, dataset_path, sample_ids: Sequence[int
     """Channel-averaged attention maps for chosen samples, one CSV pair each."""
     params = mdl.load_checkpoint(checkpoint_path)
     dataset = load_dataset(dataset_path)
-    by_id = {s.sample_id: s for s in dataset.samples}
-    missing = [i for i in sample_ids if i not in by_id]
+    missing = [i for i in sample_ids if i not in dataset.ids]
     if missing:
         raise ConfigError(f"unknown sample ids: {missing}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
     for sid in sample_ids:
-        trace = mdl.forward(params, [by_id[sid]], "audiovisual")
+        row = np.flatnonzero(dataset.ids == sid)
+        trace = mdl.forward(params, dataset.audio[row], dataset.visual[row], "audiovisual")
         spatial = trace.maps.spatial.data[0].mean(axis=2)     # (L, S)
         temporal = trace.maps.temporal.data[0].mean(axis=1)   # (L,)
         spath = out / f"sample_{sid}_spatial.csv"
@@ -565,8 +562,6 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
     check("loss_tkd", lambda x: obj.tkd(x, dm.constant(old), layout), logits)
 
     params = mdl.init_params(d, classes, seed=seed + 1)
-    batch_audio = dm.constant(audio)
-    batch_visual = dm.constant(visual)
     mask = np.zeros(n, dtype=bool)
     mask[:2] = True
     teacher = mdl.snapshot(mdl.init_params(d, 2, seed=seed + 2))
@@ -575,16 +570,16 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
         patched = mdl.ModelParams(x, params.w_visual, params.u_audio,
                                   params.u_visual, params.cls_weight,
                                   params.cls_bias)
-        trace = mdl.forward_arrays(patched, batch_audio, batch_visual)
-        teacher_trace = mdl.forward_arrays(teacher, batch_audio, batch_visual)
+        trace = mdl.forward(patched, audio, visual)
+        teacher_trace = mdl.forward(teacher, audio, visual)
         return obj.total_loss(trace, teacher_trace, labels, mask, layout, weights)
 
     check("loss_vad", lambda x: obj.vad(
-        mdl.forward_arrays(
+        mdl.forward(
             mdl.ModelParams(x, params.w_visual, params.u_audio, params.u_visual,
                             params.cls_weight, params.cls_bias),
-            batch_audio, batch_visual).maps,
-        mdl.forward_arrays(teacher, batch_audio, batch_visual).maps,
+            audio, visual).maps,
+        mdl.forward(teacher, audio, visual).maps,
         mask, weights.lambda_vad), params.w_audio.data.copy())
     check("loss_total", through_model, params.w_audio.data.copy())
 

@@ -65,35 +65,35 @@ def average_forgetting(matrix: AccuracyMatrix) -> float | None:
     return float(np.mean(per_step))
 
 
-def _predict_head(params: mdl.ModelParams, samples: Sequence, modality: str) -> np.ndarray:
-    preds = np.empty(len(samples), dtype=np.int64)
-    for lo in range(0, len(samples), EVAL_CHUNK):
-        chunk = samples[lo:lo + EVAL_CHUNK]
-        logits = mdl.forward(params, chunk, modality).logits.data
-        preds[lo:lo + len(chunk)] = np.argmax(logits, axis=1)  # ties -> lowest index
-    return preds
+def _forward_rows(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,
+                  modality: str, output: str) -> np.ndarray:
+    """One trace field ("logits" or "fused") for every row, run EVAL_CHUNK rows at a time."""
+    return np.concatenate([
+        getattr(mdl.forward(params, audio[lo:lo + EVAL_CHUNK], visual[lo:lo + EVAL_CHUNK],
+                            modality), output).data
+        for lo in range(0, len(audio), EVAL_CHUNK)])
 
 
-def _fused_features(params: mdl.ModelParams, samples: Sequence, modality: str) -> np.ndarray:
-    rows = []
-    for lo in range(0, len(samples), EVAL_CHUNK):
-        rows.append(mdl.forward(params, samples[lo:lo + EVAL_CHUNK], modality).fused.data)
-    return np.concatenate(rows, axis=0)
+def _predict_head(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,
+                  modality: str) -> np.ndarray:
+    logits = _forward_rows(params, audio, visual, modality, "logits")
+    return np.argmax(logits, axis=1)  # ties -> lowest index
 
 
-def nme_classify(params: mdl.ModelParams, exemplars: Sequence, exemplar_labels,
-                 queries: Sequence, num_classes: int,
-                 modality: str = "audiovisual") -> np.ndarray:
+def nme_classify(params: mdl.ModelParams, ex_audio: np.ndarray, ex_visual: np.ndarray,
+                 exemplar_labels, audio: np.ndarray, visual: np.ndarray,
+                 num_classes: int, modality: str = "audiovisual") -> np.ndarray:
     """Nearest class mean in the normalized fused space, Euclidean distance.
 
-    Class means come from the exemplars; every class below `num_classes`
-    needs at least one. Distance ties resolve to the lowest class index.
+    Class means come from the exemplars (`ex_audio`, `ex_visual`); every
+    class below `num_classes` needs at least one. The queries are `audio`,
+    `visual`. Distance ties resolve to the lowest class index.
     """
     labels = np.asarray(exemplar_labels, dtype=np.int64)
-    if len(exemplars) != labels.size:
+    if len(ex_audio) != labels.size:
         raise ContractError("one label per exemplar required")
     frozen = mdl.snapshot(params)
-    feats = _fused_features(frozen, exemplars, modality)
+    feats = _forward_rows(frozen, ex_audio, ex_visual, modality, "fused")
     means = np.empty((num_classes, feats.shape[1]))
     for c in range(num_classes):
         rows = feats[labels == c]
@@ -104,7 +104,7 @@ def nme_classify(params: mdl.ModelParams, exemplars: Sequence, exemplar_labels,
     if np.any(norms == 0.0):
         raise ContractError("a class mean has zero norm")
     means /= norms
-    q = _fused_features(frozen, queries, modality)
+    q = _forward_rows(frozen, audio, visual, modality, "fused")
     qn = np.linalg.norm(q, axis=1, keepdims=True)
     if np.any(qn == 0.0):
         raise ContractError("a query feature has zero norm")
@@ -113,28 +113,29 @@ def nme_classify(params: mdl.ModelParams, exemplars: Sequence, exemplar_labels,
     return np.argmin(dists, axis=1)  # ties -> lowest index
 
 
-def evaluate(params: mdl.ModelParams, samples: Sequence, labels, layout: TaskLayout,
-             modality: str = "audiovisual",
-             nme_exemplars: tuple[Sequence, Sequence] | None = None
+def evaluate(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray, labels,
+             layout: TaskLayout, modality: str = "audiovisual",
+             nme_exemplars: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
              ) -> tuple[float, list[float]]:
-    """Accuracy over `samples` overall and broken down by task.
+    """Accuracy over the samples (`audio`, `visual`), overall and broken down by task.
 
-    Labels are model class indices. With `nme_exemplars=(samples, labels)`
-    predictions come from nearest class means instead of the linear head.
+    Labels are model class indices. With `nme_exemplars=(audio, visual,
+    labels)` predictions come from nearest class means instead of the
+    linear head.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if len(samples) == 0:
+    if len(audio) == 0:
         raise ContractError("evaluate needs at least one sample")
-    if labels.shape != (len(samples),):
+    if labels.shape != (len(audio),) or len(visual) != len(audio):
         raise ContractError("one label per evaluated sample required")
     if labels.min() < 0 or labels.max() >= layout.total_classes:
         raise ContractError("an evaluation label falls outside the layout")
     frozen = mdl.snapshot(params)
     if nme_exemplars is None:
-        preds = _predict_head(frozen, samples, modality)
+        preds = _predict_head(frozen, audio, visual, modality)
     else:
-        ex_samples, ex_labels = nme_exemplars
-        preds = nme_classify(frozen, ex_samples, ex_labels, samples,
+        ex_audio, ex_visual, ex_labels = nme_exemplars
+        preds = nme_classify(frozen, ex_audio, ex_visual, ex_labels, audio, visual,
                              layout.total_classes, modality)
     correct = preds == labels
     tasks = np.array([layout.task_of(int(y)) for y in labels])

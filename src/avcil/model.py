@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import diffmath as dm
 from .diffmath import DiffTensor
 from .errors import ContractError, FormatError
-from .fileio import write_atomic
+from .fileio import read_input, write_atomic
 
 MODALITIES = ("audiovisual", "audio", "visual")
 
@@ -153,26 +152,25 @@ def classify(fused: DiffTensor, params: ModelParams) -> DiffTensor:
                           axis=2) + params.cls_bias
 
 
-def forward(params: ModelParams, batch: Sequence, modality: str = "audiovisual") -> ForwardTrace:
-    """Run a batch of feature samples through the model.
+def forward(params: ModelParams, audio, visual, modality: str = "audiovisual") -> ForwardTrace:
+    """Run a batch through the model.
 
-    `batch` is a sequence of samples carrying `.audio` (d,) and `.visual`
-    (L, S, d) arrays. In `audio` mode the visual pathway is dropped; in
-    `visual` mode pooling is uniform over cells and frames (no attention).
+    `audio` is (N, d) and `visual` (N, L, S, d), as arrays or as constant
+    tensors; a caller that runs several models on one batch wraps it once
+    with `dm.constant` and passes the same tensors to each. In `audio` mode
+    the visual pathway is dropped; in `visual` mode pooling is uniform over
+    cells and frames (no attention).
     """
     if modality not in MODALITIES:
         raise ContractError(f"unknown modality {modality!r}")
-    if len(batch) == 0:
+    if not isinstance(audio, DiffTensor):
+        audio = dm.constant(audio)
+    if not isinstance(visual, DiffTensor):
+        visual = dm.constant(visual)
+    n, _ = _check_audio(audio, params.d)
+    if n == 0:
         raise ContractError("forward needs a non-empty batch")
-    audio = dm.constant(np.stack([s.audio for s in batch]))
-    visual = dm.constant(np.stack([s.visual for s in batch]))
-    return forward_arrays(params, audio, visual, modality)
-
-
-def forward_arrays(params: ModelParams, audio: DiffTensor, visual: DiffTensor,
-                   modality: str = "audiovisual") -> ForwardTrace:
     if modality == "audio":
-        _check_audio(audio, params.d)
         fused = dm.tanh_matmul(audio, params.u_audio)
         return ForwardTrace(audio=audio, attended_visual=None, fused=fused,
                             logits=classify(fused, params), maps=None)
@@ -250,8 +248,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_input(path, "checkpoint")
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic at offset 0")
     if len(blob) < 16:

@@ -20,7 +20,7 @@ import numpy as np
 from . import diffmath as dm
 from . import model as mdl
 from .baselines import Strategy, get_strategy
-from .datasets import FeatureDataset, FeatureSample
+from .datasets import FeatureDataset
 from .errors import ConfigError, ContractError, TrainingDiverged
 from .metrics import AccuracyMatrix, evaluate
 from .objectives import LossWeights, TaskLayout
@@ -104,7 +104,7 @@ def label_map_for(sequence: TaskSequence) -> Dict[int, int]:
 
 @dataclass(frozen=True)
 class ExemplarMemory:
-    """Fixed-capacity replay store: class id -> tuple of sample ids."""
+    """Fixed-capacity replay store: class id -> tuple of dataset rows."""
 
     capacity: int
     seed: int
@@ -116,12 +116,12 @@ class ExemplarMemory:
     def classes(self) -> Tuple[int, ...]:
         return tuple(sorted(self.store))
 
-    def sample_ids(self) -> Tuple[int, ...]:
-        """All stored ids, classes in sorted order."""
+    def rows(self) -> np.ndarray:
+        """All stored rows, classes in sorted order."""
         out: List[int] = []
         for c in sorted(self.store):
             out.extend(self.store[c])
-        return tuple(out)
+        return np.array(out, dtype=np.int64)
 
 
 def update_memory(memory: ExemplarMemory,
@@ -130,7 +130,7 @@ def update_memory(memory: ExemplarMemory,
 
     The quota is floor(capacity / total classes stored). Old classes are cut
     down by uniform random choice without replacement; new classes are filled
-    the same way from their candidate ids. A class with fewer candidates than
+    the same way from their candidate rows. A class with fewer candidates than
     the quota keeps what it has (with a warning) — capacity is an upper
     bound, not a promise.
     """
@@ -144,19 +144,19 @@ def update_memory(memory: ExemplarMemory,
     rng = _rng(memory.seed, _P_MEMORY, num_classes)
     store: Dict[int, Tuple[int, ...]] = {}
     for c in sorted(memory.store):
-        ids = memory.store[c]
-        if len(ids) > quota:
-            ids = tuple(int(i) for i in rng.choice(np.asarray(ids), size=quota,
-                                                   replace=False))
-        store[c] = tuple(ids)
+        rows = memory.store[c]
+        if len(rows) > quota:
+            rows = tuple(int(i) for i in rng.choice(np.asarray(rows), size=quota,
+                                                    replace=False))
+        store[c] = tuple(rows)
     for c in sorted(new_candidates):
-        ids = [int(i) for i in new_candidates[c]]
-        if len(ids) < quota:
+        rows = [int(i) for i in new_candidates[c]]
+        if len(rows) < quota:
             logger.warning("class %d has %d candidates for a quota of %d; keeping all",
-                           c, len(ids), quota)
-            store[c] = tuple(ids)
+                           c, len(rows), quota)
+            store[c] = tuple(rows)
         else:
-            store[c] = tuple(int(i) for i in rng.choice(np.asarray(ids), size=quota,
+            store[c] = tuple(int(i) for i in rng.choice(np.asarray(rows), size=quota,
                                                         replace=False))
     return ExemplarMemory(memory.capacity, memory.seed, store)
 
@@ -222,8 +222,12 @@ class RunResult:
 # one incremental step
 
 
-def _index_samples(dataset: FeatureDataset) -> Dict[int, FeatureSample]:
-    return {s.sample_id: s for s in dataset.samples}
+def _model_labels(label_map: Dict[int, int], dataset: FeatureDataset,
+                  rows: np.ndarray) -> np.ndarray:
+    """Model output index of each row's class."""
+    lookup = np.zeros(dataset.num_classes, dtype=np.int64)
+    lookup[list(label_map)] = list(label_map.values())
+    return lookup[dataset.labels[rows]]
 
 
 def train_step(state: StepState, task_classes: Sequence[int],
@@ -254,28 +258,18 @@ def train_step(state: StepState, task_classes: Sequence[int],
     if layout.total_classes != params.num_classes:
         raise ContractError("classifier width does not match the task layout")
 
-    by_id = _index_samples(dataset)
-    pool: List[FeatureSample] = []
-    is_exemplar: List[bool] = []
     if strategy.retrains_on_all:
-        for c in label_map:
-            if label_map[c] >= layout.total_classes:
-                break
-            for s in dataset.of_class(c, "train"):
-                pool.append(s)
-                is_exemplar.append(False)
+        seen = [c for c, i in label_map.items() if i < layout.total_classes]
+        fresh = [dataset.of_class(c, "train") for c in seen]
+        replay = np.zeros(0, dtype=np.int64)
     else:
-        for c in new_classes:
-            for s in dataset.of_class(c, "train"):
-                pool.append(s)
-                is_exemplar.append(False)
-        for sid in state.memory.sample_ids():
-            pool.append(by_id[sid])
-            is_exemplar.append(True)
-    if not pool:
+        fresh = [dataset.of_class(c, "train") for c in new_classes]
+        replay = state.memory.rows()
+    pool = np.concatenate(fresh + [replay])
+    if len(pool) == 0:
         raise ContractError(f"no training samples for step {t}")
-    labels = np.array([label_map[s.label] for s in pool], dtype=np.int64)
-    exemplar = np.array(is_exemplar, dtype=bool)
+    labels = _model_labels(label_map, dataset, pool)
+    exemplar = np.arange(len(pool)) >= len(pool) - len(replay)
 
     trainable = params.parameters()
     opt = dm.AdamState.for_params(trainable, lr=config.lr,
@@ -287,11 +281,14 @@ def train_step(state: StepState, task_classes: Sequence[int],
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            batch = [pool[i] for i in idx]
+            rows = pool[idx]
+            # gathered once; the teacher reads the very same tensors
+            audio = dm.constant(dataset.audio[rows])
+            visual = dm.constant(dataset.visual[rows])
             batch_labels = labels[idx]
             mask = exemplar[idx] if config.use_vad else None
-            trace = mdl.forward(params, batch, config.modality)
-            teacher_trace = (mdl.forward(teacher, batch, config.modality)
+            trace = mdl.forward(params, audio, visual, config.modality)
+            teacher_trace = (mdl.forward(teacher, audio, visual, config.modality)
                              if teacher is not None else None)
             loss = strategy.compose(trace, teacher_trace, batch_labels, mask,
                                     layout, config.weights)
@@ -304,8 +301,8 @@ def train_step(state: StepState, task_classes: Sequence[int],
             dm.backward(loss)
             dm.adam_step(trainable, opt)
             # free this batch's graph before the next forward builds its own
-            del trace, teacher_trace, loss
-            total += value * len(batch)
+            del trace, teacher_trace, loss, audio, visual
+            total += value * len(rows)
         curve.append(total / n)
         if events is not None:
             events.append({"event": "epoch_loss", "step": t, "epoch": epoch,
@@ -313,8 +310,7 @@ def train_step(state: StepState, task_classes: Sequence[int],
 
     memory = state.memory
     if strategy.uses_memory:
-        candidates = {c: [s.sample_id for s in dataset.of_class(c, "train")]
-                      for c in new_classes}
+        candidates = {c: dataset.of_class(c, "train") for c in new_classes}
         memory = update_memory(memory, candidates)
         if events is not None:
             events.append({"event": "memory_updated", "step": t,
@@ -344,7 +340,7 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
             "must be >= 1")
     label_map = label_map_for(sequence)
     for c in label_map:
-        if not dataset.of_class(c, "train") or not dataset.of_class(c, "test"):
+        if not (dataset.of_class(c, "train").size and dataset.of_class(c, "test").size):
             raise ConfigError(f"class {c} lacks train or test samples")
 
     if events is None:
@@ -358,7 +354,6 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
     state = StepState(step=0, params=params,
                       memory=ExemplarMemory(config.memory_capacity, config.seed),
                       boundaries=())
-    by_id = _index_samples(dataset)
     rows: List[List[float]] = []
     overalls: List[float] = []
     curves: List[List[float]] = []
@@ -368,20 +363,15 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
                                   label_map, events)
         curves.append(curve)
 
-        test_samples: List[FeatureSample] = []
-        test_labels: List[int] = []
-        for c in sequence.seen_classes(t):
-            for s in dataset.of_class(c, "test"):
-                test_samples.append(s)
-                test_labels.append(label_map[c])
+        test = np.concatenate([dataset.of_class(c, "test")
+                               for c in sequence.seen_classes(t)])
         nme = None
         if strategy.nme_eval:
-            ex_samples = [by_id[sid] for sid in state.memory.sample_ids()]
-            ex_labels = np.array([label_map[s.label] for s in ex_samples],
-                                 dtype=np.int64)
-            nme = (ex_samples, ex_labels)
-        overall, per_task = evaluate(state.params, test_samples,
-                                     np.asarray(test_labels, dtype=np.int64),
+            exemplars = state.memory.rows()
+            nme = (dataset.audio[exemplars], dataset.visual[exemplars],
+                   _model_labels(label_map, dataset, exemplars))
+        overall, per_task = evaluate(state.params, dataset.audio[test], dataset.visual[test],
+                                     _model_labels(label_map, dataset, test),
                                      state.layout, config.modality, nme)
         rows.append(per_task)
         overalls.append(overall)

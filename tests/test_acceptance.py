@@ -37,7 +37,7 @@ BENCH_SEEDS = (0, 1, 2)
 @pytest.fixture(scope="module")
 def bench():
     ds = generate_synthetic(BENCH_SPEC)
-    return ds, sorted({s.label for s in ds.samples})
+    return ds, np.unique(ds.labels).tolist()
 
 
 def bench_train(strategy, seed, **kw):
@@ -104,9 +104,10 @@ def test_criterion_03_loss_reduction_identities():
     # batch holds no exemplars
     spec = GeneratorSpec(mode="aligned", num_classes=4, d=6, frames=3, cells=4,
                          train_per_class=3, test_per_class=2, seed=9)
-    samples = generate_synthetic(spec).samples[:5]
-    maps = mdl.forward(mdl.init_params(6, 4, seed=1), samples, "audiovisual").maps
-    other = mdl.forward(mdl.init_params(6, 4, seed=2), samples, "audiovisual").maps
+    ds = generate_synthetic(spec)
+    batch = ds.audio[:5], ds.visual[:5]
+    maps = mdl.forward(mdl.init_params(6, 4, seed=1), *batch, "audiovisual").maps
+    other = mdl.forward(mdl.init_params(6, 4, seed=2), *batch, "audiovisual").maps
     assert abs(float(obj.vad(maps, maps, np.ones(5, bool), 0.5).data)) <= 1e-9
     assert float(obj.vad(maps, other, np.zeros(5, bool), 0.5).data) == 0.0
 
@@ -183,7 +184,7 @@ def test_criterion_07_joint_beats_unimodal_on_pair_grid():
                          cells=2, train_per_class=12, test_per_class=6,
                          separation=4.0, noise_sigma=0.5, seed=0)
     ds = generate_synthetic(spec)
-    classes = sorted({s.label for s in ds.samples})
+    classes = np.unique(ds.labels).tolist()
     final = {}
     for modality in ("audiovisual", "audio", "visual"):
         accs = []
@@ -241,11 +242,11 @@ def test_criterion_09_attention_distillation_reduces_drift(bench):
                           params=mdl.init_params(ds.d, 8, seed=seed * 7 + 1),
                           memory=ExemplarMemory(64, seed), boundaries=())
         state, _ = train_step(state, seq.tasks[0], ds, cfg, strat, lmap)
-        by_id = {s.sample_id: s for s in ds.samples}
-        exemplars = [by_id[i] for i in state.memory.sample_ids()]
+        rows = state.memory.rows()
+        exemplars = ds.audio[rows], ds.visual[rows]
         state, _ = train_step(state, seq.tasks[1], ds, cfg, strat, lmap)
-        cur = mdl.forward(state.params, exemplars, "audiovisual").maps
-        old = mdl.forward(state.teacher, exemplars, "audiovisual").maps
+        cur = mdl.forward(state.params, *exemplars, "audiovisual").maps
+        old = mdl.forward(state.teacher, *exemplars, "audiovisual").maps
         deltas = [np.abs(cur.spatial.data - old.spatial.data).ravel(),
                   np.abs(cur.temporal.data - old.temporal.data).ravel()]
         return float(np.concatenate(deltas).mean())

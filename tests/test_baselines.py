@@ -6,7 +6,7 @@ import avcil.model as mdl
 import avcil.objectives as obj
 from avcil.baselines import (STRATEGY_TAGS, avcil_loss, finetune_loss, get_strategy,
                              icarl_loss, lwf_loss, ssil_loss)
-from avcil.datasets import GeneratorSpec, generate_synthetic
+from avcil.datasets import SPLIT_TRAIN, GeneratorSpec, generate_synthetic
 from avcil.errors import ConfigError
 from avcil.objectives import LossWeights, TaskLayout
 
@@ -15,9 +15,8 @@ def tiny_batch(num_classes=4, d=6, n=8, seed=0):
     spec = GeneratorSpec(mode="aligned", num_classes=num_classes, d=d, frames=2,
                         cells=3, train_per_class=4, test_per_class=2, seed=seed)
     ds = generate_synthetic(spec)
-    batch = ds.by_split("train")[:n]
-    labels = np.array([s.label for s in batch], dtype=np.int64)
-    return batch, labels
+    rows = np.flatnonzero(ds.splits == SPLIT_TRAIN)[:n]
+    return (ds.audio[rows], ds.visual[rows]), ds.labels[rows]
 
 
 def softmax_rows(z):
@@ -70,7 +69,7 @@ def test_replay_variants_share_the_lwf_composer():
 def test_finetune_is_cross_entropy():
     batch, labels = tiny_batch()
     params = mdl.init_params(6, 4, seed=3)
-    trace = mdl.forward(params, batch)
+    trace = mdl.forward(params, *batch)
     layout = TaskLayout((2, 2))
     loss = finetune_loss(trace, None, labels, None, layout, LossWeights())
     assert loss.data == obj.cross_entropy(trace.logits, labels).data
@@ -79,7 +78,7 @@ def test_finetune_is_cross_entropy():
 def test_lwf_without_teacher_is_plain_ce():
     batch, labels = tiny_batch()
     params = mdl.init_params(6, 4, seed=3)
-    trace = mdl.forward(params, batch)
+    trace = mdl.forward(params, *batch)
     loss = lwf_loss(trace, None, labels, None, TaskLayout((4,)), LossWeights())
     assert loss.data == obj.cross_entropy(trace.logits, labels).data
 
@@ -90,8 +89,8 @@ def test_lwf_distillation_matches_brute_force():
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     # the teacher only knows the first two classes; wire its projections to the
     # student's shapes by reusing the same d
-    trace = mdl.forward(student, batch)
-    teacher_trace = mdl.forward(teacher, batch)
+    trace = mdl.forward(student, *batch)
+    teacher_trace = mdl.forward(teacher, *batch)
     loss = lwf_loss(trace, teacher_trace, labels, None, TaskLayout((2, 2)),
                     LossWeights())
     ce = float(obj.cross_entropy(trace.logits, labels).data)
@@ -105,8 +104,8 @@ def test_lwf_gradient_reaches_the_old_columns_only_through_kd():
     batch, labels = tiny_batch()
     student = mdl.init_params(6, 4, seed=3)
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
-    trace = mdl.forward(student, batch)
-    loss = lwf_loss(trace, mdl.forward(teacher, batch), labels, None,
+    trace = mdl.forward(student, *batch)
+    loss = lwf_loss(trace, mdl.forward(teacher, *batch), labels, None,
                     TaskLayout((2, 2)), LossWeights())
     dm.backward(loss)
     assert student.cls_weight.grad is not None
@@ -118,8 +117,8 @@ def test_ssil_is_separated_ce_plus_task_distillation():
     student = mdl.init_params(6, 4, seed=3)
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     layout = TaskLayout((2, 2))
-    trace = mdl.forward(student, batch)
-    teacher_trace = mdl.forward(teacher, batch)
+    trace = mdl.forward(student, *batch)
+    teacher_trace = mdl.forward(teacher, *batch)
     loss = ssil_loss(trace, teacher_trace, labels, None, layout, LossWeights())
     want = (obj.ss_ce(trace.logits, labels, layout)
             + obj.tkd(trace.logits, teacher_trace.logits, layout))
@@ -131,8 +130,8 @@ def test_ssil_ignores_contrastive_weights_and_mask():
     student = mdl.init_params(6, 4, seed=3)
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     layout = TaskLayout((2, 2))
-    trace = mdl.forward(student, batch)
-    teacher_trace = mdl.forward(teacher, batch)
+    trace = mdl.forward(student, *batch)
+    teacher_trace = mdl.forward(teacher, *batch)
     mask = np.array([True, False] * 4)
     heavy = LossWeights(lambda_i=3.0, lambda_c=2.0, lambda_vad=0.9)
     a = ssil_loss(trace, teacher_trace, labels, mask, layout, heavy)
@@ -146,8 +145,8 @@ def test_avcil_all_off_is_bitwise_ssil():
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     layout = TaskLayout((2, 2))
     off = LossWeights(lambda_i=0.0, lambda_c=0.0)
-    trace = mdl.forward(student, batch)
-    teacher_trace = mdl.forward(teacher, batch)
+    trace = mdl.forward(student, *batch)
+    teacher_trace = mdl.forward(teacher, *batch)
     a = avcil_loss(trace, teacher_trace, labels, None, layout, off)
     b = ssil_loss(trace, teacher_trace, labels, None, layout, LossWeights())
     assert a.data == b.data
@@ -160,8 +159,8 @@ def test_avcil_equals_total_loss():
     layout = TaskLayout((2, 2))
     mask = np.zeros(8, dtype=bool)
     mask[:2] = True
-    trace = mdl.forward(student, batch)
-    teacher_trace = mdl.forward(teacher, batch)
+    trace = mdl.forward(student, *batch)
+    teacher_trace = mdl.forward(teacher, *batch)
     a = avcil_loss(trace, teacher_trace, labels, mask, layout, LossWeights())
     b = obj.total_loss(trace, teacher_trace, labels, mask, layout, LossWeights())
     assert a.data == b.data
@@ -175,8 +174,8 @@ def test_every_composer_backpropagates_finite_gradients():
     for tag in STRATEGY_TAGS:
         student = mdl.init_params(6, 4, seed=3)
         s = get_strategy(tag)
-        trace = mdl.forward(student, batch)
-        teacher_trace = (mdl.forward(teacher, batch)
+        trace = mdl.forward(student, *batch)
+        teacher_trace = (mdl.forward(teacher, *batch)
                          if s.uses_teacher else None)
         loss = s.compose(trace, teacher_trace, labels, mask, layout, LossWeights())
         dm.backward(loss)

@@ -1,11 +1,16 @@
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcil import cli
 from avcil import datasets as dsets
-from avcil.datasets import FeatureDataset, FeatureSample, GeneratorSpec
+from avcil.datasets import FeatureDataset, GeneratorSpec
 from avcil.errors import ContractError, FormatError
 
 
@@ -23,19 +28,36 @@ def xor_spec(**kw):
     return GeneratorSpec(**base)
 
 
+def empty_dataset():
+    return FeatureDataset(audio=np.zeros((0, 3), np.float32),
+                          visual=np.zeros((0, 1, 1, 3), np.float32),
+                          labels=np.zeros(0, dtype=np.int64), ids=np.zeros(0, dtype=np.int64),
+                          splits=np.zeros(0, dtype=np.uint8), num_classes=0,
+                          manifest={"note": "empty"})
+
+
 def test_aligned_bookkeeping():
     ds = dsets.generate_synthetic(aligned_spec())
     assert len(ds) == 4 * (5 + 2 + 3)
     assert ds.d == 6 and ds.frames == 2 and ds.cells == 3 and ds.num_classes == 4
-    ids = [s.sample_id for s in ds.samples]
-    assert ids == list(range(len(ds)))
+    assert np.array_equal(ds.ids, np.arange(len(ds)))
     for c in range(4):
         assert len(ds.of_class(c, "train")) == 5
         assert len(ds.of_class(c, "val")) == 2
         assert len(ds.of_class(c, "test")) == 3
-    s = ds.samples[0]
-    assert s.audio.shape == (6,) and s.audio.dtype == np.float64
-    assert s.visual.shape == (2, 3, 6)
+    assert ds.audio.shape == (40, 6) and ds.audio.dtype == np.float32
+    assert ds.visual.shape == (40, 2, 3, 6) and ds.visual.dtype == np.float32
+
+
+def test_of_class_returns_rows_in_dataset_order():
+    ds = dsets.generate_synthetic(aligned_spec())
+    rows = ds.of_class(2)
+    assert rows.dtype.kind == "i" and np.all(np.diff(rows) > 0)
+    assert np.array_equal(rows, np.flatnonzero(ds.labels == 2))
+    test = ds.of_class(2, "test")
+    assert set(test) <= set(rows)
+    assert np.all(ds.splits[test] == dsets.SPLIT_TEST)
+    assert ds.of_class(99).size == 0
 
 
 def test_generation_is_deterministic(tmp_path):
@@ -49,11 +71,10 @@ def test_generation_is_deterministic(tmp_path):
 
 def test_aligned_cross_modal_correlation():
     ds = dsets.generate_synthetic(aligned_spec(num_classes=6, train_per_class=20))
-    audio_mean = np.stack([
-        np.mean([s.audio for s in ds.of_class(c, "train")], axis=0) for c in range(6)])
-    visual_mean = np.stack([
-        np.mean([s.visual.reshape(-1, 6) for s in ds.of_class(c, "train")], axis=(0, 1))
-        for c in range(6)])
+    audio_mean = np.stack([ds.audio[ds.of_class(c, "train")].mean(axis=0)
+                           for c in range(6)])
+    visual_mean = np.stack([ds.visual[ds.of_class(c, "train")].reshape(-1, 6).mean(axis=0)
+                            for c in range(6)])
     audio_mean /= np.linalg.norm(audio_mean, axis=1, keepdims=True)
     visual_mean /= np.linalg.norm(visual_mean, axis=1, keepdims=True)
     cos = audio_mean @ visual_mean.T
@@ -65,11 +86,8 @@ def test_aligned_cross_modal_correlation():
 def test_xor_audio_ignores_b(tmp_path):
     plain = dsets.generate_synthetic(xor_spec())
     permuted = dsets.generate_synthetic(xor_spec(), _b_permutation=[2, 0, 1])
-    for s, t in zip(plain.samples, permuted.samples):
-        assert s.audio.tobytes() == t.audio.tobytes()
-    changed = any(s.visual.tobytes() != t.visual.tobytes()
-                  for s, t in zip(plain.samples, permuted.samples))
-    assert changed
+    assert plain.audio.tobytes() == permuted.audio.tobytes()
+    assert plain.visual.tobytes() != permuted.visual.tobytes()
 
 
 def test_xor_class_structure():
@@ -87,23 +105,20 @@ def test_round_trip_is_bit_exact(tmp_path):
         dsets.save_dataset(ds, path)
         loaded = dsets.load_dataset(path)
         assert loaded.manifest == ds.manifest
-        assert np.array_equal(loaded.splits, ds.splits)
-        for a, b in zip(ds.samples, loaded.samples):
-            assert a.sample_id == b.sample_id and a.label == b.label
-            assert np.array_equal(a.audio, b.audio)
-            assert np.array_equal(a.visual, b.visual)
+        for name in ("audio", "visual", "labels", "ids", "splits"):
+            assert np.array_equal(getattr(loaded, name), getattr(ds, name)), name
         again = tmp_path / f"{spec.mode}2.avcf"
         dsets.save_dataset(loaded, again)
         assert path.read_bytes() == again.read_bytes()
 
 
 def test_empty_dataset_round_trips(tmp_path):
-    ds = FeatureDataset(d=3, frames=1, cells=1, num_classes=0, samples=[],
-                        splits=np.empty(0, dtype=np.uint8), manifest={"note": "empty"})
+    ds = empty_dataset()
     path = tmp_path / "empty.avcf"
     dsets.save_dataset(ds, path)
     loaded = dsets.load_dataset(path)
     assert len(loaded) == 0 and loaded.manifest == {"note": "empty"}
+    assert (loaded.d, loaded.frames, loaded.cells) == (3, 1, 1)
     loaded.validate()
 
 
@@ -142,7 +157,7 @@ def _reload(ds, path):
 
 def test_load_rejects_duplicate_sample_ids(tmp_path):
     ds = _small_dataset()
-    ds.samples[2].sample_id = ds.samples[0].sample_id
+    ds.ids[2] = ds.ids[0]
     with pytest.raises(FormatError, match="duplicate sample_id 0"):
         _reload(ds, tmp_path / "dup.avcf")
 
@@ -158,14 +173,23 @@ def test_load_rejects_a_manifest_that_is_not_an_object(tmp_path):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_load_rejects_non_finite_features(tmp_path, field, value):
     ds = _small_dataset()
-    getattr(ds.samples[1], field).flat[-1] = value
+    getattr(ds, field)[1].flat[-1] = value
     with pytest.raises(FormatError, match="non-finite feature in record 1"):
         _reload(ds, tmp_path / "nonfinite.avcf")
 
 
+def test_load_accepts_large_finite_features(tmp_path):
+    ds = _small_dataset()
+    big = np.finfo(np.float32).max
+    ds.audio[1] = big           # a float32 row sum would overflow to inf
+    ds.visual[1] = -big
+    loaded = _reload(ds, tmp_path / "big.avcf")
+    assert np.array_equal(loaded.audio, ds.audio) and np.array_equal(loaded.visual, ds.visual)
+
+
 def test_run_on_a_corrupt_dataset_exits_2(tmp_path, capsys):
     ds = _small_dataset()
-    ds.samples[3].sample_id = ds.samples[1].sample_id
+    ds.ids[3] = ds.ids[1]
     path = tmp_path / "dup.avcf"
     dsets.save_dataset(ds, path)
     config = tmp_path / "run.json"
@@ -177,44 +201,126 @@ def test_run_on_a_corrupt_dataset_exits_2(tmp_path, capsys):
     assert "duplicate sample_id" in capsys.readouterr().err
 
 
+def test_run_on_a_missing_dataset_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.avcf"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "format_version": 1, "name": "missing", "dataset_path": str(missing),
+        "steps": 1, "classes_per_step": 2, "epochs": 1,
+        "output_root": str(tmp_path / "out")}))
+    assert cli.main(["run", str(config)]) == 2
+    assert f"cannot read dataset {missing}" in capsys.readouterr().err
+
+
+def test_load_reports_the_first_bad_record(tmp_path):
+    ds = _small_dataset()
+    ds.labels[3] = 7                 # record 3: label out of range
+    ds.ids[2] = ds.ids[0]            # record 2: duplicate id, reported first
+    record = 9 + 4 * ds.d + 4 * ds.frames * ds.cells * ds.d
+    with pytest.raises(FormatError, match=f"duplicate sample_id 0 at offset {28 + 2 * record}$"):
+        _reload(ds, tmp_path / "two.avcf")
+    ds.ids[2] = 2
+    with pytest.raises(FormatError, match=f"label 7 out of range at offset {28 + 3 * record + 4}$"):
+        _reload(ds, tmp_path / "one.avcf")
+    path = tmp_path / "cut.avcf"
+    dsets.save_dataset(_small_dataset(), path)
+    path.write_bytes(path.read_bytes()[:28 + 2 * record + 5])
+    with pytest.raises(FormatError, match=f"record 2 truncated at offset {28 + 2 * record}$"):
+        dsets.load_dataset(path)
+
+
+# (d, frames, cells) as the header stores them; the last needs a 16-GiB record
+@pytest.mark.parametrize("shape", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 2 ** 31, 2)])
+def test_load_rejects_a_bad_feature_shape(tmp_path, shape):
+    path = tmp_path / "shape.avcf"
+    dsets.save_dataset(empty_dataset(), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<III", raw, 12, *shape)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="bad feature shape .* at offset 12"):
+        dsets.load_dataset(path)
+
+
+def reference_decode(blob: bytes):
+    """The documented layout read one record at a time with struct alone."""
+    magic, version, n, d, ell, s_cells, _ = struct.unpack_from("<4sIIIIII", blob, 0)
+    assert magic == b"AVCF" and version == 1
+    v = ell * s_cells * d
+    ids, labels, splits, audio, visual = [], [], [], [], []
+    offset = 28
+    for _ in range(n):
+        sample_id, label, tag = struct.unpack_from("<IIB", blob, offset)
+        audio.append(struct.unpack_from(f"<{d}f", blob, offset + 9))
+        visual.append(struct.unpack_from(f"<{v}f", blob, offset + 9 + 4 * d))
+        ids.append(sample_id)
+        labels.append(label)
+        splits.append(tag)
+        offset += 9 + 4 * d + 4 * v
+    return {"ids": np.array(ids, dtype=np.int64),
+            "labels": np.array(labels, dtype=np.int64),
+            "splits": np.array(splits, dtype=np.uint8),
+            "audio": np.array(audio, dtype=np.float32).reshape(n, d),
+            "visual": np.array(visual, dtype=np.float32).reshape(n, ell, s_cells, d)}
+
+
+@pytest.mark.parametrize("make", [lambda: dsets.generate_synthetic(aligned_spec()),
+                                  lambda: dsets.generate_synthetic(xor_spec()),
+                                  empty_dataset], ids=["aligned", "xor_pairs", "empty"])
+def test_loader_matches_a_reference_decoder_bitwise(tmp_path, make):
+    path = tmp_path / "ds.avcf"
+    dsets.save_dataset(make(), path)
+    loaded = dsets.load_dataset(path)
+    for name, expected in reference_decode(path.read_bytes()).items():
+        got = getattr(loaded, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+def _fuzz_source() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.avcf"
+        dsets.save_dataset(dsets.generate_synthetic(aligned_spec(
+            num_classes=2, d=2, frames=1, cells=2, train_per_class=2,
+            val_per_class=1, test_per_class=1)), path)
+        return path.read_bytes()
+
+
+FUZZ_SOURCE = _fuzz_source()
+
+
+# half the flips land in the 28-byte header, where the shape and counts live
+FUZZ_POSITIONS = st.one_of(st.integers(0, 27), st.integers(0, len(FUZZ_SOURCE) - 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(flips=st.lists(st.tuples(FUZZ_POSITIONS, st.integers(1, 255)), max_size=4),
+       keep=st.none() | st.integers(0, len(FUZZ_SOURCE)))
+def test_corrupted_dataset_loads_or_raises_format_error(flips, keep):
+    blob = bytearray(FUZZ_SOURCE)
+    for pos, mask in flips:
+        blob[pos] ^= mask
+    if keep is not None:
+        del blob[keep:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.avcf"
+        path.write_bytes(bytes(blob))
+        try:
+            ds = dsets.load_dataset(path)
+        except FormatError:
+            return
+    n = len(ds)
+    assert ds.audio.shape == (n, ds.d) and ds.visual.shape == (n, ds.frames, ds.cells, ds.d)
+    assert len(ds.ids) == len(ds.splits) == n
+    assert np.isfinite(ds.audio).all() and np.isfinite(ds.visual).all()
+
+
 def test_validate_requires_train_and_test_presence():
-    sample = FeatureSample(0, 0, np.zeros(2), np.zeros((1, 1, 2)))
-    ds = FeatureDataset(d=2, frames=1, cells=1, num_classes=1, samples=[sample],
-                        splits=np.array([dsets.SPLIT_TRAIN], dtype=np.uint8))
+    ds = FeatureDataset(audio=np.zeros((1, 2), np.float32),
+                        visual=np.zeros((1, 1, 1, 2), np.float32),
+                        labels=np.zeros(1, dtype=np.int64), ids=np.zeros(1, dtype=np.int64),
+                        splits=np.array([dsets.SPLIT_TRAIN], dtype=np.uint8), num_classes=1)
     with pytest.raises(ContractError, match="missing"):
         ds.validate()
-
-
-def test_split_dataset_exact_counts_and_determinism():
-    ds = dsets.generate_synthetic(aligned_spec(train_per_class=10, val_per_class=0,
-                                               test_per_class=2))
-    out = dsets.split_dataset(ds, val=3, test=4, seed=1)
-    for c in range(out.num_classes):
-        assert len(out.of_class(c, "val")) == 3
-        assert len(out.of_class(c, "test")) == 4
-        assert len(out.of_class(c, "train")) == 5
-    again = dsets.split_dataset(ds, val=3, test=4, seed=1)
-    assert np.array_equal(out.splits, again.splits)
-    other = dsets.split_dataset(ds, val=3, test=4, seed=2)
-    assert not np.array_equal(out.splits, other.splits)
-
-
-def test_split_dataset_fractions():
-    ds = dsets.generate_synthetic(aligned_spec(train_per_class=17, val_per_class=2,
-                                               test_per_class=1))
-    out = dsets.split_dataset(ds, val=0.25, test=0.25, seed=0)
-    for c in range(out.num_classes):
-        assert len(out.of_class(c, "val")) == 5
-        assert len(out.of_class(c, "test")) == 5
-        assert len(out.of_class(c, "train")) == 10
-
-
-def test_split_dataset_rejects_overcommitment():
-    ds = dsets.generate_synthetic(aligned_spec())
-    with pytest.raises(ContractError):
-        dsets.split_dataset(ds, val=0.7, test=0.4, seed=0)
-    with pytest.raises(ContractError, match="class"):
-        dsets.split_dataset(ds, val=6, test=4, seed=0)
 
 
 def test_generator_spec_validation():

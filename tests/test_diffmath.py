@@ -531,8 +531,8 @@ def test_model_loss_backward_keeps_gradients_only_on_parameters():
     visual = dm.constant(rng.normal(size=(5, 2, 3, 4)))
     labels = np.array([0, 1, 2, 3, 2])
     mask = np.array([True, True, False, False, False])
-    trace = mdl.forward_arrays(params, audio, visual)
-    teacher_trace = mdl.forward_arrays(teacher, audio, visual)
+    trace = mdl.forward(params, audio, visual)
+    teacher_trace = mdl.forward(teacher, audio, visual)
     loss = obj.total_loss(trace, teacher_trace, labels, mask, obj.TaskLayout((2, 2)),
                           obj.LossWeights())
     assert_gradient_memory_rule(loss)

@@ -269,7 +269,7 @@ def test_generate_writes_loadable_deterministic_file(tmp_path):
     a = (tmp_path / "a.avcf").read_bytes()
     assert a == (tmp_path / "b.avcf").read_bytes()
     ds = load_dataset(tmp_path / "a.avcf")
-    assert ds.num_classes == 4 and len(ds.samples) == 20
+    assert ds.num_classes == 4 and len(ds) == 20
 
 
 def test_generate_rejects_bad_spec(tmp_path, capsys):
@@ -451,6 +451,18 @@ def test_export_attention_unknown_id_exits_2(tmp_path):
     assert cli.main(["export-attention", str(tmp_path / "m.avcp"),
                      str(tmp_path / "ds.avcf"), str(tmp_path / "maps"),
                      "--samples", "42"]) == 2
+
+
+def test_export_attention_missing_checkpoint_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"mode": "aligned", "num_classes": 2, "d": 4,
+                                     "frames": 2, "cells": 2, "train_per_class": 2,
+                                     "test_per_class": 1, "seed": 0}))
+    cli.main(["generate", str(spec_path), str(tmp_path / "ds.avcf")])
+    missing = tmp_path / "absent.avcp"
+    assert cli.main(["export-attention", str(missing), str(tmp_path / "ds.avcf"),
+                     str(tmp_path / "maps"), "--samples", "0"]) == 2
+    assert f"cannot read checkpoint {missing}" in capsys.readouterr().err
 
 
 # --- cli_gradcheck --------------------------------------------------------

@@ -7,14 +7,8 @@ from avcil.errors import ContractError
 from avcil.objectives import TaskLayout
 
 
-class FakeSample:
-    def __init__(self, audio, visual):
-        self.audio = audio
-        self.visual = visual
-
-
 def make_samples(rng, n, d=4, l=2, s=2):
-    return [FakeSample(rng.normal(size=d), rng.normal(size=(l, s, d))) for _ in range(n)]
+    return rng.normal(size=(n, d)), rng.normal(size=(n, l, s, d))
 
 
 def test_mean_accuracy_reference_row():
@@ -54,11 +48,11 @@ def test_evaluate_perfect_and_constant_predictors():
     params = mdl.init_params(4, 3, seed=0)
     samples = make_samples(rng, 12)
     layout = TaskLayout((2, 1))
-    logits_labels = mx._predict_head(mdl.snapshot(params), samples, "audiovisual")
-    overall, per_task = mx.evaluate(params, samples, logits_labels, layout)
+    logits_labels = mx._predict_head(mdl.snapshot(params), *samples, "audiovisual")
+    overall, per_task = mx.evaluate(params, *samples, logits_labels, layout)
     assert overall == 100.0 and per_task[0] == 100.0 and per_task[1] == 100.0
     wrong = (logits_labels + 1) % 3
-    overall_w, _ = mx.evaluate(params, samples, wrong, layout)
+    overall_w, _ = mx.evaluate(params, *samples, wrong, layout)
     assert overall_w == 0.0
 
 
@@ -67,10 +61,10 @@ def test_evaluate_overall_is_sample_weighted():
     params = mdl.init_params(4, 4, seed=1)
     samples = make_samples(rng, 10)
     layout = TaskLayout((2, 2))
-    preds = mx._predict_head(mdl.snapshot(params), samples, "audiovisual")
+    preds = mx._predict_head(mdl.snapshot(params), *samples, "audiovisual")
     labels = preds.copy()
     labels[:3] = (labels[:3] + 1) % 4  # break three samples
-    overall, per_task = mx.evaluate(params, samples, labels, layout)
+    overall, per_task = mx.evaluate(params, *samples, labels, layout)
     tasks = np.array([layout.task_of(int(y)) for y in labels])
     counts = [(tasks == t).sum() for t in range(2)]
     recomposed = sum(a * n for a, n in zip(per_task, counts)) / sum(counts)
@@ -82,7 +76,7 @@ def test_evaluate_rejects_label_outside_layout():
     params = mdl.init_params(4, 2, seed=2)
     samples = make_samples(rng, 3)
     with pytest.raises(ContractError):
-        mx.evaluate(params, samples, [0, 1, 2], TaskLayout((2,)))
+        mx.evaluate(params, *samples, [0, 1, 2], TaskLayout((2,)))
 
 
 def test_nme_zero_distance_exemplar_wins():
@@ -90,7 +84,7 @@ def test_nme_zero_distance_exemplar_wins():
     params = mdl.init_params(4, 2, seed=3)
     queries = make_samples(rng, 2)
     # one exemplar per class, each literally a query: distance to its own mean is 0
-    preds = mx.nme_classify(params, queries, [0, 1], queries, num_classes=2)
+    preds = mx.nme_classify(params, *queries, [0, 1], *queries, num_classes=2)
     assert np.array_equal(preds, [0, 1])
 
 
@@ -99,7 +93,7 @@ def test_nme_requires_every_class():
     params = mdl.init_params(4, 3, seed=4)
     ex = make_samples(rng, 2)
     with pytest.raises(ContractError, match="class 2"):
-        mx.nme_classify(params, ex, [0, 1], make_samples(rng, 1), num_classes=3)
+        mx.nme_classify(params, *ex, [0, 1], *make_samples(rng, 1), num_classes=3)
 
 
 def test_nme_is_deterministic():
@@ -108,8 +102,8 @@ def test_nme_is_deterministic():
     ex = make_samples(rng, 9)
     ex_labels = [0, 1, 2] * 3
     queries = make_samples(rng, 6)
-    a = mx.nme_classify(params, ex, ex_labels, queries, num_classes=3)
-    b = mx.nme_classify(params, ex, ex_labels, queries, num_classes=3)
+    a = mx.nme_classify(params, *ex, ex_labels, *queries, num_classes=3)
+    b = mx.nme_classify(params, *ex, ex_labels, *queries, num_classes=3)
     assert np.array_equal(a, b)
 
 
@@ -120,7 +114,16 @@ def test_evaluate_with_nme_path():
     queries = make_samples(rng, 6)
     ex = make_samples(rng, 6)
     ex_labels = [0, 0, 1, 1, 2, 2]
-    preds = mx.nme_classify(params, ex, ex_labels, queries, num_classes=3)
-    overall, _ = mx.evaluate(params, queries, preds, layout,
-                             nme_exemplars=(ex, ex_labels))
+    preds = mx.nme_classify(params, *ex, ex_labels, *queries, num_classes=3)
+    overall, _ = mx.evaluate(params, *queries, preds, layout,
+                             nme_exemplars=(*ex, ex_labels))
     assert overall == 100.0
+
+
+def test_chunked_evaluation_matches_one_forward(monkeypatch):
+    rng = np.random.default_rng(7)
+    params = mdl.init_params(4, 3, seed=7)
+    audio, visual = make_samples(rng, 7)
+    whole = np.argmax(mdl.forward(params, audio, visual).logits.data, axis=1)
+    monkeypatch.setattr(mx, "EVAL_CHUNK", 3)
+    assert np.array_equal(mx._predict_head(params, audio, visual, "audiovisual"), whole)

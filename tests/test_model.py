@@ -6,15 +6,8 @@ from avcil import model as mdl
 from avcil.errors import ContractError, FormatError
 
 
-class FakeSample:
-    def __init__(self, audio, visual):
-        self.audio = audio
-        self.visual = visual
-
-
 def make_batch(rng, n, l, s, d):
-    return [FakeSample(rng.normal(size=d), rng.normal(size=(l, s, d)))
-            for _ in range(n)]
+    return rng.normal(size=(n, d)), rng.normal(size=(n, l, s, d))
 
 
 def reference_forward(audio, visual, p):
@@ -51,7 +44,7 @@ def test_spatial_weights_are_distributions():
     rng = np.random.default_rng(0)
     p = mdl.init_params(6, 3, seed=0)
     batch = make_batch(rng, 4, 3, 5, 6)
-    trace = mdl.forward(p, batch)
+    trace = mdl.forward(p, *batch)
     spa = trace.maps.spatial.data
     tem = trace.maps.temporal.data
     assert np.allclose(spa.sum(axis=2), 1.0, atol=1e-12)
@@ -72,7 +65,7 @@ def test_single_frame_temporal_weight_is_one():
     rng = np.random.default_rng(2)
     p = mdl.init_params(4, 2, seed=2)
     batch = make_batch(rng, 3, 1, 4, 4)
-    trace = mdl.forward(p, batch)
+    trace = mdl.forward(p, *batch)
     assert np.allclose(trace.maps.temporal.data, 1.0, atol=1e-12)
 
 
@@ -80,8 +73,8 @@ def test_identical_frames_give_uniform_temporal_weights():
     rng = np.random.default_rng(3)
     p = mdl.init_params(4, 2, seed=3)
     frame = rng.normal(size=(4, 4))
-    batch = [FakeSample(rng.normal(size=4), np.stack([frame] * 3))]
-    trace = mdl.forward(p, batch)
+    batch = rng.normal(size=(1, 4)), np.stack([frame] * 3)[None]
+    trace = mdl.forward(p, *batch)
     assert np.allclose(trace.maps.temporal.data, 1.0 / 3.0, atol=1e-12)
 
 
@@ -117,9 +110,8 @@ def test_forward_matches_numpy_reference():
     rng = np.random.default_rng(6)
     p = mdl.init_params(3, 4, seed=6)
     batch = make_batch(rng, 2, 2, 2, 3)
-    trace = mdl.forward(p, batch)
-    audio = np.stack([s.audio for s in batch])
-    visual = np.stack([s.visual for s in batch])
+    trace = mdl.forward(p, *batch)
+    audio, visual = batch
     w_spa, w_tem, pooled, fused, logits = reference_forward(audio, visual, p)
     assert np.allclose(trace.maps.spatial.data, w_spa, atol=1e-12)
     assert np.allclose(trace.maps.temporal.data, w_tem, atol=1e-12)
@@ -132,18 +124,28 @@ def test_forward_is_bit_deterministic():
     rng = np.random.default_rng(7)
     p = mdl.init_params(5, 3, seed=7)
     batch = make_batch(rng, 3, 2, 3, 5)
-    a = mdl.forward(p, batch)
-    b = mdl.forward(p, batch)
+    a = mdl.forward(p, *batch)
+    b = mdl.forward(p, *batch)
     assert np.array_equal(a.logits.data, b.logits.data)
     assert np.array_equal(a.maps.spatial.data, b.maps.spatial.data)
+
+
+def test_forward_takes_arrays_or_constant_tensors():
+    rng = np.random.default_rng(16)
+    p = mdl.init_params(4, 3, seed=16)
+    audio, visual = make_batch(rng, 3, 2, 2, 4)
+    tensors = dm.constant(audio), dm.constant(visual)
+    from_tensors = mdl.forward(p, *tensors)
+    assert from_tensors.audio is tensors[0]
+    assert np.array_equal(from_tensors.logits.data, mdl.forward(p, audio, visual).logits.data)
 
 
 def test_audio_only_path():
     rng = np.random.default_rng(8)
     p = mdl.init_params(4, 3, seed=8)
     batch = make_batch(rng, 2, 2, 2, 4)
-    trace = mdl.forward(p, batch, modality="audio")
-    audio = np.stack([s.audio for s in batch])
+    trace = mdl.forward(p, *batch, modality="audio")
+    audio, _ = batch
     expected = np.tanh(audio @ p.u_audio.data) @ p.cls_weight.data.T + p.cls_bias.data
     assert np.allclose(trace.logits.data, expected, atol=1e-12)
     assert trace.maps is None and trace.attended_visual is None
@@ -153,8 +155,8 @@ def test_visual_only_path_uses_uniform_pooling():
     rng = np.random.default_rng(9)
     p = mdl.init_params(4, 3, seed=9)
     batch = make_batch(rng, 2, 3, 2, 4)
-    trace = mdl.forward(p, batch, modality="visual")
-    visual = np.stack([s.visual for s in batch])
+    trace = mdl.forward(p, *batch, modality="visual")
+    _, visual = batch
     pooled = visual.mean(axis=(1, 2))
     expected = np.tanh(pooled @ p.u_visual.data) @ p.cls_weight.data.T + p.cls_bias.data
     assert np.allclose(trace.logits.data, expected, atol=1e-12)
@@ -164,9 +166,9 @@ def test_visual_only_path_uses_uniform_pooling():
 def test_forward_rejects_unknown_modality_and_empty_batch():
     p = mdl.init_params(4, 3, seed=0)
     with pytest.raises(ContractError):
-        mdl.forward(p, [], modality="audiovisual")
+        mdl.forward(p, np.zeros((0, 4)), np.zeros((0, 2, 2, 4)), modality="audiovisual")
     with pytest.raises(ContractError):
-        mdl.forward(p, make_batch(np.random.default_rng(0), 1, 2, 2, 4), modality="both")
+        mdl.forward(p, *make_batch(np.random.default_rng(0), 1, 2, 2, 4), modality="both")
 
 
 def test_end_to_end_gradients_pass_finite_differences():
@@ -178,7 +180,7 @@ def test_end_to_end_gradients_pass_finite_differences():
     def loss_for(name):
         def f(t):
             setattr(p, name, t)
-            trace = mdl.forward(p, batch)
+            trace = mdl.forward(p, *batch)
             return ((trace.logits - target) * (trace.logits - target)).sum()
         return f
 
@@ -193,9 +195,9 @@ def test_expand_classifier_preserves_old_logits_bitwise():
     rng = np.random.default_rng(11)
     p = mdl.init_params(4, 3, seed=11)
     batch = make_batch(rng, 3, 2, 2, 4)
-    before = mdl.forward(p, batch).logits.data
+    before = mdl.forward(p, *batch).logits.data
     grown = mdl.expand_classifier(p, 2, seed=99)
-    after = mdl.forward(grown, batch).logits.data
+    after = mdl.forward(grown, *batch).logits.data
     assert grown.num_classes == 5
     assert np.array_equal(after[:, :3], before)
     assert np.array_equal(grown.cls_weight.data[:3], p.cls_weight.data)

@@ -170,6 +170,37 @@ def test_teacher_is_snapshotted_before_expansion():
     assert state.params.num_classes == 6
 
 
+def test_teacher_forward_reads_the_student_batch(monkeypatch):
+    ds = make_dataset()
+    seq = build_task_sequence(range(6), 2, 3, seed=2)
+    config = quick_config(strategy="avcil", memory_capacity=6)
+    strategy = get_strategy("avcil")
+    lmap = label_map_for(seq)
+    state = StepState(step=0, params=mdl.init_params(ds.d, 3, seed=11),
+                      memory=ExemplarMemory(6, config.seed), boundaries=())
+    state, _ = train_step(state, seq.tasks[0], ds, config, strategy, lmap)
+
+    calls = []
+    real_forward = mdl.forward
+
+    def recording_forward(params, *args):
+        calls.append((params, *args))
+        return real_forward(params, *args)
+
+    monkeypatch.setattr(mdl, "forward", recording_forward)
+    train_step(state, seq.tasks[1], ds, config, strategy, lmap)
+    # 3 new classes x 6 train samples + 6 exemplars, batches of 8, 2 epochs
+    assert len(calls) == 2 * 3 * 2
+    for student, teacher in zip(calls[::2], calls[1::2]):
+        assert student[0].w_audio.requires_grad and not teacher[0].w_audio.requires_grad
+        assert teacher[1] is student[1] and teacher[2] is student[2]
+        audio, visual = (np.asarray(getattr(x, "data", x)) for x in student[1:3])
+        assert audio.shape == (8, ds.d) and visual.shape == (8, ds.frames, ds.cells, ds.d)
+        for a, v in zip(audio, visual):
+            row = np.flatnonzero((ds.audio == a).all(axis=1))
+            assert len(row) == 1 and np.array_equal(ds.visual[row[0]], v)
+
+
 def test_step_grows_boundaries_and_replays_memory():
     ds = make_dataset()
     seq = build_task_sequence(range(6), 3, 2, seed=2)
