@@ -101,25 +101,29 @@ class GeneratorSpec:
     frames: int
     cells: int
     train_per_class: int
+    test_per_class: int
     val_per_class: int = 0
-    test_per_class: int = 0
     separation: float = 4.0
     noise_sigma: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
+        # each message starts with the field it names, which config errors rely on
         if self.mode not in ("aligned", "xor_pairs"):
-            raise ContractError(f"unknown generator mode {self.mode!r}")
-        if min(self.num_classes, self.d, self.frames, self.cells) < 1:
-            raise ContractError("num_classes, d, frames and cells must be positive")
-        if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ContractError("need at least one train and one test sample per class")
-        if self.val_per_class < 0:
-            raise ContractError("val_per_class cannot be negative")
-        if self.noise_sigma < 0.0 or self.separation <= 0.0:
-            raise ContractError("separation must be positive and noise non-negative")
+            raise ContractError(f"mode must be 'aligned' or 'xor_pairs', got {self.mode!r}")
+        for name in ("num_classes", "d", "frames", "cells", "train_per_class",
+                     "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1")
+        for name in ("val_per_class", "seed"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be >= 0")
+        if self.separation <= 0.0:
+            raise ContractError("separation must be positive")
+        if self.noise_sigma < 0.0:
+            raise ContractError("noise_sigma must be >= 0")
         if self.mode == "xor_pairs" and math.isqrt(self.num_classes) ** 2 != self.num_classes:
-            raise ContractError("xor_pairs needs a square number of classes")
+            raise ContractError("num_classes must be a square number for xor_pairs")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -91,9 +91,6 @@ class DiffTensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"DiffTensor(op={self._op}, shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -15,7 +15,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -28,8 +31,7 @@ from . import model as mdl
 from . import objectives as obj
 from .datasets import (FeatureDataset, GeneratorSpec, generate_synthetic,
                        load_dataset, save_dataset)
-from .errors import (ConfigError, ContractError, FormatError, TrainingDiverged,
-                     VerificationFailure)
+from .errors import ConfigError, ContractError, FormatError, TrainingDiverged
 from .fileio import write_atomic
 from .metrics import average_forgetting, mean_accuracy
 from .objectives import LossWeights, TaskLayout
@@ -77,134 +79,146 @@ def write_run_log(path: Path, events: Sequence[dict]) -> None:
 @dataclass(frozen=True)
 class RunConfig:
     name: str
-    generator: Optional[GeneratorSpec]
-    dataset_path: Optional[str]
     steps: int
     classes_per_step: int
     train: TrainConfig            # .seed is a placeholder; per-seed copies are made
-    seeds: Tuple[int, ...]
+    dataset: Optional[GeneratorSpec] = None
+    dataset_path: Optional[str] = None
+    seeds: Tuple[int, ...] = (0,)
     output_root: Optional[str] = None
+
+    def __post_init__(self):
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\"):
+            raise ConfigError("name must be a non-empty path-safe string")
+        if (self.dataset is None) == (self.dataset_path is None):
+            raise ConfigError("needs exactly one of 'dataset' (generator spec) "
+                              "or 'dataset_path'")
+        if self.steps < 1:
+            raise ConfigError("steps must be >= 1")
+        if self.classes_per_step < 1:
+            raise ConfigError("classes_per_step must be >= 1")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds must be a non-empty list of non-negative integers")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must not repeat")
 
     def train_for_seed(self, seed: int) -> TrainConfig:
         return dataclasses.replace(self.train, seed=int(seed))
 
 
-def _field(raw: dict, name: str, kind, default=...):
-    if name not in raw:
-        if default is ...:
-            raise ConfigError(f"config field {name!r} is required")
-        return default
-    value = raw[name]
-    if isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"config field {name!r} must be {kind.__name__}, got bool")
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"config field {name!r} must be {kind.__name__}, "
+def _value(kind, value, path: str, where: str):
+    """`value` checked against the field type `kind`; an int widens to float.
+
+    `Optional[X]` takes an X (None is only ever the default), `Tuple[X, ...]`
+    a JSON list, and a dataclass a JSON object parsed by `_section`.
+    """
+    args = typing.get_args(kind)
+    if type(None) in args:
+        kind = args[0]
+    if dataclasses.is_dataclass(kind):
+        return _section(kind, value, where, prefix=path + ".")
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: {path} must be a list, got {type(value).__name__}")
+        return tuple(_value(args[0], v, f"{path}[{i}]", where) for i, v in enumerate(value))
+    if kind is float and type(value) is int:
+        # an int beyond the float range reads as inf, which is rejected below
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(f"{where}: {path} must be {kind.__name__}, "
                           f"got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: {path} must be finite, got {value!r}")
     return value
 
 
-def parse_config(raw: dict) -> RunConfig:
+def _section(cls, raw, where: str, prefix: str = "", exclude: Sequence[str] = (),
+             **given):
+    """Dataclass `cls` built from the JSON object `raw`, every key checked.
+
+    Field types and defaults come from `cls` alone; `given` holds fields
+    already built and `exclude` the fields a file may not set. An unknown
+    key is rejected. Range checks are the dataclass's own `__post_init__`,
+    whose messages start with the field name, so an error from the
+    constructor gets the section `prefix` (e.g. "dataset.") in front.
+    """
+    if not isinstance(raw, dict):
+        label = f"{where}: {prefix[:-1]}" if prefix else where
+        raise ConfigError(f"{label} must be a JSON object, got {type(raw).__name__}")
+    hints = typing.get_type_hints(cls)
+    fields = {f.name: f for f in dataclasses.fields(cls)
+              if f.name not in exclude and f.name not in given}
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {prefix}{unknown[0]}")
+    values = dict(given)
+    for name, f in fields.items():
+        if name in raw:
+            values[name] = _value(hints[name], raw[name], prefix + name, where)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{where}: {prefix}{name} is required")
+    try:
+        return cls(**values)
+    except (ConfigError, ContractError, TypeError) as err:
+        raise ConfigError(f"{where}: {prefix}{err}") from None
+
+
+def parse_config(raw) -> RunConfig:
+    """A run config from its JSON object: `format_version`, the run-level
+    fields of `RunConfig`, and beside them the fields of `TrainConfig`."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    version = _field(raw, "format_version", int)
+    if "format_version" not in raw:
+        raise ConfigError("config: format_version is required")
+    version = _value(int, raw["format_version"], "format_version", "config")
     if version != FORMAT_VERSION:
-        raise ConfigError(f"config field 'format_version' must be {FORMAT_VERSION}, got {version}")
-    name = _field(raw, "name", str)
-    if not name or any(c in name for c in "/\\"):
-        raise ConfigError("config field 'name' must be a non-empty path-safe string")
+        raise ConfigError(f"config: format_version must be {FORMAT_VERSION}, got {version}")
+    run_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    train = _section(TrainConfig, {k: v for k, v in raw.items()
+                                   if k not in run_fields and k != "format_version"},
+                     "config", exclude=("seed",))
+    return _section(RunConfig, {k: v for k, v in raw.items() if k in run_fields},
+                    "config", train=train)
 
-    has_spec = "dataset" in raw
-    has_path = "dataset_path" in raw
-    if has_spec == has_path:
-        raise ConfigError("config needs exactly one of 'dataset' (generator spec) "
-                          "or 'dataset_path'")
-    generator = None
-    dataset_path = None
-    if has_spec:
-        spec_raw = _field(raw, "dataset", dict)
-        try:
-            generator = GeneratorSpec(**spec_raw)
-        except (TypeError, ContractError) as err:
-            raise ConfigError(f"config field 'dataset': {err}") from None
-    else:
-        dataset_path = _field(raw, "dataset_path", str)
 
-    weights_raw = _field(raw, "weights", dict, default={})
+def _read_json(path, what: str):
+    """The parsed JSON file; a missing, unreadable or malformed one raises ConfigError."""
     try:
-        weights = LossWeights(**weights_raw)
-    except (TypeError, ContractError) as err:
-        raise ConfigError(f"config field 'weights': {err}") from None
-
-    train = TrainConfig(
-        strategy=_field(raw, "strategy", str, default="avcil"),
-        modality=_field(raw, "modality", str, default="audiovisual"),
-        epochs=_field(raw, "epochs", int, default=200),
-        batch_size=_field(raw, "batch_size", int, default=32),
-        lr=_field(raw, "lr", float, default=1e-3),
-        weight_decay=_field(raw, "weight_decay", float, default=1e-4),
-        memory_capacity=_field(raw, "memory_capacity", int, default=340),
-        use_vad=_field(raw, "use_vad", bool, default=True),
-        weights=weights,
-        seed=0,
-    )
-    seeds_raw = _field(raw, "seeds", list, default=[0])
-    if not seeds_raw or not all(isinstance(s, int) and not isinstance(s, bool)
-                                for s in seeds_raw):
-        raise ConfigError("config field 'seeds' must be a non-empty list of integers")
-    if len(set(seeds_raw)) != len(seeds_raw):
-        raise ConfigError("config field 'seeds' must not repeat")
-    return RunConfig(
-        name=name,
-        generator=generator,
-        dataset_path=dataset_path,
-        steps=_field(raw, "steps", int),
-        classes_per_step=_field(raw, "classes_per_step", int),
-        train=train,
-        seeds=tuple(seeds_raw),
-        output_root=_field(raw, "output_root", str, default=None),
-    )
+        return json.loads(Path(path).read_bytes())
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as err:
+        raise ConfigError(f"cannot read {what} file {path}: {err.strerror or err}") from None
+    except (ValueError, RecursionError) as err:     # RecursionError: nesting too deep
+        raise ConfigError(f"{what} file {path} is not valid JSON: {err}") from None
 
 
 def load_config(path) -> RunConfig:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
-    return parse_config(raw)
+    return parse_config(_read_json(path, "config"))
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    """The parsed config, normalized, as stored in every result file."""
-    echo = {
-        "name": cfg.name,
-        "steps": cfg.steps,
-        "classes_per_step": cfg.classes_per_step,
-        "strategy": cfg.train.strategy,
-        "modality": cfg.train.modality,
-        "epochs": cfg.train.epochs,
-        "batch_size": cfg.train.batch_size,
-        "lr": cfg.train.lr,
-        "weight_decay": cfg.train.weight_decay,
-        "memory_capacity": cfg.train.memory_capacity,
-        "use_vad": cfg.train.use_vad,
-        "weights": dataclasses.asdict(cfg.train.weights),
-        "seeds": list(cfg.seeds),
-    }
-    if cfg.generator is not None:
-        echo["dataset"] = dataclasses.asdict(cfg.generator)
-    else:
-        echo["dataset_path"] = cfg.dataset_path
-    return echo
+    """The parsed config, normalized, as stored in every result file: every
+    training field but the per-seed `seed`, and every run-level field but
+    `output_root` and the unset one of `dataset` and `dataset_path`."""
+    echo = dataclasses.asdict(cfg)
+    echo.update(echo.pop("train"), seeds=list(cfg.seeds))
+    del echo["seed"], echo["output_root"]
+    return {k: v for k, v in echo.items() if v is not None}
 
 
 def load_run_dataset(cfg: RunConfig) -> FeatureDataset:
-    if cfg.generator is not None:
-        return generate_synthetic(cfg.generator)
-    return load_dataset(cfg.dataset_path)
+    """The run's dataset, checked to hold the classes its steps need."""
+    if cfg.dataset is not None:
+        dataset = generate_synthetic(cfg.dataset)
+    else:
+        dataset = load_dataset(cfg.dataset_path)
+    need = cfg.steps * cfg.classes_per_step
+    have = len(set(dataset.labels.tolist()))
+    if need > have:
+        raise ConfigError(f"config: steps x classes_per_step needs {need} classes, "
+                          f"the dataset has {have}")
+    return dataset
 
 
 def output_dir(cfg: RunConfig) -> Path:
@@ -249,10 +263,8 @@ def run_one_seed(dataset: FeatureDataset, cfg: RunConfig, seed: int
     return result, events
 
 
-def _seed_worker(args: Tuple[str, int]) -> Tuple[int, dict, List[dict]]:
-    # runs in a worker process: rebuild everything from the serialized config
-    cfg_json, seed = args
-    cfg = parse_config(json.loads(cfg_json))
+def _seed_worker(cfg: RunConfig, seed: int) -> Tuple[int, dict, List[dict]]:
+    # runs in a worker process, which loads its own copy of the dataset
     dataset = load_run_dataset(cfg)
     result, events = run_one_seed(dataset, cfg, seed)
     return seed, result, events
@@ -289,10 +301,9 @@ def cli_run(config_path, workers: int = 1) -> Path:
     cfg = load_config(config_path)
     out_dir = output_dir(cfg)
     if workers > 1 and len(cfg.seeds) > 1:
-        cfg_json = canonical_json(json.loads(Path(config_path).read_text()))
-        jobs = [(cfg_json, s) for s in cfg.seeds]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            _write_seeds(out_dir, cfg, pool.map(_seed_worker, jobs))
+            _write_seeds(out_dir, cfg, pool.map(_seed_worker, [cfg] * len(cfg.seeds),
+                                                cfg.seeds))
     else:
         _run_seeds(load_run_dataset(cfg), cfg, out_dir)
     return out_dir
@@ -323,18 +334,7 @@ def _write_seeds(out_dir: Path, cfg: RunConfig,
 
 
 def cli_generate(spec_path, out_path) -> FeatureDataset:
-    try:
-        raw = json.loads(Path(spec_path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"spec file not found: {spec_path}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"spec file {spec_path} is not valid JSON: {err}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("generator spec must be a JSON object")
-    try:
-        spec = GeneratorSpec(**raw)
-    except (TypeError, ContractError) as err:
-        raise ConfigError(f"generator spec: {err}") from None
+    spec = _section(GeneratorSpec, _read_json(spec_path, "spec"), "generator spec")
     ds = generate_synthetic(spec)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out_path)
@@ -603,11 +603,3 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
         dm.product_sum(dm.constant(row), x, axis=1), probe), grid)
     return report
 
-
-def cli_gradcheck(threshold: float = 1e-5, seed: int = 0) -> Dict[str, float]:
-    report = gradcheck_report(seed)
-    bad = {k: v for k, v in report.items() if not (v < threshold)}
-    if bad:
-        names = ", ".join(sorted(bad))
-        raise VerificationFailure(f"gradient check failed for: {names}")
-    return report

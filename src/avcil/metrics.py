@@ -109,8 +109,13 @@ def nme_classify(params: mdl.ModelParams, ex_audio: np.ndarray, ex_visual: np.nd
     if np.any(qn == 0.0):
         raise ContractError("a query feature has zero norm")
     q /= qn
-    dists = np.linalg.norm(q[:, None, :] - means[None, :, :], axis=2)
-    return np.argmin(dists, axis=1)  # ties -> lowest index
+    # EVAL_CHUNK queries at a time bounds the (queries, classes, d) difference
+    # tensor; each row's distances are their own reduction, so chunking
+    # changes no prediction
+    return np.concatenate([
+        np.argmin(np.linalg.norm(q[lo:lo + EVAL_CHUNK, None, :] - means[None, :, :], axis=2),
+                  axis=1)  # ties -> lowest index
+        for lo in range(0, len(q), EVAL_CHUNK)])
 
 
 def evaluate(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray, labels,
@@ -138,7 +143,7 @@ def evaluate(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray, lab
         preds = nme_classify(frozen, ex_audio, ex_visual, ex_labels, audio, visual,
                              layout.total_classes, modality)
     correct = preds == labels
-    tasks = np.array([layout.task_of(int(y)) for y in labels])
+    tasks = np.searchsorted(np.cumsum(layout.boundaries), labels, side="right")
     per_task = []
     for t in range(layout.step):
         hits = correct[tasks == t]

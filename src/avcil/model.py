@@ -49,9 +49,6 @@ class ModelParams:
         return [self.w_audio, self.w_visual, self.u_audio, self.u_visual,
                 self.cls_weight, self.cls_bias]
 
-    def zero_grad(self) -> None:
-        dm.zero_grad(self.parameters())
-
 
 @dataclass
 class AttentionMaps:

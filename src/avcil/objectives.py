@@ -31,8 +31,10 @@ class LossWeights:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.lambda_i < 0.0 or self.lambda_c < 0.0:
-            raise ContractError("contrastive weights must be non-negative")
+        # each message starts with the field it names, which config errors rely on
+        for name in ("lambda_i", "lambda_c"):
+            if getattr(self, name) < 0.0:
+                raise ContractError(f"{name} must be >= 0")
         if not 0.0 <= self.lambda_vad <= 1.0:
             raise ContractError("lambda_vad must lie in [0, 1]")
         if self.tau <= 0.0:
@@ -75,16 +77,6 @@ class TaskLayout:
             raise ContractError(f"task {task} outside layout of {self.step} steps")
         lo = sum(self.boundaries[:task])
         return lo, lo + self.boundaries[task]
-
-    def task_of(self, label: int) -> int:
-        if not 0 <= label < self.total_classes:
-            raise ContractError(f"label {label} outside layout")
-        hi = 0
-        for task, width in enumerate(self.boundaries):
-            hi += width
-            if label < hi:
-                return task
-        raise AssertionError
 
 
 def l2_normalize_rows(x: DiffTensor) -> DiffTensor:

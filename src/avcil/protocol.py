@@ -296,8 +296,7 @@ def train_step(state: StepState, task_classes: Sequence[int],
             if not np.isfinite(value):
                 raise TrainingDiverged(step=t, epoch=epoch,
                                        batch=start // config.batch_size, value=value)
-            for p in trainable:
-                p.grad = None
+            dm.zero_grad(trainable)
             dm.backward(loss)
             dm.adam_step(trainable, opt)
             # free this batch's graph before the next forward builds its own

@@ -1,9 +1,14 @@
 import csv
+import dataclasses
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import avcil.diffmath as dm
 import avcil.model as mdl
@@ -14,6 +19,7 @@ from avcil.baselines import Strategy
 from avcil.datasets import GeneratorSpec, load_dataset
 from avcil.errors import ConfigError
 from avcil.metrics import AccuracyMatrix, average_forgetting, mean_accuracy
+from avcil.objectives import LossWeights
 
 
 def base_config(tmp_path, **kw):
@@ -64,14 +70,103 @@ def test_parse_fills_defaults(tmp_path):
     (lambda c: c.update(seeds=[1, 1]), "seeds"),
     (lambda c: c.update(seeds=[]), "seeds"),
     (lambda c: c.update(name="a/b"), "name"),
+    (lambda c: c.update(name=".."), "name"),
     (lambda c: c.update(weights={"lambda_i": -1}), "weights"),
     (lambda c: c.update(dataset={"mode": "nope"}), "dataset"),
+    (lambda c: c.update(seed=3), "unknown field seed"),
+    (lambda c: c.update(train={}), "unknown field train"),
+    (lambda c: c.update(weights={"lambda": 1.0}), "unknown field weights.lambda"),
 ])
 def test_parse_rejects_bad_fields(tmp_path, mangle, needle):
     raw = base_config(tmp_path)
     mangle(raw)
     with pytest.raises(ConfigError, match=needle):
         harness.parse_config(raw)
+
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+               | st.floats() | st.sampled_from([0, -1, -0.5, 1e999, 2 ** 1100]))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                        max_leaves=5)
+
+
+def _field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+TOP_LEVEL_KEYS = sorted(set(base_config(Path("out"))) | set(_field_names(proto.TrainConfig))
+                        | set(_field_names(harness.RunConfig)) | {"weights", "epoch"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(place=st.one_of(
+           st.tuples(st.none(), st.sampled_from(TOP_LEVEL_KEYS) | st.text(max_size=8)),
+           st.tuples(st.just("dataset"), st.sampled_from(_field_names(GeneratorSpec) + ["bogus"])),
+           st.tuples(st.just("weights"), st.sampled_from(_field_names(LossWeights) + ["bogus"]))),
+       value=_json_values())
+def test_parse_returns_or_raises_config_error_for_any_field_value(place, value):
+    section, name = place
+    raw = base_config(Path("out"))
+    target = raw.setdefault(section, {}) if section else raw
+    target[name] = value
+    try:
+        harness.parse_config(raw)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("extra", [
+    {},
+    {"weights": {"lambda_i": 0, "tau": 0.2, "normalize": False}, "use_vad": False,
+     "modality": "audio", "seeds": [3, 1]},
+])
+def test_config_echo_parses_back_to_the_same_config(tmp_path, extra):
+    cfg = harness.parse_config(base_config(tmp_path, **extra))
+    again = harness.parse_config({**harness.config_echo(cfg), "format_version": 1})
+    assert (again.train, again.dataset, again.seeds) == (cfg.train, cfg.dataset, cfg.seeds)
+    raw = base_config(tmp_path, dataset_path="data.avcf")
+    del raw["dataset"]
+    cfg = harness.parse_config(raw)
+    again = harness.parse_config({**harness.config_echo(cfg), "format_version": 1})
+    assert (again.train, again.dataset_path, again.seeds) == \
+        (cfg.train, cfg.dataset_path, cfg.seeds)
+
+
+def test_parse_widens_ints_to_float(tmp_path):
+    cfg = harness.parse_config(base_config(tmp_path, lr=1, weights={"tau": 1}))
+    assert type(cfg.train.lr) is float and type(cfg.train.weights.tau) is float
+
+
+def _readme_config_fields():
+    """Section label -> field names, from the README's "Config fields" list."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Config fields", 1)[1].split("\n## ", 1)[0]
+    fields = {}
+    for item in section.split("\n- ")[1:]:
+        label, _, rest = item.split("\n\n", 1)[0].partition(":")
+        fields[label.strip("`")] = set(re.findall(r"`([a-z_]+)`", rest))
+    return fields
+
+
+def test_readme_lists_exactly_the_config_fields_the_parser_accepts():
+    listed = _readme_config_fields()
+    top = ({"format_version"} | set(_field_names(harness.RunConfig))
+           | set(_field_names(proto.TrainConfig))) - {"train", "seed"}
+    assert listed == {
+        "top level": top,
+        "weights": set(_field_names(LossWeights)),
+        "dataset": set(_field_names(GeneratorSpec)),
+    }
+    # and the parser takes each of them: a value of the wrong type is a type error
+    for section, names in listed.items():
+        for name in names:
+            raw = base_config(Path("out"))
+            target = raw if section == "top level" else raw.setdefault(section, {})
+            target[name] = object()
+            with pytest.raises(ConfigError, match="must be"):
+                harness.parse_config(raw)
 
 
 def test_load_config_reports_bad_json(tmp_path):
@@ -81,6 +176,15 @@ def test_load_config_reports_bad_json(tmp_path):
         harness.load_config(path)
     with pytest.raises(ConfigError, match="not found"):
         harness.load_config(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"[" * 100000 + b"]" * 100000])
+def test_run_and_generate_reject_undecodable_json_with_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert cli.main(["run", str(path)]) == 2
+    assert cli.main(["generate", str(path), str(tmp_path / "x.avcf")]) == 2
+    assert capsys.readouterr().err.count("is not valid JSON") == 2
 
 
 def test_output_root_env_fallback(tmp_path, monkeypatch):
@@ -243,6 +347,42 @@ def test_cli_exit_codes_for_bad_configs(tmp_path, capsys):
     bad.write_text(json.dumps(base_config(tmp_path, strategy="mystery")))
     assert cli.main(["run", str(bad)]) == 2
     assert "strategy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change,needle", [
+    (lambda c: c["dataset"].update(d=6.0), "dataset.d must be int"),
+    (lambda c: c["dataset"].update(d=True), "dataset.d must be int"),
+    (lambda c: c["dataset"].update(seed="x"), "dataset.seed must be int"),
+    (lambda c: c.update(seeds=[-1]), "seeds must be"),
+    (lambda c: c.update(steps=0), "steps must be >= 1"),
+    (lambda c: c.update(classes_per_step=3), "classes_per_step"),
+    (lambda c: c.update(lr="LR"), "lr must be finite"),
+    (lambda c: c.update(epoch=5), "unknown field epoch"),
+    (lambda c: c.update(weights={"normalize": "no"}), "weights.normalize must be bool"),
+])
+def test_run_rejects_bad_field_values_with_exit_2(tmp_path, capsys, change, needle):
+    raw = base_config(tmp_path)
+    change(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw).replace('"LR"', "1e999"))
+    assert cli.main(["run", str(path)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change,needle", [
+    ({"d": 6.0}, "spec: d must be int"),
+    ({"seed": -3}, "spec: seed must be >= 0"),
+    ({"sed": 3}, "unknown field sed"),
+])
+def test_generate_rejects_bad_field_values_with_exit_2(tmp_path, capsys, change, needle):
+    spec = {"mode": "aligned", "num_classes": 2, "d": 4, "frames": 2, "cells": 2,
+            "train_per_class": 2, "test_per_class": 1, "seed": 0}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**spec, **change}))
+    assert cli.main(["generate", str(spec_path), str(tmp_path / "x.avcf")]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "x.avcf").exists()
 
 
 def test_cli_divergence_exits_3_with_log_tail(tmp_path, monkeypatch, capsys):
@@ -465,7 +605,7 @@ def test_export_attention_missing_checkpoint_exits_2(tmp_path, capsys):
     assert f"cannot read checkpoint {missing}" in capsys.readouterr().err
 
 
-# --- cli_gradcheck --------------------------------------------------------
+# --- gradcheck ------------------------------------------------------------
 
 def test_gradcheck_covers_every_loss_and_passes():
     report = harness.gradcheck_report(seed=0)

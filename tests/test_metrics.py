@@ -65,7 +65,8 @@ def test_evaluate_overall_is_sample_weighted():
     labels = preds.copy()
     labels[:3] = (labels[:3] + 1) % 4  # break three samples
     overall, per_task = mx.evaluate(params, *samples, labels, layout)
-    tasks = np.array([layout.task_of(int(y)) for y in labels])
+    ends = np.cumsum(layout.boundaries)
+    tasks = np.array([next(t for t, end in enumerate(ends) if y < end) for y in labels])
     counts = [(tasks == t).sum() for t in range(2)]
     recomposed = sum(a * n for a, n in zip(per_task, counts)) / sum(counts)
     assert abs(overall - recomposed) < 1e-9
@@ -105,6 +106,24 @@ def test_nme_is_deterministic():
     a = mx.nme_classify(params, *ex, ex_labels, *queries, num_classes=3)
     b = mx.nme_classify(params, *ex, ex_labels, *queries, num_classes=3)
     assert np.array_equal(a, b)
+
+
+def test_nme_in_chunks_matches_one_piece_distances():
+    rng = np.random.default_rng(8)
+    params = mdl.init_params(4, 5, seed=8)
+    ex = make_samples(rng, 15)
+    ex_labels = np.arange(15) % 5
+    audio, visual = make_samples(rng, mx.EVAL_CHUNK + 45)
+    frozen = mdl.snapshot(params)
+    feats = mx._forward_rows(frozen, *ex, "audiovisual", "fused")
+    means = np.stack([feats[ex_labels == c].mean(axis=0) for c in range(5)])
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    q = mx._forward_rows(frozen, audio, visual, "audiovisual", "fused")
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    whole = np.argmin(np.linalg.norm(q[:, None, :] - means[None, :, :], axis=2), axis=1)
+    assert len(set(whole.tolist())) > 1
+    preds = mx.nme_classify(params, *ex, ex_labels, audio, visual, num_classes=5)
+    assert np.array_equal(preds, whole)
 
 
 def test_evaluate_with_nme_path():
