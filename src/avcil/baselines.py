@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import diffmath as dm
 from . import objectives as obj
 from .diffmath import DiffTensor
 from .errors import ConfigError
@@ -44,15 +43,15 @@ def lwf_loss(trace, teacher_trace, labels, exemplar_mask, layout, weights):
     """CE plus KL from the current old-class softmax to the teacher's.
 
     One softmax over all previous classes together, unlike the task-wise
-    variant. Reduces to plain CE at the first step.
+    variant: task-wise distillation over a layout whose only previous task
+    holds every old class. Reduces to plain CE at the first step.
     """
     ce = obj.cross_entropy(trace.logits, labels)
     if teacher_trace is None:
         return ce
-    width = teacher_trace.logits.shape[1]
-    cur = dm.softmax(dm.slice_axis(trace.logits, 1, 0, width), axis=1)
-    tea = dm.softmax(teacher_trace.logits, axis=1)
-    return ce + dm.kl_rows(cur, tea, axis=1)
+    old = layout.old_count
+    one_block = obj.TaskLayout((old, layout.total_classes - old))
+    return ce + obj.tkd(trace.logits, teacher_trace.logits, one_block)
 
 
 # replay variants distill exactly like lwf; they differ in memory use and,

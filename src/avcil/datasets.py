@@ -16,7 +16,6 @@ bit-exact; the model widens each batch to float64 when it wraps it.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
@@ -25,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .fileio import read_input, write_atomic
+from .fileio import canonical_json, read_input, read_json, write_atomic
 
 MAGIC = b"AVCF"
 FORMAT_VERSION = 1
@@ -253,7 +252,7 @@ def save_dataset(ds: FeatureDataset, path) -> None:
     records["split"] = ds.splits
     records["audio"] = ds.audio
     records["visual"] = ds.visual.reshape(n, ds.frames * ds.cells * ds.d)
-    manifest = json.dumps(ds.manifest, sort_keys=True, separators=(",", ":")).encode()
+    manifest = canonical_json(ds.manifest).encode()
     header = MAGIC + struct.pack("<IIIIII", FORMAT_VERSION, n, ds.d, ds.frames,
                                  ds.cells, ds.num_classes)
     write_atomic(path, b"".join([header, records.tobytes(),
@@ -291,12 +290,8 @@ def load_dataset(path) -> FeatureDataset:
     offset += 4
     if offset + manifest_len > len(blob):
         raise FormatError(f"manifest truncated at offset {offset}")
-    try:
-        manifest = json.loads(blob[offset:offset + manifest_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"manifest unreadable at offset {offset}: {e}") from e
-    if not isinstance(manifest, dict):
-        raise FormatError(f"manifest at offset {offset} is not a JSON object")
+    manifest = read_json(f"of dataset {path} at offset {offset}", FormatError, "manifest",
+                         blob[offset:offset + manifest_len])
     if offset + manifest_len != len(blob):
         raise FormatError(f"trailing bytes at offset {offset + manifest_len}")
     return FeatureDataset(audio=audio, visual=visual, labels=labels, ids=ids,

@@ -509,6 +509,11 @@ def grad_check(f: Callable[[DiffTensor], DiffTensor], x: DiffTensor, h: float = 
 
 # --- optimizer ------------------------------------------------------------
 
+# Adam's moment decay rates and the denominator's guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -516,19 +521,14 @@ class AdamState:
 
     lr: float = 1e-3
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: list[Array] = field(default_factory=list)
     v: list[Array] = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params: Sequence[DiffTensor], lr: float = 1e-3,
-                   weight_decay: float = 1e-4, beta1: float = 0.9,
-                   beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(lr=lr, weight_decay=weight_decay, beta1=beta1, beta2=beta2,
-                   epsilon=epsilon, step_count=0,
+                   weight_decay: float = 1e-4) -> "AdamState":
+        return cls(lr=lr, weight_decay=weight_decay,
                    m=[np.zeros_like(p.data) for p in params],
                    v=[np.zeros_like(p.data) for p in params])
 
@@ -545,14 +545,14 @@ def adam_step(params: Sequence[DiffTensor], state: AdamState) -> None:
         if p.data.shape != m.shape:
             raise ContractError("optimizer moment shape does not match its parameter")
     state.step_count += 1
-    bc1 = 1.0 - state.beta1 ** state.step_count
-    bc2 = 1.0 - state.beta2 ** state.step_count
+    bc1 = 1.0 - ADAM_BETA1 ** state.step_count
+    bc2 = 1.0 - ADAM_BETA2 ** state.step_count
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if state.weight_decay:
             g = g + state.weight_decay * p.data
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)

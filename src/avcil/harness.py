@@ -3,18 +3,15 @@
 Everything the CLI does lives here as plain functions so tests can call it
 in-process: config parsing, single runs fanned out over seeds, ablation
 sweeps, comparison tables, attention-map export, and the self-check that
-re-verifies every gradient. File outputs are canonical JSON (sorted keys,
-minimal separators) written atomically, so a rerun with the same config is
+re-verifies every gradient. Every file goes through `fileio`: JSON outputs
+are canonical and written atomically, so a rerun with the same config is
 byte-identical and a content hash is meaningful.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import dataclasses
-import hashlib
-import json
 import math
 import os
 import sys
@@ -32,7 +29,9 @@ from . import objectives as obj
 from .datasets import (FeatureDataset, GeneratorSpec, generate_synthetic,
                        load_dataset, save_dataset)
 from .errors import ConfigError, ContractError, FormatError, TrainingDiverged
-from .fileio import write_atomic
+# write_atomic stays a harness attribute: the benchmark tracer wraps it there
+from .fileio import (canonical_json, content_hash, read_json, write_atomic,  # noqa: F401
+                     write_json, write_lines)
 from .metrics import average_forgetting, mean_accuracy
 from .objectives import LossWeights, TaskLayout
 from .protocol import TrainConfig, build_task_sequence, run_incremental
@@ -47,29 +46,13 @@ COMPONENT_SWEEP = tuple((i, c, v) for i in (0, 1) for c in (0, 1) for v in (0, 1
 
 
 # ---------------------------------------------------------------------------
-# canonical serialization
-
-
-def canonical_json(obj_) -> str:
-    return json.dumps(obj_, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def content_hash(payload: dict) -> str:
-    """Hash of the canonical form with the hash field itself left out."""
-    stripped = {k: v for k, v in payload.items() if k != "content_hash"}
-    return hashlib.sha256(canonical_json(stripped).encode()).hexdigest()
-
-
-def write_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["content_hash"] = content_hash(payload)
-    write_atomic(path, (canonical_json(payload) + "\n").encode())
+# run log
 
 
 def write_run_log(path: Path, events: Sequence[dict]) -> None:
     lines = [canonical_json({"event": "log_opened", "format_version": FORMAT_VERSION})]
     lines.extend(canonical_json(e) for e in events)
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
+    write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +146,9 @@ def _section(cls, raw, where: str, prefix: str = "", exclude: Sequence[str] = ()
         raise ConfigError(f"{where}: {prefix}{err}") from None
 
 
-def parse_config(raw) -> RunConfig:
+def parse_config(raw: dict) -> RunConfig:
     """A run config from its JSON object: `format_version`, the run-level
     fields of `RunConfig`, and beside them the fields of `TrainConfig`."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
     if "format_version" not in raw:
         raise ConfigError("config: format_version is required")
     version = _value(int, raw["format_version"], "format_version", "config")
@@ -181,20 +162,8 @@ def parse_config(raw) -> RunConfig:
                     "config", train=train)
 
 
-def _read_json(path, what: str):
-    """The parsed JSON file; a missing, unreadable or malformed one raises ConfigError."""
-    try:
-        return json.loads(Path(path).read_bytes())
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
-    except OSError as err:
-        raise ConfigError(f"cannot read {what} file {path}: {err.strerror or err}") from None
-    except (ValueError, RecursionError) as err:     # RecursionError: nesting too deep
-        raise ConfigError(f"{what} file {path} is not valid JSON: {err}") from None
-
-
 def load_config(path) -> RunConfig:
-    return parse_config(_read_json(path, "config"))
+    return parse_config(read_json(path, ConfigError, "config file"))
 
 
 def config_echo(cfg: RunConfig) -> dict:
@@ -334,9 +303,9 @@ def _write_seeds(out_dir: Path, cfg: RunConfig,
 
 
 def cli_generate(spec_path, out_path) -> FeatureDataset:
-    spec = _section(GeneratorSpec, _read_json(spec_path, "spec"), "generator spec")
+    spec = _section(GeneratorSpec, read_json(spec_path, ConfigError, "spec file"),
+                    "generator spec")
     ds = generate_synthetic(spec)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out_path)
     return ds
 
@@ -351,17 +320,15 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _read_result(path: Path) -> dict:
-    """A `result.json` payload, checked for kind, version and content hash.
+def _write_csv(path, rows: Iterable[Sequence[str]]) -> None:
+    """Comma-joined rows under a `# format_version=` line."""
+    write_lines(path, [f"# format_version={FORMAT_VERSION}"] + [",".join(r) for r in rows])
 
-    Raises FormatError naming the file for anything else.
-    """
-    try:
-        payload = json.loads(path.read_bytes())
-    except (OSError, ValueError) as err:
-        raise FormatError(f"{path}: not a readable JSON file: {err}") from None
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: not a JSON object")
+
+def _compare_row(path: Path) -> dict:
+    """The compare row of a `result.json`, checked for kind, version and
+    content hash; anything else raises FormatError naming the file."""
+    payload = read_json(path, FormatError, "result file")
     if payload.get("kind") != "result":
         raise FormatError(f"{path}: kind is {payload.get('kind')!r}, expected 'result'")
     if payload.get("format_version") != FORMAT_VERSION:
@@ -369,15 +336,10 @@ def _read_result(path: Path) -> dict:
                           f"expected {FORMAT_VERSION}")
     try:
         expected = content_hash(payload)
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:     # NaN or inf; nesting at the limit
         raise FormatError(f"{path}: cannot hash content: {err}") from None
     if payload.get("content_hash") != expected:
         raise FormatError(f"{path}: content_hash does not match the content")
-    return payload
-
-
-def _compare_row(path: Path) -> dict:
-    payload = _read_result(path)
     try:
         matrix = payload["accuracy_matrix"]
         forget = payload["average_forgetting"]
@@ -403,14 +365,13 @@ def cli_compare(results_dir, out_csv) -> List[dict]:
     steps = max(len(r["per_step"]) for r in rows)
     header = ["strategy", "modality", "mean_acc", "avg_forget"] + \
         [f"step_{i + 1}" for i in range(steps)] + ["seed"]
-    lines = [f"# format_version={FORMAT_VERSION}"]
-    lines.append(",".join(header))
+    lines = [header]
     for r in rows:
         per = [_fmt(v) for v in r["per_step"]]
         per += [""] * (steps - len(per))
-        lines.append(",".join([r["strategy"], r["modality"], _fmt(r["mean_acc"]),
-                               _fmt(r["avg_forget"])] + per + [str(r["seed"])]))
-    write_atomic(Path(out_csv), ("\n".join(lines) + "\n").encode())
+        lines.append([r["strategy"], r["modality"], _fmt(r["mean_acc"]),
+                      _fmt(r["avg_forget"])] + per + [str(r["seed"])])
+    _write_csv(out_csv, lines)
     return rows
 
 
@@ -433,8 +394,8 @@ def _variant_config(cfg: RunConfig, *, modality=None, components=None) -> RunCon
             train.weights,
             lambda_i=train.weights.lambda_i if i_on else 0.0,
             lambda_c=train.weights.lambda_c if c_on else 0.0)
-        train = dataclasses.replace(train, strategy="avcil", weights=weights,
-                                    use_vad=bool(v_on))
+        train = dataclasses.replace(train, strategy="avcil", modality="audiovisual",
+                                    weights=weights, use_vad=bool(v_on))
     return dataclasses.replace(cfg, train=train)
 
 
@@ -444,6 +405,8 @@ def cli_ablate(config_path) -> Path:
     Writes per-variant results under <run dir>/ablate/ and a combined CSV.
     The base config's strategy field is ignored: every variant trains the
     attention model, differing only in modality or enabled loss components.
+    The component sweep runs audiovisual whatever the base modality, since
+    the contrastive and attention terms need both modalities.
     """
     cfg = load_config(config_path)
     dataset = load_run_dataset(cfg)
@@ -465,13 +428,11 @@ def cli_ablate(config_path) -> Path:
         sweep("components", component_variant_name(*combo),
               _variant_config(cfg, components=combo), combo)
 
-    lines = [f"# format_version={FORMAT_VERSION}",
-             "sweep,variant,i_avss,c_avss,vad,mean_acc,avg_forget"]
+    lines = [["sweep", "variant", "i_avss", "c_avss", "vad", "mean_acc", "avg_forget"]]
     for r in table:
-        lines.append(",".join([r["sweep"], r["variant"], str(r["i_avss"]),
-                               str(r["c_avss"]), str(r["vad"]),
-                               _fmt(r["mean_acc"]), _fmt(r["avg_forget"])]))
-    write_atomic(out_dir / "ablate.csv", ("\n".join(lines) + "\n").encode())
+        lines.append([r["sweep"], r["variant"], str(r["i_avss"]), str(r["c_avss"]),
+                      str(r["vad"]), _fmt(r["mean_acc"]), _fmt(r["avg_forget"])])
+    _write_csv(out_dir / "ablate.csv", lines)
     return out_dir
 
 
@@ -497,12 +458,8 @@ def cli_export_attention(checkpoint_path, dataset_path, sample_ids: Sequence[int
         temporal = trace.maps.temporal.data[0].mean(axis=1)   # (L,)
         spath = out / f"sample_{sid}_spatial.csv"
         tpath = out / f"sample_{sid}_temporal.csv"
-        slines = [f"# format_version={FORMAT_VERSION}"]
-        slines += [",".join(repr(float(v)) for v in row) for row in spatial]
-        tlines = [f"# format_version={FORMAT_VERSION}",
-                  ",".join(repr(float(v)) for v in temporal)]
-        write_atomic(spath, ("\n".join(slines) + "\n").encode())
-        write_atomic(tpath, ("\n".join(tlines) + "\n").encode())
+        _write_csv(spath, [[repr(float(v)) for v in row] for row in spatial])
+        _write_csv(tpath, [[repr(float(v)) for v in temporal]])
         written += [spath, tpath]
     return written
 

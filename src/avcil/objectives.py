@@ -46,7 +46,7 @@ class TaskLayout:
     """Class-axis bookkeeping: `boundaries[i]` is the class count of task i.
 
     Classifier rows are grouped by task in arrival order, so the current
-    step's classes occupy the last `new_count` columns.
+    step's classes occupy the last `boundaries[-1]` columns.
     """
 
     boundaries: tuple[int, ...]
@@ -63,10 +63,6 @@ class TaskLayout:
     @property
     def old_count(self) -> int:
         return sum(self.boundaries[:-1])
-
-    @property
-    def new_count(self) -> int:
-        return self.boundaries[-1]
 
     @property
     def total_classes(self) -> int:

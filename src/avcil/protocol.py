@@ -212,7 +212,6 @@ class StepState:
 class RunResult:
     matrix: AccuracyMatrix
     params: mdl.ModelParams
-    label_map: Dict[int, int]
     memory: ExemplarMemory
     loss_curves: List[List[float]]      # per step, per epoch mean loss
     events: List[dict]                  # run log, one dict per event
@@ -379,5 +378,5 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
                        "memory_size": state.memory.total(),
                        "wall_time_s": time.perf_counter() - t0})
     matrix = AccuracyMatrix.from_rows(rows, overalls)
-    return RunResult(matrix=matrix, params=state.params, label_map=label_map,
-                     memory=state.memory, loss_curves=curves, events=events)
+    return RunResult(matrix=matrix, params=state.params, memory=state.memory,
+                     loss_curves=curves, events=events)

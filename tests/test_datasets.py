@@ -212,6 +212,26 @@ def test_run_on_a_missing_dataset_exits_2(tmp_path, capsys):
     assert f"cannot read dataset {missing}" in capsys.readouterr().err
 
 
+def test_too_deep_manifest_raises_format_error_and_run_exits_2(tmp_path, capsys):
+    ds = dsets.generate_synthetic(aligned_spec())
+    ds.manifest = {}
+    path = tmp_path / "deep.avcf"
+    dsets.save_dataset(ds, path)
+    deep = b"[" * 100000 + b"]" * 100000
+    # swap the 2-byte manifest "{}" and its length for the deep one
+    path.write_bytes(path.read_bytes()[:-6] + struct.pack("<I", len(deep)) + deep)
+    with pytest.raises(FormatError, match="manifest .*not valid JSON"):
+        dsets.load_dataset(path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "format_version": 1, "name": "deep", "dataset_path": str(path),
+        "steps": 1, "classes_per_step": 2, "epochs": 1,
+        "output_root": str(tmp_path / "out")}))
+    assert cli.main(["run", str(config)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_reports_the_first_bad_record(tmp_path):
     ds = _small_dataset()
     ds.labels[3] = 7                 # record 3: label out of range

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -475,13 +476,50 @@ def test_compare_reads_a_well_formed_result(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe", b"[1, 2]", b"null",
-                                     b'{"kind":"aggregate"}'])
+                                     b'{"kind":"aggregate"}',
+                                     pytest.param(b"[" * 100000 + b"]" * 100000,
+                                                  id="nested_100000")])
 def test_compare_rejects_foreign_file(tmp_path, capsys, content):
     path = tmp_path / "res" / "x" / "result.json"
     path.parent.mkdir(parents=True)
     path.write_bytes(content)
     code, err = _compare_exit(tmp_path, capsys)
     assert code == 2 and str(path) in err
+
+
+def test_compare_rejects_nesting_around_the_parser_limit(tmp_path, capsys):
+    # a depth the parser still takes can be too deep to re-encode for the hash
+    path = tmp_path / "res" / "result.json"
+    path.parent.mkdir()
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 300, limit + 10):
+        path.write_bytes(b'{"format_version":1,"kind":"result","x":'
+                         + b"[" * depth + b"]" * depth + b"}")
+        code, err = _compare_exit(tmp_path, capsys)
+        assert code == 2 and str(path) in err, depth
+
+
+@pytest.fixture(scope="module")
+def real_result(tmp_path_factory):
+    """The bytes of a `result.json` from a real run, and a scratch directory."""
+    tmp = tmp_path_factory.mktemp("real_result")
+    harness.cli_run(write_config(tmp, seeds=[0], epochs=1))
+    return (tmp / "out/t/seed_0/result.json").read_bytes(), tmp / "scratch"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_compare_exits_0_or_2_on_a_corrupted_result(real_result, data):
+    blob, scratch = real_result
+    mutated = bytearray(blob)
+    for _ in range(data.draw(st.integers(0, 4), label="flips")):
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        mutated[at] = data.draw(st.integers(0, 255), label="byte")
+    mutated = mutated[:data.draw(st.integers(0, len(blob)), label="length")]
+    path = scratch / "res" / "result.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(bytes(mutated))
+    assert cli.main(["compare", str(scratch / "res"), str(scratch / "o.csv")]) in (0, 2)
 
 
 def test_compare_rejects_wrong_kind(tmp_path, capsys):
@@ -530,6 +568,15 @@ def test_ablate_emits_modality_and_component_rows(tmp_path):
     assert len(flags) == 8
     none_row = next(r for r in components if r["variant"] == "none")
     assert (none_row["i_avss"], none_row["c_avss"], none_row["vad"]) == ("0", "0", "0")
+
+
+def test_ablate_component_sweep_runs_audiovisual_whatever_the_base_modality(tmp_path):
+    out_dir = harness.cli_ablate(write_config(tmp_path, seeds=[0], epochs=1,
+                                              modality="audio"))
+    results = sorted((out_dir / "components").glob("*/seed_0/result.json"))
+    assert len(results) == 8
+    for path in results:
+        assert json.loads(path.read_text())["config"]["modality"] == "audiovisual", path
 
 
 def test_ablate_all_off_row_equals_ssil_run_exactly(tmp_path):
