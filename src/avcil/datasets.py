@@ -11,7 +11,9 @@ Two generator modes cover the behaviors the training engine must exhibit:
   and `b` only in visual, so no single modality can beat chance-per-factor.
 
 Features are float32 on disk and in memory, so save/load round-trips are
-bit-exact; the model widens each batch to float64 when it wraps it.
+bit-exact. A batch keeps that precision for the visual grid, whose attention
+block runs in float32; the (N, d) audio rows are widened to float64 when the
+model wraps them (the dtype policy of `diffmath`).
 """
 
 from __future__ import annotations

@@ -1,15 +1,25 @@
-"""Dense float64 tensors with reverse-mode gradients.
+"""Dense tensors with reverse-mode gradients.
 
 Everything the attention model and its losses need numerically lives here: a
 small computation-graph tensor, the primitive operations with analytic
 gradients, numerically stable softmax / KL helpers, a central-difference
 gradient checker, and an Adam optimizer. All operations are deterministic;
 identical inputs produce bit-identical outputs because every reduction runs
-in a fixed order on contiguous float64 buffers.
+in a fixed order on contiguous buffers.
+
+Dtype policy: a tensor of three or more axes built from float32 data stays
+float32 (the model's (N, L, S, d) visual grid and its (N, L, d) poolings);
+everything else, every tensor of (N, d) or fewer axes included, is float64.
+The fused primitives `tanh_matmul`, `softmax_of_product` and `product_sum`
+compute in float32 when either operand is float32, return a result of two or
+fewer axes as float64, and hand each operand its gradient in its own dtype.
+`kl_rows` and `kl_rows_at` always compute in float64. Float64 inputs never
+meet a cast, so an all-float64 graph runs exactly the float64 arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -38,6 +48,7 @@ __all__ = [
     "log_softmax",
     "logsumexp",
     "kl_rows",
+    "kl_rows_at",
     "grad_check",
     "AdamState",
     "adam_step",
@@ -46,6 +57,27 @@ __all__ = [
 
 def _as_f64(values) -> Array:
     return np.array(values, dtype=np.float64)
+
+
+def _policy_dtype(arr: Array) -> type:
+    """float32 for float32 data of three or more axes, float64 otherwise."""
+    return np.float32 if arr.dtype == np.float32 and arr.ndim > 2 else np.float64
+
+
+def _as_policy(values) -> Array:
+    """A fresh array of `values` in the dtype the policy gives it."""
+    arr = np.asarray(values)
+    return np.array(arr, dtype=_policy_dtype(arr))
+
+
+def _compute_dtype(a: "DiffTensor", b: "DiffTensor") -> type:
+    """A fused primitive runs in float32 when either operand is float32."""
+    return np.float32 if np.float32 in (a.data.dtype, b.data.dtype) else np.float64
+
+
+def _in_dtype(grad: Array | None, t: "DiffTensor") -> Array | None:
+    """`grad` in the dtype of the tensor it belongs to (no copy when it already is)."""
+    return None if grad is None else grad.astype(t.data.dtype, copy=False)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -62,17 +94,20 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 class DiffTensor:
-    """A float64 array that remembers how it was produced.
+    """An array that remembers how it was produced.
 
-    `data` is the value, `grad` (same shape) is filled in by :func:`backward`.
-    Tensors returned by primitives hold references to their inputs, so a
-    forward pass builds an acyclic graph; leaves are constants or parameters.
+    `data` is the value, `grad` (same shape and dtype) is filled in by
+    :func:`backward`. A new tensor copies its input: float32 data of three or
+    more axes stays float32, anything else becomes float64 (see the module
+    docstring). Tensors returned by primitives hold references to their
+    inputs, so a forward pass builds an acyclic graph; leaves are constants
+    or parameters.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op", "_done")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f64(data)
+        self.data = _as_policy(data)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[DiffTensor, ...] = ()
@@ -210,10 +245,11 @@ def _broadcast_op(a: DiffTensor, b: DiffTensor, fn, op, da, db) -> DiffTensor:
     return _node(out, (a, b), vjp, op)
 
 
-def _product_vjp(a: DiffTensor, b: DiffTensor, g: Array):
-    """Gradients of a * b (broadcast) for the operands that track them."""
-    return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+def _product_vjp(a: DiffTensor, b: DiffTensor, ad: Array, bd: Array, g: Array):
+    """Gradients of a * b (broadcast) for the operands that track them, from
+    the operand values `ad`, `bd` in the compute dtype of `g`."""
+    return (_in_dtype(_unbroadcast(g * bd, ad.shape), a) if a.requires_grad else None,
+            _in_dtype(_unbroadcast(g * ad, bd.shape), b) if b.requires_grad else None)
 
 
 # --- primitives -----------------------------------------------------------
@@ -227,31 +263,39 @@ def _check_matmul(a: DiffTensor, b: DiffTensor) -> None:
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
 
 
-def _matmul_vjp(a: DiffTensor, b: DiffTensor, g: Array):
-    ga = g @ b.data.T if a.requires_grad else None
+def _matmul_vjp(a: DiffTensor, b: DiffTensor, ad: Array, bd: Array, g: Array):
+    """Gradients of ad @ bd for the operands that track them, each in its own dtype."""
+    ga = _in_dtype(g @ bd.T, a) if a.requires_grad else None
     gb = None
     if b.requires_grad:
-        if a.ndim == 1:
-            gb = np.outer(a.data, g)
+        if ad.ndim == 1:
+            gb = np.outer(ad, g)
         else:
-            lead = list(range(a.ndim - 1))
-            gb = np.tensordot(a.data, g, axes=(lead, lead))
+            lead = list(range(ad.ndim - 1))
+            gb = np.tensordot(ad, g, axes=(lead, lead))
+        gb = _in_dtype(gb, b)
     return ga, gb
 
 
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     """Contract the last axis of `a` with the first of a 2-d `b`."""
     _check_matmul(a, b)
-    return _node(a.data @ b.data, (a, b), lambda g: _matmul_vjp(a, b, g), "matmul")
+    return _node(a.data @ b.data, (a, b), lambda g: _matmul_vjp(a, b, a.data, b.data, g),
+                 "matmul")
 
 
 def tanh_matmul(x: DiffTensor, w: DiffTensor) -> DiffTensor:
     """tanh(x @ w) as one node; only the tanh output is kept for the VJP."""
     _check_matmul(x, w)
-    out = x.data @ w.data
+    dt = _compute_dtype(x, w)
+    xd, wd = x.data.astype(dt, copy=False), w.data.astype(dt, copy=False)
+    out = xd @ wd
     np.tanh(out, out=out)
-    return _node(out, (x, w), lambda g: _matmul_vjp(x, w, g * (1.0 - out * out)),
-                 "tanh_matmul")
+
+    def vjp(g: Array):
+        return _matmul_vjp(x, w, xd, wd, g.astype(dt, copy=False) * (1.0 - out * out))
+
+    return _node(out.astype(_policy_dtype(out), copy=False), (x, w), vjp, "tanh_matmul")
 
 
 def tanh(x: DiffTensor) -> DiffTensor:
@@ -318,16 +362,25 @@ def _check_softmax_input(x: Array) -> None:
 
 
 def _softmax_data(x: Array, ax: int, out: Array | None = None) -> Array:
-    """Stable softmax of `x` along `ax`, written into `out` when given."""
+    """Stable softmax of `x` along `ax`, written into `out` when given.
+
+    The normalizer is summed in float64 and rounded once to the input's
+    dtype, so a float32 slice sums to 1 within two float32 roundings (about
+    1.2e-7), well inside the 1e-6 that `kl_rows` checks; a float32 sum along
+    49 cells can miss by half that tolerance. For float64 input this is the
+    plain float64 sum.
+    """
     e = np.subtract(x, x.max(axis=ax, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=ax, keepdims=True)
+    e /= e.sum(axis=ax, keepdims=True, dtype=np.float64).astype(e.dtype, copy=False)
     return e
 
 
 def _softmax_vjp(out: Array, ax: int, g: Array) -> Array:
     dot = (out * g).sum(axis=ax, keepdims=True)
-    return out * (g - dot)
+    grad = g - dot
+    grad *= out
+    return grad
 
 
 def softmax(x: DiffTensor, axis: int) -> DiffTensor:
@@ -340,25 +393,34 @@ def softmax(x: DiffTensor, axis: int) -> DiffTensor:
 
 def softmax_of_product(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
     """softmax(a * b) along `axis`, `a` and `b` broadcast; the product is not kept."""
-    product = a.data * b.data
+    dt = _compute_dtype(a, b)
+    ad, bd = a.data.astype(dt, copy=False), b.data.astype(dt, copy=False)
+    product = ad * bd
     _check_softmax_input(product)
     ax = _check_axis(axis, product.ndim)
     out = _softmax_data(product, ax, out=product)
-    return _node(out, (a, b), lambda g: _product_vjp(a, b, _softmax_vjp(out, ax, g)),
+
+    def vjp(g: Array):
+        return _product_vjp(a, b, ad, bd, _softmax_vjp(out, ax, g.astype(dt, copy=False)))
+
+    return _node(out.astype(_policy_dtype(out), copy=False), (a, b), vjp,
                  "softmax_of_product")
 
 
 def product_sum(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
     """(a * b).sum(axis), `a` and `b` broadcast; the product is not kept."""
-    product = a.data * b.data
+    dt = _compute_dtype(a, b)
+    ad, bd = a.data.astype(dt, copy=False), b.data.astype(dt, copy=False)
+    product = ad * bd
     ax = _check_axis(axis, product.ndim)
     shape = product.shape
     out = product.sum(axis=ax)
 
     def vjp(g: Array):
-        return _product_vjp(a, b, np.broadcast_to(np.expand_dims(g, ax), shape))
+        g = np.expand_dims(g.astype(dt, copy=False), ax)
+        return _product_vjp(a, b, ad, bd, np.broadcast_to(g, shape))
 
-    return _node(out, (a, b), vjp, "product_sum")
+    return _node(out.astype(_policy_dtype(out), copy=False), (a, b), vjp, "product_sum")
 
 
 def logsumexp(x: DiffTensor, axis: int, keepdims: bool = False) -> DiffTensor:
@@ -379,41 +441,139 @@ def log_softmax(x: DiffTensor, axis: int) -> DiffTensor:
     return x - logsumexp(x, axis, keepdims=True)
 
 
+def _kl_check(p: Array, q: Array, ax: int) -> None:
+    for name, t in (("p", p), ("q", q)):
+        if np.any(t < 0.0):
+            raise ContractError(f"kl_rows: negative entry in {name}")
+        sums = t.sum(axis=ax)
+        if np.any(np.abs(sums - 1.0) > 1e-6):
+            raise ContractError(f"kl_rows: a slice of {name} does not sum to 1")
+
+
+def _kl_slices(shape: tuple[int, ...], ax: int) -> int:
+    """How many distributions along `ax` a tensor of `shape` stacks."""
+    size = math.prod(shape)
+    if shape[ax] == 0 or size == 0:
+        raise ContractError("kl_rows of an empty tensor")
+    return size // shape[ax]
+
+
+def _kl_sum(p: Array, q: Array, clamp: float) -> float:
+    """Sum of p * log(p / q) over float64 arrays; zero p entries add zero."""
+    pos = p > 0.0
+    return np.where(pos, p * (np.log(np.where(pos, p, 1.0)) - np.log(np.maximum(q, clamp))),
+                    0.0).sum()
+
+
+def _kl_grads(p: Array, q: Array, clamp: float, gs: float,
+              need_p: bool, need_q: bool) -> tuple[Array | None, Array | None]:
+    """Gradients of `gs` * `_kl_sum(p, q, clamp)`, recomputed from the inputs
+    so the forward pass keeps none of its temporaries."""
+    qc = np.maximum(q, clamp)
+    gp = gq = None
+    if need_p:
+        pos = p > 0.0
+        gp = np.log(np.where(pos, p, 1.0))
+        gp -= np.log(qc)
+        gp += 1.0
+        gp = np.where(pos, gp, 0.0)
+        gp *= gs
+    if need_q:
+        gq = np.where(q >= clamp, -p / qc, 0.0)
+        gq *= gs
+    return gp, gq
+
+
 def kl_rows(p: DiffTensor, q: DiffTensor, axis: int, clamp: float = 1e-12) -> DiffTensor:
     """Mean KL divergence over the distributions stacked in `p` and `q`.
 
     Each slice along `axis` must be a probability vector; the result is the
     mean over all such slices of sum_i p_i * log(p_i / q_i). Zero p entries
     contribute zero; q is clamped below at `clamp` inside the log only.
-    Differentiable in both arguments.
+    Differentiable in both arguments; computed in float64.
     """
     if p.shape != q.shape:
         raise ContractError(f"kl_rows shape mismatch: {p.shape} vs {q.shape}")
     ax = _check_axis(axis, p.ndim)
-    for name, t in (("p", p), ("q", q)):
-        if np.any(t.data < 0.0):
-            raise ContractError(f"kl_rows: negative entry in {name}")
-        sums = t.data.sum(axis=ax)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
-            raise ContractError(f"kl_rows: a slice of {name} does not sum to 1")
-    n_slices = p.data.size // p.data.shape[ax] if p.data.shape[ax] else 0
-    if n_slices == 0:
-        raise ContractError("kl_rows of an empty tensor")
-    qc = np.maximum(q.data, clamp)
-    pos = p.data > 0.0
-    terms = np.where(pos, p.data * (np.log(np.where(pos, p.data, 1.0)) - np.log(qc)), 0.0)
-    out = _as_f64(terms.sum() / n_slices)
+    p64 = p.data.astype(np.float64, copy=False)
+    q64 = q.data.astype(np.float64, copy=False)
+    _kl_check(p64, q64, ax)
+    n_slices = _kl_slices(p.shape, ax)
+    value = _kl_sum(p64, q64, clamp) / n_slices
 
     def vjp(g: Array):
-        gs = float(g) / n_slices
-        gp = gq = None
-        if p.requires_grad:
-            gp = np.where(pos, np.log(np.where(pos, p.data, 1.0)) - np.log(qc) + 1.0, 0.0) * gs
-        if q.requires_grad:
-            gq = np.where(q.data >= clamp, -p.data / qc, 0.0) * gs
-        return gp, gq
+        gp, gq = _kl_grads(p64, q64, clamp, float(g) / n_slices,
+                           p.requires_grad, q.requires_grad)
+        return _in_dtype(gp, p), _in_dtype(gq, q)
 
-    return _node(out, (p, q), vjp, "kl_rows")
+    return _node(_as_f64(value), (p, q), vjp, "kl_rows")
+
+
+# kl_rows_at gathers its rows in chunks of about this many entries, so its
+# float64 temporaries stay small whatever the size of the maps
+KL_CHUNK_ENTRIES = 1 << 16
+
+
+def kl_rows_at(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], rows,
+               weights: Sequence[float], clamp: float = 1e-12) -> DiffTensor:
+    """sum_k weights[k] * kl_rows(p_k[rows], q_k[rows], axis_k) as one node.
+
+    Each (p, q, axis) of `pairs` is read at the strictly increasing axis-0
+    indices `rows` only, in float64 whatever its dtype, so the sum-to-1 check keeps
+    its tolerance on float32 maps. `axis` must not be 0: each row holds
+    whole distributions. A tracked operand's gradient is written into those
+    rows and is zero elsewhere.
+    """
+    idx = np.asarray(rows, dtype=np.int64)
+    if len(pairs) != len(weights) or not pairs:
+        raise ContractError("kl_rows_at needs one weight per (p, q, axis) pair")
+    if idx.ndim != 1 or idx.size == 0 or np.any(idx[1:] <= idx[:-1]):
+        raise ContractError("kl_rows_at needs a non-empty, strictly increasing 1-d row array")
+    axes, n_slices, chunks = [], [], []
+    for p, q, axis in pairs:
+        if p.shape != q.shape:
+            raise ContractError(f"kl_rows shape mismatch: {p.shape} vs {q.shape}")
+        ax = _check_axis(axis, p.ndim)
+        if ax == 0:
+            raise ContractError("kl_rows_at distributions must lie along a non-row axis")
+        if idx[0] < 0 or idx[-1] >= p.shape[0]:
+            raise ContractError("kl_rows_at row out of range")
+        axes.append(ax)
+        n_slices.append(_kl_slices((idx.size, *p.shape[1:]), ax))
+        step = max(1, KL_CHUNK_ENTRIES // (p.data.size // p.shape[0]))
+        chunks.append([idx[i:i + step] for i in range(0, idx.size, step)])
+
+    def rows64(t: DiffTensor, at: Array) -> Array:
+        return t.data[at].astype(np.float64, copy=False)
+
+    # the rows are gathered again by the VJP rather than kept alive until then
+    total = None
+    for (p, q, _), ax, n, parts, w in zip(pairs, axes, n_slices, chunks, weights):
+        kl_sum = None
+        for at in parts:
+            p_rows, q_rows = rows64(p, at), rows64(q, at)
+            _kl_check(p_rows, q_rows, ax)
+            part = _kl_sum(p_rows, q_rows, clamp)
+            kl_sum = part if kl_sum is None else kl_sum + part
+        term = kl_sum / n * w
+        total = term if total is None else total + term
+
+    def vjp(g: Array):
+        out: list[Array | None] = []
+        for (p, q, _), n, parts, w in zip(pairs, n_slices, chunks, weights):
+            gs = float(g) * w / n
+            full = [np.zeros_like(t.data) if t.requires_grad else None for t in (p, q)]
+            for at in parts:
+                grads = _kl_grads(rows64(p, at), rows64(q, at), clamp, gs,
+                                  p.requires_grad, q.requires_grad)
+                for dest, grad in zip(full, grads):
+                    if dest is not None:
+                        dest[at] = grad
+            out += full
+        return tuple(out)
+
+    parents = tuple(t for p, q, _ in pairs for t in (p, q))
+    return _node(_as_f64(total), parents, vjp, "kl_rows_at")
 
 
 # --- backward pass --------------------------------------------------------
@@ -463,7 +623,7 @@ def backward(loss: DiffTensor) -> None:
                 continue
             leaf = parent._vjp is None
             if parent.grad is None:
-                parent.grad = np.array(g, dtype=np.float64) if leaf else g
+                parent.grad = np.array(g, dtype=parent.data.dtype) if leaf else g
             elif leaf:
                 parent.grad += g
             else:

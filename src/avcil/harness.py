@@ -399,6 +399,15 @@ def _variant_config(cfg: RunConfig, *, modality=None, components=None) -> RunCon
     return dataclasses.replace(cfg, train=train)
 
 
+def _active_terms(train: TrainConfig) -> Tuple[int, int, int]:
+    """(i_avss, c_avss, vad) flags of the terms a run of `train` builds: none
+    for a one-modality model, else those with a nonzero weight or switched on."""
+    if train.modality != "audiovisual":
+        return 0, 0, 0
+    return (int(train.weights.lambda_i != 0.0), int(train.weights.lambda_c != 0.0),
+            int(train.use_vad))
+
+
 def cli_ablate(config_path) -> Path:
     """Modality sweep (3 rows) plus component on/off sweep (8 rows), shared seeds.
 
@@ -413,8 +422,9 @@ def cli_ablate(config_path) -> Path:
     out_dir = output_dir(cfg) / "ablate"
     table: List[dict] = []
 
-    def sweep(tag: str, variant: str, vcfg: RunConfig, flags: Tuple[int, int, int]):
+    def sweep(tag: str, variant: str, vcfg: RunConfig):
         aggregate = _run_seeds(dataset, vcfg, out_dir / tag / variant.replace("+", "_"))
+        flags = _active_terms(vcfg.train)
         table.append({
             "sweep": tag, "variant": variant,
             "i_avss": flags[0], "c_avss": flags[1], "vad": flags[2],
@@ -423,10 +433,10 @@ def cli_ablate(config_path) -> Path:
         })
 
     for modality in MODALITY_SWEEP:
-        sweep("modality", modality, _variant_config(cfg, modality=modality), (1, 1, 1))
+        sweep("modality", modality, _variant_config(cfg, modality=modality))
     for combo in COMPONENT_SWEEP:
         sweep("components", component_variant_name(*combo),
-              _variant_config(cfg, components=combo), combo)
+              _variant_config(cfg, components=combo))
 
     lines = [["sweep", "variant", "i_avss", "c_avss", "vad", "mean_acc", "avg_forget"]]
     for r in table:
@@ -558,5 +568,19 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
         dm.product_sum(x, dm.constant(grid), axis=1), probe), row)
     check("product_sum_b", lambda x: weighted(
         dm.product_sum(dm.constant(row), x, axis=1), probe), grid)
+
+    # the row-restricted KL behind vad, in either distribution; the second
+    # pair is constant and only shifts the value
+    q_grid = dm.softmax(dm.constant(rng.normal(size=(n, ell, d))), axis=1).data
+    fixed = (dm.constant(q), dm.constant(rng.dirichlet(np.ones(d), size=n)), 1)
+    kl_at_rows = np.array([0, 2, n - 1])
+
+    def kl_at(x, side):
+        pair = [dm.constant(q_grid), dm.constant(q_grid)]
+        pair[side] = dm.softmax(x, axis=1)
+        return dm.kl_rows_at(((*pair, 1), fixed), kl_at_rows, (0.3, 0.7))
+
+    check("kl_rows_at_p", lambda x: kl_at(x, 0), grid)
+    check("kl_rows_at_q", lambda x: kl_at(x, 1), grid)
     return report
 

@@ -154,9 +154,11 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual") -
 
     `audio` is (N, d) and `visual` (N, L, S, d), as arrays or as constant
     tensors; a caller that runs several models on one batch wraps it once
-    with `dm.constant` and passes the same tensors to each. In `audio` mode
-    the visual pathway is dropped; in `visual` mode pooling is uniform over
-    cells and frames (no attention).
+    with `dm.constant` and passes the same tensors to each. Float32 visual
+    features keep the attention block, up to the pooled (N, d) vector, in
+    float32; the rest of the model runs in float64 (the dtype policy of
+    `diffmath`). In `audio` mode the visual pathway is dropped; in `visual`
+    mode pooling is uniform over cells and frames (no attention).
     """
     if modality not in MODALITIES:
         raise ContractError(f"unknown modality {modality!r}")

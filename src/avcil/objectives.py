@@ -144,8 +144,8 @@ def vad(current: AttentionMaps, teacher: AttentionMaps, exemplar_mask,
     """Visual attention distillation on replayed samples only.
 
     KL from the current model's attention to the frozen teacher's, spatial
-    and temporal maps mixed by `lambda_vad`. An empty mask contributes an
-    exact zero.
+    and temporal maps mixed by `lambda_vad`, as one node that reads only the
+    masked rows. An empty mask contributes an exact zero.
     """
     if not 0.0 <= lambda_vad <= 1.0:
         raise ContractError("lambda_vad must lie in [0, 1]")
@@ -158,9 +158,9 @@ def vad(current: AttentionMaps, teacher: AttentionMaps, exemplar_mask,
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return dm.constant(0.0)
-    dist_spa = dm.kl_rows(dm.take(current.spatial, idx), dm.take(teacher.spatial, idx), axis=2)
-    dist_tem = dm.kl_rows(dm.take(current.temporal, idx), dm.take(teacher.temporal, idx), axis=1)
-    return dist_spa * lambda_vad + dist_tem * (1.0 - lambda_vad)
+    return dm.kl_rows_at(((current.spatial, teacher.spatial, 2),
+                          (current.temporal, teacher.temporal, 1)),
+                         idx, (lambda_vad, 1.0 - lambda_vad))
 
 
 def _picked_logprob_sum(logits: DiffTensor, targets: np.ndarray) -> DiffTensor:

@@ -8,7 +8,11 @@ pinned; every numeric claim below is reproducible bit for bit.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,3 +277,30 @@ def test_criterion_10_rerun_writes_byte_identical_results(tmp_path):
     assert harness.cli_run(path) == out
     for rel, data in first.items():
         assert (out / rel).read_bytes() == data, rel
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS")
+
+
+def test_result_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the attention-sized shape, where the float32 grid matmuls are large
+    # enough for a threaded BLAS to split them
+    cfg = {"format_version": 1, "name": "threads",
+           "dataset": {"mode": "aligned", "num_classes": 4, "d": 128, "frames": 8,
+                        "cells": 49, "train_per_class": 6, "test_per_class": 2,
+                        "seed": 3},
+           "steps": 2, "classes_per_step": 2,
+           "epochs": 2, "batch_size": 8, "lr": 3e-3, "memory_capacity": 4,
+           "seeds": [0]}
+    src = str(Path(harness.__file__).resolve().parents[1])
+    results = {}
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads_{threads}"
+        path = tmp_path / f"threads_{threads}.json"
+        path.write_text(json.dumps(dict(cfg, output_root=str(root))))
+        env = dict(os.environ, PYTHONPATH=src, **{v: threads for v in BLAS_THREAD_VARS})
+        subprocess.run([sys.executable, "-m", "avcil", "run", str(path)], env=env,
+                       check=True, capture_output=True, timeout=300)
+        results[threads] = (root / "threads" / "seed_0" / "result.json").read_bytes()
+    assert results["1"] == results["2"]

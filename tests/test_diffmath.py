@@ -539,3 +539,156 @@ def test_model_loss_backward_keeps_gradients_only_on_parameters():
     assert all(p.grad is not None for p in params.parameters())
     assert audio.grad is None and visual.grad is None
     assert all(p.grad is None for p in teacher.parameters())
+
+
+# --- dtype policy: float32 grids, float64 everything else ------------------
+
+
+def test_constructor_keeps_float32_only_on_grids():
+    assert dm.constant(np.ones((2, 3, 4), np.float32)).data.dtype == np.float32
+    assert dm.constant(np.ones((2, 3), np.float32)).data.dtype == np.float64
+    assert dm.constant(np.ones((2, 3, 4), np.int64)).data.dtype == np.float64
+    assert dm.constant([1.0, 2.0]).data.dtype == np.float64
+    source = np.ones((2, 2, 2), np.float32)
+    assert not np.shares_memory(dm.constant(source).data, source)
+
+
+FUSED = {
+    "tanh_matmul": (dm.tanh_matmul, (2, 3, 4), (4, 4)),
+    "softmax_of_product": (lambda a, b: dm.softmax_of_product(a, b, axis=2),
+                           (2, 1, 1, 4), (2, 3, 5, 4)),
+    "product_sum_grid": (lambda a, b: dm.product_sum(a, b, axis=2), (2, 3, 5, 4), (2, 3, 5, 4)),
+    "product_sum_to_rows": (lambda a, b: dm.product_sum(a, b, axis=1), (2, 3, 4), (2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("name,f32_side", [(name, side) for name in sorted(FUSED)
+                                            for side in (0, 1)
+                                            if len(FUSED[name][1 + side]) > 2])
+def test_fused_primitives_compute_in_float32_and_return_each_gradient_in_its_dtype(
+        name, f32_side):
+    fn, a_shape, b_shape = FUSED[name]
+    rng = np.random.default_rng(5)
+    values = [rng.normal(size=a_shape), rng.normal(size=b_shape)]
+    values[f32_side] = values[f32_side].astype(np.float32)
+
+    def run(a_value, b_value):
+        a, b = dm.parameter(a_value), dm.parameter(b_value)
+        out = fn(a, b)
+        probe = np.random.default_rng(0).normal(size=out.shape)
+        dm.backward((out * dm.constant(probe)).sum())
+        return out, a, b
+
+    out, a, b = run(*values)
+    assert a.data.dtype == values[0].dtype and b.data.dtype == values[1].dtype
+    assert out.data.dtype == (np.float32 if out.ndim > 2 else np.float64)
+    assert a.grad.dtype == a.data.dtype and b.grad.dtype == b.data.dtype
+    # the float64 computation agrees to float32 precision
+    ref, ref_a, ref_b = run(*(v.astype(np.float64) for v in values))
+    for got, want in ((out.data, ref.data), (a.grad, ref_a.grad), (b.grad, ref_b.grad)):
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+def test_float64_inputs_meet_no_cast():
+    rng = np.random.default_rng(6)
+    grid = dm.parameter(rng.normal(size=(2, 3, 5, 4)))
+    w = dm.parameter(rng.normal(size=(4, 4)))
+    out = dm.tanh_matmul(grid, w)
+    s = dm.softmax_of_product(dm.constant(rng.normal(size=(2, 1, 1, 4))), out, axis=2)
+    pooled = dm.product_sum(s, grid, axis=2)
+    assert all(t.data.dtype == np.float64 for t in (out, s, pooled))
+    dm.backward(pooled.sum())
+    assert grid.grad.dtype == np.float64 and w.grad.dtype == np.float64
+
+
+# --- kl_rows_at: the row-restricted KL behind vad --------------------------
+
+
+def _dists(rng, shape, axis):
+    return dm.softmax(dm.constant(rng.normal(size=shape)), axis=axis).data
+
+
+def test_kl_rows_at_matches_the_take_composite_bitwise():
+    rng = np.random.default_rng(7)
+    spa = [_dists(rng, (5, 2, 3, 4), 2) for _ in range(2)]
+    tem = [_dists(rng, (5, 2, 4), 1) for _ in range(2)]
+    rows = np.array([1, 3, 4])
+    lam = 0.3
+
+    def run(fused):
+        cur_spa, cur_tem = dm.parameter(spa[0]), dm.parameter(tem[0])
+        tea_spa, tea_tem = dm.constant(spa[1]), dm.constant(tem[1])
+        if fused:
+            out = dm.kl_rows_at(((cur_spa, tea_spa, 2), (cur_tem, tea_tem, 1)), rows,
+                                (lam, 1.0 - lam))
+        else:
+            out = (dm.kl_rows(dm.take(cur_spa, rows), dm.take(tea_spa, rows), axis=2) * lam
+                   + dm.kl_rows(dm.take(cur_tem, rows), dm.take(tea_tem, rows), axis=1)
+                   * (1.0 - lam))
+        dm.backward(out)
+        return out.data, cur_spa.grad, cur_tem.grad
+
+    for got, want in zip(run(True), run(False)):
+        assert np.array_equal(got, want)
+
+
+def test_kl_rows_at_chunks_change_no_gradient_bit(monkeypatch):
+    rng = np.random.default_rng(10)
+    spa = [_dists(rng, (6, 2, 3, 4), 2) for _ in range(2)]
+    rows = np.array([0, 2, 3, 5])
+
+    def run():
+        cur = dm.parameter(spa[0])
+        out = dm.kl_rows_at(((cur, dm.constant(spa[1]), 2),), rows, (1.0,))
+        dm.backward(out)
+        return out.item(), cur.grad
+
+    whole = run()
+    monkeypatch.setattr(dm, "KL_CHUNK_ENTRIES", 30)     # one 24-entry row per chunk
+    chunked = run()
+    assert abs(chunked[0] - whole[0]) <= 1e-15 * max(1.0, abs(whole[0]))
+    assert np.array_equal(chunked[1], whole[1])
+
+
+def test_kl_rows_at_reads_and_writes_only_its_rows():
+    rng = np.random.default_rng(8)
+    p = _dists(rng, (4, 3, 2), 1)
+    q = _dists(rng, (4, 3, 2), 1)
+    p[0] = q[0] = np.nan           # never read: no check fires, no value leaks
+    tp, tq = dm.parameter(p), dm.parameter(q)
+    out = dm.kl_rows_at(((tp, tq, 1),), [1, 3], (1.0,))
+    assert np.isfinite(out.item())
+    assert out.item() == dm.kl_rows(dm.constant(p[[1, 3]]), dm.constant(q[[1, 3]]),
+                                    axis=1).item()
+    dm.backward(out)
+    for grad in (tp.grad, tq.grad):
+        assert np.array_equal(grad[[0, 2]], np.zeros((2, 3, 2)))
+        assert np.all(grad[[1, 3]] != 0.0)
+
+
+def test_float32_softmax_slices_sum_to_one_within_float32_rounding():
+    rng = np.random.default_rng(9)
+    p = dm.softmax_of_product(dm.constant(rng.normal(size=(6, 1, 1, 32))),
+                              dm.constant(rng.normal(size=(6, 8, 49, 32)).astype(np.float32)),
+                              axis=2)
+    t = dm.softmax(dm.constant(rng.normal(size=(6, 49, 32)).astype(np.float32) * 4.0), axis=1)
+    for maps, ax in ((p, 2), (t, 1)):
+        # two float32 roundings, of the normalizer and of each entry
+        assert maps.data.dtype == np.float32
+        assert np.abs(maps.data.sum(axis=ax, dtype=np.float64) - 1.0).max() < 2e-7
+    # the KL reads them in float64, so its 1e-6 sum check holds with room
+    out = dm.kl_rows_at(((p, p, 2),), [0, 5], (1.0,))
+    assert out.data.dtype == np.float64 and abs(out.item()) < 1e-12
+
+
+def test_kl_rows_at_rejects_bad_rows_and_weights():
+    t = dm.constant(np.full((3, 2), 0.5))
+    for rows in ([], [0, 0], [1, 0], [-1], [3], [[0]]):
+        with pytest.raises(ContractError):
+            dm.kl_rows_at(((t, t, 1),), rows, (1.0,))
+    with pytest.raises(ContractError):     # distributions across rows
+        dm.kl_rows_at(((t, t, 0),), [0], (1.0,))
+    with pytest.raises(ContractError):
+        dm.kl_rows_at(((t, t, 1),), [0], (1.0, 0.0))
+    with pytest.raises(ContractError):
+        dm.kl_rows_at(((t, dm.constant(np.full((3, 4), 0.25)), 1),), [0], (1.0,))

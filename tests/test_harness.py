@@ -579,6 +579,28 @@ def test_ablate_component_sweep_runs_audiovisual_whatever_the_base_modality(tmp_
         assert json.loads(path.read_text())["config"]["modality"] == "audiovisual", path
 
 
+def test_ablate_flags_say_which_terms_each_row_built(tmp_path):
+    out_dir = harness.cli_ablate(write_config(tmp_path, seeds=[0], epochs=1, use_vad=False,
+                                              weights={"lambda_i": 0}))
+    lines = (out_dir / "ablate.csv").read_text().splitlines()
+    rows = list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
+    assert len(rows) == 11
+    for r in rows:
+        result = out_dir / r["sweep"] / r["variant"].replace("+", "_") / "seed_0/result.json"
+        echo = json.loads(result.read_text())["config"]
+        flags = (r["i_avss"], r["c_avss"], r["vad"])
+        if echo["modality"] != "audiovisual":
+            assert flags == ("0", "0", "0"), r
+            continue
+        built = (echo["weights"]["lambda_i"] != 0, echo["weights"]["lambda_c"] != 0,
+                 echo["use_vad"])
+        assert flags == tuple(str(int(on)) for on in built), r
+    by_variant = {(r["sweep"], r["variant"]): (r["i_avss"], r["c_avss"], r["vad"])
+                  for r in rows}
+    assert by_variant["modality", "audiovisual"] == ("0", "1", "0")
+    assert by_variant["components", "i+c+vad"] == ("0", "1", "1")
+
+
 def test_ablate_all_off_row_equals_ssil_run_exactly(tmp_path):
     path = write_config(tmp_path, seeds=[0, 1])
     out_dir = harness.cli_ablate(path)

@@ -3,6 +3,7 @@ import pytest
 
 from avcil import diffmath as dm
 from avcil import model as mdl
+from avcil import objectives as obj
 from avcil.errors import ContractError, FormatError
 
 
@@ -248,3 +249,83 @@ def test_checkpoint_rejects_bad_magic_and_truncation(tmp_path):
     short.write_bytes(path.read_bytes()[:40])
     with pytest.raises(FormatError):
         mdl.load_checkpoint(short)
+
+
+# --- dtype policy: the attention block runs in the features' float32 --------
+
+
+def _graph_nodes(loss):
+    """Tracked nodes reachable from `loss`, each once."""
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if node.requires_grad:
+                nodes.append(node)
+    return nodes
+
+
+def _loss_on(params, teacher, audio, visual):
+    audio, visual = dm.constant(audio), dm.constant(visual)
+    trace = mdl.forward(params, audio, visual)
+    loss = obj.total_loss(trace, mdl.forward(teacher, audio, visual),
+                          np.array([0, 1, 2, 3, 2]),
+                          np.array([True, True, False, False, False]),
+                          obj.TaskLayout((2, 2)), obj.LossWeights())
+    return trace, loss
+
+
+def _float32_batch(seed, n=5, l=2, s=3, d=4):
+    audio, visual = make_batch(np.random.default_rng(seed), n, l, s, d)
+    return audio.astype(np.float32), visual.astype(np.float32)
+
+
+def test_float32_features_keep_the_attention_maps_float32_and_all_else_float64():
+    params = mdl.init_params(4, 4, seed=3)
+    teacher = mdl.snapshot(mdl.init_params(4, 2, seed=4))
+    trace, loss = _loss_on(params, teacher, *_float32_batch(21))
+    assert trace.maps.spatial.data.dtype == np.float32
+    assert trace.maps.temporal.data.dtype == np.float32
+    for t in (trace.audio, trace.attended_visual, trace.fused, trace.logits, loss):
+        assert t.data.dtype == np.float64
+    dm.backward(loss)
+    opt = dm.AdamState.for_params(params.parameters())
+    dm.adam_step(params.parameters(), opt)
+    for p, m, v in zip(params.parameters(), opt.m, opt.v):
+        assert p.grad.dtype == np.float64 and p.data.dtype == np.float64
+        assert m.dtype == np.float64 and v.dtype == np.float64
+
+
+def test_float32_and_float64_paths_agree_on_parameter_gradients():
+    # float32 rounding (about 6e-8 relative) over reductions of at most a few
+    # hundred terms; the tolerance is 1e-4 of the largest gradient entry
+    audio, visual = _float32_batch(22, n=5, l=4, s=9, d=8)
+    grads = []
+    for dtype in (np.float32, np.float64):
+        params = mdl.init_params(8, 4, seed=5)
+        teacher = mdl.snapshot(mdl.init_params(8, 2, seed=6))
+        _, loss = _loss_on(params, teacher, audio.astype(dtype), visual.astype(dtype))
+        dm.backward(loss)
+        grads.append([p.grad for p in params.parameters()])
+    for g32, g64 in zip(*grads):
+        assert np.abs(g32 - g64).max() <= 1e-4 * np.abs(g64).max()
+        assert not np.array_equal(g32, g64)     # the float32 path did run
+
+
+def test_float64_graph_is_unchanged_and_float32_adds_no_node():
+    params = mdl.init_params(4, 4, seed=3)
+    teacher = mdl.snapshot(mdl.init_params(4, 2, seed=4))
+    audio, visual = _float32_batch(23)
+    nodes64 = _graph_nodes(_loss_on(params, teacher, audio.astype(np.float64),
+                                    visual.astype(np.float64))[1])
+    nodes32 = _graph_nodes(_loss_on(params, teacher, audio, visual)[1])
+    # the count may fall as nodes fuse but must not rise, and float32
+    # inputs add no cast node
+    assert len(nodes32) == len(nodes64) <= 91
+    assert all(t.data.dtype == np.float64 for t in nodes64)
+    grids = [t for t in nodes32 if t.data.dtype == np.float32]
+    assert grids and all(t.ndim > 2 for t in grids)
+    assert sum(t.data.nbytes for t in nodes64) == (sum(t.data.nbytes for t in nodes32)
+                                                   + sum(t.data.nbytes for t in grids))
