@@ -31,6 +31,7 @@ from .fileio import canonical_json, read_input, read_json, write_atomic
 MAGIC = b"AVCF"
 FORMAT_VERSION = 1
 
+# the generator writes train and test rows only; a file may still tag rows val
 SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST = 0, 1, 2
 _SPLIT_NAMES = {"train": SPLIT_TRAIN, "val": SPLIT_VAL, "test": SPLIT_TEST}
 
@@ -103,7 +104,6 @@ class GeneratorSpec:
     cells: int
     train_per_class: int
     test_per_class: int
-    val_per_class: int = 0
     separation: float = 4.0
     noise_sigma: float = 0.25
     seed: int = 0
@@ -116,9 +116,8 @@ class GeneratorSpec:
                      "test_per_class"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1")
-        for name in ("val_per_class", "seed"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be >= 0")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
         if self.separation <= 0.0:
             raise ContractError("separation must be positive")
         if self.noise_sigma < 0.0:
@@ -134,12 +133,12 @@ def _unit(v: np.ndarray) -> np.ndarray:
 def _allocate(spec: GeneratorSpec, class_names: list[str]) -> FeatureDataset:
     """Labels, ids and split tags of every sample, features still to be written.
 
-    Rows run class by class; within a class, train then val then test.
+    Rows run class by class; within a class, train then test.
     """
-    counts = (spec.train_per_class, spec.val_per_class, spec.test_per_class)
+    counts = (spec.train_per_class, spec.test_per_class)
     per_class = sum(counts)
     n = spec.num_classes * per_class
-    tags = np.repeat(np.array([SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST], dtype=np.uint8), counts)
+    tags = np.repeat(np.array([SPLIT_TRAIN, SPLIT_TEST], dtype=np.uint8), counts)
     manifest = {
         "format_version": FORMAT_VERSION,
         "generator": asdict(spec),

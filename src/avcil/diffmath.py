@@ -2,7 +2,7 @@
 
 Everything the attention model and its losses need numerically lives here: a
 small computation-graph tensor, the primitive operations with analytic
-gradients, numerically stable softmax / KL helpers, a central-difference
+gradients, numerically stable softmax / NLL / KL helpers, a central-difference
 gradient checker, and an Adam optimizer. All operations are deterministic;
 identical inputs produce bit-identical outputs because every reduction runs
 in a fixed order on contiguous buffers.
@@ -45,8 +45,7 @@ __all__ = [
     "tanh_matmul",
     "softmax_of_product",
     "product_sum",
-    "log_softmax",
-    "logsumexp",
+    "nll",
     "kl_rows",
     "kl_rows_at",
     "grad_check",
@@ -423,22 +422,39 @@ def product_sum(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
     return _node(out.astype(_policy_dtype(out), copy=False), (a, b), vjp, "product_sum")
 
 
-def logsumexp(x: DiffTensor, axis: int, keepdims: bool = False) -> DiffTensor:
-    if not np.all(np.isfinite(x.data)):
-        raise NumericDomainError("logsumexp of a non-finite input")
-    ax = _check_axis(axis, x.ndim)
-    m = x.data.max(axis=ax, keepdims=True)
-    shifted = x - constant(m)
-    out = log(exp(shifted).sum(axis=ax, keepdims=True)) + constant(m)
-    if not keepdims:
-        shape = list(x.shape)
-        del shape[ax]
-        out = out.reshape(tuple(shape))
-    return out
+def _masked_lse(z: Array, mask: Array) -> tuple[Array, Array]:
+    """Per-row log-sum-exp of `z` over the True columns of `mask`, shifted by
+    their own max, and the softmax over those columns (zero elsewhere)."""
+    masked = np.where(mask, z, -np.inf)
+    m = masked.max(axis=1, keepdims=True)
+    e = np.exp(masked - m)
+    total = e.sum(axis=1, keepdims=True)
+    return (np.log(total) + m)[:, 0], e / total
 
 
-def log_softmax(x: DiffTensor, axis: int) -> DiffTensor:
-    return x - logsumexp(x, axis, keepdims=True)
+def nll(logits: DiffTensor, positives, support=None) -> DiffTensor:
+    """Sum over rows of -log of the mean softmax mass on the row's positives,
+    the softmax taken over its support: lse(z_i over support_i) - lse(z_i over
+    positives_i) + log|positives_i|. Both masks are (N, C) booleans; no
+    support means every column. The VJP is softmax over the support minus
+    softmax over the positives."""
+    z = logits.data
+    pos = np.asarray(positives)
+    sup = np.ones(z.shape, dtype=bool) if support is None else np.asarray(support)
+    if z.ndim != 2 or any(m.dtype != np.bool_ or m.shape != z.shape for m in (pos, sup)):
+        raise ContractError("nll needs (N, C) logits and boolean masks of the same shape")
+    if not np.all(np.isfinite(z)):
+        raise NumericDomainError("nll of a non-finite logit")
+    counts = pos.sum(axis=1)
+    if np.any(counts == 0):
+        raise ContractError("nll: a row has no positive")
+    if np.any(pos & ~sup):
+        raise ContractError("nll: a positive lies outside its row's support")
+    lse_support, grad = _masked_lse(z, sup)
+    lse_positive, p_positive = _masked_lse(z, pos)
+    grad -= p_positive
+    value = (lse_support - lse_positive + np.log(counts)).sum()
+    return _node(_as_f64(value), (logits,), lambda g: (grad * g,), "nll")
 
 
 def _kl_check(p: Array, q: Array, ax: int) -> None:

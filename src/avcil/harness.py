@@ -500,9 +500,11 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
     check("mean", lambda x: x.mean(), a)
     probe = rng.normal(size=(n, d))
     check("softmax", lambda x: (dm.softmax(x, axis=1) * dm.constant(probe)).sum(), a)
-    check("logsumexp", lambda x: dm.logsumexp(x, axis=1).sum(), a)
-    check("log_softmax", lambda x: (dm.log_softmax(x, axis=1)
-                                    * dm.constant(np.eye(n, d))).sum(), a)
+    several = (rng.random((n, d)) < 0.4) | (np.arange(d) == 0)   # column 0 in every row
+    check("nll", lambda x: dm.nll(x, several), a)
+    targets = np.arange(n)[:, None] % d    # rows on both sides of the block edge at 2
+    block = (np.arange(d) >= 2) == (targets >= 2)
+    check("nll_support", lambda x: dm.nll(x, targets == np.arange(d), block), a)
     check("take", lambda x: dm.take(x, np.array([0, 2, 2])).sum(), a)
     check("slice", lambda x: dm.slice_axis(x, 1, 1, 4).sum(), a)
     q = rng.dirichlet(np.ones(d), size=n)

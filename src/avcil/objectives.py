@@ -5,6 +5,7 @@ All losses are scalar DiffTensors built from the primitives in `diffmath`, so
 a single backward pass yields gradients through every active term. Terms with
 a zero weight are skipped rather than multiplied by zero, which keeps a run
 with disabled components bit-identical to one that never constructs them.
+The four softmax heads are one `dm.nll` node each, told apart by their masks.
 """
 
 from __future__ import annotations
@@ -100,9 +101,7 @@ def i_avss(f_audio: DiffTensor, f_visual: DiffTensor, tau: float,
     """
     sim = _similarity(f_audio, f_visual, tau, normalize)
     n = sim.shape[0]
-    logp = dm.log_softmax(sim, axis=1)
-    picked = (logp * dm.constant(np.eye(n))).sum(axis=1)
-    return -picked.mean()
+    return dm.nll(sim, np.eye(n, dtype=bool)) / float(n)
 
 
 def c_avss(f_audio: DiffTensor, f_visual: DiffTensor, labels, tau: float,
@@ -116,13 +115,7 @@ def c_avss(f_audio: DiffTensor, f_visual: DiffTensor, labels, tau: float,
     sim = _similarity(f_audio, f_visual, tau, normalize)
     n = sim.shape[0]
     labels = _check_labels(labels, n)
-    pos = (labels[:, None] == labels[None, :]).astype(np.float64)
-    m = sim.data.max(axis=1, keepdims=True)
-    e = dm.exp(sim - dm.constant(m))
-    lse_all = dm.log(e.sum(axis=1)) + dm.constant(m.reshape(n))
-    lse_pos = dm.log((e * dm.constant(pos)).sum(axis=1)) + dm.constant(m.reshape(n))
-    counts = dm.constant(np.log(pos.sum(axis=1)))
-    return ((lse_all - lse_pos) + counts).mean()
+    return dm.nll(sim, labels[:, None] == labels[None, :]) / float(n)
 
 
 def d_avsc(f_audio: DiffTensor, f_visual: DiffTensor, labels,
@@ -163,43 +156,28 @@ def vad(current: AttentionMaps, teacher: AttentionMaps, exemplar_mask,
                          idx, (lambda_vad, 1.0 - lambda_vad))
 
 
-def _picked_logprob_sum(logits: DiffTensor, targets: np.ndarray) -> DiffTensor:
-    width = logits.shape[1]
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(targets.size), targets] = 1.0
-    if width == 0:
-        raise ContractError("cross-entropy over an empty class block")
-    logp = dm.log_softmax(logits, axis=1)
-    return (logp * dm.constant(onehot)).sum()
-
-
 def cross_entropy(logits: DiffTensor, labels) -> DiffTensor:
     """Mean negative log-likelihood over the full class axis."""
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    return -_picked_logprob_sum(logits, labels) / float(labels.size)
+    positives = labels[:, None] == np.arange(logits.shape[1])
+    return dm.nll(logits, positives) / float(labels.size)
 
 
 def ss_ce(logits: DiffTensor, labels, layout: TaskLayout) -> DiffTensor:
     """Separated-softmax cross-entropy.
 
     New-class samples normalize only over the current task's columns; old
-    ones only over all previous columns. At step 1 this is plain CE.
+    ones only over all previous columns: one `nll` whose support, per row, is
+    its label's block. At step 1 this is plain CE.
     """
     n = logits.shape[0]
     labels = _check_labels(labels, n, layout.total_classes)
     if logits.shape[1] != layout.total_classes:
         raise ContractError("logit width does not match the layout")
     old = layout.old_count
-    new_rows = np.flatnonzero(labels >= old)
-    old_rows = np.flatnonzero(labels < old)
-    parts: list[DiffTensor] = []
-    if new_rows.size:
-        block = dm.slice_axis(dm.take(logits, new_rows), 1, old, layout.total_classes)
-        parts.append(_picked_logprob_sum(block, labels[new_rows] - old))
-    if old_rows.size:
-        block = dm.slice_axis(dm.take(logits, old_rows), 1, 0, old)
-        parts.append(_picked_logprob_sum(block, labels[old_rows]))
-    return -_chain_sum(parts) / float(n)
+    cols = np.arange(layout.total_classes)
+    support = (cols >= old) == (labels[:, None] >= old)
+    return dm.nll(logits, labels[:, None] == cols, support) / float(n)
 
 
 def tkd(logits: DiffTensor, teacher_logits: DiffTensor, layout: TaskLayout) -> DiffTensor:

@@ -337,6 +337,10 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
             f"strategy {strategy.tag!r} replays from memory; memory_capacity "
             "must be >= 1")
     label_map = label_map_for(sequence)
+    if strategy.nme_eval and config.memory_capacity < len(label_map):
+        raise ConfigError(
+            f"strategy {strategy.tag!r} classifies by exemplar means; memory_capacity "
+            f"must be >= {len(label_map)}, one exemplar per class of the run")
     for c in label_map:
         if not (dataset.of_class(c, "train").size and dataset.of_class(c, "test").size):
             raise ConfigError(f"class {c} lacks train or test samples")

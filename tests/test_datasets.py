@@ -16,7 +16,7 @@ from avcil.errors import ContractError, FormatError
 
 def aligned_spec(**kw):
     base = dict(mode="aligned", num_classes=4, d=6, frames=2, cells=3,
-                train_per_class=5, val_per_class=2, test_per_class=3, seed=7)
+                train_per_class=5, test_per_class=3, seed=7)
     base.update(kw)
     return GeneratorSpec(**base)
 
@@ -38,15 +38,25 @@ def empty_dataset():
 
 def test_aligned_bookkeeping():
     ds = dsets.generate_synthetic(aligned_spec())
-    assert len(ds) == 4 * (5 + 2 + 3)
+    assert len(ds) == 4 * (5 + 3)
     assert ds.d == 6 and ds.frames == 2 and ds.cells == 3 and ds.num_classes == 4
     assert np.array_equal(ds.ids, np.arange(len(ds)))
     for c in range(4):
         assert len(ds.of_class(c, "train")) == 5
-        assert len(ds.of_class(c, "val")) == 2
+        assert len(ds.of_class(c, "val")) == 0
         assert len(ds.of_class(c, "test")) == 3
-    assert ds.audio.shape == (40, 6) and ds.audio.dtype == np.float32
-    assert ds.visual.shape == (40, 2, 3, 6) and ds.visual.dtype == np.float32
+    assert ds.audio.shape == (32, 6) and ds.audio.dtype == np.float32
+    assert ds.visual.shape == (32, 2, 3, 6) and ds.visual.dtype == np.float32
+
+
+def test_a_file_may_still_tag_rows_val(tmp_path):
+    ds = dsets.generate_synthetic(aligned_spec())
+    ds.splits[ds.of_class(1, "train")[:2]] = dsets.SPLIT_VAL
+    path = tmp_path / "ds.avcf"
+    dsets.save_dataset(ds, path)
+    loaded = dsets.load_dataset(path)
+    assert np.array_equal(loaded.of_class(1, "val"), ds.of_class(1, "val"))
+    assert len(loaded.of_class(1, "val")) == 2 and len(loaded.of_class(1, "train")) == 3
 
 
 def test_of_class_returns_rows_in_dataset_order():
@@ -124,7 +134,7 @@ def test_empty_dataset_round_trips(tmp_path):
 
 def test_load_rejects_corruption(tmp_path):
     ds = dsets.generate_synthetic(aligned_spec(num_classes=2, train_per_class=1,
-                                               val_per_class=0, test_per_class=1))
+                                               test_per_class=1))
     path = tmp_path / "ds.avcf"
     dsets.save_dataset(ds, path)
     raw = path.read_bytes()
@@ -147,7 +157,7 @@ def test_load_rejects_corruption(tmp_path):
 
 def _small_dataset():
     return dsets.generate_synthetic(aligned_spec(num_classes=2, train_per_class=1,
-                                                 val_per_class=0, test_per_class=1))
+                                                 test_per_class=1))
 
 
 def _reload(ds, path):
@@ -301,7 +311,7 @@ def _fuzz_source() -> bytes:
         path = Path(tmp) / "ds.avcf"
         dsets.save_dataset(dsets.generate_synthetic(aligned_spec(
             num_classes=2, d=2, frames=1, cells=2, train_per_class=2,
-            val_per_class=1, test_per_class=1)), path)
+            test_per_class=1)), path)
         return path.read_bytes()
 
 

@@ -212,12 +212,94 @@ def test_grad_check_kl_rows_direct_small_step():
     assert dm.grad_check(in_q, dm.constant(q), h=1e-7) < 1e-5
 
 
-def test_logsumexp_matches_reference():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(4, 6)) * 10.0
-    ours = dm.logsumexp(dm.constant(x), axis=1).data
-    ref = np.log(np.exp(x - x.max(axis=1, keepdims=True)).sum(axis=1)) + x.max(axis=1)
-    assert np.allclose(ours, ref, atol=1e-12)
+# --- nll -----------------------------------------------------------------
+
+
+def log_softmax_reference(z, support):
+    """The log-softmax composite `nll` replaced, z - (log(sum exp(z - m)) + m),
+    taken over each row's support; -inf outside it."""
+    out = np.full(z.shape, -np.inf)
+    for i, row in enumerate(z):
+        kept = row[support[i]]
+        m = kept.max()
+        out[i, support[i]] = kept - (np.log(np.exp(kept - m).sum()) + m)
+    return out
+
+
+def nll_reference(z, positives, support):
+    """Sum over rows of -log of the mean log-softmax probability of the positives."""
+    logp = log_softmax_reference(z, support)
+    return sum(-np.log(np.exp(logp[i, positives[i]]).mean()) for i in range(len(z)))
+
+
+@st.composite
+def nll_cases(draw):
+    n, c = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    z = np.array(draw(st.lists(st.floats(-20, 20), min_size=n * c, max_size=n * c)),
+                 dtype=np.float64).reshape(n, c)
+    targets = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    positives = targets[:, None] == np.arange(c)
+    if not draw(st.booleans()):             # several positives per row
+        extra = draw(st.lists(st.booleans(), min_size=n * c, max_size=n * c))
+        positives |= np.array(extra).reshape(n, c)
+    support = None
+    if draw(st.booleans()):
+        extra = draw(st.lists(st.booleans(), min_size=n * c, max_size=n * c))
+        support = positives | np.array(extra).reshape(n, c)
+    return z, positives, support
+
+
+@settings(max_examples=150, deadline=None)
+@given(nll_cases())
+def test_nll_matches_the_log_softmax_reference(case):
+    z, positives, support = case
+    full = np.ones(z.shape, dtype=bool) if support is None else support
+    x = dm.parameter(z)
+    out = dm.nll(x, positives, support)
+    dm.backward(out)
+    assert math.isclose(out.item(), nll_reference(z, positives, full),
+                        rel_tol=1e-11, abs_tol=1e-11)
+    h = 1e-6
+    numeric = np.empty_like(z)
+    for idx in np.ndindex(*z.shape):
+        hi, lo = z.copy(), z.copy()
+        hi[idx] += h
+        lo[idx] -= h
+        numeric[idx] = (nll_reference(hi, positives, full)
+                        - nll_reference(lo, positives, full)) / (2 * h)
+    assert np.allclose(x.grad, numeric, rtol=0.0, atol=1e-6)
+
+
+def test_nll_positive_far_below_the_row_max_stays_finite():
+    z = np.array([[0.0, -2000.0, 1.0, -3.0], [2.0, 0.5, -1.0, 0.0]])
+    positives = np.array([[False, True, False, False], [True, False, False, False]])
+    x = dm.parameter(z)
+    out = dm.nll(x, positives)
+    dm.backward(out)
+    m = z.max(axis=1)
+    lse = np.log(np.exp(z - m[:, None]).sum(axis=1)) + m
+    expected = (lse[0] - z[0, 1]) + (lse[1] - z[1, 0])
+    assert np.isfinite(out.item())
+    assert math.isclose(out.item(), expected, rel_tol=1e-12)
+    assert np.all(np.isfinite(x.grad))
+    assert math.isclose(x.grad[0, 1], -1.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda z, p: dm.nll(z, p[1:]), ContractError),                      # shape mismatch
+    (lambda z, p: dm.nll(z, p, p[:, :2]), ContractError),
+    (lambda z, p: dm.nll(z, p.astype(np.float64)), ContractError),       # not a boolean mask
+    (lambda z, p: dm.nll(dm.constant(z.data[0]), p[0]), ContractError),  # not (N, C)
+    (lambda z, p: dm.nll(z, p & np.array([[True], [False]])), ContractError),  # no positive
+    (lambda z, p: dm.nll(z, p, np.zeros(p.shape, dtype=bool)), ContractError),  # outside support
+    (lambda z, p: dm.nll(dm.constant(np.where(p, np.nan, z.data)), p), NumericDomainError),
+    (lambda z, p: dm.nll(dm.constant(np.where(p, -np.inf, z.data)), p), NumericDomainError),
+])
+def test_nll_rejects(make, error):
+    z = dm.constant(np.arange(6.0).reshape(2, 3))
+    positives = np.array([[True, False, False], [False, True, True]])
+    with pytest.raises(error):
+        make(z, positives)
 
 
 def test_forward_is_bit_deterministic():

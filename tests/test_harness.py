@@ -371,6 +371,19 @@ def test_run_rejects_bad_field_values_with_exit_2(tmp_path, capsys, change, need
     assert not (tmp_path / "out").exists()
 
 
+def test_nme_run_with_fewer_memory_slots_than_classes_exits_2(tmp_path, capsys):
+    # 3 slots over 6 classes is a quota of 0 at the last step: no class mean to classify by
+    raw = base_config(tmp_path, strategy="icarl_nme", steps=3, memory_capacity=3, seeds=[0])
+    raw["dataset"]["num_classes"] = 6
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 2
+    assert "memory_capacity must be >= 6" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    path.write_text(json.dumps({**raw, "memory_capacity": 6}))
+    assert cli.main(["run", str(path)]) == 0
+
+
 @pytest.mark.parametrize("change,needle", [
     ({"d": 6.0}, "spec: d must be int"),
     ({"seed": -3}, "spec: seed must be >= 0"),

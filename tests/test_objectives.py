@@ -289,6 +289,34 @@ def test_ss_ce_rejects_out_of_range_label():
         obj.ss_ce(dm.constant(np.zeros((1, 4))), [4], layout)
 
 
+def _tracked_ops(loss):
+    """op name of every tracked node the loss reaches, one entry per node."""
+    ops, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.requires_grad:
+            seen.add(id(node))
+            ops.append(node._op)
+            stack.extend(node._parents)
+    return ops
+
+
+def test_each_softmax_head_is_one_nll_node():
+    a, v, rng = random_features(20)
+    labels = rng.integers(0, 5, size=6)
+    logits = dm.parameter(rng.normal(size=(6, 5)))
+    heads = {
+        "cross_entropy": obj.cross_entropy(logits, labels),
+        "ss_ce": obj.ss_ce(logits, labels, obj.TaskLayout((3, 2))),
+        "i_avss": obj.i_avss(dm.parameter(a), dm.parameter(v), 0.1),
+        "c_avss": obj.c_avss(dm.parameter(a), dm.parameter(v), labels, 0.1),
+    }
+    for name, loss in heads.items():
+        ops = _tracked_ops(loss)
+        assert ops.count("nll") == 1, (name, ops)
+        assert not {"take", "slice", "exp", "log"} & set(ops), (name, ops)
+
+
 # --- task-wise distillation ----------------------------------------------
 
 
