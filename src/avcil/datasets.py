@@ -39,6 +39,7 @@ _SPLIT_NAMES = {"train": SPLIT_TRAIN, "val": SPLIT_VAL, "test": SPLIT_TEST}
 # and the relative strength of non-signal cells
 LATENT_MIX = 0.7
 DISTRACTOR_SCALE = 0.3
+GENERATE_CHUNK_ENTRIES = 2 ** 12  # float64 entries per chunk of aligned noise draws
 
 
 @dataclass
@@ -124,10 +125,15 @@ class GeneratorSpec:
             raise ContractError("noise_sigma must be >= 0")
         if self.mode == "xor_pairs" and math.isqrt(self.num_classes) ** 2 != self.num_classes:
             raise ContractError("num_classes must be a square number for xor_pairs")
+        if (record := _record_size(self.d, self.frames, self.cells)) >= MAX_RECORD:
+            raise ContractError(f"d, frames and cells give a {record}-byte record, over 2 GiB")
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+# in place; each stacked (1, d) @ (d, 1) is the BLAS dot `np.linalg.norm` takes of one
+# vector, so every norm equals one taken alone (`norm(axis=-1)` sums in another order)
+def _units(v: np.ndarray) -> np.ndarray:
+    v /= np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    return v
 
 
 def _allocate(spec: GeneratorSpec, class_names: list[str]) -> FeatureDataset:
@@ -139,11 +145,8 @@ def _allocate(spec: GeneratorSpec, class_names: list[str]) -> FeatureDataset:
     per_class = sum(counts)
     n = spec.num_classes * per_class
     tags = np.repeat(np.array([SPLIT_TRAIN, SPLIT_TEST], dtype=np.uint8), counts)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "generator": asdict(spec),
-        "class_names": class_names,
-    }
+    manifest = {"format_version": FORMAT_VERSION, "generator": asdict(spec),
+                "class_names": class_names}
     return FeatureDataset(
         audio=np.empty((n, spec.d), dtype=np.float32),
         visual=np.empty((n, spec.frames, spec.cells, spec.d), dtype=np.float32),
@@ -160,43 +163,42 @@ def generate_synthetic(spec: GeneratorSpec, _b_permutation: Sequence[int] | None
     direction each b index uses; audio generation never reads b, so the audio
     bytes must not change under it.
     """
-    if spec.mode == "aligned":
-        ds = _generate_aligned(spec)
-    else:
-        ds = _generate_xor(spec, _b_permutation)
+    ds = _generate_aligned(spec) if spec.mode == "aligned" \
+        else _generate_xor(spec, _b_permutation)
     ds.validate()
     return ds
 
 
 def _generate_aligned(spec: GeneratorSpec) -> FeatureDataset:
+    # each stream is drawn whole, in the order the README's Determinism section gives
     d, ell, s_cells = spec.d, spec.frames, spec.cells
-    rng_means = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
-    rng_noise = np.random.default_rng(np.random.SeedSequence([spec.seed, 2]))
-    rng_cells = np.random.default_rng(np.random.SeedSequence([spec.seed, 3]))
+    rng_means, rng_noise, rng_cells = (
+        np.random.default_rng(np.random.SeedSequence([spec.seed, i])) for i in (1, 2, 3))
 
-    audio_means = np.empty((spec.num_classes, d))
-    visual_dirs = np.empty((spec.num_classes, ell, s_cells, d))
-    for c in range(spec.num_classes):
-        latent = _unit(rng_means.normal(size=d))
-        audio_means[c] = spec.separation * latent
-        for l in range(ell):
-            for s in range(s_cells):
-                own = _unit(rng_means.normal(size=d))
-                visual_dirs[c, l, s] = spec.separation * _unit(
-                    LATENT_MIX * latent + (1.0 - LATENT_MIX) * own)
+    means = _units(rng_means.normal(size=(spec.num_classes, 1 + ell * s_cells, d)))
+    audio_means = spec.separation * means[:, 0]
+    visual_dirs = means[:, 1:]
+    visual_dirs *= 1.0 - LATENT_MIX
+    visual_dirs += LATENT_MIX * means[:, :1]
+    visual_dirs = _units(visual_dirs).reshape(-1, ell, s_cells, d)
+    visual_dirs *= spec.separation
 
     ds = _allocate(spec, [f"class_{c}" for c in range(spec.num_classes)])
-    for row, c in enumerate(ds.labels):
-        ds.audio[row] = audio_means[c] + spec.noise_sigma * rng_noise.normal(size=d)
-        for l in range(ell):
-            signal_cell = int(rng_cells.integers(s_cells))
-            for s in range(s_cells):
-                if s == signal_cell:
-                    base = visual_dirs[c, l, s]
-                else:
-                    base = DISTRACTOR_SCALE * spec.separation \
-                        * _unit(rng_noise.normal(size=d))
-                ds.visual[row, l, s] = base + spec.noise_sigma * rng_noise.normal(size=d)
+    signal = rng_cells.integers(s_cells, size=(len(ds), ell, 1)) == np.arange(s_cells)
+    step = max(1, GENERATE_CHUNK_ENTRIES // ((1 + ell * (2 * s_cells - 1)) * d))
+    for lo in range(0, len(ds), step):
+        labels, off = ds.labels[lo:lo + step], ~signal[lo:lo + step]
+        # a row's blocks of d: audio noise, then per cell a distractor
+        # (absent on the signal cell) and the cell noise
+        drawn = np.ones((len(labels), 1 + 2 * ell * s_cells), dtype=bool)
+        drawn[:, 1::2] = off.reshape(len(labels), -1)
+        blocks = np.empty(drawn.shape + (d,))
+        blocks[drawn] = rng_noise.normal(size=(int(drawn.sum()), d))
+        ds.audio[lo:lo + step] = audio_means[labels] + spec.noise_sigma * blocks[:, 0]
+        cells = blocks[:, 1:].reshape(len(labels), ell, s_cells, 2, d)
+        base = visual_dirs[labels]
+        base[off] = DISTRACTOR_SCALE * spec.separation * _units(cells[..., 0, :][off])
+        ds.visual[lo:lo + step] = base + spec.noise_sigma * cells[..., 1, :]
     return ds
 
 
@@ -208,25 +210,19 @@ def _generate_xor(spec: GeneratorSpec, b_permutation: Sequence[int] | None) -> F
         raise ContractError("b permutation must reorder range(k)")
 
     rng_dirs = np.random.default_rng(np.random.SeedSequence([spec.seed, 11]))
-    audio_dirs = np.stack([spec.separation * _unit(rng_dirs.normal(size=d)) for _ in range(k)])
-    visual_dirs = np.stack([
-        np.stack([
-            np.stack([spec.separation * _unit(rng_dirs.normal(size=d)) for _ in range(s_cells)])
-            for _ in range(ell)])
-        for _ in range(k)])
+    audio_dirs = spec.separation * _units(rng_dirs.normal(size=(k, d)))
+    visual_dirs = spec.separation * _units(rng_dirs.normal(size=(k, ell, s_cells, d)))
 
-    audio_streams = [np.random.default_rng(np.random.SeedSequence([spec.seed, 21, a]))
-                     for a in range(k)]
-    visual_streams = [np.random.default_rng(np.random.SeedSequence([spec.seed, 22, b]))
-                      for b in range(k)]
-
-    # label = a * k + b, so rows visit (a, b) in the order of the label
+    # rows run class by class and label = a * k + b, so the views index rows by a and (a, b)
     ds = _allocate(spec, [f"a{a}b{b}" for a in range(k) for b in range(k)])
-    for row, label in enumerate(ds.labels):
-        a, b = divmod(int(label), k)
-        ds.audio[row] = audio_dirs[a] + spec.noise_sigma * audio_streams[a].normal(size=d)
-        ds.visual[row] = visual_dirs[perm[b]] + spec.noise_sigma \
-            * visual_streams[b].normal(size=(ell, s_cells, d))
+    audio = ds.audio.reshape(k, -1, d)
+    visual = ds.visual.reshape(k, k, -1, ell, s_cells, d)
+    for i in range(k):
+        noise = np.random.default_rng(np.random.SeedSequence([spec.seed, 21, i]))
+        audio[i] = audio_dirs[i] + spec.noise_sigma * noise.normal(size=audio[i].shape)
+        noise = np.random.default_rng(np.random.SeedSequence([spec.seed, 22, i]))
+        visual[:, i] = visual_dirs[perm[i]] + spec.noise_sigma \
+            * noise.normal(size=visual[:, i].shape)
     return ds
 
 
@@ -238,6 +234,11 @@ def _generate_xor(spec: GeneratorSpec, b_permutation: Sequence[int] | None) -> F
 # and the manifest as canonical JSON.
 
 HEADER_SIZE = 28
+MAX_RECORD = 2 ** 31  # numpy caps a record dtype below 2 GiB
+
+
+def _record_size(d: int, ell: int, s_cells: int) -> int:
+    return 9 + 4 * d + 4 * ell * s_cells * d
 
 
 def _record_dtype(d: int, ell: int, s_cells: int) -> np.dtype:
@@ -269,9 +270,8 @@ def load_dataset(path) -> FeatureDataset:
     version, n, d, ell, s_cells, num_classes = struct.unpack_from("<IIIIII", blob, 4)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported dataset version {version} at offset 4")
-    record = 9 + 4 * d + 4 * ell * s_cells * d
-    # numpy caps a record dtype below 2 GiB
-    if min(d, ell, s_cells) < 1 or record >= 2 ** 31:
+    record = _record_size(d, ell, s_cells)
+    if min(d, ell, s_cells) < 1 or record >= MAX_RECORD:
         raise FormatError(f"bad feature shape ({ell}, {s_cells}, {d}) at offset 12")
     whole = min(n, (len(blob) - HEADER_SIZE) // record)
     rec = np.frombuffer(blob, dtype=_record_dtype(d, ell, s_cells), count=whole,

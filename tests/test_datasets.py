@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import tempfile
@@ -77,6 +78,66 @@ def test_generation_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     dsets.save_dataset(dsets.generate_synthetic(aligned_spec(seed=8)), b)
     assert a.read_bytes() != b.read_bytes()
+
+
+_DESK = dict(mode="aligned", num_classes=16, d=16, frames=4, cells=4, train_per_class=12,
+             test_per_class=6, separation=4.0, noise_sigma=0.8, seed=0)
+_SMALL = dict(mode="aligned", num_classes=4, d=6, frames=2, cells=3, train_per_class=5,
+              test_per_class=3, seed=7)
+_XOR = dict(mode="xor_pairs", num_classes=9, d=6, frames=2, cells=2, train_per_class=4,
+            test_per_class=2, seed=5)
+
+# sha256 of the `save_dataset` bytes, computed before the generator drew its
+# streams whole; a change that moves them must update these and say so
+PINNED_DATASETS = {
+    "desk": (_DESK, None,
+             "f00b7ef4c7575d4ed75709a8ca875c6eb53fc49107ff3c0cd614d9759731ce83"),
+    "attention_large": (dict(_DESK, num_classes=8, d=128, frames=8, cells=49), None,
+                        "8cf99a4f2010c923a76105ad2f656b34f1450425316946c7da01916028d19a60"),
+    "many_tasks": (dict(_DESK, num_classes=100, train_per_class=20, test_per_class=20), None,
+                   "3e4617281a3d76bb480b7c4c48df88e5977c70aa2aa06b89d743d1c1b7c8c2c0"),
+    "d1": (dict(_SMALL, d=1), None,
+           "ee3d225601d09053fc94de184a415171c186d89a1d6e4fbdd04a52d48dd57750"),
+    "cells1": (dict(_SMALL, cells=1), None,
+               "400c198b22956bb8a4c1ed354cda5196cdb6c05083493501c7f383d2ae672fc0"),
+    "frames1": (dict(_SMALL, frames=1), None,
+                "b85943934c42f784fc48259a78ce5117fa81a04ec00e690960805fd640817cbd"),
+    "noiseless": (dict(_SMALL, noise_sigma=0.0), None,
+                  "ec7c65bf9452eabcca827003d829af8ed64b6a3408577a94130bed3419d92bdc"),
+    "xor": (_XOR, None,
+            "e0357f79715571f2c70f3f84735bdf17e94fae29f110eab29d9e43dea2b430ef"),
+    "xor_permuted": (_XOR, [2, 0, 1],
+                     "4690d0864e3e30f215f6d53558307e890d81aa8616430ab35210fdae11adb773"),
+}
+
+
+def _dataset_bytes(tmp_path, spec: dict, permutation=None) -> bytes:
+    path = tmp_path / "pinned.avcf"
+    dsets.save_dataset(dsets.generate_synthetic(GeneratorSpec(**spec),
+                                                _b_permutation=permutation), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DATASETS))
+def test_generated_bytes_match_their_pinned_digest(tmp_path, name):
+    spec, permutation, digest = PINNED_DATASETS[name]
+    assert hashlib.sha256(_dataset_bytes(tmp_path, spec, permutation)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["desk", "d1", "cells1", "frames1", "noiseless"])
+def test_noise_chunk_size_changes_no_byte(tmp_path, monkeypatch, name):
+    spec = PINNED_DATASETS[name][0]
+    default = _dataset_bytes(tmp_path, spec)
+    for entries in (1, 2 ** 62):  # one row per chunk, and the whole dataset in one
+        monkeypatch.setattr(dsets, "GENERATE_CHUNK_ENTRIES", entries)
+        assert _dataset_bytes(tmp_path, spec) == default
+
+
+def test_generator_spec_rejects_a_record_of_2_gib():
+    # 9 + 4 * d + 4 * frames * cells * d bytes, the limit `load_dataset` applies
+    with pytest.raises(ContractError, match=r"^d, frames and cells give a 2147483649-byte"):
+        aligned_spec(d=1, frames=1, cells=2 ** 29 - 3)
+    assert aligned_spec(d=1, frames=1, cells=2 ** 29 - 4).cells == 2 ** 29 - 4
 
 
 def test_aligned_cross_modal_correlation():

@@ -399,6 +399,21 @@ def test_generate_rejects_bad_field_values_with_exit_2(tmp_path, capsys, change,
     assert not (tmp_path / "x.avcf").exists()
 
 
+def test_oversized_generator_spec_exits_2_in_generate_and_run(tmp_path, capsys):
+    # the record rule `load_dataset` applies: one record must stay below 2 GiB
+    spec = {"mode": "aligned", "num_classes": 2, "d": 100000, "frames": 1000,
+            "cells": 1000, "train_per_class": 2, "test_per_class": 1, "seed": 0}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert cli.main(["generate", str(spec_path), str(tmp_path / "x.avcf")]) == 2
+    assert "generator spec: d, frames and cells give a" in capsys.readouterr().err
+    assert not (tmp_path / "x.avcf").exists()
+    path = write_config(tmp_path, dataset=spec)
+    assert cli.main(["run", str(path)]) == 2
+    assert "config: dataset.d, frames and cells give a" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_divergence_exits_3_with_log_tail(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, strategy="finetune")
     exploder = Strategy("finetune", uses_memory=False, uses_teacher=False,
