@@ -19,13 +19,14 @@ model wraps them (the dtype policy of `diffmath`).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ConfigError, ContractError, FormatError
 from .fileio import canonical_json, read_input, read_json, write_atomic
 
 MAGIC = b"AVCF"
@@ -76,24 +77,6 @@ class FeatureDataset:
         if split is not None:
             hit &= self.splits == _SPLIT_NAMES[split]
         return np.flatnonzero(hit)
-
-    def validate(self) -> None:
-        """Observed classes must appear in both train and test; labels in range."""
-        n = len(self.labels)
-        if not len(self.splits) == len(self.ids) == len(self.audio) == len(self.visual) == n:
-            raise ContractError("one split tag per sample required")
-        outside = self.labels[(self.labels < 0) | (self.labels >= self.num_classes)]
-        if outside.size:
-            raise ContractError(f"label {outside[0]} outside {self.num_classes} classes")
-
-        def has(rows) -> np.ndarray:
-            """Per class: whether any of `rows` carries it."""
-            return np.bincount(self.labels[rows], minlength=self.num_classes) > 0
-
-        complete = has(self.splits == SPLIT_TRAIN) & has(self.splits == SPLIT_TEST)
-        missing = np.flatnonzero(has(slice(None)) & ~complete)
-        if missing.size:
-            raise ContractError(f"class {missing[0]} missing a train or test sample")
 
 
 @dataclass(frozen=True)
@@ -161,12 +144,16 @@ def generate_synthetic(spec: GeneratorSpec, _b_permutation: Sequence[int] | None
 
     `_b_permutation` is a test hook for xor_pairs that permutes which visual
     direction each b index uses; audio generation never reads b, so the audio
-    bytes must not change under it.
+    bytes must not change under it. Features beyond this machine's physical
+    memory raise `ConfigError` (exit 2 from the CLI) before any allocation.
     """
-    ds = _generate_aligned(spec) if spec.mode == "aligned" \
+    rows = spec.num_classes * (spec.train_per_class + spec.test_per_class)
+    size = 4 * rows * spec.d * (1 + spec.frames * spec.cells)
+    if size > (memory := os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")):
+        raise ConfigError(f"num_classes, train_per_class, test_per_class, d, frames and "
+                          f"cells give {size} bytes of features, over the {memory} bytes of memory")
+    return _generate_aligned(spec) if spec.mode == "aligned" \
         else _generate_xor(spec, _b_permutation)
-    ds.validate()
-    return ds
 
 
 def _generate_aligned(spec: GeneratorSpec) -> FeatureDataset:
@@ -316,6 +303,10 @@ def _check_records(ids, labels, splits, audio, visual, num_classes: int,
         (labels >= num_classes,
          lambda i, at: f"label {labels[i]} out of range at offset {at + 4}"),
         (~finite, lambda i, at: f"non-finite feature in record {i} at offset {at + 9}"),
+        # the model L2-normalizes each clip's audio and visual embeddings
+        (~audio.any(axis=1), lambda i, at: f"all-zero audio in record {i} at offset {at + 9}"),
+        (~visual.any(axis=(1, 2, 3)), lambda i, at:
+         f"all-zero visual grid in record {i} at offset {at + 9 + 4 * audio.shape[1]}"),
     )
     firsts = [(hits[0], rank) for rank, (bad, _) in enumerate(checks)
               if (hits := np.flatnonzero(bad)).size]

@@ -18,16 +18,24 @@ class ConfigError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """The training loss left the finite range."""
+    """Training left the finite range: a batch's loss was not finite, or a
+    forward pass met a non-finite value, named by `reason`. `epoch` and
+    `batch` are None when the step's evaluation met it."""
 
-    def __init__(self, step: int, epoch: int, batch: int, value: float):
+    def __init__(self, step: int, epoch: int | None, batch: int | None,
+                 value: float = float("nan"), reason: str = ""):
         self.step = step
         self.epoch = epoch
         self.batch = batch
         self.value = value
-        super().__init__(
-            f"non-finite loss {value!r} at step {step}, epoch {epoch}, batch {batch}"
-        )
+        self.reason = reason
+        where = "in evaluation" if epoch is None else f"epoch {epoch}, batch {batch}"
+        super().__init__(f"{reason or f'non-finite loss {value!r}'} at step {step}, {where}")
+
+    def __reduce__(self):
+        # rebuilt from its fields, not its message, when a worker process sends it back
+        return (type(self), (self.step, self.epoch, self.batch, self.value, self.reason),
+                self.__dict__)
 
 
 class VerificationFailure(RuntimeError):

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model as mdl
-from .errors import ContractError
+from .errors import ContractError, NumericDomainError
 from .objectives import TaskLayout
 
 EVAL_CHUNK = 256
@@ -68,10 +68,13 @@ def average_forgetting(matrix: AccuracyMatrix) -> float | None:
 def _forward_rows(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,
                   modality: str, output: str) -> np.ndarray:
     """One trace field ("logits" or "fused") for every row, run EVAL_CHUNK rows at a time."""
-    return np.concatenate([
+    out = np.concatenate([
         getattr(mdl.forward(params, audio[lo:lo + EVAL_CHUNK], visual[lo:lo + EVAL_CHUNK],
                             modality), output).data
         for lo in range(0, len(audio), EVAL_CHUNK)])
+    if not np.isfinite(out).all():     # a forward without a softmax lets NaN through
+        raise NumericDomainError(f"non-finite {output} in evaluation")
+    return out
 
 
 def _predict_head(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,

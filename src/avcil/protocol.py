@@ -21,7 +21,7 @@ from . import diffmath as dm
 from . import model as mdl
 from .baselines import Strategy, get_strategy
 from .datasets import FeatureDataset
-from .errors import ConfigError, ContractError, TrainingDiverged
+from .errors import ConfigError, ContractError, NumericDomainError, TrainingDiverged
 from .metrics import AccuracyMatrix, evaluate
 from .objectives import LossWeights, TaskLayout
 
@@ -61,10 +61,7 @@ class TaskSequence:
 
     def seen_classes(self, upto: int) -> Tuple[int, ...]:
         """All class ids in the first `upto` tasks, in arrival order."""
-        out: List[int] = []
-        for task in self.tasks[:upto]:
-            out.extend(task)
-        return tuple(out)
+        return tuple(c for task in self.tasks[:upto] for c in task)
 
 
 def build_task_sequence(class_ids: Sequence[int], steps: int,
@@ -91,11 +88,7 @@ def build_task_sequence(class_ids: Sequence[int], steps: int,
 
 def label_map_for(sequence: TaskSequence) -> Dict[int, int]:
     """Dataset class id -> model output index, in order of first appearance."""
-    out: Dict[int, int] = {}
-    for task in sequence.tasks:
-        for c in task:
-            out[c] = len(out)
-    return out
+    return {c: i for i, c in enumerate(sequence.seen_classes(sequence.steps))}
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +97,11 @@ def label_map_for(sequence: TaskSequence) -> Dict[int, int]:
 
 @dataclass(frozen=True)
 class ExemplarMemory:
-    """Fixed-capacity replay store: class id -> tuple of dataset rows."""
+    """Fixed-capacity replay store: class id -> int64 array of dataset rows."""
 
     capacity: int
     seed: int
-    store: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    store: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def total(self) -> int:
         return sum(len(v) for v in self.store.values())
@@ -118,10 +111,7 @@ class ExemplarMemory:
 
     def rows(self) -> np.ndarray:
         """All stored rows, classes in sorted order."""
-        out: List[int] = []
-        for c in sorted(self.store):
-            out.extend(self.store[c])
-        return np.array(out, dtype=np.int64)
+        return np.concatenate([np.zeros(0, np.int64), *(self.store[c] for c in sorted(self.store))])
 
 
 def update_memory(memory: ExemplarMemory,
@@ -142,22 +132,18 @@ def update_memory(memory: ExemplarMemory,
         return memory
     quota = memory.capacity // num_classes
     rng = _rng(memory.seed, _P_MEMORY, num_classes)
-    store: Dict[int, Tuple[int, ...]] = {}
+    store: Dict[int, np.ndarray] = {}
     for c in sorted(memory.store):
         rows = memory.store[c]
-        if len(rows) > quota:
-            rows = tuple(int(i) for i in rng.choice(np.asarray(rows), size=quota,
-                                                    replace=False))
-        store[c] = tuple(rows)
+        store[c] = rng.choice(rows, size=quota, replace=False) if len(rows) > quota else rows
     for c in sorted(new_candidates):
-        rows = [int(i) for i in new_candidates[c]]
+        rows = np.array(new_candidates[c], dtype=np.int64)
         if len(rows) < quota:
             logger.warning("class %d has %d candidates for a quota of %d; keeping all",
                            c, len(rows), quota)
-            store[c] = tuple(rows)
+            store[c] = rows
         else:
-            store[c] = tuple(int(i) for i in rng.choice(np.asarray(rows), size=quota,
-                                                        replace=False))
+            store[c] = rng.choice(rows, size=quota, replace=False)
     return ExemplarMemory(memory.capacity, memory.seed, store)
 
 
@@ -202,10 +188,6 @@ class StepState:
     memory: ExemplarMemory
     boundaries: Tuple[int, ...]     # class counts per completed task
     teacher: Optional[mdl.ModelParams] = None
-
-    @property
-    def layout(self) -> Optional[TaskLayout]:
-        return TaskLayout(self.boundaries) if self.boundaries else None
 
 
 @dataclass
@@ -286,15 +268,19 @@ def train_step(state: StepState, task_classes: Sequence[int],
             visual = dm.constant(dataset.visual[rows])
             batch_labels = labels[idx]
             mask = exemplar[idx] if config.use_vad else None
-            trace = mdl.forward(params, audio, visual, config.modality)
-            teacher_trace = (mdl.forward(teacher, audio, visual, config.modality)
-                             if teacher is not None else None)
-            loss = strategy.compose(trace, teacher_trace, batch_labels, mask,
-                                    layout, config.weights)
+            batch = start // config.batch_size
+            try:
+                trace = mdl.forward(params, audio, visual, config.modality)
+                teacher_trace = (mdl.forward(teacher, audio, visual, config.modality)
+                                 if teacher is not None else None)
+                loss = strategy.compose(trace, teacher_trace, batch_labels, mask,
+                                        layout, config.weights)
+            except NumericDomainError as err:
+                # parameters an Adam step left non-finite trip a check before the loss
+                raise TrainingDiverged(t, epoch, batch, reason=str(err)) from err
             value = float(loss.data)
             if not np.isfinite(value):
-                raise TrainingDiverged(step=t, epoch=epoch,
-                                       batch=start // config.batch_size, value=value)
+                raise TrainingDiverged(t, epoch, batch, value)
             dm.zero_grad(trainable)
             dm.backward(loss)
             dm.adam_step(trainable, opt)
@@ -330,7 +316,6 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
     Pass `events` to watch the run log grow in place — on divergence the
     caller still holds everything logged up to the failing batch.
     """
-    dataset.validate()
     strategy = get_strategy(config.strategy)
     if strategy.uses_memory and config.memory_capacity < 1:
         raise ConfigError(
@@ -372,9 +357,12 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
             exemplars = state.memory.rows()
             nme = (dataset.audio[exemplars], dataset.visual[exemplars],
                    _model_labels(label_map, dataset, exemplars))
-        overall, per_task = evaluate(state.params, dataset.audio[test], dataset.visual[test],
-                                     _model_labels(label_map, dataset, test),
-                                     state.layout, config.modality, nme)
+        try:
+            overall, per_task = evaluate(state.params, dataset.audio[test], dataset.visual[test],
+                                         _model_labels(label_map, dataset, test),
+                                         TaskLayout(state.boundaries), config.modality, nme)
+        except NumericDomainError as err:
+            raise TrainingDiverged(t, None, None, reason=str(err)) from err
         rows.append(per_task)
         overalls.append(overall)
         events.append({"event": "step_evaluated", "step": t,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from avcil import cli
 from avcil import datasets as dsets
 from avcil.datasets import FeatureDataset, GeneratorSpec
-from avcil.errors import ContractError, FormatError
+from avcil.errors import ConfigError, ContractError, FormatError
 
 
 def aligned_spec(**kw):
@@ -140,6 +140,22 @@ def test_generator_spec_rejects_a_record_of_2_gib():
     assert aligned_spec(d=1, frames=1, cells=2 ** 29 - 4).cells == 2 ** 29 - 4
 
 
+def test_generation_rejects_a_dataset_over_physical_memory(monkeypatch):
+    # the spec is valid wherever it is read; generating it checks this machine's
+    # memory before it allocates anything
+    spec = aligned_spec(num_classes=100, d=16384, frames=64, cells=64, train_per_class=20,
+                        test_per_class=20)
+    with pytest.raises(ConfigError, match=r"^num_classes, train_per_class, test_per_class, "
+                                          r"d, frames and cells give 1074003968000 bytes"):
+        dsets.generate_synthetic(spec)
+    # 32 rows of 6 audio and 2 * 3 * 6 visual float32 entries: 5376 bytes
+    monkeypatch.setattr(dsets.os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 5376}.get)
+    assert len(dsets.generate_synthetic(aligned_spec())) == 32
+    monkeypatch.setattr(dsets.os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 5375}.get)
+    with pytest.raises(ConfigError, match="5376 bytes of features, over the 5375 bytes of memory"):
+        dsets.generate_synthetic(aligned_spec())
+
+
 def test_aligned_cross_modal_correlation():
     ds = dsets.generate_synthetic(aligned_spec(num_classes=6, train_per_class=20))
     audio_mean = np.stack([ds.audio[ds.of_class(c, "train")].mean(axis=0)
@@ -190,7 +206,6 @@ def test_empty_dataset_round_trips(tmp_path):
     loaded = dsets.load_dataset(path)
     assert len(loaded) == 0 and loaded.manifest == {"note": "empty"}
     assert (loaded.d, loaded.frames, loaded.cells) == (3, 1, 1)
-    loaded.validate()
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -247,6 +262,27 @@ def test_load_rejects_non_finite_features(tmp_path, field, value):
     getattr(ds, field)[1].flat[-1] = value
     with pytest.raises(FormatError, match="non-finite feature in record 1"):
         _reload(ds, tmp_path / "nonfinite.avcf")
+
+
+@pytest.mark.parametrize("field,at", [("audio", 9), ("visual grid", 9 + 4 * 6)])
+def test_load_rejects_an_all_zero_row(tmp_path, field, at):
+    # the model L2-normalizes each clip's audio and visual embeddings
+    ds = _small_dataset()
+    getattr(ds, field.split()[0])[1] = -0.0      # a negative zero has no norm either
+    record = 9 + 4 * ds.d + 4 * ds.frames * ds.cells * ds.d
+    with pytest.raises(FormatError, match=f"^all-zero {field} in record 1 at offset "
+                                          f"{28 + record + at}$"):
+        _reload(ds, tmp_path / "zero.avcf")
+
+
+def test_load_accepts_a_row_with_one_nonzero_entry(tmp_path):
+    ds = _small_dataset()
+    ds.audio[1] = 0.0
+    ds.audio[1, -1] = np.finfo(np.float32).smallest_subnormal
+    ds.visual[1] = 0.0
+    ds.visual[1].flat[0] = -1.0
+    loaded = _reload(ds, tmp_path / "sparse.avcf")
+    assert np.array_equal(loaded.audio, ds.audio) and np.array_equal(loaded.visual, ds.visual)
 
 
 def test_load_accepts_large_finite_features(tmp_path):
@@ -403,15 +439,6 @@ def test_corrupted_dataset_loads_or_raises_format_error(flips, keep):
     assert ds.audio.shape == (n, ds.d) and ds.visual.shape == (n, ds.frames, ds.cells, ds.d)
     assert len(ds.ids) == len(ds.splits) == n
     assert np.isfinite(ds.audio).all() and np.isfinite(ds.visual).all()
-
-
-def test_validate_requires_train_and_test_presence():
-    ds = FeatureDataset(audio=np.zeros((1, 2), np.float32),
-                        visual=np.zeros((1, 1, 1, 2), np.float32),
-                        labels=np.zeros(1, dtype=np.int64), ids=np.zeros(1, dtype=np.int64),
-                        splits=np.array([dsets.SPLIT_TRAIN], dtype=np.uint8), num_classes=1)
-    with pytest.raises(ContractError, match="missing"):
-        ds.validate()
 
 
 def test_generator_spec_validation():

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import avcil.model as mdl
 import avcil.protocol as proto
 from avcil import cli, harness
 from avcil import datasets as dsets
-from avcil.baselines import Strategy
+from avcil.baselines import STRATEGY_TAGS, Strategy
 from avcil.datasets import GeneratorSpec, load_dataset
 from avcil.errors import ConfigError
 from avcil.metrics import AccuracyMatrix, average_forgetting, mean_accuracy
@@ -424,6 +425,96 @@ def test_cli_divergence_exits_3_with_log_tail(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "non-finite loss" in err
     assert "run_started" in err        # the tail of the run log is printed
+
+
+def _file_config(tmp_path, edit=lambda ds: ds, **kw):
+    """A config that reads `base_config`'s dataset, passed through `edit`, from a file."""
+    raw = base_config(tmp_path, **kw)
+    path = tmp_path / "data.avcf"
+    dsets.save_dataset(edit(dsets.generate_synthetic(GeneratorSpec(**raw.pop("dataset")))),
+                       path)
+    raw["dataset_path"] = str(path)
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    return str(tmp_path / "config.json")
+
+
+def _without_test_rows_of_class_3(ds):
+    keep = (ds.labels != 3) | (ds.splits != dsets.SPLIT_TEST)
+    return dsets.FeatureDataset(ds.audio[keep], ds.visual[keep], ds.labels[keep],
+                                ds.ids[keep], ds.splits[keep], ds.num_classes, ds.manifest)
+
+
+def _zeroed(field):
+    def edit(ds):
+        getattr(ds, field)[2] = 0.0     # a training row of class 0
+        return ds
+    return edit
+
+
+OVERSIZED_SPEC = {"mode": "aligned", "num_classes": 100, "d": 16384, "frames": 64,
+                  "cells": 64, "train_per_class": 20, "test_per_class": 20}
+
+
+def _spec_file(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(OVERSIZED_SPEC))
+    return str(tmp_path / "spec.json")
+
+
+UNTRUSTED_INPUTS = {
+    "class without test rows": (
+        lambda p: ["run", _file_config(p, _without_test_rows_of_class_3)], 2,
+        "class 3 lacks train or test samples"),
+    "all-zero audio row": (
+        lambda p: ["run", _file_config(p, _zeroed("audio"))], 2, "all-zero audio in record 2"),
+    "all-zero visual grid": (
+        lambda p: ["run", _file_config(p, _zeroed("visual"))], 2,
+        "all-zero visual grid in record 2"),
+    "oversized spec, generate": (
+        lambda p: ["generate", _spec_file(p), str(p / "out" / "x.avcf")], 2,
+        "num_classes, train_per_class, test_per_class, d, frames and cells give"),
+    "oversized spec, run": (
+        lambda p: ["run", str(write_config(p, dataset=OVERSIZED_SPEC))], 2,
+        "num_classes, train_per_class, test_per_class, d, frames and cells give"),
+    **{f"lr 1e300, {tag}": (lambda p, tag=tag: ["run", str(write_config(p, strategy=tag,
+                                                                        lr=1e300))],
+                            3, "at step 1, epoch")
+       for tag in STRATEGY_TAGS},
+    # one batch per step: the first Adam step leaves the parameters non-finite
+    # and the step's evaluation is the first to meet them
+    "lr 1e300, met in evaluation": (
+        lambda p: ["run", str(write_config(p, lr=1e300, epochs=1, batch_size=64))], 3,
+        "at step 1, in evaluation"),
+    "lr 1e300, two workers": (
+        lambda p: ["run", str(write_config(p, strategy="finetune", lr=1e300)),
+                   "--workers", "2"], 3, "at step 1, epoch"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNTRUSTED_INPUTS))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # numpy overflow while diverging
+def test_untrusted_inputs_exit_2_or_3_without_a_traceback(tmp_path, capsys, case):
+    argv, code, needle = UNTRUSTED_INPUTS[case]
+    assert cli.main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    if code == 2:       # rejected before anything is written
+        assert not (tmp_path / "out").exists()
+    else:               # the tail of the run log follows the error
+        assert "run_started" in err
+
+
+def test_result_bytes_do_not_depend_on_the_dataset_files_directory(tmp_path):
+    results = []
+    for where in ("a", "b/c"):
+        work = tmp_path / where
+        work.mkdir(parents=True)
+        assert cli.main(["run", _file_config(work, seeds=[0])]) == 0
+        results.append((work / "out" / "t" / "seed_0" / "result.json").read_bytes())
+    assert results[0] == results[1]
+    config = json.loads(results[0])["config"]
+    assert "dataset_path" not in config
+    assert config["dataset_sha256"] == \
+        hashlib.sha256((tmp_path / "a" / "data.avcf").read_bytes()).hexdigest()
 
 
 # --- cli_generate ---------------------------------------------------------

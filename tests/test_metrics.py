@@ -3,7 +3,7 @@ import pytest
 
 from avcil import metrics as mx
 from avcil import model as mdl
-from avcil.errors import ContractError
+from avcil.errors import ContractError, NumericDomainError
 from avcil.objectives import TaskLayout
 
 
@@ -78,6 +78,21 @@ def test_evaluate_rejects_label_outside_layout():
     samples = make_samples(rng, 3)
     with pytest.raises(ContractError):
         mx.evaluate(params, *samples, [0, 1, 2], TaskLayout((2,)))
+
+
+@pytest.mark.parametrize("modality", ["audio", "visual"])
+@pytest.mark.parametrize("nme", [False, True])
+def test_evaluate_rejects_non_finite_parameters_a_softmax_never_meets(modality, nme):
+    # these modalities run no attention softmax, so NaN would reach the ranking
+    rng = np.random.default_rng(8)
+    params = mdl.init_params(4, 2, seed=8)
+    params.cls_weight.data[0, 0] = np.nan                   # the head's logits
+    if nme:                                                 # the fused features
+        params.u_audio.data[0, 0] = params.u_visual.data[0, 0] = np.nan
+    samples = make_samples(rng, 4)
+    exemplars = (*make_samples(rng, 2), [0, 1]) if nme else None
+    with pytest.raises(NumericDomainError, match="non-finite"):
+        mx.evaluate(params, *samples, [0, 1, 0, 1], TaskLayout((2,)), modality, exemplars)
 
 
 def test_nme_zero_distance_exemplar_wins():
