@@ -20,7 +20,6 @@ meet a cast, so an all-float64 graph runs exactly the float64 arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,8 +32,8 @@ __all__ = [
     "DiffTensor",
     "constant",
     "parameter",
+    "view",
     "backward",
-    "zero_grad",
     "tanh",
     "exp",
     "log",
@@ -208,6 +207,15 @@ def constant(data) -> DiffTensor:
 
 def parameter(data) -> DiffTensor:
     return DiffTensor(data, requires_grad=True)
+
+
+def view(data: Array, grad: Array | None = None) -> DiffTensor:
+    """A leaf over `data` itself, not a copy. Given `grad`, an array of the
+    same shape, the leaf tracks gradients and `backward` adds them into it."""
+    out = _node(data, (), None, "leaf")
+    out.grad = grad
+    out.requires_grad = grad is not None
+    return out
 
 
 def _coerce(value) -> DiffTensor:
@@ -599,11 +607,11 @@ def backward(loss: DiffTensor) -> None:
     """Accumulate dLoss/dT into `.grad` for every tracked leaf below `loss`.
 
     Only tensors with `requires_grad` are visited. A leaf's first gradient
-    is stored as its own copy and later ones are added in place; an
-    intermediate's gradient is dropped once its VJP has run, so afterwards
-    only leaves hold a `.grad`. The loss must be a finite scalar. A second
-    call on the same node raises; build a fresh graph per optimization step
-    instead.
+    is stored as its own copy (a `view` leaf adds it into its given array)
+    and later ones are added in place; an intermediate's gradient is dropped
+    once its VJP has run, so afterwards only leaves hold a `.grad`. The loss
+    must be a finite scalar. A second call on the same node raises; build a
+    fresh graph per optimization step instead.
     """
     if loss.data.shape != ():
         raise ContractError("backward expects a scalar loss")
@@ -646,11 +654,6 @@ def backward(loss: DiffTensor) -> None:
                 parent.grad = parent.grad + g
 
 
-def zero_grad(tensors: Sequence[DiffTensor]) -> None:
-    for t in tensors:
-        t.grad = None
-
-
 def grad_check(f: Callable[[DiffTensor], DiffTensor], x: DiffTensor, h: float = 1e-5) -> float:
     """Compare analytic gradients of scalar-valued `f` against central differences.
 
@@ -691,44 +694,33 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-@dataclass
 class AdamState:
-    """Per-parameter Adam moments plus the shared step counter."""
+    """Adam's two moment vectors over one flat parameter vector, and the step counter."""
 
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
-    step_count: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
-
-    @classmethod
-    def for_params(cls, params: Sequence[DiffTensor], lr: float = 1e-3,
-                   weight_decay: float = 1e-4) -> "AdamState":
-        return cls(lr=lr, weight_decay=weight_decay,
-                   m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params])
+    def __init__(self, size: int, lr: float = 1e-3, weight_decay: float = 1e-4):
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.step_count = 0
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
 
-def adam_step(params: Sequence[DiffTensor], state: AdamState) -> None:
-    """One Adam update in place, reading each parameter's `.grad`.
+def adam_step(values: Array, grads: Array, state: AdamState) -> None:
+    """One Adam update of the flat vector `values` in place, from `grads`.
 
     Weight decay is coupled L2: the decay term joins the gradient before the
-    moment updates. A missing `.grad` counts as zero.
+    moment updates.
     """
-    if len(state.m) != len(params):
-        raise ContractError("optimizer state does not match the parameter list")
-    for p, m in zip(params, state.m):
-        if p.data.shape != m.shape:
-            raise ContractError("optimizer moment shape does not match its parameter")
+    if values.shape != state.m.shape or grads.shape != values.shape:
+        raise ContractError("optimizer state does not match the parameter vector")
     state.step_count += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step_count
     bc2 = 1.0 - ADAM_BETA2 ** state.step_count
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if state.weight_decay:
-            g = g + state.weight_decay * p.data
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+    g = grads
+    if state.weight_decay:
+        g = g + state.weight_decay * values
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (g * g)
+    values -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPSILON)

@@ -279,14 +279,10 @@ def cli_run(config_path, workers: int = 1) -> Path:
             _write_seeds(out_dir, cfg, pool.map(_seed_worker, [cfg] * len(cfg.seeds),
                                                 cfg.seeds))
     else:
-        _run_seeds(load_run_dataset(cfg), cfg, out_dir)
+        dataset = load_run_dataset(cfg)
+        _write_seeds(out_dir, cfg, ((seed, *run_one_seed(dataset, cfg, seed))
+                                    for seed in cfg.seeds))
     return out_dir
-
-
-def _run_seeds(dataset: FeatureDataset, cfg: RunConfig, out_dir: Path) -> dict:
-    """Train and write every seed of `cfg` in turn; returns the aggregate."""
-    return _write_seeds(out_dir, cfg, ((seed, *run_one_seed(dataset, cfg, seed))
-                                       for seed in cfg.seeds))
 
 
 def _write_seeds(out_dir: Path, cfg: RunConfig,
@@ -426,9 +422,14 @@ def cli_ablate(config_path) -> Path:
     dataset = load_run_dataset(cfg)
     out_dir = output_dir(cfg) / "ablate"
     table: List[dict] = []
+    # variants of one effective config (with the default use_vad,
+    # modality/audiovisual and components/i+c+vad) train once and write twice
+    trained: Dict[RunConfig, List[Tuple[int, dict, List[dict]]]] = {}
 
     def sweep(tag: str, variant: str, vcfg: RunConfig):
-        aggregate = _run_seeds(dataset, vcfg, out_dir / tag / variant.replace("+", "_"))
+        if vcfg not in trained:
+            trained[vcfg] = [(seed, *run_one_seed(dataset, vcfg, seed)) for seed in vcfg.seeds]
+        aggregate = _write_seeds(out_dir / tag / variant.replace("+", "_"), vcfg, trained[vcfg])
         flags = _active_terms(vcfg.train)
         table.append({
             "sweep": tag, "variant": variant,
@@ -460,6 +461,8 @@ def cli_export_attention(checkpoint_path, dataset_path, sample_ids: Sequence[int
     """Channel-averaged attention maps for chosen samples, one CSV pair each."""
     params = mdl.load_checkpoint(checkpoint_path)
     dataset = load_dataset(dataset_path)
+    if params.d != dataset.d:
+        raise ConfigError(f"the checkpoint has d={params.d}, the dataset d={dataset.d}")
     missing = [i for i in sample_ids if i not in dataset.ids]
     if missing:
         raise ConfigError(f"unknown sample ids: {missing}")
@@ -539,19 +542,14 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
     mask[:2] = True
     teacher = mdl.snapshot(mdl.init_params(d, 2, seed=seed + 2))
 
+    # `forward` reads the six tensors only, so replacing one leaves `flat` unread
     def through_model(x):
-        patched = mdl.ModelParams(x, params.w_visual, params.u_audio,
-                                  params.u_visual, params.cls_weight,
-                                  params.cls_bias)
-        trace = mdl.forward(patched, audio, visual)
+        trace = mdl.forward(dataclasses.replace(params, w_audio=x), audio, visual)
         teacher_trace = mdl.forward(teacher, audio, visual)
         return obj.total_loss(trace, teacher_trace, labels, mask, layout, weights)
 
     check("loss_vad", lambda x: obj.vad(
-        mdl.forward(
-            mdl.ModelParams(x, params.w_visual, params.u_audio, params.u_visual,
-                            params.cls_weight, params.cls_bias),
-            audio, visual).maps,
+        mdl.forward(dataclasses.replace(params, w_audio=x), audio, visual).maps,
         mdl.forward(teacher, audio, visual).maps,
         mask, weights.lambda_vad), params.w_audio.data.copy())
     check("loss_total", through_model, params.w_audio.data.copy())

@@ -10,6 +10,7 @@ into a linear classifier whose row count grows as classes arrive.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -28,7 +29,9 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class ModelParams:
-    """The six trainable tensors. Projections are d x d; the classifier grows."""
+    """Six tensors, each a view into the float64 vector `flat` in checkpoint
+    order; a trainable model's gradients are views into `grad` (None when
+    frozen). Projections are d x d; the classifier grows."""
 
     w_audio: DiffTensor
     w_visual: DiffTensor
@@ -36,6 +39,8 @@ class ModelParams:
     u_visual: DiffTensor
     cls_weight: DiffTensor
     cls_bias: DiffTensor
+    flat: np.ndarray
+    grad: np.ndarray | None
 
     @property
     def d(self) -> int:
@@ -77,24 +82,32 @@ class ForwardTrace:
     maps: AttentionMaps | None
 
 
+def _from_flat(flat: np.ndarray, d: int, num_classes: int, trainable: bool) -> ModelParams:
+    """Parameters whose six tensors are views into `flat`, in field order; a
+    trainable model gets one zeroed gradient vector, viewed the same way."""
+    grad = np.zeros_like(flat) if trainable else None
+    tensors = []
+    start = 0
+    for shape in [(d, d)] * 4 + [(num_classes, d), (num_classes,)]:
+        stop = start + math.prod(shape)
+        tensors.append(dm.view(flat[start:stop].reshape(shape),
+                               None if grad is None else grad[start:stop].reshape(shape)))
+        start = stop
+    return ModelParams(*tensors, flat=flat, grad=grad)
+
+
+def _uniform(seed: int, d: int, count: int) -> np.ndarray:
+    """`count` draws uniform in [-1/sqrt(d), 1/sqrt(d)] from a generator seeded with `seed`."""
+    bound = 1.0 / np.sqrt(d)
+    return np.random.default_rng(seed).uniform(-bound, bound, size=count)
+
+
 def init_params(d: int, num_classes: int, seed: int) -> ModelParams:
     """Draw all weights uniform in [-1/sqrt(d), 1/sqrt(d)]; bias starts at zero."""
     if d < 1 or num_classes < 1:
         raise ContractError("init_params needs d >= 1 and num_classes >= 1")
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(d)
-
-    def draw(shape):
-        return dm.parameter(rng.uniform(-bound, bound, size=shape))
-
-    return ModelParams(
-        w_audio=draw((d, d)),
-        w_visual=draw((d, d)),
-        u_audio=draw((d, d)),
-        u_visual=draw((d, d)),
-        cls_weight=draw((num_classes, d)),
-        cls_bias=dm.parameter(np.zeros(num_classes)),
-    )
+    flat = np.concatenate([_uniform(seed, d, (4 * d + num_classes) * d), np.zeros(num_classes)])
+    return _from_flat(flat, d, num_classes, trainable=True)
 
 
 def spatial_attention(f_audio: DiffTensor, f_visual: DiffTensor,
@@ -196,19 +209,14 @@ def _check_audio(f_audio: DiffTensor, d: int) -> tuple[int, int]:
 def expand_classifier(params: ModelParams, k_new: int, seed: int) -> ModelParams:
     """Append k_new freshly initialized rows; old rows and bias stay bit-identical.
 
-    Projections are shared with the input, so training continues warm.
+    Projections are copied bit-identical into the new vector, so training continues warm.
     """
     if k_new < 1:
         raise ContractError("expand_classifier needs k_new >= 1")
-    d = params.d
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(d)
-    new_rows = rng.uniform(-bound, bound, size=(k_new, d))
-    weight = dm.parameter(np.concatenate([params.cls_weight.data, new_rows], axis=0))
-    bias = dm.parameter(np.concatenate([params.cls_bias.data, np.zeros(k_new)]))
-    return ModelParams(w_audio=params.w_audio, w_visual=params.w_visual,
-                       u_audio=params.u_audio, u_visual=params.u_visual,
-                       cls_weight=weight, cls_bias=bias)
+    d, k = params.d, params.num_classes
+    flat = np.concatenate([params.flat[:-k], _uniform(seed, d, k_new * d),
+                           params.flat[-k:], np.zeros(k_new)])
+    return _from_flat(flat, d, k + k_new, trainable=True)
 
 
 def reinit_classifier(params: ModelParams, num_classes: int, seed: int) -> ModelParams:
@@ -216,37 +224,29 @@ def reinit_classifier(params: ModelParams, num_classes: int, seed: int) -> Model
     if num_classes < 1:
         raise ContractError("reinit_classifier needs num_classes >= 1")
     d = params.d
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(d)
-    return ModelParams(w_audio=params.w_audio, w_visual=params.w_visual,
-                       u_audio=params.u_audio, u_visual=params.u_visual,
-                       cls_weight=dm.parameter(rng.uniform(-bound, bound, size=(num_classes, d))),
-                       cls_bias=dm.parameter(np.zeros(num_classes)))
+    flat = np.concatenate([params.flat[:4 * d * d], _uniform(seed, d, num_classes * d),
+                           np.zeros(num_classes)])
+    return _from_flat(flat, d, num_classes, trainable=True)
 
 
 def snapshot(params: ModelParams) -> ModelParams:
     """Deep frozen copy for use as a distillation teacher; never trains."""
-    return ModelParams(*(DiffTensor(p.data.copy(), requires_grad=False)
-                         for p in params.parameters()))
+    return _from_flat(params.flat.copy(), params.d, params.num_classes, trainable=False)
 
 
 # --- checkpoint serialization --------------------------------------------
 
-_FIELD_ORDER = ("w_audio", "w_visual", "u_audio", "u_visual", "cls_weight", "cls_bias")
-
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Little-endian binary: magic, version, d, num_classes, then raw f64 buffers."""
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<III", CHECKPOINT_VERSION, params.d, params.num_classes)
-    for name in _FIELD_ORDER:
-        arr = np.ascontiguousarray(getattr(params, name).data, dtype="<f8")
-        blob += arr.tobytes()
-    write_atomic(path, bytes(blob))
+    """Little-endian binary: magic, version, d, num_classes, then `flat` as raw f64."""
+    header = CHECKPOINT_MAGIC + struct.pack("<III", CHECKPOINT_VERSION, params.d,
+                                            params.num_classes)
+    write_atomic(path, header + params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Trainable parameters; a wrong length, d or num_classes below 1 or a
+    non-finite value raises FormatError with the offset at fault."""
     blob = read_input(path, "checkpoint")
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic at offset 0")
@@ -255,17 +255,15 @@ def load_checkpoint(path) -> ModelParams:
     version, d, num_classes = struct.unpack_from("<III", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version} at offset 4")
-    shapes = [(d, d)] * 4 + [(num_classes, d), (num_classes,)]
-    offset = 16
-    fields = {}
-    for name, shape in zip(_FIELD_ORDER, shapes):
-        count = int(np.prod(shape))
-        end = offset + 8 * count
-        if end > len(blob):
-            raise FormatError(f"checkpoint truncated at offset {offset}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        fields[name] = dm.parameter(arr.copy())
-        offset = end
-    if offset != len(blob):
-        raise FormatError(f"trailing bytes at offset {offset}")
-    return ModelParams(**fields)
+    if d < 1 or num_classes < 1:
+        raise FormatError(f"checkpoint needs d >= 1 and num_classes >= 1, got d={d} "
+                          f"and num_classes={num_classes} at offset 8")
+    end = 16 + 8 * ((4 * d + num_classes) * d + num_classes)
+    if len(blob) != end:
+        what = "truncated" if len(blob) < end else "has trailing bytes"
+        raise FormatError(f"checkpoint {what} at offset {min(len(blob), end)}")
+    flat = np.frombuffer(blob, dtype="<f8", offset=16).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise FormatError(f"non-finite checkpoint value at offset {16 + 8 * bad[0]}")
+    return _from_flat(flat, d, num_classes, trainable=True)

@@ -35,6 +35,9 @@ _P_MEMORY = 104
 _P_REINIT = 105
 _P_TASKS = 106
 
+# numpy's overflow warnings while diverging; the finiteness checks report it
+_DIVERGING = {"over": "ignore", "invalid": "ignore"}
+
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
@@ -252,45 +255,44 @@ def train_step(state: StepState, task_classes: Sequence[int],
     labels = _model_labels(label_map, dataset, pool)
     exemplar = np.arange(len(pool)) >= len(pool) - len(replay)
 
-    trainable = params.parameters()
-    opt = dm.AdamState.for_params(trainable, lr=config.lr,
-                                  weight_decay=config.weight_decay)
+    opt = dm.AdamState(params.flat.size, lr=config.lr, weight_decay=config.weight_decay)
     curve: List[float] = []
     n = len(pool)
-    for epoch in range(config.epochs):
-        perm = _rng(config.seed, _P_SHUFFLE, t, epoch).permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            rows = pool[idx]
-            # gathered once; the teacher reads the very same tensors
-            audio = dm.constant(dataset.audio[rows])
-            visual = dm.constant(dataset.visual[rows])
-            batch_labels = labels[idx]
-            mask = exemplar[idx] if config.use_vad else None
-            batch = start // config.batch_size
-            try:
-                trace = mdl.forward(params, audio, visual, config.modality)
-                teacher_trace = (mdl.forward(teacher, audio, visual, config.modality)
-                                 if teacher is not None else None)
-                loss = strategy.compose(trace, teacher_trace, batch_labels, mask,
-                                        layout, config.weights)
-            except NumericDomainError as err:
-                # parameters an Adam step left non-finite trip a check before the loss
-                raise TrainingDiverged(t, epoch, batch, reason=str(err)) from err
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDiverged(t, epoch, batch, value)
-            dm.zero_grad(trainable)
-            dm.backward(loss)
-            dm.adam_step(trainable, opt)
-            # free this batch's graph before the next forward builds its own
-            del trace, teacher_trace, loss, audio, visual
-            total += value * len(rows)
-        curve.append(total / n)
-        if events is not None:
-            events.append({"event": "epoch_loss", "step": t, "epoch": epoch,
-                           "loss": curve[-1]})
+    with np.errstate(**_DIVERGING):
+        for epoch in range(config.epochs):
+            perm = _rng(config.seed, _P_SHUFFLE, t, epoch).permutation(n)
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = perm[start:start + config.batch_size]
+                rows = pool[idx]
+                # gathered once; the teacher reads the very same tensors
+                audio = dm.constant(dataset.audio[rows])
+                visual = dm.constant(dataset.visual[rows])
+                batch_labels = labels[idx]
+                mask = exemplar[idx] if config.use_vad else None
+                batch = start // config.batch_size
+                try:
+                    trace = mdl.forward(params, audio, visual, config.modality)
+                    teacher_trace = (mdl.forward(teacher, audio, visual, config.modality)
+                                     if teacher is not None else None)
+                    loss = strategy.compose(trace, teacher_trace, batch_labels, mask,
+                                            layout, config.weights)
+                except NumericDomainError as err:
+                    # parameters an Adam step left non-finite trip a check before the loss
+                    raise TrainingDiverged(t, epoch, batch, reason=str(err)) from err
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise TrainingDiverged(t, epoch, batch, value)
+                params.grad.fill(0.0)
+                dm.backward(loss)
+                dm.adam_step(params.flat, params.grad, opt)
+                # free this batch's graph before the next forward builds its own
+                del trace, teacher_trace, loss, audio, visual
+                total += value * len(rows)
+            curve.append(total / n)
+            if events is not None:
+                events.append({"event": "epoch_loss", "step": t, "epoch": epoch,
+                               "loss": curve[-1]})
 
     memory = state.memory
     if strategy.uses_memory:
@@ -358,9 +360,11 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
             nme = (dataset.audio[exemplars], dataset.visual[exemplars],
                    _model_labels(label_map, dataset, exemplars))
         try:
-            overall, per_task = evaluate(state.params, dataset.audio[test], dataset.visual[test],
-                                         _model_labels(label_map, dataset, test),
-                                         TaskLayout(state.boundaries), config.modality, nme)
+            with np.errstate(**_DIVERGING):
+                overall, per_task = evaluate(state.params, dataset.audio[test],
+                                             dataset.visual[test],
+                                             _model_labels(label_map, dataset, test),
+                                             TaskLayout(state.boundaries), config.modality, nme)
         except NumericDomainError as err:
             raise TrainingDiverged(t, None, None, reason=str(err)) from err
         rows.append(per_task)

@@ -324,16 +324,16 @@ def test_forward_is_bit_deterministic():
 
 def test_adam_zero_grad_zero_decay_is_noop():
     p = dm.parameter([1.0, -2.0])
-    st_ = dm.AdamState.for_params([p], lr=0.1, weight_decay=0.0)
-    dm.adam_step([p], st_)
+    st_ = dm.AdamState(p.data.size, lr=0.1, weight_decay=0.0)
+    dm.adam_step(p.data, np.zeros(2), st_)
     assert np.array_equal(p.data, [1.0, -2.0])
 
 
 def test_adam_single_step_hand_trace():
     p = dm.parameter([0.5])
     p.grad = np.array([0.2])
-    st_ = dm.AdamState.for_params([p], lr=0.1, weight_decay=0.0)
-    dm.adam_step([p], st_)
+    st_ = dm.AdamState(p.data.size, lr=0.1, weight_decay=0.0)
+    dm.adam_step(p.data, p.grad, st_)
     m = 0.1 * 0.2
     v = 0.001 * 0.2 ** 2
     mh = m / (1 - 0.9)
@@ -346,8 +346,8 @@ def test_adam_single_step_hand_trace():
 def test_adam_weight_decay_couples_into_gradient():
     p = dm.parameter([2.0])
     p.grad = np.array([0.0])
-    st_ = dm.AdamState.for_params([p], lr=0.1, weight_decay=0.5)
-    dm.adam_step([p], st_)
+    st_ = dm.AdamState(p.data.size, lr=0.1, weight_decay=0.5)
+    dm.adam_step(p.data, p.grad, st_)
     g = 0.5 * 2.0
     mh = (0.1 * g) / (1 - 0.9)
     vh = (0.001 * g * g) / (1 - 0.999)
@@ -357,13 +357,13 @@ def test_adam_weight_decay_couples_into_gradient():
 
 def test_adam_two_step_recursion():
     p = dm.parameter([1.0])
-    st_ = dm.AdamState.for_params([p], lr=0.01, weight_decay=0.0)
+    st_ = dm.AdamState(p.data.size, lr=0.01, weight_decay=0.0)
     m = v = 0.0
     x = 1.0
     for step in (1, 2):
         p.grad = np.array([2.0 * p.data[0]])
         g = 2.0 * x
-        dm.adam_step([p], st_)
+        dm.adam_step(p.data, p.grad, st_)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         x = x - 0.01 * (m / (1 - 0.9 ** step)) / (math.sqrt(v / (1 - 0.999 ** step)) + 1e-8)
@@ -373,24 +373,68 @@ def test_adam_two_step_recursion():
 def test_adam_state_mismatch_raises():
     p = dm.parameter([1.0])
     q = dm.parameter([2.0])
-    st_ = dm.AdamState.for_params([p])
+    st_ = dm.AdamState(p.data.size)
     with pytest.raises(ContractError):
-        dm.adam_step([p, q], st_)
+        dm.adam_step(np.concatenate([p.data, q.data]), np.zeros(2), st_)
 
 
 def test_adam_is_deterministic():
     def run():
         rng = np.random.default_rng(9)
         p = dm.parameter(rng.normal(size=(3, 3)))
-        st_ = dm.AdamState.for_params([p], lr=0.05, weight_decay=0.01)
+        st_ = dm.AdamState(p.data.size, lr=0.05, weight_decay=0.01)
         for _ in range(5):
             loss = dm.tanh(p).sum()
             dm.backward(loss)
-            dm.adam_step([p], st_)
-            dm.zero_grad([p])
+            dm.adam_step(p.data.reshape(-1), p.grad.reshape(-1), st_)
+            p.grad.fill(0.0)
         return p.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+def _adam_per_tensor(tensors, grads, m, v, step, lr, weight_decay):
+    """The per-tensor Adam loop, kept as the reference for the flat update."""
+    bc1 = 1.0 - 0.9 ** step
+    bc2 = 1.0 - 0.999 ** step
+    for p, g, mt, vt in zip(tensors, grads, m, v):
+        if weight_decay:
+            g = g + weight_decay * p
+        mt *= 0.9
+        mt += (1.0 - 0.9) * g
+        vt *= 0.999
+        vt += (1.0 - 0.999) * (g * g)
+        p -= lr * (mt / bc1) / (np.sqrt(vt / bc2) + 1e-8)
+
+
+def test_adam_on_the_flat_vector_equals_the_per_tensor_loop_bitwise():
+    rng = np.random.default_rng(10)
+    shapes = [(4, 4)] * 4 + [(3, 4), (3,)]
+    sizes = [math.prod(s) for s in shapes]
+    flat = rng.uniform(-0.5, 0.5, size=sum(sizes))
+    grad = np.zeros_like(flat)
+    ends = np.cumsum(sizes)[:-1]
+    tensors = [t.reshape(s).copy() for t, s in zip(np.split(flat, ends), shapes)]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    st_ = dm.AdamState(flat.size, lr=0.01, weight_decay=1e-4)
+    for step in range(1, 6):
+        grad[:] = rng.normal(size=flat.size) * 10.0 ** rng.integers(-6, 3)
+        dm.adam_step(flat, grad, st_)
+        _adam_per_tensor(tensors, [g.reshape(s) for g, s in zip(np.split(grad, ends), shapes)],
+                         m, v, step, 0.01, 1e-4)
+        for t, s, piece in zip(tensors, shapes, np.split(flat, ends)):
+            assert np.array_equal(piece.reshape(s), t)
+    for mt, vt, mp, vp in zip(m, v, np.split(st_.m, ends), np.split(st_.v, ends)):
+        assert np.array_equal(mp, mt.reshape(-1)) and np.array_equal(vp, vt.reshape(-1))
+
+
+def test_adam_state_holds_two_vectors_and_no_lists():
+    st_ = dm.AdamState(7, lr=0.1, weight_decay=0.0)
+    assert not any(isinstance(value, list) for value in vars(st_).values())
+    for moment in (st_.m, st_.v):
+        assert isinstance(moment, np.ndarray) and moment.shape == (7,)
+        assert moment.dtype == np.float64 and not moment.any()
 
 
 # --- fused primitives against the composites they replace -----------------

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import sys
 from pathlib import Path
 
@@ -460,6 +461,30 @@ def _spec_file(tmp_path):
     return str(tmp_path / "spec.json")
 
 
+def _export_with_checkpoint(tmp_path, d, edit=lambda blob: None):
+    """`export-attention` argv over a d=4 dataset file and the checkpoint of a
+    d-dimensional model, its bytes passed through `edit`."""
+    spec = GeneratorSpec(mode="aligned", num_classes=2, d=4, frames=2, cells=2,
+                         train_per_class=2, test_per_class=1)
+    dsets.save_dataset(dsets.generate_synthetic(spec), tmp_path / "ds.avcf")
+    path = tmp_path / "m.avcp"
+    mdl.save_checkpoint(mdl.init_params(d, 2, seed=0), path)
+    blob = bytearray(path.read_bytes())
+    edit(blob)
+    path.write_bytes(bytes(blob))
+    return ["export-attention", str(path), str(tmp_path / "ds.avcf"), str(tmp_path / "out"),
+            "--samples", "0"]
+
+
+def _nan_in_value_7(blob):
+    blob[16 + 8 * 7:16 + 8 * 8] = struct.pack("<d", float("nan"))
+
+
+def _header_of_no_model(blob):
+    blob[8:16] = bytes(8)       # d = 0, num_classes = 0
+    del blob[16:]
+
+
 UNTRUSTED_INPUTS = {
     "class without test rows": (
         lambda p: ["run", _file_config(p, _without_test_rows_of_class_3)], 2,
@@ -487,11 +512,19 @@ UNTRUSTED_INPUTS = {
     "lr 1e300, two workers": (
         lambda p: ["run", str(write_config(p, strategy="finetune", lr=1e300)),
                    "--workers", "2"], 3, "at step 1, epoch"),
+    "checkpoint with a NaN": (
+        lambda p: _export_with_checkpoint(p, 4, _nan_in_value_7), 2,
+        "non-finite checkpoint value at offset 72"),
+    "checkpoint of d=5, dataset of d=4": (
+        lambda p: _export_with_checkpoint(p, 5), 2, "the checkpoint has d=5, the dataset d=4"),
+    "checkpoint of d=0 and no classes": (
+        lambda p: _export_with_checkpoint(p, 4, _header_of_no_model), 2,
+        "checkpoint needs d >= 1 and num_classes >= 1, got d=0 and num_classes=0"),
 }
 
 
 @pytest.mark.parametrize("case", list(UNTRUSTED_INPUTS))
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # numpy overflow while diverging
+@pytest.mark.filterwarnings("error::RuntimeWarning")      # diverging runs warn nothing
 def test_untrusted_inputs_exit_2_or_3_without_a_traceback(tmp_path, capsys, case):
     argv, code, needle = UNTRUSTED_INPUTS[case]
     assert cli.main(argv(tmp_path)) == code

@@ -1,5 +1,11 @@
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcil import diffmath as dm
 from avcil import model as mdl
@@ -210,9 +216,11 @@ def test_expand_classifier_preserves_old_logits_bitwise():
 
 def test_expand_classifier_shares_projections():
     p = mdl.init_params(4, 3, seed=12)
+    before = p.flat.copy()
     grown = mdl.expand_classifier(p, 1, seed=0)
-    assert grown.w_audio is p.w_audio
-    assert grown.u_visual is p.u_visual
+    assert np.array_equal(grown.w_audio.data, p.w_audio.data)
+    assert np.array_equal(grown.u_visual.data, p.u_visual.data)
+    assert np.array_equal(p.flat, before)
 
 
 def test_snapshot_is_frozen_and_detached():
@@ -249,6 +257,117 @@ def test_checkpoint_rejects_bad_magic_and_truncation(tmp_path):
     short.write_bytes(path.read_bytes()[:40])
     with pytest.raises(FormatError):
         mdl.load_checkpoint(short)
+
+
+# the six fields in checkpoint order, the order they take in `flat`
+FIELDS = ("w_audio", "w_visual", "u_audio", "u_visual", "cls_weight", "cls_bias")
+
+
+def _assert_views_of_the_vector(params, trainable):
+    """Each field is a view of `flat` at its place in field order, and a
+    trainable model's gradients are the matching views of `grad`."""
+    assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+    assert (params.grad is not None) == trainable
+    start = 0
+    for name in FIELDS:
+        t = getattr(params, name)
+        assert t.data.base is params.flat
+        assert t.data.ctypes.data == params.flat.ctypes.data + 8 * start
+        assert t.requires_grad == trainable
+        if trainable:
+            assert t.grad.base is params.grad and t.grad.shape == t.data.shape
+            assert t.grad.ctypes.data == params.grad.ctypes.data + 8 * start
+        else:
+            assert t.grad is None
+        start += t.data.size
+    assert start == params.flat.size
+
+
+def test_every_field_is_a_view_of_the_flat_vector(tmp_path):
+    p = mdl.init_params(4, 3, seed=16)
+    _assert_views_of_the_vector(p, trainable=True)
+    grown = mdl.expand_classifier(p, 2, seed=1)
+    _assert_views_of_the_vector(grown, trainable=True)
+    assert grown.num_classes == 5
+    retrained = mdl.reinit_classifier(grown, 5, seed=2)
+    _assert_views_of_the_vector(retrained, trainable=True)
+    mdl.save_checkpoint(retrained, tmp_path / "m.avcp")
+    loaded = mdl.load_checkpoint(tmp_path / "m.avcp")
+    _assert_views_of_the_vector(loaded, trainable=True)
+    assert np.array_equal(loaded.flat, retrained.flat)
+    frozen = mdl.snapshot(loaded)
+    _assert_views_of_the_vector(frozen, trainable=False)
+    assert not np.shares_memory(frozen.flat, loaded.flat)
+
+
+def test_backward_accumulates_into_the_gradient_vector():
+    params = mdl.init_params(4, 4, seed=17)
+    teacher = mdl.snapshot(mdl.init_params(4, 2, seed=18))
+    batch = make_batch(np.random.default_rng(23), 5, 2, 3, 4)
+    dm.backward(_loss_on(params, teacher, *batch)[1])
+    once = params.grad.copy()
+    assert np.any(once != 0.0)
+    dm.backward(_loss_on(params, teacher, *batch)[1])     # no zeroing in between
+    # each leaf may take several terms, so the sum is equal up to rounding
+    assert np.allclose(params.grad, 2.0 * once, rtol=1e-12, atol=1e-15)
+    for name in FIELDS:
+        assert getattr(params, name).grad.base is params.grad
+    assert teacher.grad is None
+
+
+def test_checkpoint_bytes_are_the_header_and_the_vector(tmp_path):
+    # the checkpoint format: bytes every saved checkpoint depends on
+    mdl.save_checkpoint(mdl.init_params(5, 4, seed=14), tmp_path / "m.avcp")
+    blob = (tmp_path / "m.avcp").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "f611b77c3acc50876a9728483f9ece85c7580df68f7392a9a497d6f0b1a88fd7"
+    assert blob[16:] == mdl.init_params(5, 4, seed=14).flat.astype("<f8").tobytes()
+
+
+# a d=3, two-class checkpoint is 16 + 8 * 44 = 368 bytes
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: b + bytes(8), "checkpoint has trailing bytes at offset 368"),
+    (lambda b: b[:-1], "checkpoint truncated at offset 367"),
+])
+def test_checkpoint_rejects_any_length_but_the_exact_one(tmp_path, edit, message):
+    mdl.save_checkpoint(mdl.init_params(3, 2, seed=15), tmp_path / "m.avcp")
+    (tmp_path / "bad.avcp").write_bytes(edit((tmp_path / "m.avcp").read_bytes()))
+    with pytest.raises(FormatError, match=message):
+        mdl.load_checkpoint(tmp_path / "bad.avcp")
+
+
+def _checkpoint_source() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.avcp"
+        mdl.save_checkpoint(mdl.init_params(3, 2, seed=15), path)
+        return path.read_bytes()
+
+
+CHECKPOINT_SOURCE = _checkpoint_source()
+# half the writes land in the 16-byte header, where d and num_classes live
+CHECKPOINT_POSITIONS = st.one_of(st.integers(0, 15),
+                                 st.integers(0, len(CHECKPOINT_SOURCE) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(writes=st.lists(st.tuples(CHECKPOINT_POSITIONS, st.integers(0, 255)), max_size=4),
+       keep=st.none() | st.integers(0, len(CHECKPOINT_SOURCE)))
+def test_corrupted_checkpoint_loads_or_raises_format_error(writes, keep):
+    blob = bytearray(CHECKPOINT_SOURCE)
+    for pos, value in writes:
+        blob[pos] = value
+    if keep is not None:
+        del blob[keep:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.avcp"
+        path.write_bytes(bytes(blob))
+        try:
+            params = mdl.load_checkpoint(path)
+        except FormatError:
+            return
+    assert np.isfinite(params.flat).all()
+    assert params.d >= 1 and params.num_classes >= 1
+    _assert_views_of_the_vector(params, trainable=True)
 
 
 # --- dtype policy: the attention block runs in the features' float32 --------
@@ -291,11 +410,11 @@ def test_float32_features_keep_the_attention_maps_float32_and_all_else_float64()
     for t in (trace.audio, trace.attended_visual, trace.fused, trace.logits, loss):
         assert t.data.dtype == np.float64
     dm.backward(loss)
-    opt = dm.AdamState.for_params(params.parameters())
-    dm.adam_step(params.parameters(), opt)
-    for p, m, v in zip(params.parameters(), opt.m, opt.v):
+    opt = dm.AdamState(params.flat.size)
+    dm.adam_step(params.flat, params.grad, opt)
+    for p in params.parameters():
         assert p.grad.dtype == np.float64 and p.data.dtype == np.float64
-        assert m.dtype == np.float64 and v.dtype == np.float64
+    assert opt.m.dtype == np.float64 and opt.v.dtype == np.float64
 
 
 def test_float32_and_float64_paths_agree_on_parameter_gradients():
