@@ -13,8 +13,8 @@ everything else, every tensor of (N, d) or fewer axes included, is float64.
 The fused primitives `tanh_matmul`, `softmax_of_product` and `product_sum`
 compute in float32 when either operand is float32, return a result of two or
 fewer axes as float64, and hand each operand its gradient in its own dtype.
-`kl_rows` and `kl_rows_at` always compute in float64. Float64 inputs never
-meet a cast, so an all-float64 graph runs exactly the float64 arithmetic.
+`kl_rows` always computes in float64. Float64 inputs never meet a cast, so an
+all-float64 graph runs exactly the float64 arithmetic.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "product_sum",
     "nll",
     "kl_rows",
-    "kl_rows_at",
     "grad_check",
     "AdamState",
     "adam_step",
@@ -508,76 +507,57 @@ def _kl_grads(p: Array, q: Array, clamp: float, gs: float,
     return gp, gq
 
 
-def kl_rows(p: DiffTensor, q: DiffTensor, axis: int, clamp: float = 1e-12) -> DiffTensor:
-    """Mean KL divergence over the distributions stacked in `p` and `q`.
-
-    Each slice along `axis` must be a probability vector; the result is the
-    mean over all such slices of sum_i p_i * log(p_i / q_i). Zero p entries
-    contribute zero; q is clamped below at `clamp` inside the log only.
-    Differentiable in both arguments; computed in float64.
-    """
-    if p.shape != q.shape:
-        raise ContractError(f"kl_rows shape mismatch: {p.shape} vs {q.shape}")
-    ax = _check_axis(axis, p.ndim)
-    p64 = p.data.astype(np.float64, copy=False)
-    q64 = q.data.astype(np.float64, copy=False)
-    _kl_check(p64, q64, ax)
-    n_slices = _kl_slices(p.shape, ax)
-    value = _kl_sum(p64, q64, clamp) / n_slices
-
-    def vjp(g: Array):
-        gp, gq = _kl_grads(p64, q64, clamp, float(g) / n_slices,
-                           p.requires_grad, q.requires_grad)
-        return _in_dtype(gp, p), _in_dtype(gq, q)
-
-    return _node(_as_f64(value), (p, q), vjp, "kl_rows")
-
-
-# kl_rows_at gathers its rows in chunks of about this many entries, so its
+# kl_rows gathers given rows in chunks of about this many entries, so its
 # float64 temporaries stay small whatever the size of the maps
 KL_CHUNK_ENTRIES = 1 << 16
 
 
-def kl_rows_at(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], rows,
-               weights: Sequence[float], clamp: float = 1e-12) -> DiffTensor:
-    """sum_k weights[k] * kl_rows(p_k[rows], q_k[rows], axis_k) as one node.
+def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequence[float],
+            rows=None, clamp: float = 1e-12) -> DiffTensor:
+    """sum_k weights[k] * mean KL(p_k || q_k) over the distributions along
+    axis_k, as one node.
 
-    Each (p, q, axis) of `pairs` is read at the strictly increasing axis-0
-    indices `rows` only, in float64 whatever its dtype, so the sum-to-1 check keeps
-    its tolerance on float32 maps. `axis` must not be 0: each row holds
-    whole distributions. A tracked operand's gradient is written into those
-    rows and is zero elsewhere.
+    Each such slice must be a probability vector; zero p entries contribute
+    zero and q is clamped below at `clamp` inside the log only. Computed in
+    float64, so the sum-to-1 check keeps its tolerance on float32 maps. With
+    no `rows` each pair is read whole along any axis. Given strictly
+    increasing axis-0 `rows`, pairs are read at those rows only, `axis` must
+    not be 0 (a row holds whole distributions), and a tracked operand's
+    gradient is written into those rows and is zero elsewhere.
     """
-    idx = np.asarray(rows, dtype=np.int64)
     if len(pairs) != len(weights) or not pairs:
-        raise ContractError("kl_rows_at needs one weight per (p, q, axis) pair")
-    if idx.ndim != 1 or idx.size == 0 or np.any(idx[1:] <= idx[:-1]):
-        raise ContractError("kl_rows_at needs a non-empty, strictly increasing 1-d row array")
+        raise ContractError("kl_rows needs one weight per (p, q, axis) pair")
+    idx = None if rows is None else np.asarray(rows, dtype=np.int64)
+    if idx is not None and (idx.ndim != 1 or idx.size == 0 or np.any(idx[1:] <= idx[:-1])):
+        raise ContractError("kl_rows needs a non-empty, strictly increasing 1-d row array")
     axes, n_slices, chunks = [], [], []
     for p, q, axis in pairs:
         if p.shape != q.shape:
             raise ContractError(f"kl_rows shape mismatch: {p.shape} vs {q.shape}")
         ax = _check_axis(axis, p.ndim)
-        if ax == 0:
-            raise ContractError("kl_rows_at distributions must lie along a non-row axis")
-        if idx[0] < 0 or idx[-1] >= p.shape[0]:
-            raise ContractError("kl_rows_at row out of range")
         axes.append(ax)
-        n_slices.append(_kl_slices((idx.size, *p.shape[1:]), ax))
+        n_slices.append(_kl_slices(p.shape if idx is None else (idx.size, *p.shape[1:]), ax))
+        if idx is None:
+            chunks.append([None])
+            continue
+        if ax == 0:
+            raise ContractError("kl_rows distributions must lie along a non-row axis")
+        if idx[0] < 0 or idx[-1] >= p.shape[0]:
+            raise ContractError("kl_rows row out of range")
         step = max(1, KL_CHUNK_ENTRIES // (p.data.size // p.shape[0]))
         chunks.append([idx[i:i + step] for i in range(0, idx.size, step)])
 
-    def rows64(t: DiffTensor, at: Array) -> Array:
-        return t.data[at].astype(np.float64, copy=False)
+    def read64(t: DiffTensor, at: Array | None) -> Array:
+        return (t.data if at is None else t.data[at]).astype(np.float64, copy=False)
 
-    # the rows are gathered again by the VJP rather than kept alive until then
+    # the operands are read again by the VJP rather than kept alive until then
     total = None
     for (p, q, _), ax, n, parts, w in zip(pairs, axes, n_slices, chunks, weights):
         kl_sum = None
         for at in parts:
-            p_rows, q_rows = rows64(p, at), rows64(q, at)
-            _kl_check(p_rows, q_rows, ax)
-            part = _kl_sum(p_rows, q_rows, clamp)
+            p64, q64 = read64(p, at), read64(q, at)
+            _kl_check(p64, q64, ax)
+            part = _kl_sum(p64, q64, clamp)
             kl_sum = part if kl_sum is None else kl_sum + part
         term = kl_sum / n * w
         total = term if total is None else total + term
@@ -586,9 +566,14 @@ def kl_rows_at(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], rows,
         out: list[Array | None] = []
         for (p, q, _), n, parts, w in zip(pairs, n_slices, chunks, weights):
             gs = float(g) * w / n
+            if idx is None:
+                gp, gq = _kl_grads(read64(p, None), read64(q, None), clamp, gs,
+                                   p.requires_grad, q.requires_grad)
+                out += (_in_dtype(gp, p), _in_dtype(gq, q))
+                continue
             full = [np.zeros_like(t.data) if t.requires_grad else None for t in (p, q)]
             for at in parts:
-                grads = _kl_grads(rows64(p, at), rows64(q, at), clamp, gs,
+                grads = _kl_grads(read64(p, at), read64(q, at), clamp, gs,
                                   p.requires_grad, q.requires_grad)
                 for dest, grad in zip(full, grads):
                     if dest is not None:
@@ -597,7 +582,7 @@ def kl_rows_at(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], rows,
         return tuple(out)
 
     parents = tuple(t for p, q, _ in pairs for t in (p, q))
-    return _node(_as_f64(total), parents, vjp, "kl_rows_at")
+    return _node(_as_f64(total), parents, vjp, "kl_rows")
 
 
 # --- backward pass --------------------------------------------------------

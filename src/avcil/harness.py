@@ -515,10 +515,10 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
     check("take", lambda x: dm.take(x, np.array([0, 2, 2])).sum(), a)
     check("slice", lambda x: dm.slice_axis(x, 1, 1, 4).sum(), a)
     q = rng.dirichlet(np.ones(d), size=n)
-    check("kl_rows_p", lambda x: dm.kl_rows(dm.softmax(x, axis=1),
-                                            dm.constant(q), axis=1), a)
-    check("kl_rows_q", lambda x: dm.kl_rows(dm.constant(q),
-                                            dm.softmax(x, axis=1), axis=1), a)
+    check("kl_rows_p", lambda x: dm.kl_rows(((dm.softmax(x, axis=1), dm.constant(q), 1),),
+                                            (1.0,)), a)
+    check("kl_rows_q", lambda x: dm.kl_rows(((dm.constant(q), dm.softmax(x, axis=1), 1),),
+                                            (1.0,)), a)
 
     labels = rng.integers(0, classes, size=n)
     labels[:2] = [0, classes - 1]          # both blocks populated
@@ -582,9 +582,16 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
     def kl_at(x, side):
         pair = [dm.constant(q_grid), dm.constant(q_grid)]
         pair[side] = dm.softmax(x, axis=1)
-        return dm.kl_rows_at(((*pair, 1), fixed), kl_at_rows, (0.3, 0.7))
+        return dm.kl_rows(((*pair, 1), fixed), (0.3, 0.7), kl_at_rows)
 
-    check("kl_rows_at_p", lambda x: kl_at(x, 0), grid)
-    check("kl_rows_at_q", lambda x: kl_at(x, 1), grid)
+    check("kl_rows_given_rows_p", lambda x: kl_at(x, 0), grid)
+    check("kl_rows_given_rows_q", lambda x: kl_at(x, 1), grid)
+
+    # tkd over two previous blocks, one kl_rows node of two pairs; drawn
+    # last so every row above sees the same numbers
+    three_tasks = TaskLayout((2, 2, 2))
+    teacher_old = rng.normal(size=(n, three_tasks.old_count))
+    check("loss_tkd_three_tasks", lambda x: obj.tkd(x, dm.constant(teacher_old), three_tasks),
+          rng.normal(size=(n, three_tasks.total_classes)))
     return report
 

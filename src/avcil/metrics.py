@@ -90,13 +90,13 @@ def nme_classify(params: mdl.ModelParams, ex_audio: np.ndarray, ex_visual: np.nd
 
     Class means come from the exemplars (`ex_audio`, `ex_visual`); every
     class below `num_classes` needs at least one. The queries are `audio`,
-    `visual`. Distance ties resolve to the lowest class index.
+    `visual`. Distance ties resolve to the lowest class index. It runs the
+    parameters it is given; `evaluate` hands it a frozen snapshot.
     """
     labels = np.asarray(exemplar_labels, dtype=np.int64)
     if len(ex_audio) != labels.size:
         raise ContractError("one label per exemplar required")
-    frozen = mdl.snapshot(params)
-    feats = _forward_rows(frozen, ex_audio, ex_visual, modality, "fused")
+    feats = _forward_rows(params, ex_audio, ex_visual, modality, "fused")
     means = np.empty((num_classes, feats.shape[1]))
     for c in range(num_classes):
         rows = feats[labels == c]
@@ -107,7 +107,7 @@ def nme_classify(params: mdl.ModelParams, ex_audio: np.ndarray, ex_visual: np.nd
     if np.any(norms == 0.0):
         raise ContractError("a class mean has zero norm")
     means /= norms
-    q = _forward_rows(frozen, audio, visual, modality, "fused")
+    q = _forward_rows(params, audio, visual, modality, "fused")
     qn = np.linalg.norm(q, axis=1, keepdims=True)
     if np.any(qn == 0.0):
         raise ContractError("a query feature has zero norm")

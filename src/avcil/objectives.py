@@ -5,7 +5,8 @@ All losses are scalar DiffTensors built from the primitives in `diffmath`, so
 a single backward pass yields gradients through every active term. Terms with
 a zero weight are skipped rather than multiplied by zero, which keeps a run
 with disabled components bit-identical to one that never constructs them.
-The four softmax heads are one `dm.nll` node each, told apart by their masks.
+The four softmax heads are one `dm.nll` node each, told apart by their masks;
+the two distillation terms, `tkd` and `vad`, are one `dm.kl_rows` node each.
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ def vad(current: AttentionMaps, teacher: AttentionMaps, exemplar_mask,
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return dm.constant(0.0)
-    return dm.kl_rows_at(((current.spatial, teacher.spatial, 2),
-                          (current.temporal, teacher.temporal, 1)),
-                         idx, (lambda_vad, 1.0 - lambda_vad))
+    return dm.kl_rows(((current.spatial, teacher.spatial, 2),
+                       (current.temporal, teacher.temporal, 1)),
+                      (lambda_vad, 1.0 - lambda_vad), idx)
 
 
 def cross_entropy(logits: DiffTensor, labels) -> DiffTensor:
@@ -183,8 +184,8 @@ def ss_ce(logits: DiffTensor, labels, layout: TaskLayout) -> DiffTensor:
 def tkd(logits: DiffTensor, teacher_logits: DiffTensor, layout: TaskLayout) -> DiffTensor:
     """Task-wise knowledge distillation.
 
-    Per previous task block, softmax both models within the block and take
-    the batch-mean KL from current to teacher; blocks sum.
+    Per previous task block, softmax both models within the block; the
+    batch-mean KLs from current to teacher sum in one `kl_rows` node.
     """
     if layout.step < 2:
         raise ContractError("distillation needs at least one previous task")
@@ -192,13 +193,13 @@ def tkd(logits: DiffTensor, teacher_logits: DiffTensor, layout: TaskLayout) -> D
         raise ContractError("teacher logits must cover exactly the previous tasks")
     if logits.shape[1] != layout.total_classes:
         raise ContractError("logit width does not match the layout")
-    parts: list[DiffTensor] = []
+    pairs = []
     for task in range(layout.step - 1):
         lo, hi = layout.block_bounds(task)
         cur = dm.softmax(dm.slice_axis(logits, 1, lo, hi), axis=1)
         tea = dm.softmax(dm.slice_axis(teacher_logits, 1, lo, hi), axis=1)
-        parts.append(dm.kl_rows(cur, tea, axis=1))
-    return _chain_sum(parts)
+        pairs.append((cur, tea, 1))
+    return dm.kl_rows(pairs, [1.0] * len(pairs))
 
 
 def total_loss(trace: ForwardTrace, teacher_trace: ForwardTrace | None, labels,

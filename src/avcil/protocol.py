@@ -208,8 +208,9 @@ class RunResult:
 
 def _model_labels(label_map: Dict[int, int], dataset: FeatureDataset,
                   rows: np.ndarray) -> np.ndarray:
-    """Model output index of each row's class."""
-    lookup = np.zeros(dataset.num_classes, dtype=np.int64)
+    """Model output index of each row's class; only rows of the run's classes
+    are looked up, so the table is sized by them, not by the dataset header."""
+    lookup = np.zeros(max(label_map) + 1, dtype=np.int64)
     lookup[list(label_map)] = list(label_map.values())
     return lookup[dataset.labels[rows]]
 

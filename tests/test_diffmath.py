@@ -87,33 +87,33 @@ def test_softmax_rows_are_distributions(xs):
 
 def test_kl_rows_identical_is_zero():
     p = dm.constant([[0.25, 0.75], [0.5, 0.5]])
-    assert dm.kl_rows(p, dm.constant(p.data.copy()), axis=1).item() == 0.0
+    assert dm.kl_rows(((p, dm.constant(p.data.copy()), 1),), (1.0,)).item() == 0.0
 
 
 def test_kl_rows_point_mass_vs_uniform():
     p = dm.constant([1.0, 0.0])
     q = dm.constant([0.5, 0.5])
-    assert abs(dm.kl_rows(p, q, axis=0).item() - math.log(2.0)) < 1e-12
+    assert abs(dm.kl_rows(((p, q, 0),), (1.0,)).item() - math.log(2.0)) < 1e-12
 
 
 def test_kl_rows_half_vs_quarter():
     p = dm.constant([0.5, 0.5])
     q = dm.constant([0.25, 0.75])
-    assert abs(dm.kl_rows(p, q, axis=0).item() - 0.5 * math.log(4.0 / 3.0)) < 1e-12
+    assert abs(dm.kl_rows(((p, q, 0),), (1.0,)).item() - 0.5 * math.log(4.0 / 3.0)) < 1e-12
 
 
 def test_kl_rows_means_over_slices():
     p = dm.constant([[1.0, 0.0], [0.5, 0.5]])
     q = dm.constant([[0.5, 0.5], [0.5, 0.5]])
     expected = 0.5 * (math.log(2.0) + 0.0)
-    assert abs(dm.kl_rows(p, q, axis=1).item() - expected) < 1e-12
+    assert abs(dm.kl_rows(((p, q, 1),), (1.0,)).item() - expected) < 1e-12
 
 
 def test_kl_rows_rejects_non_distribution():
     with pytest.raises(ContractError):
-        dm.kl_rows(dm.constant([0.7, 0.7]), dm.constant([0.5, 0.5]), axis=0)
+        dm.kl_rows(((dm.constant([0.7, 0.7]), dm.constant([0.5, 0.5]), 0),), (1.0,))
     with pytest.raises(ContractError):
-        dm.kl_rows(dm.constant([1.5, -0.5]), dm.constant([0.5, 0.5]), axis=0)
+        dm.kl_rows(((dm.constant([1.5, -0.5]), dm.constant([0.5, 0.5]), 0),), (1.0,))
 
 
 def test_backward_requires_scalar():
@@ -191,7 +191,7 @@ def test_grad_check_kl_rows_through_softmax():
     q = dm.softmax(raw_q, axis=1)
 
     def f(t):
-        return dm.kl_rows(dm.softmax(t, axis=1), dm.constant(q.data), axis=1)
+        return dm.kl_rows(((dm.softmax(t, axis=1), dm.constant(q.data), 1),), (1.0,))
 
     x = dm.constant(rng.normal(size=(2, 5)))
     assert dm.grad_check(f, x, h=1e-5) < 1e-6
@@ -203,10 +203,10 @@ def test_grad_check_kl_rows_direct_small_step():
     q = rng.dirichlet(np.ones(4), size=2)
 
     def in_p(t):
-        return dm.kl_rows(t, dm.constant(q), axis=1)
+        return dm.kl_rows(((t, dm.constant(q), 1),), (1.0,))
 
     def in_q(t):
-        return dm.kl_rows(dm.constant(p), t, axis=1)
+        return dm.kl_rows(((dm.constant(p), t, 1),), (1.0,))
 
     assert dm.grad_check(in_p, dm.constant(p), h=1e-7) < 1e-5
     assert dm.grad_check(in_q, dm.constant(q), h=1e-7) < 1e-5
@@ -564,7 +564,7 @@ def test_kl_rows_vjp_skips_a_constant_side(constant_side):
     rows = np.random.default_rng(4).dirichlet(np.ones(3), size=(2, 2))
     p, q = (dm.constant(x) if i == constant_side else dm.parameter(x)
             for i, x in enumerate(rows))
-    grads = dm.kl_rows(p, q, axis=1)._vjp(np.ones(()))
+    grads = dm.kl_rows(((p, q, 1),), (1.0,))._vjp(np.ones(()))
     assert grads[constant_side] is None
     assert grads[1 - constant_side].shape == (2, 3)
 
@@ -727,7 +727,7 @@ def test_float64_inputs_meet_no_cast():
     assert grid.grad.dtype == np.float64 and w.grad.dtype == np.float64
 
 
-# --- kl_rows_at: the row-restricted KL behind vad --------------------------
+# --- kl_rows at given rows: the row-restricted KL behind vad --------------
 
 
 def _dists(rng, shape, axis):
@@ -745,17 +745,34 @@ def test_kl_rows_at_matches_the_take_composite_bitwise():
         cur_spa, cur_tem = dm.parameter(spa[0]), dm.parameter(tem[0])
         tea_spa, tea_tem = dm.constant(spa[1]), dm.constant(tem[1])
         if fused:
-            out = dm.kl_rows_at(((cur_spa, tea_spa, 2), (cur_tem, tea_tem, 1)), rows,
-                                (lam, 1.0 - lam))
+            out = dm.kl_rows(((cur_spa, tea_spa, 2), (cur_tem, tea_tem, 1)),
+                             (lam, 1.0 - lam), rows)
         else:
-            out = (dm.kl_rows(dm.take(cur_spa, rows), dm.take(tea_spa, rows), axis=2) * lam
-                   + dm.kl_rows(dm.take(cur_tem, rows), dm.take(tea_tem, rows), axis=1)
+            out = (dm.kl_rows(((dm.take(cur_spa, rows), dm.take(tea_spa, rows), 2),), (1.0,))
+                   * lam
+                   + dm.kl_rows(((dm.take(cur_tem, rows), dm.take(tea_tem, rows), 1),), (1.0,))
                    * (1.0 - lam))
         dm.backward(out)
         return out.data, cur_spa.grad, cur_tem.grad
 
     for got, want in zip(run(True), run(False)):
         assert np.array_equal(got, want)
+
+
+def test_kl_rows_whole_tensors_equal_every_row_given_bitwise():
+    rng = np.random.default_rng(12)
+    spa = [_dists(rng, (5, 2, 3, 4), 2) for _ in range(2)]
+    tem = [_dists(rng, (5, 2, 4), 1) for _ in range(2)]
+
+    def run(rows):
+        cur_spa, tea_tem = dm.parameter(spa[0]), dm.parameter(tem[1])
+        out = dm.kl_rows(((cur_spa, dm.constant(spa[1]), 2), (dm.constant(tem[0]), tea_tem, 1)),
+                         (0.3, 0.7), rows)
+        dm.backward(out)
+        return out.data, cur_spa.grad, tea_tem.grad
+
+    for got, want in zip(run(None), run(np.arange(5))):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_kl_rows_at_chunks_change_no_gradient_bit(monkeypatch):
@@ -765,7 +782,7 @@ def test_kl_rows_at_chunks_change_no_gradient_bit(monkeypatch):
 
     def run():
         cur = dm.parameter(spa[0])
-        out = dm.kl_rows_at(((cur, dm.constant(spa[1]), 2),), rows, (1.0,))
+        out = dm.kl_rows(((cur, dm.constant(spa[1]), 2),), (1.0,), rows)
         dm.backward(out)
         return out.item(), cur.grad
 
@@ -782,10 +799,10 @@ def test_kl_rows_at_reads_and_writes_only_its_rows():
     q = _dists(rng, (4, 3, 2), 1)
     p[0] = q[0] = np.nan           # never read: no check fires, no value leaks
     tp, tq = dm.parameter(p), dm.parameter(q)
-    out = dm.kl_rows_at(((tp, tq, 1),), [1, 3], (1.0,))
+    out = dm.kl_rows(((tp, tq, 1),), (1.0,), [1, 3])
     assert np.isfinite(out.item())
-    assert out.item() == dm.kl_rows(dm.constant(p[[1, 3]]), dm.constant(q[[1, 3]]),
-                                    axis=1).item()
+    assert out.item() == dm.kl_rows(((dm.constant(p[[1, 3]]), dm.constant(q[[1, 3]]), 1),),
+                                    (1.0,)).item()
     dm.backward(out)
     for grad in (tp.grad, tq.grad):
         assert np.array_equal(grad[[0, 2]], np.zeros((2, 3, 2)))
@@ -803,7 +820,7 @@ def test_float32_softmax_slices_sum_to_one_within_float32_rounding():
         assert maps.data.dtype == np.float32
         assert np.abs(maps.data.sum(axis=ax, dtype=np.float64) - 1.0).max() < 2e-7
     # the KL reads them in float64, so its 1e-6 sum check holds with room
-    out = dm.kl_rows_at(((p, p, 2),), [0, 5], (1.0,))
+    out = dm.kl_rows(((p, p, 2),), (1.0,), [0, 5])
     assert out.data.dtype == np.float64 and abs(out.item()) < 1e-12
 
 
@@ -811,10 +828,10 @@ def test_kl_rows_at_rejects_bad_rows_and_weights():
     t = dm.constant(np.full((3, 2), 0.5))
     for rows in ([], [0, 0], [1, 0], [-1], [3], [[0]]):
         with pytest.raises(ContractError):
-            dm.kl_rows_at(((t, t, 1),), rows, (1.0,))
+            dm.kl_rows(((t, t, 1),), (1.0,), rows)
     with pytest.raises(ContractError):     # distributions across rows
-        dm.kl_rows_at(((t, t, 0),), [0], (1.0,))
+        dm.kl_rows(((t, t, 0),), (1.0,), [0])
     with pytest.raises(ContractError):
-        dm.kl_rows_at(((t, t, 1),), [0], (1.0, 0.0))
+        dm.kl_rows(((t, t, 1),), (1.0, 0.0), [0])
     with pytest.raises(ContractError):
-        dm.kl_rows_at(((t, dm.constant(np.full((3, 4), 0.25)), 1),), [0], (1.0,))
+        dm.kl_rows(((t, dm.constant(np.full((3, 4), 0.25)), 1),), (1.0,), [0])

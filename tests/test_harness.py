@@ -550,6 +550,22 @@ def test_result_bytes_do_not_depend_on_the_dataset_files_directory(tmp_path):
         hashlib.sha256((tmp_path / "a" / "data.avcf").read_bytes()).hexdigest()
 
 
+def test_an_oversized_class_count_in_the_header_changes_no_result(tmp_path):
+    results = []
+    for where, num_classes in (("true", None), ("oversized", 0xFFFFFFFF)):
+        work = tmp_path / where
+        work.mkdir()
+        config = _file_config(work, seeds=[0])
+        if num_classes is not None:     # only the run's 4 classes are ever looked up
+            blob = bytearray((work / "data.avcf").read_bytes())
+            struct.pack_into("<I", blob, 24, num_classes)
+            (work / "data.avcf").write_bytes(bytes(blob))
+        assert cli.main(["run", config]) == 0
+        results.append(json.loads((work / "out" / "t" / "seed_0" / "result.json").read_text()))
+    for key in ("accuracy_matrix", "loss_curves"):
+        assert results[0][key] == results[1][key]
+
+
 # --- cli_generate ---------------------------------------------------------
 
 def test_generate_writes_loadable_deterministic_file(tmp_path):
@@ -835,6 +851,10 @@ def test_gradcheck_covers_every_loss_and_passes():
         assert name in report
     assert all(v < 1e-5 for v in report.values())
     assert cli.main(["gradcheck"]) == 0
+
+
+def test_gradcheck_checks_tkd_over_several_previous_tasks():
+    assert harness.gradcheck_report(seed=0)["loss_tkd_three_tasks"] < 1e-5
 
 
 def test_gradcheck_catches_a_wrong_derivative(monkeypatch, capsys):

@@ -358,6 +358,46 @@ def test_tkd_rejects_wrong_teacher_width():
         obj.tkd(dm.constant(np.zeros((3, 4))), dm.constant(np.zeros((3, 2))), obj.TaskLayout((4,)))
 
 
+def _reference_tkd(logits, teacher, layout):
+    """tkd as it was composed per block: softmax of each block's slice, one
+    single-pair kl_rows node per block, and a chain of adds."""
+    total = None
+    for task in range(layout.step - 1):
+        lo, hi = layout.block_bounds(task)
+        cur = dm.softmax(dm.slice_axis(logits, 1, lo, hi), axis=1)
+        tea = dm.softmax(dm.slice_axis(teacher, 1, lo, hi), axis=1)
+        part = dm.kl_rows(((cur, tea, 1),), (1.0,))
+        total = part if total is None else total + part
+    return total
+
+
+@pytest.mark.parametrize("boundaries", [(2, 3), (2, 3, 2), (2, 3, 1, 2)])
+def test_tkd_is_one_kl_node_bitwise_equal_to_the_per_block_composite(boundaries):
+    rng = np.random.default_rng(21)
+    layout = obj.TaskLayout(boundaries)
+    logits = rng.normal(size=(6, layout.total_classes))
+    teacher = rng.normal(size=(6, layout.old_count))
+
+    def run(loss):
+        x = dm.parameter(logits)
+        out = loss(x, dm.constant(teacher), layout)
+        dm.backward(out)
+        return out, x.grad
+
+    merged, merged_grad = run(obj.tkd)
+    reference, reference_grad = run(_reference_tkd)
+    assert merged.data.tobytes() == reference.data.tobytes()
+    assert np.array_equal(merged_grad, reference_grad)
+    nodes, stack, seen = [], [merged], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    assert [node._op for node in nodes].count("kl_rows") == 1
+
+
 # --- total ----------------------------------------------------------------
 
 
