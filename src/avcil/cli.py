@@ -7,6 +7,7 @@ problem, 3 training divergence, 4 gradient verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -53,6 +54,10 @@ def _cmd_export_attention(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not (0.0 < args.threshold < math.inf):
+        raise ConfigError(f"--threshold must be positive and finite, got {args.threshold}")
     # report everything before deciding, so a failure still shows the full table
     report = harness.gradcheck_report(seed=args.seed)
     failed = sorted(k for k, v in report.items() if not (v < args.threshold))
@@ -81,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one config over its seeds")
     p.add_argument("config", help="run config JSON file")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel seed workers (default 1; results identical)")
+                   help="parallel seed workers, at least 1 and at most one per seed "
+                        "(default 1; results identical)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("compare", help="summarize result files into a CSV")
@@ -103,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export_attention)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every gradient")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=1e-5)
+    p.add_argument("--seed", type=int, default=0, help="data seed, >= 0 (default 0)")
+    p.add_argument("--threshold", type=float, default=1e-5,
+                   help="largest passing error, positive and finite (default 1e-5)")
     p.set_defaults(func=_cmd_gradcheck)
     return parser
 

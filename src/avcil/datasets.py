@@ -18,6 +18,7 @@ model wraps them (the dtype policy of `diffmath`).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -46,7 +47,8 @@ GENERATE_CHUNK_ENTRIES = 2 ** 12  # float64 entries per chunk of aligned noise d
 @dataclass
 class FeatureDataset:
     """Struct of arrays, one row per clip: `audio` (N, d) and `visual`
-    (N, L, S, d) float32, `labels` and `ids` int64, `splits` uint8 tags."""
+    (N, L, S, d) float32, `labels` and `ids` int64, `splits` uint8 tags.
+    `sha256` is the hex digest of the file bytes it was loaded from, if any."""
 
     audio: np.ndarray
     visual: np.ndarray
@@ -55,6 +57,7 @@ class FeatureDataset:
     splits: np.ndarray
     num_classes: int
     manifest: dict = field(default_factory=dict)
+    sha256: str | None = None
 
     @property
     def d(self) -> int:
@@ -70,6 +73,12 @@ class FeatureDataset:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    def classes(self) -> np.ndarray:
+        """The labels present, ascending. Sorting sizes nothing by the largest
+        id, and np.unique would import numpy.ma (1.7 MiB of RSS)."""
+        labels = np.sort(self.labels)
+        return labels[np.flatnonzero(np.diff(labels, prepend=-1))]
 
     def of_class(self, label: int, split: str | None = None) -> np.ndarray:
         """Row indices of one class (optionally one split), in dataset order."""
@@ -283,7 +292,8 @@ def load_dataset(path) -> FeatureDataset:
     if offset + manifest_len != len(blob):
         raise FormatError(f"trailing bytes at offset {offset + manifest_len}")
     return FeatureDataset(audio=audio, visual=visual, labels=labels, ids=ids,
-                          splits=splits, num_classes=num_classes, manifest=manifest)
+                          splits=splits, num_classes=num_classes, manifest=manifest,
+                          sha256=hashlib.sha256(blob).hexdigest())
 
 
 def _check_records(ids, labels, splits, audio, visual, num_classes: int,

@@ -25,11 +25,6 @@ def read_input(path, what: str, error: type = FormatError) -> bytes:
         raise error(f"cannot read {what} {path}: {reason or err}") from None
 
 
-def file_sha256(path, what: str) -> str:
-    """Hex sha256 of the file's bytes; an unreadable file raises `FormatError`."""
-    return hashlib.sha256(read_input(path, what)).hexdigest()
-
-
 def read_json(source, error: type, what: str, blob: Optional[bytes] = None) -> dict:
     """The JSON object in the file `source`, or in `blob`, in which case
     `source` says where in its file `blob` sits.

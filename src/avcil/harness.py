@@ -30,8 +30,8 @@ from .datasets import (FeatureDataset, GeneratorSpec, generate_synthetic,
                        load_dataset, save_dataset)
 from .errors import ConfigError, ContractError, FormatError, TrainingDiverged
 # write_atomic stays a harness attribute: the benchmark tracer wraps it there
-from .fileio import (canonical_json, content_hash, file_sha256, read_json,  # noqa: F401
-                     write_atomic, write_json, write_lines)
+from .fileio import (canonical_json, content_hash, read_json, write_atomic,  # noqa: F401
+                     write_json, write_lines)
 from .metrics import average_forgetting, mean_accuracy
 from .objectives import LossWeights, TaskLayout
 from .protocol import TrainConfig, build_task_sequence, run_incremental
@@ -183,7 +183,7 @@ def load_run_dataset(cfg: RunConfig) -> FeatureDataset:
     else:
         dataset = load_dataset(cfg.dataset_path)
     need = cfg.steps * cfg.classes_per_step
-    have = np.count_nonzero(np.bincount(dataset.labels))
+    have = len(dataset.classes())
     if need > have:
         raise ConfigError(f"config: steps x classes_per_step needs {need} classes, "
                           f"the dataset has {have}")
@@ -202,23 +202,18 @@ def output_dir(cfg: RunConfig) -> Path:
 def run_one_seed(dataset: FeatureDataset, cfg: RunConfig, seed: int
                  ) -> Tuple[dict, List[dict]]:
     """Train one seed and build its (deterministic) result payload."""
-    # the labels present, ascending; np.unique would import numpy.ma (1.7 MiB of RSS)
-    classes = np.flatnonzero(np.bincount(dataset.labels))
-    sequence = build_task_sequence(classes, cfg.steps, cfg.classes_per_step, seed)
+    sequence = build_task_sequence(dataset.classes(), cfg.steps, cfg.classes_per_step, seed)
     events: List[dict] = []
     try:
         out = run_incremental(dataset, sequence, cfg.train_for_seed(seed), events)
     except TrainingDiverged as err:
         err.run_log_tail = [canonical_json(e) for e in events[-10:]]
         raise
-    matrix = out.matrix
-    triangle = [[float(v) for v in row[: i + 1]]
-                for i, row in enumerate(matrix.per_task)]
-    forget = average_forgetting(matrix)
     echo = config_echo(cfg)
     if cfg.dataset_path is not None:
-        # the file's bytes, not where it sits, identify a file-backed run
-        echo["dataset_sha256"] = file_sha256(echo.pop("dataset_path"), "dataset")
+        # the bytes the run loaded, not where they sat, identify a file-backed run
+        del echo["dataset_path"]
+        echo["dataset_sha256"] = dataset.sha256
     result = {
         "format_version": FORMAT_VERSION,
         "library_version": __version__,
@@ -227,10 +222,10 @@ def run_one_seed(dataset: FeatureDataset, cfg: RunConfig, seed: int
         "seed": int(seed),
         "config": echo,
         "tasks": [list(t) for t in sequence.tasks],
-        "accuracy_matrix": triangle,
-        "overall_accuracy": [float(v) for v in matrix.overall],
-        "mean_accuracy": mean_accuracy(matrix),
-        "average_forgetting": forget,
+        "accuracy_matrix": out.rows,
+        "overall_accuracy": out.overall,
+        "mean_accuracy": mean_accuracy(out.overall),
+        "average_forgetting": average_forgetting(out.rows),
         "loss_curves": out.loss_curves,
         "final_memory_size": out.memory.total(),
     }
@@ -270,11 +265,15 @@ def cli_run(config_path, workers: int = 1) -> Path:
     """Run every seed of a config; write result + log per seed and an aggregate.
 
     Returns the run's output directory. Worker processes only parallelize
-    across seeds; outputs are identical to a sequential run.
+    across seeds, so the pool holds at most one per seed; outputs are
+    identical to a sequential run.
     """
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     cfg = load_config(config_path)
     out_dir = output_dir(cfg)
-    if workers > 1 and len(cfg.seeds) > 1:
+    workers = min(workers, len(cfg.seeds))
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             _write_seeds(out_dir, cfg, pool.map(_seed_worker, [cfg] * len(cfg.seeds),
                                                 cfg.seeds))

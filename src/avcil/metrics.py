@@ -1,13 +1,12 @@
-"""Evaluation: per-task accuracy bookkeeping, forgetting, and the two predictors.
+"""Evaluation: mean accuracy, forgetting, and the two predictors.
 
-Accuracies are sample-weighted percentages. The accuracy matrix is lower
-triangular: row t holds the accuracy on each task seen so far, measured
-after training step t; the diagonal is a task right after it was learned.
+Accuracies are sample-weighted percentages. A run's per-task accuracies are
+a lower triangle of rows: row t holds the accuracy on each task seen so far,
+measured after training step t; its last entry is the task just learned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,48 +18,24 @@ from .objectives import TaskLayout
 EVAL_CHUNK = 256
 
 
-@dataclass
-class AccuracyMatrix:
-    """`per_task[t, i]` = accuracy on task i after step t (NaN above diagonal);
-    `overall[t]` = accuracy over all seen test samples after step t."""
-
-    per_task: np.ndarray
-    overall: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]], overall: Sequence[float]) -> "AccuracyMatrix":
-        t = len(rows)
-        if len(overall) != t or any(len(row) != i + 1 for i, row in enumerate(rows)):
-            raise ContractError("accuracy rows must form a lower triangle with one overall per step")
-        per_task = np.full((t, t), np.nan)
-        for i, row in enumerate(rows):
-            per_task[i, : i + 1] = row
-        return cls(per_task=per_task, overall=np.asarray(overall, dtype=np.float64))
-
-    @property
-    def steps(self) -> int:
-        return len(self.overall)
-
-
-def mean_accuracy(values) -> float:
-    """Mean of the per-step all-seen accuracies. Accepts a matrix or the raw list."""
-    overall = values.overall if isinstance(values, AccuracyMatrix) else np.asarray(values, dtype=np.float64)
+def mean_accuracy(overall: Sequence[float]) -> float:
+    """Mean of the per-step all-seen accuracies."""
     if len(overall) == 0:
         raise ContractError("mean accuracy of an empty run")
     return float(np.mean(overall))
 
 
-def average_forgetting(matrix: AccuracyMatrix) -> float | None:
+def average_forgetting(rows: Sequence[Sequence[float]]) -> float | None:
     """Mean over steps 2..T of the mean peak-to-current accuracy drop on past tasks.
 
-    None for a single-step run, where forgetting is undefined.
+    `rows` is the triangle: `rows[t][i]` is the accuracy on task i after step
+    t, for i <= t. None for a single-step run, where forgetting is undefined.
     """
-    t_total = matrix.steps
-    if t_total < 2:
+    if len(rows) < 2:
         return None
     per_step = []
-    for t in range(1, t_total):
-        drops = [np.max(matrix.per_task[i:t, i]) - matrix.per_task[t, i] for i in range(t)]
+    for t in range(1, len(rows)):
+        drops = [np.max([row[i] for row in rows[i:t]]) - rows[t][i] for i in range(t)]
         per_step.append(float(np.mean(drops)))
     return float(np.mean(per_step))
 

@@ -2,8 +2,8 @@
 
 Owns everything that makes an incremental run a *run*: the task sequence,
 the label map, classifier growth, the teacher snapshot, the replay memory,
-per-step optimizer state, and the evaluation loop that fills the accuracy
-matrix. All randomness flows through purpose-keyed child seeds of the run
+per-step optimizer state, and the evaluation loop that records each step's
+accuracies. All randomness flows through purpose-keyed child seeds of the run
 seed, so two runs with the same config are bit-identical and strategies
 that ignore a random stream cannot perturb the streams used by others.
 """
@@ -22,7 +22,7 @@ from . import model as mdl
 from .baselines import Strategy, get_strategy
 from .datasets import FeatureDataset
 from .errors import ConfigError, ContractError, NumericDomainError, TrainingDiverged
-from .metrics import AccuracyMatrix, evaluate
+from .metrics import evaluate
 from .objectives import LossWeights, TaskLayout
 
 logger = logging.getLogger("avcil.protocol")
@@ -195,7 +195,8 @@ class StepState:
 
 @dataclass
 class RunResult:
-    matrix: AccuracyMatrix
+    rows: List[List[float]]             # rows[t][i]: accuracy on task i after step t, i <= t
+    overall: List[float]                # per step, accuracy over every seen test sample
     params: mdl.ModelParams
     memory: ExemplarMemory
     loss_curves: List[List[float]]      # per step, per epoch mean loss
@@ -209,10 +210,10 @@ class RunResult:
 def _model_labels(label_map: Dict[int, int], dataset: FeatureDataset,
                   rows: np.ndarray) -> np.ndarray:
     """Model output index of each row's class; only rows of the run's classes
-    are looked up, so the table is sized by them, not by the dataset header."""
-    lookup = np.zeros(max(label_map) + 1, dtype=np.int64)
-    lookup[list(label_map)] = list(label_map.values())
-    return lookup[dataset.labels[rows]]
+    are looked up, so the table holds one entry per run class, whatever the ids."""
+    ids = np.array(sorted(label_map), dtype=np.int64)
+    index = np.array([label_map[c] for c in ids.tolist()], dtype=np.int64)
+    return index[np.searchsorted(ids, dataset.labels[rows])]
 
 
 def train_step(state: StepState, task_classes: Sequence[int],
@@ -374,6 +375,5 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
                        "overall_accuracy": overall, "per_task": per_task,
                        "memory_size": state.memory.total(),
                        "wall_time_s": time.perf_counter() - t0})
-    matrix = AccuracyMatrix.from_rows(rows, overalls)
-    return RunResult(matrix=matrix, params=state.params, memory=state.memory,
+    return RunResult(rows=rows, overall=overalls, params=state.params, memory=state.memory,
                      loss_curves=curves, events=events)

@@ -23,7 +23,7 @@ import avcil.objectives as obj
 from avcil import harness
 from avcil.baselines import get_strategy
 from avcil.datasets import GeneratorSpec, generate_synthetic
-from avcil.metrics import AccuracyMatrix, average_forgetting, mean_accuracy
+from avcil.metrics import average_forgetting, mean_accuracy
 from avcil.objectives import LossWeights, TaskLayout
 from avcil.protocol import (ExemplarMemory, StepState, TrainConfig,
                             build_task_sequence, label_map_for,
@@ -51,7 +51,7 @@ def bench_train(strategy, seed, **kw):
 
 def bench_run(ds, classes, strategy, seed, steps=4, per_step=4, **kw):
     seq = build_task_sequence(classes, steps, per_step, seed)
-    return run_incremental(ds, seq, bench_train(strategy, seed, **kw)).matrix
+    return run_incremental(ds, seq, bench_train(strategy, seed, **kw))
 
 
 def bench_config(tmp_path, name, **kw):
@@ -159,9 +159,7 @@ def test_criterion_04_memory_invariants_randomized():
 def test_criterion_05_average_forgetting_oracle():
     # by hand: step 2 drops task 1 by 10; step 3 drops task 1 by 20 from its
     # best and task 2 by 10 -> mean(10, mean(20, 10)) = 12.5
-    matrix = AccuracyMatrix.from_rows([[90.0], [80.0, 85.0], [70.0, 75.0, 99.0]],
-                                      overall=[90.0, 82.5, 81.0])
-    assert average_forgetting(matrix) == 12.5
+    assert average_forgetting([[90.0], [80.0, 85.0], [70.0, 75.0, 99.0]]) == 12.5
 
 
 def test_criterion_06_strategy_ordering_on_benchmark(bench):
@@ -170,9 +168,9 @@ def test_criterion_06_strategy_ordering_on_benchmark(bench):
     acc, forget = {}, {}
     for strategy in ("finetune", "lwf", "icarl_fc", "icarl_nme", "ssil",
                      "avcil", "oracle"):
-        mats = [bench_run(ds, classes, strategy, s) for s in BENCH_SEEDS]
-        acc[strategy] = float(np.mean([mean_accuracy(m) for m in mats]))
-        forget[strategy] = float(np.mean([average_forgetting(m) for m in mats]))
+        runs = [bench_run(ds, classes, strategy, s) for s in BENCH_SEEDS]
+        acc[strategy] = float(np.mean([mean_accuracy(r.overall) for r in runs]))
+        forget[strategy] = float(np.mean([average_forgetting(r.rows) for r in runs]))
     elapsed = time.perf_counter() - t0
 
     assert acc["avcil"] >= acc["finetune"] + 10.0, acc
@@ -198,7 +196,7 @@ def test_criterion_07_joint_beats_unimodal_on_pair_grid():
                               batch_size=32, lr=3e-3, memory_capacity=0,
                               seed=seed)
             seq = build_task_sequence(classes, 1, 16, seed)
-            accs.append(run_incremental(ds, seq, cfg).matrix.overall[0])
+            accs.append(run_incremental(ds, seq, cfg).overall[0])
         final[modality] = float(np.mean(accs))
     assert final["audiovisual"] >= 80.0, final
     assert final["audio"] <= 35.0, final

@@ -21,7 +21,7 @@ from avcil import datasets as dsets
 from avcil.baselines import STRATEGY_TAGS, Strategy
 from avcil.datasets import GeneratorSpec, load_dataset
 from avcil.errors import ConfigError
-from avcil.metrics import AccuracyMatrix, average_forgetting, mean_accuracy
+from avcil.metrics import average_forgetting, mean_accuracy
 from avcil.objectives import LossWeights
 
 
@@ -299,10 +299,8 @@ def test_result_is_self_verifying(tmp_path):
     path = write_config(tmp_path)
     harness.cli_run(path)
     res = json.loads((tmp_path / "out/t/seed_0/result.json").read_text())
-    rows = res["accuracy_matrix"]
-    matrix = AccuracyMatrix.from_rows(rows, res["overall_accuracy"])
-    assert mean_accuracy(matrix) == res["mean_accuracy"]
-    assert average_forgetting(matrix) == res["average_forgetting"]
+    assert mean_accuracy(res["overall_accuracy"]) == res["mean_accuracy"]
+    assert average_forgetting(res["accuracy_matrix"]) == res["average_forgetting"]
     assert harness.content_hash(res) == res["content_hash"]
     assert res["library_version"] == harness.__version__
     assert res["config"]["strategy"] == "avcil"
@@ -341,6 +339,33 @@ def test_parallel_workers_match_sequential_bytes(tmp_path):
     parallel = {str(p.relative_to(out)): p.read_bytes()
                 for p in out.rglob("*.json") if p.is_file()}
     assert sequential == parallel
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records the size asked for and maps
+    in this process, so no worker is ever started."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_run_asks_for_at_most_one_worker_per_seed(tmp_path, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _InProcessPool(sizes, max_workers))
+    harness.cli_run(write_config(tmp_path), workers=64)     # two seeds
+    assert sizes == [2]
+    harness.cli_run(write_config(tmp_path, seeds=[0]), workers=64)
+    assert sizes == [2]     # one seed runs in process
 
 
 def test_cli_exit_codes_for_bad_configs(tmp_path, capsys):
@@ -509,6 +534,15 @@ UNTRUSTED_INPUTS = {
     "lr 1e300, met in evaluation": (
         lambda p: ["run", str(write_config(p, lr=1e300, epochs=1, batch_size=64))], 3,
         "at step 1, in evaluation"),
+    "--workers 0": (
+        lambda p: ["run", str(write_config(p)), "--workers", "0"], 2,
+        "--workers must be >= 1, got 0"),
+    "gradcheck --seed -1": (lambda p: ["gradcheck", "--seed", "-1"], 2,
+                            "--seed must be >= 0, got -1"),
+    **{f"gradcheck --threshold {value}": (
+        lambda p, value=value: ["gradcheck", "--threshold", value], 2,
+        "--threshold must be positive and finite")
+       for value in ("nan", "-1")},
     "lr 1e300, two workers": (
         lambda p: ["run", str(write_config(p, strategy="finetune", lr=1e300)),
                    "--workers", "2"], 3, "at step 1, epoch"),
@@ -550,20 +584,50 @@ def test_result_bytes_do_not_depend_on_the_dataset_files_directory(tmp_path):
         hashlib.sha256((tmp_path / "a" / "data.avcf").read_bytes()).hexdigest()
 
 
+def _header_classes(num_classes, relabel=None):
+    """A dataset edit: the header's class count set, and class 3 renamed `relabel`."""
+    def edit(ds):
+        ds.num_classes = num_classes
+        if relabel is not None:
+            ds.labels[ds.labels == 3] = relabel
+        return ds
+    return edit
+
+
 def test_an_oversized_class_count_in_the_header_changes_no_result(tmp_path):
+    # only the run's 4 classes are ever looked up, and class 3 is the largest
+    # id in either file, so the relabelled file runs the same task sequence
     results = []
-    for where, num_classes in (("true", None), ("oversized", 0xFFFFFFFF)):
+    for where, edit in (("true", lambda ds: ds), ("oversized", _header_classes(0xFFFFFFFF)),
+                        ("largest id", _header_classes(0xFFFFFFFF, 0xFFFFFFFE))):
         work = tmp_path / where
         work.mkdir()
-        config = _file_config(work, seeds=[0])
-        if num_classes is not None:     # only the run's 4 classes are ever looked up
-            blob = bytearray((work / "data.avcf").read_bytes())
-            struct.pack_into("<I", blob, 24, num_classes)
-            (work / "data.avcf").write_bytes(bytes(blob))
-        assert cli.main(["run", config]) == 0
+        assert cli.main(["run", _file_config(work, edit, seeds=[0])]) == 0
         results.append(json.loads((work / "out" / "t" / "seed_0" / "result.json").read_text()))
     for key in ("accuracy_matrix", "loss_curves"):
-        assert results[0][key] == results[1][key]
+        assert results[0][key] == results[1][key] == results[2][key]
+
+
+@pytest.mark.parametrize("change", ["replaced", "deleted"])
+def test_a_file_backed_run_echoes_the_hash_of_the_bytes_it_loaded(tmp_path, monkeypatch,
+                                                                    change):
+    config = _file_config(tmp_path)     # seeds 0 and 1, one dataset load
+    data = tmp_path / "data.avcf"
+    loaded = hashlib.sha256(data.read_bytes()).hexdigest()
+    train = harness.run_incremental
+
+    def change_the_file_then_train(*args, **kw):
+        if change == "replaced":
+            data.write_bytes(b"other bytes")
+        else:
+            data.unlink(missing_ok=True)
+        return train(*args, **kw)
+
+    monkeypatch.setattr(harness, "run_incremental", change_the_file_then_train)
+    assert cli.main(["run", config]) == 0
+    for seed in (0, 1):
+        result = json.loads((tmp_path / "out" / "t" / f"seed_{seed}" / "result.json").read_text())
+        assert result["config"]["dataset_sha256"] == loaded
 
 
 # --- cli_generate ---------------------------------------------------------

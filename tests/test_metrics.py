@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcil import metrics as mx
 from avcil import model as mdl
@@ -15,32 +17,61 @@ def test_mean_accuracy_reference_row():
     assert abs(mx.mean_accuracy([79.81, 77.14, 71.43, 67.77]) - 74.04) <= 0.005
 
 
-def test_mean_accuracy_accepts_matrix_and_rejects_empty():
-    m = mx.AccuracyMatrix.from_rows([[50.0], [40.0, 60.0]], [50.0, 50.0])
-    assert mx.mean_accuracy(m) == 50.0
+def test_mean_accuracy_of_the_overall_list_and_rejects_empty():
+    assert mx.mean_accuracy([50.0, 50.0]) == 50.0
     with pytest.raises(ContractError):
         mx.mean_accuracy([])
 
 
 def test_average_forgetting_reference_matrix():
-    m = mx.AccuracyMatrix.from_rows([[90.0], [80.0, 85.0], [70.0, 75.0, 99.0]],
-                                    [90.0, 82.0, 75.0])
-    assert mx.average_forgetting(m) == 12.5
+    assert mx.average_forgetting([[90.0], [80.0, 85.0], [70.0, 75.0, 99.0]]) == 12.5
 
 
 def test_average_forgetting_single_step_is_undefined():
-    m = mx.AccuracyMatrix.from_rows([[88.0]], [88.0])
-    assert mx.average_forgetting(m) is None
+    assert mx.average_forgetting([[88.0]]) is None
 
 
 def test_average_forgetting_can_be_negative():
-    m = mx.AccuracyMatrix.from_rows([[50.0], [70.0, 60.0]], [50.0, 65.0])
-    assert mx.average_forgetting(m) == -20.0
+    assert mx.average_forgetting([[50.0], [70.0, 60.0]]) == -20.0
 
 
-def test_accuracy_matrix_shape_contract():
-    with pytest.raises(ContractError):
-        mx.AccuracyMatrix.from_rows([[1.0, 2.0]], [1.0])
+def _square_forgetting(rows):
+    """Forgetting over the triangle padded into a NaN-filled square: the
+    formula `average_forgetting` had before it read the rows directly."""
+    t_total = len(rows)
+    if t_total < 2:
+        return None
+    per_task = np.full((t_total, t_total), np.nan)
+    for i, row in enumerate(rows):
+        per_task[i, : i + 1] = row
+    per_step = []
+    for t in range(1, t_total):
+        drops = [np.max(per_task[i:t, i]) - per_task[t, i] for i in range(t)]
+        per_step.append(float(np.mean(drops)))
+    return float(np.mean(per_step))
+
+
+ACCURACY = st.floats(0.0, 100.0)
+
+
+@st.composite
+def triangles(draw):
+    steps = draw(st.integers(1, 12))
+    rows = [draw(st.lists(ACCURACY, min_size=t + 1, max_size=t + 1)) for t in range(steps)]
+    return rows, draw(st.lists(ACCURACY, min_size=steps, max_size=steps))
+
+
+def _bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(triangles())
+def test_triangle_formulas_match_the_nan_square_reference(case):
+    rows, overall = case
+    assert _bits(mx.average_forgetting(rows)) == _bits(_square_forgetting(rows))
+    assert _bits(mx.mean_accuracy(overall)) == \
+        _bits(float(np.mean(np.asarray(overall, dtype=np.float64))))
 
 
 def test_evaluate_perfect_and_constant_predictors():
