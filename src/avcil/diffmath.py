@@ -481,18 +481,18 @@ def _kl_slices(shape: tuple[int, ...], ax: int) -> int:
     return size // shape[ax]
 
 
-def _kl_sum(p: Array, q: Array, clamp: float) -> float:
+def _kl_sum(p: Array, q: Array) -> float:
     """Sum of p * log(p / q) over float64 arrays; zero p entries add zero."""
     pos = p > 0.0
-    return np.where(pos, p * (np.log(np.where(pos, p, 1.0)) - np.log(np.maximum(q, clamp))),
+    return np.where(pos, p * (np.log(np.where(pos, p, 1.0)) - np.log(np.maximum(q, KL_CLAMP))),
                     0.0).sum()
 
 
-def _kl_grads(p: Array, q: Array, clamp: float, gs: float,
+def _kl_grads(p: Array, q: Array, gs: float,
               need_p: bool, need_q: bool) -> tuple[Array | None, Array | None]:
-    """Gradients of `gs` * `_kl_sum(p, q, clamp)`, recomputed from the inputs
+    """Gradients of `gs` * `_kl_sum(p, q)`, recomputed from the inputs
     so the forward pass keeps none of its temporaries."""
-    qc = np.maximum(q, clamp)
+    qc = np.maximum(q, KL_CLAMP)
     gp = gq = None
     if need_p:
         pos = p > 0.0
@@ -502,7 +502,7 @@ def _kl_grads(p: Array, q: Array, clamp: float, gs: float,
         gp = np.where(pos, gp, 0.0)
         gp *= gs
     if need_q:
-        gq = np.where(q >= clamp, -p / qc, 0.0)
+        gq = np.where(q >= KL_CLAMP, -p / qc, 0.0)
         gq *= gs
     return gp, gq
 
@@ -510,15 +510,17 @@ def _kl_grads(p: Array, q: Array, clamp: float, gs: float,
 # kl_rows gathers given rows in chunks of about this many entries, so its
 # float64 temporaries stay small whatever the size of the maps
 KL_CHUNK_ENTRIES = 1 << 16
+# kl_rows reads q as at least this inside the log, so a zero q entry stays finite
+KL_CLAMP = 1e-12
 
 
 def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequence[float],
-            rows=None, clamp: float = 1e-12) -> DiffTensor:
+            rows=None) -> DiffTensor:
     """sum_k weights[k] * mean KL(p_k || q_k) over the distributions along
     axis_k, as one node.
 
     Each such slice must be a probability vector; zero p entries contribute
-    zero and q is clamped below at `clamp` inside the log only. Computed in
+    zero and q is clamped below at `KL_CLAMP` inside the log only. Computed in
     float64, so the sum-to-1 check keeps its tolerance on float32 maps. With
     no `rows` each pair is read whole along any axis. Given strictly
     increasing axis-0 `rows`, pairs are read at those rows only, `axis` must
@@ -557,7 +559,7 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
         for at in parts:
             p64, q64 = read64(p, at), read64(q, at)
             _kl_check(p64, q64, ax)
-            part = _kl_sum(p64, q64, clamp)
+            part = _kl_sum(p64, q64)
             kl_sum = part if kl_sum is None else kl_sum + part
         term = kl_sum / n * w
         total = term if total is None else total + term
@@ -567,13 +569,13 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
         for (p, q, _), n, parts, w in zip(pairs, n_slices, chunks, weights):
             gs = float(g) * w / n
             if idx is None:
-                gp, gq = _kl_grads(read64(p, None), read64(q, None), clamp, gs,
+                gp, gq = _kl_grads(read64(p, None), read64(q, None), gs,
                                    p.requires_grad, q.requires_grad)
                 out += (_in_dtype(gp, p), _in_dtype(gq, q))
                 continue
             full = [np.zeros_like(t.data) if t.requires_grad else None for t in (p, q)]
             for at in parts:
-                grads = _kl_grads(read64(p, at), read64(q, at), clamp, gs,
+                grads = _kl_grads(read64(p, at), read64(q, at), gs,
                                   p.requires_grad, q.requires_grad)
                 for dest, grad in zip(full, grads):
                     if dest is not None:

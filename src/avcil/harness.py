@@ -3,22 +3,25 @@
 Everything the CLI does lives here as plain functions so tests can call it
 in-process: config parsing, single runs fanned out over seeds, ablation
 sweeps, comparison tables, attention-map export, and the self-check that
-re-verifies every gradient. Every file goes through `fileio`: JSON outputs
-are canonical and written atomically, so a rerun with the same config is
-byte-identical and a content hash is meaningful.
+re-verifies every gradient. `run` and `ablate` train every (config, seed)
+job through one runner, `run_jobs`, on the dataset the command loaded once.
+Every file goes through `fileio`: JSON outputs are canonical and written
+atomically, so a rerun with the same config is byte-identical and a content
+hash is meaningful.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import os
 import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,11 +235,21 @@ def run_one_seed(dataset: FeatureDataset, cfg: RunConfig, seed: int
     return result, events
 
 
-def _seed_worker(cfg: RunConfig, seed: int) -> Tuple[int, dict, List[dict]]:
-    # runs in a worker process, which loads its own copy of the dataset
-    dataset = load_run_dataset(cfg)
-    result, events = run_one_seed(dataset, cfg, seed)
-    return seed, result, events
+def run_jobs(dataset: FeatureDataset, jobs: Sequence[Tuple[RunConfig, int]],
+             workers: int = 1) -> Iterator[Tuple[dict, List[dict]]]:
+    """Each (config, seed) job's `(result, events)`, in submission order.
+
+    One worker trains the jobs here, one per result pulled. More train them
+    on a pool of at most one process per job, each job sent with the
+    caller's `dataset`, so every job trains on the bytes the caller loaded.
+    """
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(run_one_seed, itertools.repeat(dataset), *zip(*jobs))
+    else:
+        for cfg, seed in jobs:
+            yield run_one_seed(dataset, cfg, seed)
 
 
 def aggregate_payload(cfg: RunConfig, per_seed: Dict[int, dict]) -> dict:
@@ -264,35 +277,28 @@ def aggregate_payload(cfg: RunConfig, per_seed: Dict[int, dict]) -> dict:
 def cli_run(config_path, workers: int = 1) -> Path:
     """Run every seed of a config; write result + log per seed and an aggregate.
 
-    Returns the run's output directory. Worker processes only parallelize
-    across seeds, so the pool holds at most one per seed; outputs are
-    identical to a sequential run.
+    Returns the run's output directory. The dataset is loaded once, before
+    any job starts, and `run_jobs` trains the seeds on it; `workers` only
+    parallelizes across seeds, with outputs identical to a sequential run.
     """
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     cfg = load_config(config_path)
+    dataset = load_run_dataset(cfg)
     out_dir = output_dir(cfg)
-    workers = min(workers, len(cfg.seeds))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            _write_seeds(out_dir, cfg, pool.map(_seed_worker, [cfg] * len(cfg.seeds),
-                                                cfg.seeds))
-    else:
-        dataset = load_run_dataset(cfg)
-        _write_seeds(out_dir, cfg, ((seed, *run_one_seed(dataset, cfg, seed))
-                                    for seed in cfg.seeds))
+    _write_seeds(out_dir, cfg, run_jobs(dataset, [(cfg, seed) for seed in cfg.seeds], workers))
     return out_dir
 
 
 def _write_seeds(out_dir: Path, cfg: RunConfig,
-                 jobs: Iterable[Tuple[int, dict, List[dict]]]) -> dict:
-    """Write each (seed, result, events) job as it arrives, then `aggregate.json`."""
+                 jobs: Iterable[Tuple[dict, List[dict]]]) -> dict:
+    """Write each (result, events) job as it arrives, then `aggregate.json`."""
     per_seed: Dict[int, dict] = {}
-    for seed, result, events in jobs:
-        seed_dir = out_dir / f"seed_{seed}"
+    for result, events in jobs:
+        seed_dir = out_dir / f"seed_{result['seed']}"
         write_json(seed_dir / "result.json", result)
         write_run_log(seed_dir / "run.log.jsonl", events)
-        per_seed[seed] = result
+        per_seed[result["seed"]] = result
     aggregate = aggregate_payload(cfg, per_seed)
     write_json(out_dir / "aggregate.json", aggregate)
     return aggregate
@@ -420,33 +426,22 @@ def cli_ablate(config_path) -> Path:
     cfg = load_config(config_path)
     dataset = load_run_dataset(cfg)
     out_dir = output_dir(cfg) / "ablate"
-    table: List[dict] = []
+    rows = [("modality", m, _variant_config(cfg, modality=m)) for m in MODALITY_SWEEP] + \
+        [("components", component_variant_name(*combo), _variant_config(cfg, components=combo))
+         for combo in COMPONENT_SWEEP]
     # variants of one effective config (with the default use_vad,
     # modality/audiovisual and components/i+c+vad) train once and write twice
-    trained: Dict[RunConfig, List[Tuple[int, dict, List[dict]]]] = {}
-
-    def sweep(tag: str, variant: str, vcfg: RunConfig):
-        if vcfg not in trained:
-            trained[vcfg] = [(seed, *run_one_seed(dataset, vcfg, seed)) for seed in vcfg.seeds]
-        aggregate = _write_seeds(out_dir / tag / variant.replace("+", "_"), vcfg, trained[vcfg])
-        flags = _active_terms(vcfg.train)
-        table.append({
-            "sweep": tag, "variant": variant,
-            "i_avss": flags[0], "c_avss": flags[1], "vad": flags[2],
-            "mean_acc": aggregate["mean_accuracy"]["mean"],
-            "avg_forget": aggregate["average_forgetting"]["mean"],
-        })
-
-    for modality in MODALITY_SWEEP:
-        sweep("modality", modality, _variant_config(cfg, modality=modality))
-    for combo in COMPONENT_SWEEP:
-        sweep("components", component_variant_name(*combo),
-              _variant_config(cfg, components=combo))
-
+    configs = dict.fromkeys(vcfg for _, _, vcfg in rows)
+    jobs = run_jobs(dataset, [(vcfg, seed) for vcfg in configs for seed in vcfg.seeds])
     lines = [["sweep", "variant", "i_avss", "c_avss", "vad", "mean_acc", "avg_forget"]]
-    for r in table:
-        lines.append([r["sweep"], r["variant"], str(r["i_avss"]), str(r["c_avss"]),
-                      str(r["vad"]), _fmt(r["mean_acc"]), _fmt(r["avg_forget"])])
+    for tag, variant, vcfg in rows:
+        if configs[vcfg] is None:
+            # configs train in order of first use, so the next jobs are this one's seeds
+            configs[vcfg] = list(itertools.islice(jobs, len(vcfg.seeds)))
+        aggregate = _write_seeds(out_dir / tag / variant.replace("+", "_"), vcfg, configs[vcfg])
+        lines.append([tag, variant, *map(str, _active_terms(vcfg.train)),
+                      _fmt(aggregate["mean_accuracy"]["mean"]),
+                      _fmt(aggregate["average_forgetting"]["mean"])])
     _write_csv(out_dir / "ablate.csv", lines)
     return out_dir
 

@@ -109,9 +109,6 @@ class ExemplarMemory:
     def total(self) -> int:
         return sum(len(v) for v in self.store.values())
 
-    def classes(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.store))
-
     def rows(self) -> np.ndarray:
         """All stored rows, classes in sorted order."""
         return np.concatenate([np.zeros(0, np.int64), *(self.store[c] for c in sorted(self.store))])

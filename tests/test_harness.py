@@ -20,7 +20,7 @@ from avcil import cli, harness
 from avcil import datasets as dsets
 from avcil.baselines import STRATEGY_TAGS, Strategy
 from avcil.datasets import GeneratorSpec, load_dataset
-from avcil.errors import ConfigError
+from avcil.errors import ConfigError, TrainingDiverged
 from avcil.metrics import average_forgetting, mean_accuracy
 from avcil.objectives import LossWeights
 
@@ -630,6 +630,30 @@ def test_a_file_backed_run_echoes_the_hash_of_the_bytes_it_loaded(tmp_path, monk
         assert result["config"]["dataset_sha256"] == loaded
 
 
+def test_a_pooled_run_loads_the_dataset_once_for_every_seed(tmp_path, monkeypatch):
+    config = _file_config(tmp_path)     # seeds 0 and 1
+    data = tmp_path / "data.avcf"
+    other = GeneratorSpec(**{**base_config(tmp_path)["dataset"], "seed": 2})
+    load = harness.load_dataset
+    loads = []
+
+    def load_then_rewrite_the_file(path):
+        loads.append(path)
+        dataset = load(path)
+        dsets.save_dataset(dsets.generate_synthetic(other), data)
+        return dataset
+
+    sizes = []
+    monkeypatch.setattr(harness, "load_dataset", load_then_rewrite_the_file)
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _InProcessPool(sizes, max_workers))
+    harness.cli_run(config, workers=2)
+    hashes = {json.loads((tmp_path / "out" / "t" / f"seed_{seed}" / "result.json")
+                         .read_text())["config"]["dataset_sha256"] for seed in (0, 1)}
+    assert len(hashes) == 1
+    assert sizes == [2] and len(loads) == 1
+
+
 # --- cli_generate ---------------------------------------------------------
 
 def test_generate_writes_loadable_deterministic_file(tmp_path):
@@ -831,6 +855,25 @@ def test_ablate_flags_say_which_terms_each_row_built(tmp_path):
                   for r in rows}
     assert by_variant["modality", "audiovisual"] == ("0", "1", "0")
     assert by_variant["components", "i+c+vad"] == ("0", "1", "1")
+
+
+def test_ablate_writes_each_variant_as_soon_as_its_seeds_finish(tmp_path, monkeypatch):
+    run = harness.run_one_seed
+    jobs = []
+
+    def diverge_on_the_fourth_job(*args):
+        jobs.append(args)
+        if len(jobs) == 4:      # the first component variant: "none"
+            raise TrainingDiverged(step=0, epoch=0, batch=0)
+        return run(*args)
+
+    monkeypatch.setattr(harness, "run_one_seed", diverge_on_the_fourth_job)
+    with pytest.raises(TrainingDiverged):
+        harness.cli_ablate(write_config(tmp_path, seeds=[0], epochs=1))
+    out_dir = tmp_path / "out" / "t" / "ablate"
+    for modality in harness.MODALITY_SWEEP:
+        assert (out_dir / "modality" / modality / "seed_0" / "result.json").is_file()
+    assert not (out_dir / "components").exists()
 
 
 def test_ablate_all_off_row_equals_ssil_run_exactly(tmp_path):

@@ -114,7 +114,7 @@ def test_memory_rejects_repeated_classes():
 def test_memory_capacity_zero_stores_nothing():
     mem = update_memory(ExemplarMemory(capacity=0, seed=0), {0: range(5), 1: range(5, 9)})
     assert mem.total() == 0
-    assert mem.classes() == (0, 1)
+    assert tuple(sorted(mem.store)) == (0, 1)
 
 
 def test_memory_quota_below_class_count_empties_some_only_never_overflows():
@@ -215,7 +215,7 @@ def test_step_grows_boundaries_and_replays_memory():
         state, curve = train_step(state, seq.tasks[t], ds, config, strategy, lmap)
         assert len(curve) == config.epochs
     assert state.boundaries == (2, 2, 2)
-    assert state.memory.classes() == tuple(sorted(lmap))
+    assert tuple(sorted(state.memory.store)) == tuple(sorted(lmap))
     assert state.memory.total() == 6
 
 
