@@ -65,10 +65,6 @@ def ssil_loss(trace, teacher_trace, labels, exemplar_mask, layout, weights):
     return obj.total_loss(trace, teacher_trace, labels, None, layout, zeroed)
 
 
-def avcil_loss(trace, teacher_trace, labels, exemplar_mask, layout, weights):
-    return obj.total_loss(trace, teacher_trace, labels, exemplar_mask, layout, weights)
-
-
 _STRATEGIES = {
     "finetune": Strategy("finetune", uses_memory=False, uses_teacher=False,
                          retrains_on_all=False, nme_eval=False, compose=finetune_loss),
@@ -81,7 +77,7 @@ _STRATEGIES = {
     "ssil": Strategy("ssil", uses_memory=True, uses_teacher=True,
                      retrains_on_all=False, nme_eval=False, compose=ssil_loss),
     "avcil": Strategy("avcil", uses_memory=True, uses_teacher=True,
-                      retrains_on_all=False, nme_eval=False, compose=avcil_loss),
+                      retrains_on_all=False, nme_eval=False, compose=obj.total_loss),
     "oracle": Strategy("oracle", uses_memory=False, uses_teacher=False,
                        retrains_on_all=True, nme_eval=False, compose=finetune_loss),
 }

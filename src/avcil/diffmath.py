@@ -134,13 +134,6 @@ class DiffTensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return _broadcast_op(self, _coerce(other), np.subtract, "sub",
-                             lambda a, b, g: g, lambda a, b, g: -g)
-
-    def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
-
     def __mul__(self, other):
         return _broadcast_op(self, _coerce(other), np.multiply, "mul",
                              lambda a, b, g: g * b.data, lambda a, b, g: g * a.data)
@@ -152,12 +145,6 @@ class DiffTensor:
         return _broadcast_op(self, b, np.divide, "div",
                              lambda a, b, g: g / b.data,
                              lambda a, b, g: -g * a.data / (b.data * b.data))
-
-    def __rtruediv__(self, other):
-        return _coerce(other).__truediv__(self)
-
-    def __neg__(self):
-        return _node(-self.data, (self,), lambda g: (-g,), "neg")
 
     def __matmul__(self, other):
         return matmul(self, _coerce(other))
@@ -521,11 +508,12 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
 
     Each such slice must be a probability vector; zero p entries contribute
     zero and q is clamped below at `KL_CLAMP` inside the log only. Computed in
-    float64, so the sum-to-1 check keeps its tolerance on float32 maps. With
-    no `rows` each pair is read whole along any axis. Given strictly
-    increasing axis-0 `rows`, pairs are read at those rows only, `axis` must
-    not be 0 (a row holds whole distributions), and a tracked operand's
-    gradient is written into those rows and is zero elsewhere.
+    float64, so the sum-to-1 check keeps its tolerance on float32 maps. Axis
+    0 holds the rows and is never a distribution axis. Given strictly
+    increasing `rows`, pairs are read at those rows only, in chunks of about
+    `KL_CHUNK_ENTRIES` entries; with none, at every row in one chunk. A
+    tracked operand's gradient is written into the rows read and is zero
+    elsewhere.
     """
     if len(pairs) != len(weights) or not pairs:
         raise ContractError("kl_rows needs one weight per (p, q, axis) pair")
@@ -539,18 +527,18 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
         ax = _check_axis(axis, p.ndim)
         axes.append(ax)
         n_slices.append(_kl_slices(p.shape if idx is None else (idx.size, *p.shape[1:]), ax))
-        if idx is None:
-            chunks.append([None])
-            continue
         if ax == 0:
             raise ContractError("kl_rows distributions must lie along a non-row axis")
+        if idx is None:
+            chunks.append([slice(None)])
+            continue
         if idx[0] < 0 or idx[-1] >= p.shape[0]:
             raise ContractError("kl_rows row out of range")
         step = max(1, KL_CHUNK_ENTRIES // (p.data.size // p.shape[0]))
         chunks.append([idx[i:i + step] for i in range(0, idx.size, step)])
 
-    def read64(t: DiffTensor, at: Array | None) -> Array:
-        return (t.data if at is None else t.data[at]).astype(np.float64, copy=False)
+    def read64(t: DiffTensor, at) -> Array:
+        return t.data[at].astype(np.float64, copy=False)
 
     # the operands are read again by the VJP rather than kept alive until then
     total = None
@@ -568,11 +556,6 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
         out: list[Array | None] = []
         for (p, q, _), n, parts, w in zip(pairs, n_slices, chunks, weights):
             gs = float(g) * w / n
-            if idx is None:
-                gp, gq = _kl_grads(read64(p, None), read64(q, None), gs,
-                                   p.requires_grad, q.requires_grad)
-                out += (_in_dtype(gp, p), _in_dtype(gq, q))
-                continue
             full = [np.zeros_like(t.data) if t.requires_grad else None for t in (p, q)]
             for at in parts:
                 grads = _kl_grads(read64(p, at), read64(q, at), gs,

@@ -13,16 +13,23 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
+
+
+def _reason(err: OSError | ValueError) -> str:
+    """Why a path could not be used: the OS's reason, or the message of a
+    ValueError such as a path that holds a NUL byte."""
+    if isinstance(err, FileNotFoundError):
+        return "file not found"
+    return getattr(err, "strerror", None) or str(err)
 
 
 def read_input(path, what: str, error: type = FormatError) -> bytes:
     """The whole file; one that cannot be opened or read raises `error` naming it."""
     try:
         return Path(path).read_bytes()
-    except OSError as err:
-        reason = "file not found" if isinstance(err, FileNotFoundError) else err.strerror
-        raise error(f"cannot read {what} {path}: {reason or err}") from None
+    except (OSError, ValueError) as err:
+        raise error(f"cannot read {what} {path}: {_reason(err)}") from None
 
 
 def read_json(source, error: type, what: str, blob: Optional[bytes] = None) -> dict:
@@ -66,20 +73,40 @@ def write_lines(path, lines: Iterable[str]) -> None:
     write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
+def check_dir(path) -> None:
+    """Raise ConfigError naming `path` unless it is a directory or one can be
+    made there. Directories made to find out are removed again, so a run
+    that fails later for another reason leaves nothing behind."""
+    path = Path(path)
+    missing = [p for p in (path, *path.parents) if not os.path.isdir(p)]
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot create directory {path}: {_reason(err)}") from None
+    finally:
+        for made in filter(os.path.isdir, missing):     # deepest first
+            made.rmdir()
+
+
 def write_atomic(path, data: bytes) -> None:
     """Write `data` to a temp file beside `path`, then rename it into place.
 
     A failure at any point leaves the previous file (if any) untouched and
-    removes the temp file.
+    removes the temp file. A path that cannot be written (its directory
+    cannot be made, it is a directory, its name is too long or holds a NUL
+    byte, the disk is full) raises ConfigError naming it.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot write {path}: {_reason(err)}") from None

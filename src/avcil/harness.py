@@ -34,7 +34,7 @@ from .datasets import (FeatureDataset, GeneratorSpec, generate_synthetic,
 from .errors import ConfigError, ContractError, FormatError, TrainingDiverged
 # write_atomic stays a harness attribute: the benchmark tracer wraps it there
 from .fileio import (canonical_json, content_hash, read_json, write_atomic,  # noqa: F401
-                     write_json, write_lines)
+                     check_dir, write_json, write_lines)
 from .metrics import average_forgetting, mean_accuracy
 from .objectives import LossWeights, TaskLayout
 from .protocol import TrainConfig, build_task_sequence, run_incremental
@@ -277,15 +277,17 @@ def aggregate_payload(cfg: RunConfig, per_seed: Dict[int, dict]) -> dict:
 def cli_run(config_path, workers: int = 1) -> Path:
     """Run every seed of a config; write result + log per seed and an aggregate.
 
-    Returns the run's output directory. The dataset is loaded once, before
-    any job starts, and `run_jobs` trains the seeds on it; `workers` only
-    parallelizes across seeds, with outputs identical to a sequential run.
+    Returns the run's output directory. The dataset is loaded and the
+    output directory checked once, before any job starts, and `run_jobs`
+    trains the seeds on it; `workers` only parallelizes across seeds, with
+    outputs identical to a sequential run.
     """
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     cfg = load_config(config_path)
     dataset = load_run_dataset(cfg)
     out_dir = output_dir(cfg)
+    check_dir(out_dir)
     _write_seeds(out_dir, cfg, run_jobs(dataset, [(cfg, seed) for seed in cfg.seeds], workers))
     return out_dir
 
@@ -426,6 +428,7 @@ def cli_ablate(config_path) -> Path:
     cfg = load_config(config_path)
     dataset = load_run_dataset(cfg)
     out_dir = output_dir(cfg) / "ablate"
+    check_dir(out_dir)
     rows = [("modality", m, _variant_config(cfg, modality=m)) for m in MODALITY_SWEEP] + \
         [("components", component_variant_name(*combo), _variant_config(cfg, components=combo))
          for combo in COMPONENT_SWEEP]

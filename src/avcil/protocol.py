@@ -197,7 +197,6 @@ class RunResult:
     params: mdl.ModelParams
     memory: ExemplarMemory
     loss_curves: List[List[float]]      # per step, per epoch mean loss
-    events: List[dict]                  # run log, one dict per event
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +220,14 @@ def train_step(state: StepState, task_classes: Sequence[int],
 
     Order of operations matters and is part of the contract: snapshot the
     teacher from the incoming parameters, then grow the classifier, then
-    train with a fresh optimizer, then update the replay memory.
+    train with a fresh optimizer, then update the replay memory. The step's
+    run-log events are appended to `events`, or to a throwaway list.
     """
+    if events is None:
+        events = []
     t = state.step + 1
     new_classes = [int(c) for c in task_classes]
-    if events is not None:
-        events.append({"event": "step_started", "step": t, "classes": new_classes})
+    events.append({"event": "step_started", "step": t, "classes": new_classes})
     teacher = mdl.snapshot(state.params) if (strategy.uses_teacher and t > 1) else None
 
     params = state.params
@@ -289,18 +290,16 @@ def train_step(state: StepState, task_classes: Sequence[int],
                 del trace, teacher_trace, loss, audio, visual
                 total += value * len(rows)
             curve.append(total / n)
-            if events is not None:
-                events.append({"event": "epoch_loss", "step": t, "epoch": epoch,
-                               "loss": curve[-1]})
+            events.append({"event": "epoch_loss", "step": t, "epoch": epoch,
+                           "loss": curve[-1]})
 
     memory = state.memory
     if strategy.uses_memory:
         candidates = {c: dataset.of_class(c, "train") for c in new_classes}
         memory = update_memory(memory, candidates)
-        if events is not None:
-            events.append({"event": "memory_updated", "step": t,
-                           "memory_size": memory.total(),
-                           "classes_stored": len(memory.store)})
+        events.append({"event": "memory_updated", "step": t,
+                       "memory_size": memory.total(),
+                       "classes_stored": len(memory.store)})
     return StepState(step=t, params=params, memory=memory,
                      boundaries=boundaries, teacher=teacher), curve
 
@@ -314,8 +313,9 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
                     events: Optional[List[dict]] = None) -> RunResult:
     """Run every step of the sequence, evaluating after each one.
 
-    Pass `events` to watch the run log grow in place — on divergence the
-    caller still holds everything logged up to the failing batch.
+    The run log is appended to `events`, or to a throwaway list: pass one
+    to read it, and on divergence it still holds everything logged up to
+    the failing batch.
     """
     strategy = get_strategy(config.strategy)
     if strategy.uses_memory and config.memory_capacity < 1:
@@ -373,4 +373,4 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
                        "memory_size": state.memory.total(),
                        "wall_time_s": time.perf_counter() - t0})
     return RunResult(rows=rows, overall=overalls, params=state.params, memory=state.memory,
-                     loss_curves=curves, events=events)
+                     loss_curves=curves)

@@ -4,8 +4,8 @@ import pytest
 import avcil.diffmath as dm
 import avcil.model as mdl
 import avcil.objectives as obj
-from avcil.baselines import (STRATEGY_TAGS, avcil_loss, finetune_loss, get_strategy,
-                             icarl_loss, lwf_loss, ssil_loss)
+from avcil.baselines import (STRATEGY_TAGS, finetune_loss, get_strategy, icarl_loss,
+                             lwf_loss, ssil_loss)
 from avcil.datasets import SPLIT_TRAIN, GeneratorSpec, generate_synthetic
 from avcil.errors import ConfigError
 from avcil.objectives import LossWeights, TaskLayout
@@ -147,7 +147,7 @@ def test_avcil_all_off_is_bitwise_ssil():
     off = LossWeights(lambda_i=0.0, lambda_c=0.0)
     trace = mdl.forward(student, *batch)
     teacher_trace = mdl.forward(teacher, *batch)
-    a = avcil_loss(trace, teacher_trace, labels, None, layout, off)
+    a = get_strategy("avcil").compose(trace, teacher_trace, labels, None, layout, off)
     b = ssil_loss(trace, teacher_trace, labels, None, layout, LossWeights())
     assert a.data == b.data
 
@@ -161,7 +161,8 @@ def test_avcil_equals_total_loss():
     mask[:2] = True
     trace = mdl.forward(student, *batch)
     teacher_trace = mdl.forward(teacher, *batch)
-    a = avcil_loss(trace, teacher_trace, labels, mask, layout, LossWeights())
+    a = get_strategy("avcil").compose(trace, teacher_trace, labels, mask, layout,
+                                        LossWeights())
     b = obj.total_loss(trace, teacher_trace, labels, mask, layout, LossWeights())
     assert a.data == b.data
 

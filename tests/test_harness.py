@@ -255,7 +255,7 @@ def test_interrupted_save_keeps_the_old_file(tmp_path, monkeypatch, save):
     save(path, 0)
     old = path.read_bytes()
     _fail_halfway(monkeypatch)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(ConfigError, match="disk full"):
         save(path, 1)
     monkeypatch.undo()
     assert path.read_bytes() == old
@@ -293,6 +293,36 @@ def test_run_writes_results_and_is_byte_deterministic(tmp_path):
                 _without_wall_times(first[rel])
         else:
             assert p.read_bytes() == first[rel], p
+
+
+# seed-0 `content_hash` of `result.json` for a 6-class, 3-step run of each
+# strategy (and of avcil in each single modality); a change that moves them
+# must update them and say so in CHANGES.md
+PINNED_RESULTS = {
+    ("avcil", "audio"): "8de50e6c048757d88a490bb2f6209ac882d6b05c207154d8633c1c06b21e9138",
+    ("avcil", "audiovisual"): "2ec9c58088a05badb2f096cfaa767ff8601f7c5bb5652820f91984cdea100fc4",
+    ("avcil", "visual"): "0abe5074ed53e5159a09224b880f57d9a63dc55029f3766216326ae22cb0cf99",
+    ("finetune", "audiovisual"): "46cf2f123ee795f4790e62b2753ee4d94cb138f6031802adce3414e5a91eb3d8",
+    ("icarl_fc", "audiovisual"): "bf191d025f73e27dda1e5fcea88e9ba27fbf70ba4fecc64bb79a2d28e452d6ea",
+    ("icarl_nme", "audiovisual"): "5d25e6f70b08242cec120367e0da47feabb15405931fd1db937d00ec3d6a6e5c",
+    ("lwf", "audiovisual"): "44f904b7698821e7160d806c7d91b08f51346f683277c4fefc4aec5e96e83e4d",
+    ("oracle", "audiovisual"): "e797a74813d0850926d3cd51c1c7a3a342f26a7a42872a7fa77feb9726b75255",
+    ("ssil", "audiovisual"): "fddad35e3f5a4d324a3ecabcc54b59d79a5150de780e2fe8354f408dda7a7dbd",
+}
+
+
+def test_pins_cover_every_strategy():
+    assert {tag for tag, _ in PINNED_RESULTS} == set(STRATEGY_TAGS)
+
+
+@pytest.mark.parametrize("strategy,modality", sorted(PINNED_RESULTS))
+def test_result_bytes_match_their_pinned_hash(tmp_path, strategy, modality):
+    dataset = dict(base_config(tmp_path)["dataset"], num_classes=6)
+    path = write_config(tmp_path, strategy=strategy, modality=modality, dataset=dataset,
+                        steps=3, memory_capacity=10, seeds=[0])
+    harness.cli_run(path)
+    result = json.loads((tmp_path / "out/t/seed_0/result.json").read_text())
+    assert result["content_hash"] == PINNED_RESULTS[strategy, modality]
 
 
 def test_result_is_self_verifying(tmp_path):
@@ -501,6 +531,34 @@ def _export_with_checkpoint(tmp_path, d, edit=lambda blob: None):
             "--samples", "0"]
 
 
+def _taken(tmp_path):
+    """A regular file where a directory is wanted."""
+    path = tmp_path / "taken"
+    path.write_text("a file")
+    return path
+
+
+def _output_root_is_a_file(tmp_path, command):
+    return [command, str(write_config(tmp_path, output_root=str(_taken(tmp_path))))]
+
+
+def _dataset_path_config(tmp_path, dataset_path):
+    raw = base_config(tmp_path, dataset_path=dataset_path)
+    del raw["dataset"]
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    return str(tmp_path / "config.json")
+
+
+def _generate_to(tmp_path, out):
+    (tmp_path / "spec.json").write_text(json.dumps(base_config(tmp_path)["dataset"]))
+    return ["generate", str(tmp_path / "spec.json"), str(out)]
+
+
+def _compare_to(tmp_path, out):
+    _fake_result(tmp_path / "res" / "result.json")
+    return ["compare", str(tmp_path / "res"), str(out)]
+
+
 def _nan_in_value_7(blob):
     blob[16 + 8 * 7:16 + 8 * 8] = struct.pack("<d", float("nan"))
 
@@ -551,6 +609,26 @@ UNTRUSTED_INPUTS = {
         "non-finite checkpoint value at offset 72"),
     "checkpoint of d=5, dataset of d=4": (
         lambda p: _export_with_checkpoint(p, 5), 2, "the checkpoint has d=5, the dataset d=4"),
+    "name with a NUL byte": (
+        lambda p: ["run", str(write_config(p, name="a\x00b"))], 2,
+        "cannot create directory"),
+    "300-character name": (
+        lambda p: ["run", str(write_config(p, name="n" * 300))], 2, "File name too long"),
+    "output_root with a NUL byte": (
+        lambda p: ["run", str(write_config(p, output_root=str(p / "o\x00ut")))], 2,
+        "embedded null byte"),
+    **{f"output_root is a file, {command}": (
+        lambda p, command=command: _output_root_is_a_file(p, command), 2, "Not a directory")
+       for command in ("run", "ablate")},
+    "dataset_path with a NUL byte": (
+        lambda p: ["run", _dataset_path_config(p, str(p / "da\x00ta.avcf"))], 2,
+        "cannot read dataset"),
+    "generate into a directory": (lambda p: _generate_to(p, p), 2, "Is a directory"),
+    "generate under a file": (lambda p: _generate_to(p, _taken(p) / "x.avcf"), 2,
+                              "cannot write"),
+    "compare into a directory": (lambda p: _compare_to(p, p), 2, "Is a directory"),
+    "compare under a file": (lambda p: _compare_to(p, _taken(p) / "o.csv"), 2,
+                             "cannot write"),
     "checkpoint of d=0 and no classes": (
         lambda p: _export_with_checkpoint(p, 4, _header_of_no_model), 2,
         "checkpoint needs d >= 1 and num_classes >= 1, got d=0 and num_classes=0"),
@@ -568,6 +646,20 @@ def test_untrusted_inputs_exit_2_or_3_without_a_traceback(tmp_path, capsys, case
         assert not (tmp_path / "out").exists()
     else:               # the tail of the run log follows the error
         assert "run_started" in err
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_an_unwritable_output_root_trains_no_job(tmp_path, monkeypatch, command):
+    run = harness.run_one_seed
+    jobs = []
+
+    def count_then_run(*args):
+        jobs.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(harness, "run_one_seed", count_then_run)
+    assert cli.main(_output_root_is_a_file(tmp_path, command)) == 2
+    assert jobs == []
 
 
 def test_result_bytes_do_not_depend_on_the_dataset_files_directory(tmp_path):

@@ -253,16 +253,15 @@ def test_run_log_structure():
     ds = make_dataset()
     seq = build_task_sequence(range(6), 2, 3, seed=7)
     config = quick_config(strategy="ssil", epochs=3)
-    external: list = []
-    out = run_incremental(ds, seq, config, events=external)
-    assert out.events is external
-    kinds = [e["event"] for e in out.events]
+    events: list = []
+    out = run_incremental(ds, seq, config, events=events)
+    kinds = [e["event"] for e in events]
     assert kinds[0] == "run_started"
     assert kinds.count("step_started") == 2
     assert kinds.count("epoch_loss") == 2 * 3
     assert kinds.count("memory_updated") == 2
     assert kinds.count("step_evaluated") == 2
-    evaluated = [e for e in out.events if e["event"] == "step_evaluated"]
+    evaluated = [e for e in events if e["event"] == "step_evaluated"]
     assert all("wall_time_s" in e and "overall_accuracy" in e for e in evaluated)
     assert len(out.loss_curves) == 2 and all(len(c) == 3 for c in out.loss_curves)
 
