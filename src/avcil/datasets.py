@@ -154,15 +154,20 @@ def generate_synthetic(spec: GeneratorSpec, _b_permutation: Sequence[int] | None
     `_b_permutation` is a test hook for xor_pairs that permutes which visual
     direction each b index uses; audio generation never reads b, so the audio
     bytes must not change under it. Features beyond this machine's physical
-    memory raise `ConfigError` (exit 2 from the CLI) before any allocation.
+    memory raise `ConfigError` (exit 2 from the CLI) before any allocation,
+    and features that overflow float32 raise it after generation.
     """
     rows = spec.num_classes * (spec.train_per_class + spec.test_per_class)
     size = 4 * rows * spec.d * (1 + spec.frames * spec.cells)
     if size > (memory := os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")):
         raise ConfigError(f"num_classes, train_per_class, test_per_class, d, frames and "
                           f"cells give {size} bytes of features, over the {memory} bytes of memory")
-    return _generate_aligned(spec) if spec.mode == "aligned" \
-        else _generate_xor(spec, _b_permutation)
+    with np.errstate(over="ignore", invalid="ignore"):     # reported below instead
+        ds = _generate_aligned(spec) if spec.mode == "aligned" \
+            else _generate_xor(spec, _b_permutation)
+    if not (np.isfinite(ds.audio).all() and np.isfinite(ds.visual).all()):
+        raise ConfigError("separation and noise_sigma give features that overflow float32")
+    return ds
 
 
 def _generate_aligned(spec: GeneratorSpec) -> FeatureDataset:

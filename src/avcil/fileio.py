@@ -98,7 +98,8 @@ def write_atomic(path, data: bytes) -> None:
     """
     path = Path(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if not os.path.lexists(path.parent):    # under a file, mkstemp says "Not a directory"
+            path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         try:
             with os.fdopen(fd, "wb") as fh:

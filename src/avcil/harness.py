@@ -359,7 +359,7 @@ def _compare_row(path: Path) -> dict:
             "per_step": [float(matrix[i][i]) for i in range(len(matrix))],
             "seed": int(payload["seed"]),
         }
-    except (KeyError, IndexError, TypeError, ValueError) as err:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
         raise FormatError(f"{path}: malformed result field: {err!r}") from None
 
 

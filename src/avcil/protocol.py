@@ -1,18 +1,19 @@
 """Class-incremental training protocol.
 
 Owns everything that makes an incremental run a *run*: the task sequence,
-the label map, classifier growth, the teacher snapshot, the replay memory,
-per-step optimizer state, and the evaluation loop that records each step's
-accuracies. All randomness flows through purpose-keyed child seeds of the run
-seed, so two runs with the same config are bit-identical and strategies
-that ignore a random stream cannot perturb the streams used by others.
+which alone fixes the class order, classifier growth, the teacher snapshot,
+the replay memory, per-step optimizer state, and the evaluation loop that
+records each step's accuracies in the run's `StepState`. All randomness
+flows through purpose-keyed child seeds of the run seed, so two runs with
+the same config are bit-identical and strategies that ignore a random
+stream cannot perturb the streams used by others.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +67,18 @@ class TaskSequence:
         """All class ids in the first `upto` tasks, in arrival order."""
         return tuple(c for task in self.tasks[:upto] for c in task)
 
+    def layout(self, upto: int) -> TaskLayout:
+        """Class-axis layout of the first `upto` tasks."""
+        return TaskLayout(tuple(len(task) for task in self.tasks[:upto]))
+
+    def model_labels(self, class_ids: np.ndarray) -> np.ndarray:
+        """Model output index (arrival index) of each run class in `class_ids`;
+        the table holds one entry per run class, whatever the ids."""
+        order = self.seen_classes(self.steps)
+        # sorted in Python: numpy's first sort call adds about 0.4 MiB to peak RSS
+        by_id = np.array(sorted(range(len(order)), key=order.__getitem__), dtype=np.int64)
+        return by_id[np.searchsorted(np.array(order, dtype=np.int64), class_ids, sorter=by_id)]
+
 
 def build_task_sequence(class_ids: Sequence[int], steps: int,
                         classes_per_step: int, seed: int) -> TaskSequence:
@@ -87,11 +100,6 @@ def build_task_sequence(class_ids: Sequence[int], steps: int,
     tasks = tuple(tuple(order[i * classes_per_step:(i + 1) * classes_per_step])
                   for i in range(steps))
     return TaskSequence(tasks)
-
-
-def label_map_for(sequence: TaskSequence) -> Dict[int, int]:
-    """Dataset class id -> model output index, in order of first appearance."""
-    return {c: i for i, c in enumerate(sequence.seen_classes(sequence.steps))}
 
 
 # ---------------------------------------------------------------------------
@@ -181,42 +189,27 @@ class TrainConfig:
 
 @dataclass
 class StepState:
-    """Everything carried from one incremental step to the next."""
+    """Everything carried from one incremental step to the next; the state
+    after the last step is the run's result."""
 
     step: int                       # number of completed steps
     params: mdl.ModelParams
     memory: ExemplarMemory
-    boundaries: Tuple[int, ...]     # class counts per completed task
     teacher: Optional[mdl.ModelParams] = None
-
-
-@dataclass
-class RunResult:
-    rows: List[List[float]]             # rows[t][i]: accuracy on task i after step t, i <= t
-    overall: List[float]                # per step, accuracy over every seen test sample
-    params: mdl.ModelParams
-    memory: ExemplarMemory
-    loss_curves: List[List[float]]      # per step, per epoch mean loss
+    loss_curves: List[List[float]] = field(default_factory=list)   # per step, per epoch
+    rows: List[List[float]] = field(default_factory=list)   # rows[t][i]: task i after step t
+    overall: List[float] = field(default_factory=list)      # per step, every seen test sample
 
 
 # ---------------------------------------------------------------------------
 # one incremental step
 
 
-def _model_labels(label_map: Dict[int, int], dataset: FeatureDataset,
-                  rows: np.ndarray) -> np.ndarray:
-    """Model output index of each row's class; only rows of the run's classes
-    are looked up, so the table holds one entry per run class, whatever the ids."""
-    ids = np.array(sorted(label_map), dtype=np.int64)
-    index = np.array([label_map[c] for c in ids.tolist()], dtype=np.int64)
-    return index[np.searchsorted(ids, dataset.labels[rows])]
-
-
-def train_step(state: StepState, task_classes: Sequence[int],
+def train_step(state: StepState, sequence: TaskSequence,
                dataset: FeatureDataset, config: TrainConfig,
-               strategy: Strategy, label_map: Dict[int, int],
-               events: Optional[List[dict]] = None) -> Tuple[StepState, List[float]]:
-    """Train on one task and return the advanced state plus the loss curve.
+               strategy: Strategy, events: Optional[List[dict]] = None) -> StepState:
+    """Train on the sequence's next task and return the advanced state, its
+    loss curve appended.
 
     Order of operations matters and is part of the contract: snapshot the
     teacher from the incoming parameters, then grow the classifier, then
@@ -226,7 +219,7 @@ def train_step(state: StepState, task_classes: Sequence[int],
     if events is None:
         events = []
     t = state.step + 1
-    new_classes = [int(c) for c in task_classes]
+    new_classes = [int(c) for c in sequence.tasks[state.step]]
     events.append({"event": "step_started", "step": t, "classes": new_classes})
     teacher = mdl.snapshot(state.params) if (strategy.uses_teacher and t > 1) else None
 
@@ -237,14 +230,12 @@ def train_step(state: StepState, task_classes: Sequence[int],
     if strategy.retrains_on_all and t > 1:
         params = mdl.reinit_classifier(params, params.num_classes,
                                        _child_seed(config.seed, _P_REINIT, t))
-    boundaries = state.boundaries + (len(new_classes),)
-    layout = TaskLayout(boundaries)
+    layout = sequence.layout(t)
     if layout.total_classes != params.num_classes:
         raise ContractError("classifier width does not match the task layout")
 
     if strategy.retrains_on_all:
-        seen = [c for c, i in label_map.items() if i < layout.total_classes]
-        fresh = [dataset.of_class(c, "train") for c in seen]
+        fresh = [dataset.of_class(c, "train") for c in sequence.seen_classes(t)]
         replay = np.zeros(0, dtype=np.int64)
     else:
         fresh = [dataset.of_class(c, "train") for c in new_classes]
@@ -252,7 +243,7 @@ def train_step(state: StepState, task_classes: Sequence[int],
     pool = np.concatenate(fresh + [replay])
     if len(pool) == 0:
         raise ContractError(f"no training samples for step {t}")
-    labels = _model_labels(label_map, dataset, pool)
+    labels = sequence.model_labels(dataset.labels[pool])
     exemplar = np.arange(len(pool)) >= len(pool) - len(replay)
 
     opt = dm.AdamState(params.flat.size, lr=config.lr, weight_decay=config.weight_decay)
@@ -300,8 +291,8 @@ def train_step(state: StepState, task_classes: Sequence[int],
         events.append({"event": "memory_updated", "step": t,
                        "memory_size": memory.total(),
                        "classes_stored": len(memory.store)})
-    return StepState(step=t, params=params, memory=memory,
-                     boundaries=boundaries, teacher=teacher), curve
+    return replace(state, step=t, params=params, memory=memory, teacher=teacher,
+                   loss_curves=state.loss_curves + [curve])
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +301,9 @@ def train_step(state: StepState, task_classes: Sequence[int],
 
 def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
                     config: TrainConfig,
-                    events: Optional[List[dict]] = None) -> RunResult:
-    """Run every step of the sequence, evaluating after each one.
+                    events: Optional[List[dict]] = None) -> StepState:
+    """Run every step of the sequence, evaluating after each one, and return
+    the last step's state.
 
     The run log is appended to `events`, or to a throwaway list: pass one
     to read it, and on divergence it still holds everything logged up to
@@ -322,12 +314,12 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
         raise ConfigError(
             f"strategy {strategy.tag!r} replays from memory; memory_capacity "
             "must be >= 1")
-    label_map = label_map_for(sequence)
-    if strategy.nme_eval and config.memory_capacity < len(label_map):
+    run_classes = sequence.seen_classes(sequence.steps)
+    if strategy.nme_eval and config.memory_capacity < len(run_classes):
         raise ConfigError(
             f"strategy {strategy.tag!r} classifies by exemplar means; memory_capacity "
-            f"must be >= {len(label_map)}, one exemplar per class of the run")
-    for c in label_map:
+            f"must be >= {len(run_classes)}, one exemplar per class of the run")
+    for c in run_classes:
         if not (dataset.of_class(c, "train").size and dataset.of_class(c, "test").size):
             raise ConfigError(f"class {c} lacks train or test samples")
 
@@ -340,37 +332,29 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
     params = mdl.init_params(dataset.d, len(sequence.tasks[0]),
                              _child_seed(config.seed, _P_INIT))
     state = StepState(step=0, params=params,
-                      memory=ExemplarMemory(config.memory_capacity, config.seed),
-                      boundaries=())
-    rows: List[List[float]] = []
-    overalls: List[float] = []
-    curves: List[List[float]] = []
-    for t, task in enumerate(sequence.tasks, 1):
+                      memory=ExemplarMemory(config.memory_capacity, config.seed))
+    for t in range(1, sequence.steps + 1):
         t0 = time.perf_counter()
-        state, curve = train_step(state, task, dataset, config, strategy,
-                                  label_map, events)
-        curves.append(curve)
-
+        state = train_step(state, sequence, dataset, config, strategy, events)
         test = np.concatenate([dataset.of_class(c, "test")
                                for c in sequence.seen_classes(t)])
         nme = None
         if strategy.nme_eval:
             exemplars = state.memory.rows()
             nme = (dataset.audio[exemplars], dataset.visual[exemplars],
-                   _model_labels(label_map, dataset, exemplars))
+                   sequence.model_labels(dataset.labels[exemplars]))
         try:
             with np.errstate(**_DIVERGING):
                 overall, per_task = evaluate(state.params, dataset.audio[test],
                                              dataset.visual[test],
-                                             _model_labels(label_map, dataset, test),
-                                             TaskLayout(state.boundaries), config.modality, nme)
+                                             sequence.model_labels(dataset.labels[test]),
+                                             sequence.layout(t), config.modality, nme)
         except NumericDomainError as err:
             raise TrainingDiverged(t, None, None, reason=str(err)) from err
-        rows.append(per_task)
-        overalls.append(overall)
+        state = replace(state, rows=state.rows + [per_task],
+                        overall=state.overall + [overall])
         events.append({"event": "step_evaluated", "step": t,
                        "overall_accuracy": overall, "per_task": per_task,
                        "memory_size": state.memory.total(),
                        "wall_time_s": time.perf_counter() - t0})
-    return RunResult(rows=rows, overall=overalls, params=state.params, memory=state.memory,
-                     loss_curves=curves)
+    return state

@@ -26,8 +26,8 @@ from avcil.datasets import GeneratorSpec, generate_synthetic
 from avcil.metrics import average_forgetting, mean_accuracy
 from avcil.objectives import LossWeights, TaskLayout
 from avcil.protocol import (ExemplarMemory, StepState, TrainConfig,
-                            build_task_sequence, label_map_for,
-                            run_incremental, train_step, update_memory)
+                            build_task_sequence, run_incremental, train_step,
+                            update_memory)
 
 # The shared desk-scale benchmark: 16 well-separated audio-visual classes,
 # split 4 tasks x 4 classes, trained 25 epochs per step with a 64-sample
@@ -239,15 +239,14 @@ def test_criterion_09_attention_distillation_reduces_drift(bench):
     def drift(seed, use_vad):
         cfg = bench_train("avcil", seed, use_vad=use_vad)
         seq = build_task_sequence(classes, 2, 8, seed)
-        lmap = label_map_for(seq)
         strat = get_strategy("avcil")
         state = StepState(step=0,
                           params=mdl.init_params(ds.d, 8, seed=seed * 7 + 1),
-                          memory=ExemplarMemory(64, seed), boundaries=())
-        state, _ = train_step(state, seq.tasks[0], ds, cfg, strat, lmap)
+                          memory=ExemplarMemory(64, seed))
+        state = train_step(state, seq, ds, cfg, strat)
         rows = state.memory.rows()
         exemplars = ds.audio[rows], ds.visual[rows]
-        state, _ = train_step(state, seq.tasks[1], ds, cfg, strat, lmap)
+        state = train_step(state, seq, ds, cfg, strat)
         cur = mdl.forward(state.params, *exemplars, "audiovisual").maps
         old = mdl.forward(state.teacher, *exemplars, "audiovisual").maps
         deltas = [np.abs(cur.spatial.data - old.spatial.data).ravel(),

@@ -549,14 +549,20 @@ def _dataset_path_config(tmp_path, dataset_path):
     return str(tmp_path / "config.json")
 
 
-def _generate_to(tmp_path, out):
-    (tmp_path / "spec.json").write_text(json.dumps(base_config(tmp_path)["dataset"]))
+def _generate_to(tmp_path, out, **spec):
+    (tmp_path / "spec.json").write_text(json.dumps(dict(base_config(tmp_path)["dataset"],
+                                                        **spec)))
     return ["generate", str(tmp_path / "spec.json"), str(out)]
 
 
-def _compare_to(tmp_path, out):
-    _fake_result(tmp_path / "res" / "result.json")
+def _compare_to(tmp_path, out, **fields):
+    _fake_result(tmp_path / "res" / "result.json", **fields)
     return ["compare", str(tmp_path / "res"), str(out)]
+
+
+def _run_with_spec(tmp_path, **spec):
+    return ["run", str(write_config(tmp_path,
+                                    dataset=dict(base_config(tmp_path)["dataset"], **spec)))]
 
 
 def _nan_in_value_7(blob):
@@ -583,6 +589,12 @@ UNTRUSTED_INPUTS = {
     "oversized spec, run": (
         lambda p: ["run", str(write_config(p, dataset=OVERSIZED_SPEC))], 2,
         "num_classes, train_per_class, test_per_class, d, frames and cells give"),
+    "separation 1e39, generate": (
+        lambda p: _generate_to(p, p / "out" / "x.avcf", separation=1e39), 2,
+        "separation and noise_sigma give features that overflow float32"),
+    "separation 1e39, run": (
+        lambda p: _run_with_spec(p, separation=1e39), 2,
+        "separation and noise_sigma give features that overflow float32"),
     **{f"lr 1e300, {tag}": (lambda p, tag=tag: ["run", str(write_config(p, strategy=tag,
                                                                         lr=1e300))],
                             3, "at step 1, epoch")
@@ -625,10 +637,13 @@ UNTRUSTED_INPUTS = {
         "cannot read dataset"),
     "generate into a directory": (lambda p: _generate_to(p, p), 2, "Is a directory"),
     "generate under a file": (lambda p: _generate_to(p, _taken(p) / "x.avcf"), 2,
-                              "cannot write"),
+                              "Not a directory"),
     "compare into a directory": (lambda p: _compare_to(p, p), 2, "Is a directory"),
     "compare under a file": (lambda p: _compare_to(p, _taken(p) / "o.csv"), 2,
-                             "cannot write"),
+                             "Not a directory"),
+    "compare, mean_accuracy 10**400": (
+        lambda p: _compare_to(p, p / "out" / "o.csv", mean_accuracy=10**400), 2,
+        "malformed result field: OverflowError"),
     "checkpoint of d=0 and no classes": (
         lambda p: _export_with_checkpoint(p, 4, _header_of_no_model), 2,
         "checkpoint needs d >= 1 and num_classes >= 1, got d=0 and num_classes=0"),

@@ -11,8 +11,8 @@ from avcil.errors import ConfigError, ContractError, TrainingDiverged
 from avcil.metrics import mean_accuracy
 from avcil.objectives import LossWeights
 from avcil.protocol import (ExemplarMemory, StepState, TrainConfig, TaskSequence,
-                            build_task_sequence, label_map_for, run_incremental,
-                            train_step, update_memory)
+                            build_task_sequence, run_incremental, train_step,
+                            update_memory)
 
 
 def make_dataset(num_classes=6, seed=0, train=6, test=3, d=6):
@@ -57,9 +57,10 @@ def test_task_sequence_rejects_bad_input():
         build_task_sequence(range(5), 0, 2, seed=0)
 
 
-def test_label_map_follows_appearance_order():
+def test_model_labels_and_layout_follow_appearance_order():
     seq = TaskSequence(((7, 3), (1, 9)))
-    assert label_map_for(seq) == {7: 0, 3: 1, 1: 2, 9: 3}
+    assert seq.model_labels(np.array([9, 7, 1, 3, 7])).tolist() == [3, 0, 2, 1, 0]
+    assert seq.layout(1).boundaries == (2,) and seq.layout(2).boundaries == (2, 2)
     assert seq.seen_classes(1) == (7, 3)
     assert seq.seen_classes(2) == (7, 3, 1, 9)
 
@@ -155,15 +156,13 @@ def test_teacher_is_snapshotted_before_expansion():
     seq = build_task_sequence(range(6), 2, 3, seed=2)
     config = quick_config(strategy="avcil")
     strategy = get_strategy("avcil")
-    lmap = label_map_for(seq)
     params = mdl.init_params(ds.d, 3, seed=11)
     state = StepState(step=0, params=params,
-                      memory=ExemplarMemory(config.memory_capacity, config.seed),
-                      boundaries=())
-    state, _ = train_step(state, seq.tasks[0], ds, config, strategy, lmap)
+                      memory=ExemplarMemory(config.memory_capacity, config.seed))
+    state = train_step(state, seq, ds, config, strategy)
     end_of_step1 = {name: getattr(state.params, name).data.copy()
                     for name in ("w_audio", "cls_weight", "cls_bias")}
-    state, _ = train_step(state, seq.tasks[1], ds, config, strategy, lmap)
+    state = train_step(state, seq, ds, config, strategy)
     assert state.teacher is not None
     assert state.teacher.cls_weight.shape == (3, ds.d)      # pre-expansion width
     assert np.array_equal(state.teacher.cls_weight.data, end_of_step1["cls_weight"])
@@ -177,10 +176,9 @@ def test_teacher_forward_reads_the_student_batch(monkeypatch):
     seq = build_task_sequence(range(6), 2, 3, seed=2)
     config = quick_config(strategy="avcil", memory_capacity=6)
     strategy = get_strategy("avcil")
-    lmap = label_map_for(seq)
     state = StepState(step=0, params=mdl.init_params(ds.d, 3, seed=11),
-                      memory=ExemplarMemory(6, config.seed), boundaries=())
-    state, _ = train_step(state, seq.tasks[0], ds, config, strategy, lmap)
+                      memory=ExemplarMemory(6, config.seed))
+    state = train_step(state, seq, ds, config, strategy)
 
     calls = []
     real_forward = mdl.forward
@@ -190,7 +188,7 @@ def test_teacher_forward_reads_the_student_batch(monkeypatch):
         return real_forward(params, *args)
 
     monkeypatch.setattr(mdl, "forward", recording_forward)
-    train_step(state, seq.tasks[1], ds, config, strategy, lmap)
+    train_step(state, seq, ds, config, strategy)
     # 3 new classes x 6 train samples + 6 exemplars, batches of 8, 2 epochs
     assert len(calls) == 2 * 3 * 2
     for student, teacher in zip(calls[::2], calls[1::2]):
@@ -208,28 +206,26 @@ def test_step_grows_boundaries_and_replays_memory():
     seq = build_task_sequence(range(6), 3, 2, seed=2)
     config = quick_config(strategy="ssil", memory_capacity=6)
     strategy = get_strategy("ssil")
-    lmap = label_map_for(seq)
     state = StepState(step=0, params=mdl.init_params(ds.d, 2, seed=11),
-                      memory=ExemplarMemory(6, config.seed), boundaries=())
+                      memory=ExemplarMemory(6, config.seed))
     for t in range(3):
-        state, curve = train_step(state, seq.tasks[t], ds, config, strategy, lmap)
-        assert len(curve) == config.epochs
-    assert state.boundaries == (2, 2, 2)
-    assert tuple(sorted(state.memory.store)) == tuple(sorted(lmap))
+        state = train_step(state, seq, ds, config, strategy)
+        assert len(state.loss_curves[-1]) == config.epochs
+    assert state.params.num_classes == 6 and len(state.loss_curves) == 3
+    assert tuple(sorted(state.memory.store)) == tuple(sorted(seq.seen_classes(3)))
     assert state.memory.total() == 6
 
 
 def test_divergence_raises_with_location():
     ds = make_dataset(num_classes=2)
     seq = TaskSequence(((0, 1),))
-    lmap = label_map_for(seq)
     exploder = Strategy("exploder", uses_memory=False, uses_teacher=False,
                         retrains_on_all=False, nme_eval=False,
                         compose=lambda *a: dm.parameter(np.float64("inf")))
     state = StepState(step=0, params=mdl.init_params(ds.d, 2, seed=0),
-                      memory=ExemplarMemory(0, 0), boundaries=())
+                      memory=ExemplarMemory(0, 0))
     with pytest.raises(TrainingDiverged) as err:
-        train_step(state, (0, 1), ds, quick_config(), exploder, lmap)
+        train_step(state, seq, ds, quick_config(), exploder)
     assert err.value.step == 1 and err.value.epoch == 0 and err.value.batch == 0
 
 
@@ -264,6 +260,20 @@ def test_run_log_structure():
     evaluated = [e for e in events if e["event"] == "step_evaluated"]
     assert all("wall_time_s" in e and "overall_accuracy" in e for e in evaluated)
     assert len(out.loss_curves) == 2 and all(len(c) == 3 for c in out.loss_curves)
+
+
+def test_returned_state_agrees_with_the_run_log():
+    ds = make_dataset()
+    seq = build_task_sequence(range(6), 3, 2, seed=7)
+    events: list = []
+    out = run_incremental(ds, seq, quick_config(strategy="ssil", epochs=3), events=events)
+    evaluated = [e for e in events if e["event"] == "step_evaluated"]
+    losses = [e for e in events if e["event"] == "epoch_loss"]
+    assert out.step == 3
+    assert out.rows == [e["per_task"] for e in evaluated]
+    assert out.overall == [e["overall_accuracy"] for e in evaluated]
+    assert out.loss_curves == [[e["loss"] for e in losses if e["step"] == t]
+                               for t in (1, 2, 3)]
 
 
 def test_finetune_ignores_memory_capacity():
