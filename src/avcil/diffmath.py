@@ -13,12 +13,13 @@ everything else, every tensor of (N, d) or fewer axes included, is float64.
 The fused primitives `tanh_matmul`, `softmax_of_product` and `product_sum`
 compute in float32 when either operand is float32, return a result of two or
 fewer axes as float64, and hand each operand its gradient in its own dtype.
-`kl_rows` always computes in float64. Float64 inputs never meet a cast, so an
-all-float64 graph runs exactly the float64 arithmetic.
+`kl_rows` and `block_kl` always compute in float64. Float64 inputs never meet
+a cast, so an all-float64 graph runs exactly the float64 arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -27,6 +28,10 @@ import numpy as np
 from .errors import ContractError, NumericDomainError
 
 Array = np.ndarray
+
+# every tensor takes the next creation index; a node's parents always hold
+# smaller ones, so descending index order is a topological order for backward
+_creation = itertools.count()
 
 __all__ = [
     "DiffTensor",
@@ -46,6 +51,7 @@ __all__ = [
     "product_sum",
     "nll",
     "kl_rows",
+    "block_kl",
     "grad_check",
     "AdamState",
     "adam_step",
@@ -101,7 +107,7 @@ class DiffTensor:
     or parameters.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op", "_done", "_index")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_policy(data)
@@ -111,6 +117,7 @@ class DiffTensor:
         self._vjp: Callable[[Array], tuple[Array | None, ...]] | None = None
         self._op = "leaf"
         self._done = False
+        self._index = next(_creation)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -225,6 +232,7 @@ def _node(data: Array, parents: tuple[DiffTensor, ...], vjp, op: str) -> DiffTen
     out._vjp = vjp if out.requires_grad else None
     out._op = op
     out._done = False
+    out._index = next(_creation)
     return out
 
 
@@ -264,8 +272,11 @@ def _matmul_vjp(a: DiffTensor, b: DiffTensor, ad: Array, bd: Array, g: Array):
         if ad.ndim == 1:
             gb = np.outer(ad, g)
         else:
-            lead = list(range(ad.ndim - 1))
-            gb = np.tensordot(ad, g, axes=(lead, lead))
+            # np.tensordot over the leading axes, without its per-call Python:
+            # the same transposed view of ad and the same np.dot
+            last = ad.ndim - 1
+            gb = np.dot(ad.transpose((last, *range(last))).reshape(ad.shape[-1], -1),
+                        g.reshape(-1, g.shape[-1]))
         gb = _in_dtype(gb, b)
     return ga, gb
 
@@ -302,13 +313,13 @@ def exp(x: DiffTensor) -> DiffTensor:
 
 
 def log(x: DiffTensor) -> DiffTensor:
-    if np.any(x.data <= 0.0):
+    if (x.data <= 0.0).any():
         raise NumericDomainError("log of a non-positive entry")
     return _node(np.log(x.data), (x,), lambda g: (g / x.data,), "log")
 
 
 def sqrt(x: DiffTensor) -> DiffTensor:
-    if np.any(x.data < 0.0):
+    if (x.data < 0.0).any():
         raise NumericDomainError("sqrt of a negative entry")
     out = np.sqrt(x.data)
     return _node(out, (x,), lambda g: (g * 0.5 / out,), "sqrt")
@@ -350,7 +361,7 @@ def slice_axis(x: DiffTensor, axis: int, start: int, stop: int) -> DiffTensor:
 
 
 def _check_softmax_input(x: Array) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericDomainError("softmax of a non-finite input")
 
 
@@ -410,7 +421,7 @@ def product_sum(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
     out = product.sum(axis=ax)
 
     def vjp(g: Array):
-        g = np.expand_dims(g.astype(dt, copy=False), ax)
+        g = g.astype(dt, copy=False).reshape(shape[:ax] + (1,) + shape[ax + 1:])
         return _product_vjp(a, b, ad, bd, np.broadcast_to(g, shape))
 
     return _node(out.astype(_policy_dtype(out), copy=False), (a, b), vjp, "product_sum")
@@ -437,12 +448,12 @@ def nll(logits: DiffTensor, positives, support=None) -> DiffTensor:
     sup = np.ones(z.shape, dtype=bool) if support is None else np.asarray(support)
     if z.ndim != 2 or any(m.dtype != np.bool_ or m.shape != z.shape for m in (pos, sup)):
         raise ContractError("nll needs (N, C) logits and boolean masks of the same shape")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NumericDomainError("nll of a non-finite logit")
     counts = pos.sum(axis=1)
-    if np.any(counts == 0):
+    if (counts == 0).any():
         raise ContractError("nll: a row has no positive")
-    if np.any(pos & ~sup):
+    if (pos & ~sup).any():
         raise ContractError("nll: a positive lies outside its row's support")
     lse_support, grad = _masked_lse(z, sup)
     lse_positive, p_positive = _masked_lse(z, pos)
@@ -453,10 +464,10 @@ def nll(logits: DiffTensor, positives, support=None) -> DiffTensor:
 
 def _kl_check(p: Array, q: Array, ax: int) -> None:
     for name, t in (("p", p), ("q", q)):
-        if np.any(t < 0.0):
+        if (t < 0.0).any():
             raise ContractError(f"kl_rows: negative entry in {name}")
         sums = t.sum(axis=ax)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
+        if (np.abs(sums - 1.0) > 1e-6).any():
             raise ContractError(f"kl_rows: a slice of {name} does not sum to 1")
 
 
@@ -502,7 +513,7 @@ KL_CLAMP = 1e-12
 
 
 def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequence[float],
-            rows=None) -> DiffTensor:
+            rows=None, q_rows=None) -> DiffTensor:
     """sum_k weights[k] * mean KL(p_k || q_k) over the distributions along
     axis_k, as one node.
 
@@ -511,31 +522,39 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
     float64, so the sum-to-1 check keeps its tolerance on float32 maps. Axis
     0 holds the rows and is never a distribution axis. Given strictly
     increasing `rows`, pairs are read at those rows only, in chunks of about
-    `KL_CHUNK_ENTRIES` entries; with none, at every row in one chunk. A
+    `KL_CHUNK_ENTRIES` entries; with none, at every row in one chunk. Given
+    `q_rows` as well, one per row, each q is read at `q_rows[i]` where its p
+    is read at `rows[i]`, so q may hold other rows than p (a frozen
+    teacher's maps of the replay rows); such a q must not track gradients. A
     tracked operand's gradient is written into the rows read and is zero
     elsewhere.
     """
     if len(pairs) != len(weights) or not pairs:
         raise ContractError("kl_rows needs one weight per (p, q, axis) pair")
     idx = None if rows is None else np.asarray(rows, dtype=np.int64)
-    if idx is not None and (idx.ndim != 1 or idx.size == 0 or np.any(idx[1:] <= idx[:-1])):
+    if idx is not None and (idx.ndim != 1 or idx.size == 0 or (idx[1:] <= idx[:-1]).any()):
         raise ContractError("kl_rows needs a non-empty, strictly increasing 1-d row array")
+    q_idx = idx if q_rows is None else np.asarray(q_rows, dtype=np.int64)
+    if q_rows is not None and (idx is None or q_idx.shape != idx.shape):
+        raise ContractError("kl_rows needs one q row per row read")
     axes, n_slices, chunks = [], [], []
     for p, q, axis in pairs:
-        if p.shape != q.shape:
+        if p.shape[1:] != q.shape[1:] or (q_rows is None and p.shape[0] != q.shape[0]):
             raise ContractError(f"kl_rows shape mismatch: {p.shape} vs {q.shape}")
+        if q_rows is not None and q.requires_grad:
+            raise ContractError("kl_rows reads q at its own rows only when q tracks no gradient")
         ax = _check_axis(axis, p.ndim)
         axes.append(ax)
         n_slices.append(_kl_slices(p.shape if idx is None else (idx.size, *p.shape[1:]), ax))
         if ax == 0:
             raise ContractError("kl_rows distributions must lie along a non-row axis")
         if idx is None:
-            chunks.append([slice(None)])
+            chunks.append([(slice(None), slice(None))])
             continue
-        if idx[0] < 0 or idx[-1] >= p.shape[0]:
+        if idx[0] < 0 or idx[-1] >= p.shape[0] or q_idx.min() < 0 or q_idx.max() >= q.shape[0]:
             raise ContractError("kl_rows row out of range")
         step = max(1, KL_CHUNK_ENTRIES // (p.data.size // p.shape[0]))
-        chunks.append([idx[i:i + step] for i in range(0, idx.size, step)])
+        chunks.append([(idx[i:i + step], q_idx[i:i + step]) for i in range(0, idx.size, step)])
 
     def read64(t: DiffTensor, at) -> Array:
         return t.data[at].astype(np.float64, copy=False)
@@ -544,8 +563,8 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
     total = None
     for (p, q, _), ax, n, parts, w in zip(pairs, axes, n_slices, chunks, weights):
         kl_sum = None
-        for at in parts:
-            p64, q64 = read64(p, at), read64(q, at)
+        for at_p, at_q in parts:
+            p64, q64 = read64(p, at_p), read64(q, at_q)
             _kl_check(p64, q64, ax)
             part = _kl_sum(p64, q64)
             kl_sum = part if kl_sum is None else kl_sum + part
@@ -557,10 +576,10 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
         for (p, q, _), n, parts, w in zip(pairs, n_slices, chunks, weights):
             gs = float(g) * w / n
             full = [np.zeros_like(t.data) if t.requires_grad else None for t in (p, q)]
-            for at in parts:
-                grads = _kl_grads(read64(p, at), read64(q, at), gs,
+            for at_p, at_q in parts:
+                grads = _kl_grads(read64(p, at_p), read64(q, at_q), gs,
                                   p.requires_grad, q.requires_grad)
-                for dest, grad in zip(full, grads):
+                for dest, at, grad in zip(full, (at_p, at_q), grads):
                     if dest is not None:
                         dest[at] = grad
             out += full
@@ -570,13 +589,55 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
     return _node(_as_f64(total), parents, vjp, "kl_rows")
 
 
+def block_kl(logits: DiffTensor, teacher_logits: Array,
+             bounds: Sequence[tuple[int, int]]) -> DiffTensor:
+    """sum over blocks of mean_i KL(softmax(logits[i, lo:hi]) || softmax(
+    teacher_logits[i, lo:hi])), one block per (lo, hi) of `bounds`, as one
+    node.
+
+    Both sides are softmaxed within each block here; the teacher side is a
+    plain array and gets no gradient. The VJP writes every block's gradient
+    into one array, zero in the columns no block covers. Each block runs
+    the arithmetic of a softmax node feeding a one-pair `kl_rows` node.
+    """
+    z, t = logits.data, np.asarray(teacher_logits)
+    if z.ndim != 2 or t.ndim != 2 or z.shape[0] != t.shape[0] or z.shape[0] == 0:
+        raise ContractError(f"block_kl needs non-empty (N, C) logits of the same rows, "
+                            f"got {z.shape} and {t.shape}")
+    if not bounds or any(not 0 <= lo < hi <= min(z.shape[1], t.shape[1])
+                         for lo, hi in bounds):
+        raise ContractError("block_kl needs non-empty blocks inside both logit widths")
+    n = z.shape[0]
+    blocks = []
+    total = None
+    for lo, hi in bounds:
+        zb, tb = z[:, lo:hi], t[:, lo:hi]
+        _check_softmax_input(zb)
+        _check_softmax_input(tb)
+        p, q = _softmax_data(zb, 1), _softmax_data(tb.astype(np.float64, copy=False), 1)
+        blocks.append((lo, hi, p, q))
+        term = _kl_sum(p, q) / n
+        total = term if total is None else total + term
+
+    def vjp(g: Array):
+        grad = np.zeros_like(z)
+        gs = float(g) / n
+        for lo, hi, p, q in blocks:
+            grad[:, lo:hi] = _softmax_vjp(p, 1, _kl_grads(p, q, gs, True, False)[0])
+        return (grad,)
+
+    return _node(_as_f64(total), (logits,), vjp, "block_kl")
+
+
 # --- backward pass --------------------------------------------------------
 
 
 def backward(loss: DiffTensor) -> None:
     """Accumulate dLoss/dT into `.grad` for every tracked leaf below `loss`.
 
-    Only tensors with `requires_grad` are visited. A leaf's first gradient
+    Only tensors with `requires_grad` are visited, and their VJPs run in
+    descending creation order, so each node runs after every node that
+    consumed it. A leaf's first gradient
     is stored as its own copy (a `view` leaf adds it into its given array)
     and later ones are added in place; an intermediate's gradient is dropped
     once its VJP has run, so afterwards only leaves hold a `.grad`. The loss
@@ -591,24 +652,18 @@ def backward(loss: DiffTensor) -> None:
         raise ContractError("backward already ran on this node")
     loss._done = True
 
-    order: list[DiffTensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[DiffTensor, bool]] = [(loss, False)]
+    # every tracked node below the loss that has a VJP, by creation index
+    nodes = {loss._index: loss}
+    stack = [loss]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
+        for parent in stack.pop()._parents:
+            if parent._vjp is not None and parent._index not in nodes:
+                nodes[parent._index] = parent
+                stack.append(parent)
 
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(order):
+    for index in sorted(nodes, reverse=True):
+        node = nodes[index]
         if node._vjp is None or node.grad is None:
             continue
         g_out, node.grad = node.grad, None

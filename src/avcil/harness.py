@@ -584,11 +584,15 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
     check("kl_rows_given_rows_p", lambda x: kl_at(x, 0), grid)
     check("kl_rows_given_rows_q", lambda x: kl_at(x, 1), grid)
 
-    # tkd over two previous blocks, one kl_rows node of two pairs; drawn
+    # tkd over two previous blocks, one block_kl node of two blocks; drawn
     # last so every row above sees the same numbers
     three_tasks = TaskLayout((2, 2, 2))
     teacher_old = rng.normal(size=(n, three_tasks.old_count))
     check("loss_tkd_three_tasks", lambda x: obj.tkd(x, dm.constant(teacher_old), three_tasks),
           rng.normal(size=(n, three_tasks.total_classes)))
+    # block_kl itself over two blocks with column 2 in neither, drawn after
+    # the rows above for the same reason
+    teacher_blocks = rng.normal(size=(n, d))
+    check("block_kl", lambda x: dm.block_kl(x, teacher_blocks, [(0, 2), (3, d)]), a)
     return report
 

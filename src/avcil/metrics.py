@@ -40,13 +40,22 @@ def average_forgetting(rows: Sequence[Sequence[float]]) -> float | None:
     return float(np.mean(per_step))
 
 
+def forward_chunks(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,
+                   modality: str, rows: np.ndarray | None = None, chunk: int = EVAL_CHUNK):
+    """Yield (first row, trace) over `audio`, `visual`, or over their `rows`
+    only, `chunk` rows at a time; only a chunk's rows are gathered, and
+    frozen parameters build no graph."""
+    n = len(audio) if rows is None else len(rows)
+    for lo in range(0, n, chunk):
+        at = slice(lo, lo + chunk) if rows is None else rows[lo:lo + chunk]
+        yield lo, mdl.forward(params, audio[at], visual[at], modality)
+
+
 def _forward_rows(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,
                   modality: str, output: str) -> np.ndarray:
     """One trace field ("logits" or "fused") for every row, run EVAL_CHUNK rows at a time."""
-    out = np.concatenate([
-        getattr(mdl.forward(params, audio[lo:lo + EVAL_CHUNK], visual[lo:lo + EVAL_CHUNK],
-                            modality), output).data
-        for lo in range(0, len(audio), EVAL_CHUNK)])
+    out = np.concatenate([getattr(trace, output).data
+                          for _, trace in forward_chunks(params, audio, visual, modality)])
     if not np.isfinite(out).all():     # a forward without a softmax lets NaN through
         raise NumericDomainError(f"non-finite {output} in evaluation")
     return out

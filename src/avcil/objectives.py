@@ -6,7 +6,8 @@ a single backward pass yields gradients through every active term. Terms with
 a zero weight are skipped rather than multiplied by zero, which keeps a run
 with disabled components bit-identical to one that never constructs them.
 The four softmax heads are one `dm.nll` node each, told apart by their masks;
-the two distillation terms, `tkd` and `vad`, are one `dm.kl_rows` node each.
+the two distillation terms are one node each, `tkd` a `dm.block_kl` and `vad`
+a `dm.kl_rows`.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class TaskLayout:
 
 def l2_normalize_rows(x: DiffTensor) -> DiffTensor:
     sq = (x * x).sum(axis=1, keepdims=True)
-    if np.any(sq.data == 0.0):
+    if (sq.data == 0.0).any():
         raise NumericDomainError("cannot L2-normalize a zero row")
     return x / dm.sqrt(sq)
 
@@ -134,17 +135,20 @@ def d_avsc(f_audio: DiffTensor, f_visual: DiffTensor, labels,
 
 
 def vad(current: AttentionMaps, teacher: AttentionMaps, exemplar_mask,
-        lambda_vad: float) -> DiffTensor:
+        lambda_vad: float, teacher_rows=None) -> DiffTensor:
     """Visual attention distillation on replayed samples only.
 
     KL from the current model's attention to the frozen teacher's, spatial
     and temporal maps mixed by `lambda_vad`, as one node that reads only the
-    masked rows. An empty mask contributes an exact zero.
+    masked rows. The teacher's maps are read at the same rows, or, given
+    `teacher_rows`, at `teacher_rows[i]` for the i-th masked row. An empty
+    mask contributes an exact zero.
     """
     if not 0.0 <= lambda_vad <= 1.0:
         raise ContractError("lambda_vad must lie in [0, 1]")
-    if current.spatial.shape != teacher.spatial.shape \
-            or current.temporal.shape != teacher.temporal.shape:
+    if current.spatial.shape[1:] != teacher.spatial.shape[1:] \
+            or current.temporal.shape[1:] != teacher.temporal.shape[1:] \
+            or (teacher_rows is None and current.spatial.shape[0] != teacher.spatial.shape[0]):
         raise ContractError("attention map shapes differ between current and teacher")
     mask = np.asarray(exemplar_mask, dtype=bool)
     if mask.ndim != 1 or mask.size != current.spatial.shape[0]:
@@ -154,7 +158,7 @@ def vad(current: AttentionMaps, teacher: AttentionMaps, exemplar_mask,
         return dm.constant(0.0)
     return dm.kl_rows(((current.spatial, teacher.spatial, 2),
                        (current.temporal, teacher.temporal, 1)),
-                      (lambda_vad, 1.0 - lambda_vad), idx)
+                      (lambda_vad, 1.0 - lambda_vad), idx, teacher_rows)
 
 
 def cross_entropy(logits: DiffTensor, labels) -> DiffTensor:
@@ -181,32 +185,42 @@ def ss_ce(logits: DiffTensor, labels, layout: TaskLayout) -> DiffTensor:
     return dm.nll(logits, labels[:, None] == cols, support) / float(n)
 
 
-def tkd(logits: DiffTensor, teacher_logits: DiffTensor, layout: TaskLayout) -> DiffTensor:
+def tkd(logits: DiffTensor, teacher_logits, layout: TaskLayout) -> DiffTensor:
     """Task-wise knowledge distillation.
 
     Per previous task block, softmax both models within the block; the
-    batch-mean KLs from current to teacher sum in one `kl_rows` node.
+    batch-mean KLs from current to teacher sum in one `block_kl` node. The
+    teacher's logits, an array or a tensor, get no gradient.
     """
+    if isinstance(teacher_logits, DiffTensor):
+        teacher_logits = teacher_logits.data
     if layout.step < 2:
         raise ContractError("distillation needs at least one previous task")
     if teacher_logits.shape != (logits.shape[0], layout.old_count):
         raise ContractError("teacher logits must cover exactly the previous tasks")
     if logits.shape[1] != layout.total_classes:
         raise ContractError("logit width does not match the layout")
-    pairs = []
-    for task in range(layout.step - 1):
-        lo, hi = layout.block_bounds(task)
-        cur = dm.softmax(dm.slice_axis(logits, 1, lo, hi), axis=1)
-        tea = dm.softmax(dm.slice_axis(teacher_logits, 1, lo, hi), axis=1)
-        pairs.append((cur, tea, 1))
-    return dm.kl_rows(pairs, [1.0] * len(pairs))
+    return dm.block_kl(logits, teacher_logits,
+                       [layout.block_bounds(task) for task in range(layout.step - 1)])
 
 
-def total_loss(trace: ForwardTrace, teacher_trace: ForwardTrace | None, labels,
-               exemplar_mask, layout: TaskLayout, weights: LossWeights) -> DiffTensor:
+@dataclass(frozen=True)
+class TeacherBatch:
+    """The frozen teacher's outputs for one batch, read from a cache of the
+    step: its logits of the batch rows, and attention maps (None when none
+    are kept) whose row `map_rows[i]` belongs to the batch's i-th exemplar."""
+
+    logits: np.ndarray
+    maps: AttentionMaps | None
+    map_rows: np.ndarray | None
+
+
+def total_loss(trace: ForwardTrace, teacher_trace: ForwardTrace | TeacherBatch | None,
+               labels, exemplar_mask, layout: TaskLayout, weights: LossWeights) -> DiffTensor:
     """Classification plus the three regularizers, in a fixed order.
 
-    `teacher_trace` must be present exactly when the layout has previous
+    `teacher_trace`, the teacher's forward trace on the batch or a
+    `TeacherBatch`, must be present exactly when the layout has previous
     tasks. Passing `exemplar_mask=None` disables attention distillation
     outright (an all-False mask merely makes it zero). Contrastive terms
     need both modal features and apply at every step; distillation terms
@@ -222,7 +236,9 @@ def total_loss(trace: ForwardTrace, teacher_trace: ForwardTrace | None, labels,
         parts.append(d_avsc(trace.audio, trace.attended_visual, labels, weights))
     if teacher_trace is not None and exemplar_mask is not None \
             and trace.maps is not None and teacher_trace.maps is not None:
-        parts.append(vad(trace.maps, teacher_trace.maps, exemplar_mask, weights.lambda_vad))
+        rows = teacher_trace.map_rows if isinstance(teacher_trace, TeacherBatch) else None
+        parts.append(vad(trace.maps, teacher_trace.maps, exemplar_mask, weights.lambda_vad,
+                         rows))
     return _chain_sum(parts)
 
 

@@ -23,8 +23,8 @@ from . import model as mdl
 from .baselines import Strategy, get_strategy
 from .datasets import FeatureDataset
 from .errors import ConfigError, ContractError, NumericDomainError, TrainingDiverged
-from .metrics import evaluate
-from .objectives import LossWeights, TaskLayout
+from .metrics import evaluate, forward_chunks
+from .objectives import LossWeights, TaskLayout, TeacherBatch
 
 logger = logging.getLogger("avcil.protocol")
 
@@ -205,6 +205,35 @@ class StepState:
 # one incremental step
 
 
+def _teacher_outputs(teacher: mdl.ModelParams, dataset: FeatureDataset, pool: np.ndarray,
+                     replay_from: int, config: TrainConfig, keep_maps: bool
+                     ) -> tuple[np.ndarray, Optional[mdl.AttentionMaps]]:
+    """The frozen teacher's logits for every pool row and, if `keep_maps`,
+    its attention maps for the pool rows from `replay_from` on (the replay
+    rows), run with no graph `config.batch_size` rows at a time.
+
+    A row's outputs do not depend on the other rows of its batch, so these
+    are the bytes a forward on each training batch would give.
+    """
+    logits, maps = [], None
+    for lo, trace in forward_chunks(teacher, dataset.audio, dataset.visual, config.modality,
+                                    pool, config.batch_size):
+        logits.append(trace.logits.data)
+        hi = lo + len(logits[-1])
+        if not keep_maps or trace.maps is None or hi <= replay_from:
+            continue
+        chunk_maps = (trace.maps.spatial.data, trace.maps.temporal.data)
+        if maps is None:    # filled in place: no second copy of the replay maps
+            maps = [np.empty((len(pool) - replay_from, *m.shape[1:]), m.dtype)
+                    for m in chunk_maps]
+        skip = max(replay_from - lo, 0)
+        for kept, m in zip(maps, chunk_maps):
+            kept[lo + skip - replay_from:hi - replay_from] = m[skip:]
+    if maps is not None:
+        maps = mdl.AttentionMaps(*map(dm.view, maps))
+    return np.concatenate(logits), maps
+
+
 def train_step(state: StepState, sequence: TaskSequence,
                dataset: FeatureDataset, config: TrainConfig,
                strategy: Strategy, events: Optional[List[dict]] = None) -> StepState:
@@ -213,7 +242,8 @@ def train_step(state: StepState, sequence: TaskSequence,
 
     Order of operations matters and is part of the contract: snapshot the
     teacher from the incoming parameters, then grow the classifier, then
-    train with a fresh optimizer, then update the replay memory. The step's
+    run the teacher once over the pool, then train with a fresh optimizer,
+    then update the replay memory. The step's
     run-log events are appended to `events`, or to a throwaway list.
     """
     if events is None:
@@ -249,24 +279,33 @@ def train_step(state: StepState, sequence: TaskSequence,
     opt = dm.AdamState(params.flat.size, lr=config.lr, weight_decay=config.weight_decay)
     curve: List[float] = []
     n = len(pool)
+    replay_from = n - len(replay)
     with np.errstate(**_DIVERGING):
+        if teacher is not None:
+            try:
+                teacher_logits, teacher_maps = _teacher_outputs(
+                    teacher, dataset, pool, replay_from, config,
+                    keep_maps=config.use_vad)
+            except NumericDomainError as err:
+                # reported at the first batch, the first to need the teacher
+                raise TrainingDiverged(t, 0, 0, reason=str(err)) from err
         for epoch in range(config.epochs):
             perm = _rng(config.seed, _P_SHUFFLE, t, epoch).permutation(n)
             total = 0.0
             for start in range(0, n, config.batch_size):
                 idx = perm[start:start + config.batch_size]
                 rows = pool[idx]
-                # gathered once; the teacher reads the very same tensors
-                audio = dm.constant(dataset.audio[rows])
-                visual = dm.constant(dataset.visual[rows])
-                batch_labels = labels[idx]
                 mask = exemplar[idx] if config.use_vad else None
+                teacher_batch = None
+                if teacher is not None:
+                    teacher_batch = TeacherBatch(
+                        teacher_logits[idx], teacher_maps,
+                        None if mask is None else idx[mask] - replay_from)
                 batch = start // config.batch_size
                 try:
-                    trace = mdl.forward(params, audio, visual, config.modality)
-                    teacher_trace = (mdl.forward(teacher, audio, visual, config.modality)
-                                     if teacher is not None else None)
-                    loss = strategy.compose(trace, teacher_trace, batch_labels, mask,
+                    trace = mdl.forward(params, dataset.audio[rows], dataset.visual[rows],
+                                        config.modality)
+                    loss = strategy.compose(trace, teacher_batch, labels[idx], mask,
                                             layout, config.weights)
                 except NumericDomainError as err:
                     # parameters an Adam step left non-finite trip a check before the loss
@@ -278,7 +317,7 @@ def train_step(state: StepState, sequence: TaskSequence,
                 dm.backward(loss)
                 dm.adam_step(params.flat, params.grad, opt)
                 # free this batch's graph before the next forward builds its own
-                del trace, teacher_trace, loss, audio, visual
+                del trace, loss
                 total += value * len(rows)
             curve.append(total / n)
             events.append({"event": "epoch_loss", "step": t, "epoch": epoch,

@@ -815,6 +815,38 @@ def test_kl_rows_at_reads_and_writes_only_its_rows():
         assert np.all(grad[[1, 3]] != 0.0)
 
 
+def test_kl_rows_reads_q_at_its_own_rows_bitwise_as_a_gathered_q():
+    rng = np.random.default_rng(12)
+    p = _dists(rng, (4, 3, 2), 1)
+    q = _dists(rng, (6, 3, 2), 1)
+    q_rows = [5, 0, 3]             # any order: the i-th row read pairs with q_rows[i]
+    tp = dm.parameter(p)
+    out = dm.kl_rows(((tp, dm.constant(q), 1),), (1.0,), [0, 2, 3], q_rows)
+    ref_p = dm.parameter(p)
+    ref = dm.kl_rows(((ref_p, dm.constant(np.concatenate([q[[5]], q[[0]], q[[0]], q[[3]]])),
+                       1),), (1.0,), [0, 2, 3])
+    assert out.data.tobytes() == ref.data.tobytes()
+    dm.backward(out)
+    dm.backward(ref)
+    assert tp.grad.tobytes() == ref_p.grad.tobytes()
+    for bad in ([5, 0], [6, 0, 3], [-1, 0, 3]):
+        with pytest.raises(ContractError):
+            dm.kl_rows(((tp, dm.constant(q), 1),), (1.0,), [0, 2, 3], bad)
+    with pytest.raises(ContractError):     # a tracked q read at other rows
+        dm.kl_rows(((dm.constant(p), dm.parameter(q), 1),), (1.0,), [0, 2, 3], q_rows)
+
+
+def test_block_kl_rejects_blocks_outside_either_width():
+    z = dm.parameter(np.zeros((3, 5)))
+    for bounds in ([], [(0, 0)], [(2, 1)], [(0, 4)], [(-1, 2)]):
+        with pytest.raises(ContractError):
+            dm.block_kl(z, np.zeros((3, 3)), bounds)
+    with pytest.raises(ContractError):
+        dm.block_kl(z, np.zeros((2, 3)), [(0, 2)])
+    with pytest.raises(NumericDomainError):
+        dm.block_kl(z, np.full((3, 3), np.nan), [(0, 2)])
+
+
 def test_float32_softmax_slices_sum_to_one_within_float32_rounding():
     rng = np.random.default_rng(9)
     p = dm.softmax_of_product(dm.constant(rng.normal(size=(6, 1, 1, 32))),

@@ -7,6 +7,7 @@ import re
 import struct
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -481,6 +482,23 @@ def test_cli_divergence_exits_3_with_log_tail(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "non-finite loss" in err
     assert "run_started" in err        # the tail of the run log is printed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_non_finite_teacher_diverges_its_step_with_exit_3(tmp_path, monkeypatch, capsys):
+    def poisoned_snapshot(params):
+        frozen = mdl.snapshot(params)
+        frozen.flat[0] = np.nan         # w_audio[0, 0] of the teacher only
+        return frozen
+
+    # protocol alone sees the poisoned snapshot; evaluation snapshots as before
+    monkeypatch.setattr(proto, "mdl", SimpleNamespace(**dict(vars(mdl),
+                                                             snapshot=poisoned_snapshot)))
+    assert cli.main(["run", str(write_config(tmp_path, seeds=[0]))]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == \
+        ["error: softmax of a non-finite input at step 2, epoch 0, batch 0"]
+    assert "Traceback" not in err
 
 
 def _file_config(tmp_path, edit=lambda ds: ds, **kw):
@@ -1069,6 +1087,10 @@ def test_gradcheck_covers_every_loss_and_passes():
 
 def test_gradcheck_checks_tkd_over_several_previous_tasks():
     assert harness.gradcheck_report(seed=0)["loss_tkd_three_tasks"] < 1e-5
+
+
+def test_gradcheck_checks_block_kl_over_two_blocks():
+    assert harness.gradcheck_report(seed=0)["block_kl"] < 1e-5
 
 
 def test_gradcheck_catches_a_wrong_derivative(monkeypatch, capsys):

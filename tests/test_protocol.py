@@ -1,10 +1,12 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import avcil.diffmath as dm
 import avcil.model as mdl
+import avcil.objectives as obj
 from avcil.baselines import Strategy, get_strategy
 from avcil.datasets import GeneratorSpec, generate_synthetic
 from avcil.errors import ConfigError, ContractError, TrainingDiverged
@@ -171,34 +173,59 @@ def test_teacher_is_snapshotted_before_expansion():
     assert state.params.num_classes == 6
 
 
-def test_teacher_forward_reads_the_student_batch(monkeypatch):
+def _second_step(**kw):
+    """A dataset, a sequence, an avcil config and strategy, and the state after step 1."""
     ds = make_dataset()
     seq = build_task_sequence(range(6), 2, 3, seed=2)
-    config = quick_config(strategy="avcil", memory_capacity=6)
+    config = quick_config(strategy="avcil", memory_capacity=6, **kw)
     strategy = get_strategy("avcil")
     state = StepState(step=0, params=mdl.init_params(ds.d, 3, seed=11),
                       memory=ExemplarMemory(6, config.seed))
-    state = train_step(state, seq, ds, config, strategy)
+    return ds, seq, config, strategy, train_step(state, seq, ds, config, strategy)
 
+
+def test_teacher_runs_once_per_step_in_chunks_of_the_batch_size(monkeypatch):
+    ds, seq, config, strategy, state = _second_step(batch_size=7)
     calls = []
     real_forward = mdl.forward
 
     def recording_forward(params, *args):
-        calls.append((params, *args))
+        calls.append(params.w_audio.requires_grad)
         return real_forward(params, *args)
 
     monkeypatch.setattr(mdl, "forward", recording_forward)
     train_step(state, seq, ds, config, strategy)
-    # 3 new classes x 6 train samples + 6 exemplars, batches of 8, 2 epochs
-    assert len(calls) == 2 * 3 * 2
-    for student, teacher in zip(calls[::2], calls[1::2]):
-        assert student[0].w_audio.requires_grad and not teacher[0].w_audio.requires_grad
-        assert teacher[1] is student[1] and teacher[2] is student[2]
-        audio, visual = (np.asarray(getattr(x, "data", x)) for x in student[1:3])
-        assert audio.shape == (8, ds.d) and visual.shape == (8, ds.frames, ds.cells, ds.d)
-        for a, v in zip(audio, visual):
-            row = np.flatnonzero((ds.audio == a).all(axis=1))
-            assert len(row) == 1 and np.array_equal(ds.visual[row[0]], v)
+    # 3 new classes x 6 train samples + 6 exemplars: ceil(24 / 7) chunks, then
+    # 4 student batches in each of 2 epochs
+    assert calls == [False] * 4 + [True] * 4 * 2
+
+
+def test_cached_teacher_outputs_equal_a_teacher_forward_on_each_batch_bitwise(monkeypatch):
+    ds, seq, config, strategy, state = _second_step()
+    batches, cached = [], []
+    real_forward = mdl.forward
+
+    def recording_forward(params, audio, visual, modality="audiovisual"):
+        if params.w_audio.requires_grad:
+            batches.append((audio, visual))
+        return real_forward(params, audio, visual, modality)
+
+    def recording_compose(trace, teacher, labels, mask, layout, weights):
+        cached.append((teacher, mask))
+        return obj.total_loss(trace, teacher, labels, mask, layout, weights)
+
+    monkeypatch.setattr(mdl, "forward", recording_forward)
+    out = train_step(state, seq, ds, config, replace(strategy, compose=recording_compose))
+    assert len(batches) == len(cached) == 3 * 2
+    exemplars_read = 0
+    for (audio, visual), (teacher, mask) in zip(batches, cached):
+        fresh = real_forward(out.teacher, audio, visual)
+        assert teacher.logits.tobytes() == fresh.logits.data.tobytes()
+        for kept, batch_map in ((teacher.maps.spatial, fresh.maps.spatial),
+                                (teacher.maps.temporal, fresh.maps.temporal)):
+            assert kept.data[teacher.map_rows].tobytes() == batch_map.data[mask].tobytes()
+        exemplars_read += len(teacher.map_rows)
+    assert exemplars_read == 6 * 2      # every exemplar, once per epoch
 
 
 def test_step_grows_boundaries_and_replays_memory():
