@@ -3,8 +3,9 @@
 Every composer has the same signature over a forward trace, an optional
 teacher trace, integer labels, an optional exemplar mask, the class layout,
 and the loss weights; the protocol stays strategy-agnostic. Flags tell the
-protocol what the strategy consumes (replay memory, a teacher snapshot),
-how the oracle retrains, and which predictor evaluates it.
+protocol what the strategy consumes (replay memory, a teacher snapshot, the
+replay rows' attention maps), how the oracle retrains, and which predictor
+evaluates it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ class Strategy:
     retrains_on_all: bool
     nme_eval: bool
     compose: Composer
+    distills_attention: bool = False    # its loss reads the replay rows' attention maps
 
 
 def finetune_loss(trace, teacher_trace, labels, exemplar_mask, layout, weights):
@@ -77,7 +79,8 @@ _STRATEGIES = {
     "ssil": Strategy("ssil", uses_memory=True, uses_teacher=True,
                      retrains_on_all=False, nme_eval=False, compose=ssil_loss),
     "avcil": Strategy("avcil", uses_memory=True, uses_teacher=True,
-                      retrains_on_all=False, nme_eval=False, compose=obj.total_loss),
+                      retrains_on_all=False, nme_eval=False, compose=obj.total_loss,
+                      distills_attention=True),
     "oracle": Strategy("oracle", uses_memory=False, uses_teacher=False,
                        retrains_on_all=True, nme_eval=False, compose=finetune_loss),
 }

@@ -8,13 +8,14 @@ identical inputs produce bit-identical outputs because every reduction runs
 in a fixed order on contiguous buffers.
 
 Dtype policy: a tensor of three or more axes built from float32 data stays
-float32 (the model's (N, L, S, d) visual grid and its (N, L, d) poolings);
-everything else, every tensor of (N, d) or fewer axes included, is float64.
-The fused primitives `tanh_matmul`, `softmax_of_product` and `product_sum`
-compute in float32 when either operand is float32, return a result of two or
-fewer axes as float64, and hand each operand its gradient in its own dtype.
-`kl_rows` and `block_kl` always compute in float64. Float64 inputs never meet
-a cast, so an all-float64 graph runs exactly the float64 arithmetic.
+float32 (the model's (N, L, S, d) visual grid, its attention maps and its
+(N, L, d) poolings); everything else, every tensor of (N, d) or fewer axes
+included, is float64. The fused primitives `tanh_matmul`, `product_sum` and
+`attend` (the whole attention block, run in row chunks) compute in float32
+when an input is float32, return a result of two or fewer axes as float64,
+and hand each operand its gradient in its own dtype. `kl_rows` and
+`block_kl` always compute in float64. Float64 inputs never meet a cast, so
+an all-float64 graph runs exactly the float64 arithmetic.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ __all__ = [
     "slice_axis",
     "softmax",
     "tanh_matmul",
-    "softmax_of_product",
+    "attend",
     "product_sum",
     "nll",
     "kl_rows",
+    "check_distributions",
     "block_kl",
     "grad_check",
     "AdamState",
@@ -395,22 +397,6 @@ def softmax(x: DiffTensor, axis: int) -> DiffTensor:
     return _node(out, (x,), lambda g: (_softmax_vjp(out, ax, g),), "softmax")
 
 
-def softmax_of_product(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
-    """softmax(a * b) along `axis`, `a` and `b` broadcast; the product is not kept."""
-    dt = _compute_dtype(a, b)
-    ad, bd = a.data.astype(dt, copy=False), b.data.astype(dt, copy=False)
-    product = ad * bd
-    _check_softmax_input(product)
-    ax = _check_axis(axis, product.ndim)
-    out = _softmax_data(product, ax, out=product)
-
-    def vjp(g: Array):
-        return _product_vjp(a, b, ad, bd, _softmax_vjp(out, ax, g.astype(dt, copy=False)))
-
-    return _node(out.astype(_policy_dtype(out), copy=False), (a, b), vjp,
-                 "softmax_of_product")
-
-
 def product_sum(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
     """(a * b).sum(axis), `a` and `b` broadcast; the product is not kept."""
     dt = _compute_dtype(a, b)
@@ -425,6 +411,156 @@ def product_sum(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
         return _product_vjp(a, b, ad, bd, np.broadcast_to(g, shape))
 
     return _node(out.astype(_policy_dtype(out), copy=False), (a, b), vjp, "product_sum")
+
+
+# attend walks the batch in chunks of rows of about this many grid entries,
+# so no (N, L, S, d) temporary of the block outlives its chunk
+ATTEND_CHUNK_ENTRIES = 1 << 16
+
+
+def _attend_spatial(visual: Array, w: Array, audio: Array) -> tuple[Array, Array]:
+    """A chunk's visual scores tanh(visual @ w) and its spatial map: the
+    softmax over cells of their product with the chunk's audio scores."""
+    scores = visual @ w
+    np.tanh(scores, out=scores)
+    spatial = audio[:, None, None, :] * scores
+    _check_softmax_input(spatial)
+    return scores, _softmax_data(spatial, 2, out=spatial)
+
+
+def _with_map_grad(g_map: Array | None, at: Array, g: Array | None,
+                   shape: tuple[int, ...]) -> Array | None:
+    """The gradient a map's own node would have held: `g_map` written at rows
+    `at` of zeros of `shape`, plus the block's own part `g` when there is one."""
+    if g_map is None:
+        return g
+    full = np.zeros(shape, g_map.dtype if g is None else np.result_type(g_map, g))
+    full[at] = g_map
+    if g is not None:
+        full += g
+    return full
+
+
+def attend(score_audio: DiffTensor, visual, w_visual: DiffTensor,
+           map_rows=None) -> tuple[DiffTensor, DiffTensor, DiffTensor]:
+    """Audio-guided attention pooling of an (N, L, S, d) visual grid, as one node.
+
+    With v = tanh(visual @ w_visual) and a the (N, d) `score_audio`, the
+    spatial map is softmax over S of a * v, the temporal map softmax over L
+    of the spatially pooled sum(spatial * v), and the result the (N, d)
+    float64 vector sum over L of temporal * sum over S of (visual * spatial).
+    It also returns the spatial (k, L, S, d) and temporal (k, L, d) maps of
+    the k strictly increasing `map_rows` only (every row when None), as two
+    tensors whose gradients the node's VJP takes in; `visual`, an array or
+    an untracked tensor, gets no gradient.
+
+    The grid runs in row chunks of about `ATTEND_CHUNK_ENTRIES` entries and
+    in float32 when `visual` is float32. Only the last chunk's (N, L, S, d)
+    arrays are kept; the VJP walks the chunks in reverse and recomputes the
+    others. Every value and gradient is the one the elementary composite
+    (`tanh_matmul`, a product, `softmax`, `product_sum`) gives, bit for bit:
+    `w_visual`'s gradient is one `np.dot` over every row.
+    """
+    if isinstance(visual, DiffTensor):
+        if visual.requires_grad:
+            raise ContractError("attend takes no gradient for the visual grid")
+        visual = visual.data
+    vd = np.asarray(visual)
+    if score_audio.ndim != 2 or vd.ndim != 4 or vd.shape[::3] != score_audio.shape \
+            or w_visual.shape != (vd.shape[3],) * 2:
+        raise ContractError(f"attend needs (N, d) audio scores, an (N, L, S, d) grid and a "
+                            f"(d, d) weight, got {score_audio.shape}, {vd.shape} and "
+                            f"{w_visual.shape}")
+    if vd.size == 0:
+        raise ContractError("attend of an empty grid")
+    n, ell, cells, d = vd.shape
+    rows = np.arange(n) if map_rows is None else np.asarray(map_rows, dtype=np.int64)
+    if rows.ndim != 1 or (rows.size and (rows[0] < 0 or rows[-1] >= n
+                                         or (rows[1:] <= rows[:-1]).any())):
+        raise ContractError("attend needs strictly increasing 1-d map rows inside the batch")
+    dt = np.float32 if np.float32 in (_policy_dtype(vd), w_visual.data.dtype) else np.float64
+    vd = np.ascontiguousarray(vd, dtype=dt)
+    wd = w_visual.data.astype(dt, copy=False)
+    ad = score_audio.data.astype(dt, copy=False)
+    step = max(1, ATTEND_CHUNK_ENTRIES // (ell * cells * d))
+    starts = range(0, n, step)
+    # each chunk's rows [lo, hi) and its map rows, rows[first:stop]
+    bounds = np.searchsorted(rows, [*starts, n])
+    spans = [(lo, min(lo + step, n), first, stop)
+             for lo, first, stop in zip(starts, bounds, bounds[1:])]
+
+    psum = np.empty((n, ell, d), dt)
+    per_frame = np.empty((n, ell, d), dt)
+    spatial_rows = np.empty((rows.size, ell, cells, d), dt)
+    for lo, hi, first, stop in spans:
+        scores, spatial = _attend_spatial(vd[lo:hi], wd, ad[lo:hi])
+        psum[lo:hi] = (spatial * scores).sum(axis=2)
+        per_frame[lo:hi] = (vd[lo:hi] * spatial).sum(axis=2)
+        spatial_rows[first:stop] = spatial[rows[first:stop] - lo]
+    _check_softmax_input(psum)
+    temporal = _softmax_data(psum, 1)
+    pooled = (temporal * per_frame).sum(axis=1)
+    last = (scores, spatial)
+    need_audio, need_w = score_audio.requires_grad, w_visual.requires_grad
+    taken: dict = {}    # the maps' gradients, handed in by their own nodes' VJPs
+
+    def vjp(g: Array):
+        nonlocal last
+        # each part is None when nothing downstream read the output it comes from
+        g_pool = None if taken.pop("pooled_unread", False) else \
+            g.astype(dt, copy=False).reshape(n, 1, d)
+        g_frame = None if g_pool is None else g_pool * temporal
+        g_tem = _with_map_grad(taken.pop("temporal", None), rows,
+                               None if g_pool is None else g_pool * per_frame, temporal.shape)
+        g_psum = None if g_tem is None else \
+            _softmax_vjp(temporal, 1, g_tem).astype(dt, copy=False)[:, :, None, :]
+        g_spatial_rows = taken.pop("spatial", None)
+        g_audio = np.empty((n, 1, 1, d), dt) if need_audio else None
+        g_scores = np.empty_like(vd) if need_w else None
+        for lo, hi, first, stop in reversed(spans):
+            scores, spatial = last if last is not None else _attend_spatial(
+                vd[lo:hi], wd, ad[lo:hi])
+            last = None
+            g_spa = None if g_frame is None else g_frame[lo:hi, :, None, :] * vd[lo:hi]
+            g_spa = _with_map_grad(None if g_spatial_rows is None else g_spatial_rows[first:stop],
+                                   rows[first:stop] - lo, g_spa, spatial.shape)
+            if g_psum is not None:
+                g_from_psum = g_psum[lo:hi] * scores
+                g_spa = g_from_psum if g_spa is None else np.add(g_spa, g_from_psum, out=g_spa)
+            g_spa = _softmax_vjp(spatial, 2, g_spa.astype(dt, copy=False))
+            if need_audio:
+                g_audio[lo:hi] = _unbroadcast(g_spa * scores, (hi - lo, 1, 1, d))
+            if need_w:
+                g_sc = g_scores[lo:hi]
+                np.multiply(g_spa, ad[lo:hi, None, None, :], out=g_sc)
+                if g_psum is not None:
+                    np.add(g_psum[lo:hi] * spatial, g_sc, out=g_sc)
+                np.multiply(scores, scores, out=scores)
+                g_sc *= np.subtract(1.0, scores, out=scores)
+        ga = gw = None
+        if need_audio:
+            ga = g_audio.reshape(n, d).astype(score_audio.data.dtype, copy=False)
+        if need_w:
+            gw = np.dot(vd.reshape(-1, d).T, g_scores.reshape(-1, d))
+            gw = gw.astype(w_visual.data.dtype, copy=False)
+        return ga, gw
+
+    out = _node(pooled.astype(np.float64, copy=False), (score_audio, w_visual), vjp, "attend")
+
+    def take(name: str):
+        def map_vjp(g: Array):
+            taken[name] = g
+            if out.grad is not None:
+                return (None,)
+            # every reader of the pooled vector has run and none gave it a
+            # gradient (a loss of the maps alone): wake the node's VJP with
+            # a zero gradient that it ignores
+            taken["pooled_unread"] = True
+            return (np.zeros_like(out.data),)
+        return map_vjp
+
+    return (out, _node(spatial_rows, (out,), take("spatial"), "attend_spatial"),
+            _node(temporal[rows], (out,), take("temporal"), "attend_temporal"))
 
 
 def _masked_lse(z: Array, mask: Array) -> tuple[Array, Array]:
@@ -462,13 +598,14 @@ def nll(logits: DiffTensor, positives, support=None) -> DiffTensor:
     return _node(_as_f64(value), (logits,), lambda g: (grad * g,), "nll")
 
 
-def _kl_check(p: Array, q: Array, ax: int) -> None:
-    for name, t in (("p", p), ("q", q)):
-        if (t < 0.0).any():
-            raise ContractError(f"kl_rows: negative entry in {name}")
-        sums = t.sum(axis=ax)
-        if (np.abs(sums - 1.0) > 1e-6).any():
-            raise ContractError(f"kl_rows: a slice of {name} does not sum to 1")
+def check_distributions(t: Array, axis: int, what: str) -> None:
+    """Raise ContractError, naming `what`, unless every slice of `t` along
+    `axis` is a probability vector: no negative entry, and a float64 sum
+    within 1e-6 of 1."""
+    if (t < 0.0).any():
+        raise ContractError(f"{what}: negative entry")
+    if (np.abs(t.sum(axis=axis, dtype=np.float64) - 1.0) > 1e-6).any():
+        raise ContractError(f"{what}: a slice does not sum to 1")
 
 
 def _kl_slices(shape: tuple[int, ...], ax: int) -> int:
@@ -517,17 +654,18 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
     """sum_k weights[k] * mean KL(p_k || q_k) over the distributions along
     axis_k, as one node.
 
-    Each such slice must be a probability vector; zero p entries contribute
-    zero and q is clamped below at `KL_CLAMP` inside the log only. Computed in
-    float64, so the sum-to-1 check keeps its tolerance on float32 maps. Axis
-    0 holds the rows and is never a distribution axis. Given strictly
-    increasing `rows`, pairs are read at those rows only, in chunks of about
-    `KL_CHUNK_ENTRIES` entries; with none, at every row in one chunk. Given
-    `q_rows` as well, one per row, each q is read at `q_rows[i]` where its p
-    is read at `rows[i]`, so q may hold other rows than p (a frozen
-    teacher's maps of the replay rows); such a q must not track gradients. A
-    tracked operand's gradient is written into the rows read and is zero
-    elsewhere.
+    Each such slice must be a probability vector (`check_distributions`);
+    zero p entries contribute zero and q is clamped below at `KL_CLAMP`
+    inside the log only. Computed in float64, so the sum-to-1 check keeps its
+    tolerance on float32 maps. Axis 0 holds the rows and is never a
+    distribution axis. Given strictly increasing `rows`, pairs are read at
+    those rows only, in chunks of about `KL_CHUNK_ENTRIES` entries; with
+    none, at every row in one chunk. Given `q_rows` as well, one per row,
+    each q is read at `q_rows[i]` where its p is read at `rows[i]`, so q may
+    hold other rows than p (a frozen teacher's maps of the replay rows);
+    such a q must not track gradients, and is not checked here: whoever
+    caches it checks it once. A tracked operand's gradient is written into
+    the rows read and is zero elsewhere.
     """
     if len(pairs) != len(weights) or not pairs:
         raise ContractError("kl_rows needs one weight per (p, q, axis) pair")
@@ -565,7 +703,9 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
         kl_sum = None
         for at_p, at_q in parts:
             p64, q64 = read64(p, at_p), read64(q, at_q)
-            _kl_check(p64, q64, ax)
+            check_distributions(p64, ax, "kl_rows p")
+            if q_rows is None:
+                check_distributions(q64, ax, "kl_rows q")
             part = _kl_sum(p64, q64)
             kl_sum = part if kl_sum is None else kl_sum + part
         term = kl_sum / n * w

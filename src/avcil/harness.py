@@ -561,14 +561,23 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
 
     check("tanh_matmul_x", lambda x: weighted(dm.tanh_matmul(x, dm.constant(b)), probe), a)
     check("tanh_matmul_w", lambda x: weighted(dm.tanh_matmul(dm.constant(a), x), probe), b)
-    check("softmax_of_product_a", lambda x: weighted(
-        dm.softmax_of_product(x, dm.constant(grid), axis=1), probe_grid), row)
-    check("softmax_of_product_b", lambda x: weighted(
-        dm.softmax_of_product(dm.constant(row), x, axis=1), probe_grid), grid)
     check("product_sum_a", lambda x: weighted(
         dm.product_sum(x, dm.constant(grid), axis=1), probe), row)
     check("product_sum_b", lambda x: weighted(
         dm.product_sum(dm.constant(row), x, axis=1), probe), grid)
+
+    # the attention block in either operand, read through the pooled vector
+    # alone and through the maps of three rows as well
+    def attended(score_audio, w_visual, rows):
+        pooled, spatial, temporal = dm.attend(score_audio, visual, w_visual, rows)
+        loss = weighted(pooled, probe)
+        if rows.size:
+            loss = loss + weighted(spatial, visual[rows]) + weighted(temporal, probe_grid[rows])
+        return loss
+
+    for tag, rows in (("", np.zeros(0, np.int64)), ("_maps", np.array([0, 2, n - 1]))):
+        check(f"attend{tag}_score_audio", lambda x: attended(x, dm.constant(b), rows), a)
+        check(f"attend{tag}_w_visual", lambda x: attended(dm.constant(a), x, rows), b)
 
     # the row-restricted KL behind vad, in either distribution; the second
     # pair is constant and only shifts the value

@@ -41,14 +41,19 @@ def average_forgetting(rows: Sequence[Sequence[float]]) -> float | None:
 
 
 def forward_chunks(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,
-                   modality: str, rows: np.ndarray | None = None, chunk: int = EVAL_CHUNK):
+                   modality: str, rows: np.ndarray | None = None, chunk: int = EVAL_CHUNK,
+                   maps_from: int | None = None):
     """Yield (first row, trace) over `audio`, `visual`, or over their `rows`
     only, `chunk` rows at a time; only a chunk's rows are gathered, and
-    frozen parameters build no graph."""
+    frozen parameters build no graph. Each trace's attention maps hold the
+    rows from `maps_from` on (in the order read), or none."""
     n = len(audio) if rows is None else len(rows)
     for lo in range(0, n, chunk):
         at = slice(lo, lo + chunk) if rows is None else rows[lo:lo + chunk]
-        yield lo, mdl.forward(params, audio[at], visual[at], modality)
+        hi = min(lo + chunk, n)
+        first = hi if maps_from is None else min(max(maps_from, lo), hi)
+        yield lo, mdl.forward(params, audio[at], visual[at], modality,
+                              np.arange(first - lo, hi - lo))
 
 
 def _forward_rows(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,

@@ -3,9 +3,10 @@
 Features arrive precomputed: one d-vector per clip for audio and an L x S x d
 grid for visual (L frames, S spatial cells). Audio and visual projections are
 scored with tanh, their product is normalized over space per channel, the
-spatially pooled frame scores are normalized over time, and the attended
-visual vector joins the audio vector through a second pair of projections
-into a linear classifier whose row count grows as classes arrive.
+spatially pooled frame scores are normalized over time (the whole block is
+one `dm.attend` node), and the attended visual vector joins the audio vector
+through a second pair of projections into a linear classifier whose row count
+grows as classes arrive.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ class ModelParams:
 
 @dataclass
 class AttentionMaps:
-    """Batched attention weights: spatial is (N, L, S, d), temporal is (N, L, d).
+    """Attention weights of some batch rows: spatial is (k, L, S, d), temporal
+    is (k, L, d), and row i belongs to batch row `rows[i]` (strictly
+    increasing), or to batch row i when `rows` is None.
 
     Spatial slices sum to 1 over the S axis, temporal over the L axis,
     independently per sample and channel.
@@ -65,6 +68,7 @@ class AttentionMaps:
 
     spatial: DiffTensor
     temporal: DiffTensor
+    rows: np.ndarray | None = None
 
 
 @dataclass
@@ -110,40 +114,6 @@ def init_params(d: int, num_classes: int, seed: int) -> ModelParams:
     return _from_flat(flat, d, num_classes, trainable=True)
 
 
-def spatial_attention(f_audio: DiffTensor, f_visual: DiffTensor,
-                      params: ModelParams) -> tuple[DiffTensor, DiffTensor]:
-    """Audio-guided spatial weights.
-
-    Both modalities are scored with tanh projections; their elementwise
-    product (audio broadcast over cells) is softmax-normalized over the S
-    axis per frame and channel. Returns (w_spa, score_visual); the visual
-    score is reused by the temporal stage.
-    """
-    n, d = _check_audio(f_audio, params.d)
-    if f_visual.ndim != 4 or f_visual.shape[0] != n or f_visual.shape[3] != d:
-        raise ContractError(
-            f"visual batch must be (N, L, S, {d}), got {f_visual.shape}")
-    score_audio = dm.tanh_matmul(f_audio, params.w_audio)
-    score_visual = dm.tanh_matmul(f_visual, params.w_visual)
-    w_spa = dm.softmax_of_product(score_audio.reshape((n, 1, 1, d)), score_visual, axis=2)
-    return w_spa, score_visual
-
-
-def temporal_attention(w_spa: DiffTensor, score_visual: DiffTensor) -> DiffTensor:
-    """Frame weights from spatially pooled visual scores, softmax over L per channel."""
-    if w_spa.shape != score_visual.shape:
-        raise ContractError("spatial weights and visual scores must share a shape")
-    return dm.softmax(dm.product_sum(w_spa, score_visual, axis=2), axis=1)
-
-
-def pool_visual(f_visual: DiffTensor, maps: AttentionMaps) -> DiffTensor:
-    """Collapse the grid: spatial weights inside each frame, temporal across frames."""
-    if maps.spatial.shape != f_visual.shape:
-        raise ContractError("spatial map shape must match the visual batch")
-    per_frame = dm.product_sum(f_visual, maps.spatial, axis=2)
-    return dm.product_sum(maps.temporal, per_frame, axis=1)
-
-
 def fuse_and_classify(f_audio: DiffTensor, attended_visual: DiffTensor,
                       params: ModelParams) -> tuple[DiffTensor, DiffTensor]:
     fused = (dm.tanh_matmul(f_audio, params.u_audio)
@@ -162,39 +132,47 @@ def classify(fused: DiffTensor, params: ModelParams) -> DiffTensor:
                           axis=2) + params.cls_bias
 
 
-def forward(params: ModelParams, audio, visual, modality: str = "audiovisual") -> ForwardTrace:
+def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
+            map_rows=None) -> ForwardTrace:
     """Run a batch through the model.
 
     `audio` is (N, d) and `visual` (N, L, S, d), as arrays or as constant
     tensors; a caller that runs several models on one batch wraps it once
-    with `dm.constant` and passes the same tensors to each. Float32 visual
-    features keep the attention block, up to the pooled (N, d) vector, in
-    float32; the rest of the model runs in float64 (the dtype policy of
-    `diffmath`). In `audio` mode the visual pathway is dropped; in `visual`
-    mode pooling is uniform over cells and frames (no attention).
+    with `dm.constant` and passes the same tensors to each. The attention
+    block is one `dm.attend` node, and the trace's maps hold the strictly
+    increasing batch rows `map_rows` only: training asks for the rows that
+    `vad` reads, evaluation for none, and the default is every row. Float32
+    visual features keep the attention block, up to the pooled (N, d)
+    vector, in float32; the rest of the model runs in float64 (the dtype
+    policy of `diffmath`). In `audio` mode the visual pathway is dropped; in
+    `visual` mode pooling is uniform over cells and frames (no attention).
     """
     if modality not in MODALITIES:
         raise ContractError(f"unknown modality {modality!r}")
     if not isinstance(audio, DiffTensor):
         audio = dm.constant(audio)
-    if not isinstance(visual, DiffTensor):
-        visual = dm.constant(visual)
-    n, _ = _check_audio(audio, params.d)
+    n, d = _check_audio(audio, params.d)
     if n == 0:
         raise ContractError("forward needs a non-empty batch")
     if modality == "audio":
         fused = dm.tanh_matmul(audio, params.u_audio)
         return ForwardTrace(audio=audio, attended_visual=None, fused=fused,
                             logits=classify(fused, params), maps=None)
+    if not isinstance(visual, DiffTensor):
+        visual = np.asarray(visual)
+    if len(visual.shape) != 4 or visual.shape[0] != n or visual.shape[3] != d:
+        raise ContractError(f"visual batch must be (N, L, S, {d}), got {visual.shape}")
     if modality == "visual":
+        if not isinstance(visual, DiffTensor):
+            visual = dm.constant(visual)
         pooled = visual.mean(axis=2).mean(axis=1)
         fused = dm.tanh_matmul(pooled, params.u_visual)
         return ForwardTrace(audio=audio, attended_visual=pooled, fused=fused,
                             logits=classify(fused, params), maps=None)
-    w_spa, score_visual = spatial_attention(audio, visual, params)
-    w_tem = temporal_attention(w_spa, score_visual)
-    maps = AttentionMaps(spatial=w_spa, temporal=w_tem)
-    attended = pool_visual(visual, maps)
+    score_audio = dm.tanh_matmul(audio, params.w_audio)
+    attended, spatial, temporal = dm.attend(score_audio, visual, params.w_visual, map_rows)
+    maps = AttentionMaps(spatial, temporal,
+                         None if map_rows is None else np.asarray(map_rows, dtype=np.int64))
     fused, logits = fuse_and_classify(audio, attended, params)
     return ForwardTrace(audio=audio, attended_visual=attended, fused=fused,
                         logits=logits, maps=maps)

@@ -140,25 +140,36 @@ def vad(current: AttentionMaps, teacher: AttentionMaps, exemplar_mask,
 
     KL from the current model's attention to the frozen teacher's, spatial
     and temporal maps mixed by `lambda_vad`, as one node that reads only the
-    masked rows. The teacher's maps are read at the same rows, or, given
-    `teacher_rows`, at `teacher_rows[i]` for the i-th masked row. An empty
-    mask contributes an exact zero.
+    masked rows. The current maps must hold every masked row (see
+    `AttentionMaps.rows`); training's hold exactly those. The teacher's maps
+    are read at the same rows, and must then hold the same rows as the
+    current ones, or, given `teacher_rows`, at `teacher_rows[i]` for the
+    i-th masked row. An empty mask contributes an exact zero.
     """
     if not 0.0 <= lambda_vad <= 1.0:
         raise ContractError("lambda_vad must lie in [0, 1]")
+    held = _held(current)
     if current.spatial.shape[1:] != teacher.spatial.shape[1:] \
             or current.temporal.shape[1:] != teacher.temporal.shape[1:] \
-            or (teacher_rows is None and current.spatial.shape[0] != teacher.spatial.shape[0]):
+            or (teacher_rows is None and not np.array_equal(held, _held(teacher))):
         raise ContractError("attention map shapes differ between current and teacher")
     mask = np.asarray(exemplar_mask, dtype=bool)
-    if mask.ndim != 1 or mask.size != current.spatial.shape[0]:
+    if mask.ndim != 1 or (current.rows is None and mask.size != held.size):
         raise ContractError("exemplar mask must have one flag per sample")
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return dm.constant(0.0)
+    at = np.searchsorted(held, idx)
+    if at[-1] >= held.size or not np.array_equal(held[at], idx):
+        raise ContractError("the current attention maps lack a masked row")
     return dm.kl_rows(((current.spatial, teacher.spatial, 2),
                        (current.temporal, teacher.temporal, 1)),
-                      (lambda_vad, 1.0 - lambda_vad), idx, teacher_rows)
+                      (lambda_vad, 1.0 - lambda_vad), at, teacher_rows)
+
+
+def _held(maps: AttentionMaps) -> np.ndarray:
+    """The batch rows `maps` holds, in order."""
+    return np.arange(maps.spatial.shape[0]) if maps.rows is None else maps.rows
 
 
 def cross_entropy(logits: DiffTensor, labels) -> DiffTensor:

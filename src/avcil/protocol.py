@@ -213,22 +213,25 @@ def _teacher_outputs(teacher: mdl.ModelParams, dataset: FeatureDataset, pool: np
     rows), run with no graph `config.batch_size` rows at a time.
 
     A row's outputs do not depend on the other rows of its batch, so these
-    are the bytes a forward on each training batch would give.
+    are the bytes a forward on each training batch would give. The maps are
+    checked to be distributions here, once, so `vad` need not check them
+    in every batch.
     """
     logits, maps = [], None
     for lo, trace in forward_chunks(teacher, dataset.audio, dataset.visual, config.modality,
-                                    pool, config.batch_size):
+                                    pool, config.batch_size,
+                                    replay_from if keep_maps else None):
         logits.append(trace.logits.data)
-        hi = lo + len(logits[-1])
-        if not keep_maps or trace.maps is None or hi <= replay_from:
+        if trace.maps is None or trace.maps.spatial.shape[0] == 0:
             continue
         chunk_maps = (trace.maps.spatial.data, trace.maps.temporal.data)
         if maps is None:    # filled in place: no second copy of the replay maps
             maps = [np.empty((len(pool) - replay_from, *m.shape[1:]), m.dtype)
                     for m in chunk_maps]
-        skip = max(replay_from - lo, 0)
-        for kept, m in zip(maps, chunk_maps):
-            kept[lo + skip - replay_from:hi - replay_from] = m[skip:]
+        first = max(lo, replay_from) - replay_from
+        for kept, m, axis in zip(maps, chunk_maps, (2, 1)):
+            dm.check_distributions(m, axis, "teacher attention maps")
+            kept[first:first + len(m)] = m
     if maps is not None:
         maps = mdl.AttentionMaps(*map(dm.view, maps))
     return np.concatenate(logits), maps
@@ -285,7 +288,7 @@ def train_step(state: StepState, sequence: TaskSequence,
             try:
                 teacher_logits, teacher_maps = _teacher_outputs(
                     teacher, dataset, pool, replay_from, config,
-                    keep_maps=config.use_vad)
+                    keep_maps=config.use_vad and strategy.distills_attention)
             except NumericDomainError as err:
                 # reported at the first batch, the first to need the teacher
                 raise TrainingDiverged(t, 0, 0, reason=str(err)) from err
@@ -296,15 +299,17 @@ def train_step(state: StepState, sequence: TaskSequence,
                 idx = perm[start:start + config.batch_size]
                 rows = pool[idx]
                 mask = exemplar[idx] if config.use_vad else None
-                teacher_batch = None
+                teacher_batch, map_rows = None, ()
                 if teacher is not None:
                     teacher_batch = TeacherBatch(
                         teacher_logits[idx], teacher_maps,
                         None if mask is None else idx[mask] - replay_from)
+                    if teacher_maps is not None and mask is not None:
+                        map_rows = np.flatnonzero(mask)     # the rows vad reads
                 batch = start // config.batch_size
                 try:
                     trace = mdl.forward(params, dataset.audio[rows], dataset.visual[rows],
-                                        config.modality)
+                                        config.modality, map_rows)
                     loss = strategy.compose(trace, teacher_batch, labels[idx], mask,
                                             layout, config.weights)
                 except NumericDomainError as err:

@@ -499,15 +499,100 @@ def test_product_sum_matches_composite_bitwise(case):
         _through(lambda x, y: (x * y).sum(axis=axis), a, b, tracked, seed))
 
 
-@settings(max_examples=60, deadline=None)
-@given(broadcast_operands())
-def test_softmax_of_product_matches_composite_bitwise(case):
-    a_shape, b_shape, axis, tracked, seed = case
-    rng = np.random.default_rng(seed)
-    a, b = rng.normal(size=a_shape) * 3.0, rng.normal(size=b_shape)
-    _assert_same_bits(
-        _through(lambda x, y: dm.softmax_of_product(x, y, axis), a, b, tracked, seed),
-        _through(lambda x, y: dm.softmax(x * y, axis=axis), a, b, tracked, seed))
+def _cast(t, dtype):
+    """A node rounding `t` to `dtype`, whose VJP rounds the gradient back to
+    `t`'s dtype: the casts a fused primitive makes at its edges."""
+    return dm._node(t.data.astype(dtype), (t,), lambda g: (g.astype(t.data.dtype),), "cast")
+
+
+def _attention_block(score_audio, visual, w_visual, map_rows, fused):
+    """The pooled vector and the maps of `map_rows`, from `attend` or from
+    the elementary composite it replaces (its maps then hold every row)."""
+    if fused:
+        return dm.attend(score_audio, visual, w_visual, map_rows)
+    n, d = score_audio.shape
+    dt = visual.data.dtype
+    scores = dm.tanh(dm.matmul(visual, _cast(w_visual, dt)))
+    spatial = dm.softmax(_cast(score_audio, dt).reshape((n, 1, 1, d)) * scores, axis=2)
+    temporal = dm.softmax((spatial * scores).sum(axis=2), axis=1)
+    pooled = (temporal * (visual * spatial).sum(axis=2)).sum(axis=1)
+    return _cast(pooled, np.float64), spatial, temporal
+
+
+def _attend_run(data, map_rows, fused):
+    """Loss, pooled vector, maps of `map_rows` and both operand gradients of
+    a loss that reads the pooled vector and, as `vad` does, the map rows."""
+    audio, visual, w, probe, q_spatial, q_temporal = data
+    score_audio, w_visual = dm.parameter(audio), dm.parameter(w)
+    pooled, spatial, temporal = _attention_block(score_audio, dm.constant(visual), w_visual,
+                                                 map_rows, fused)
+    loss = (pooled * dm.constant(probe)).sum()
+    if map_rows.size:
+        at = np.arange(map_rows.size) if fused else map_rows
+        loss = loss + dm.kl_rows(((spatial, dm.constant(q_spatial), 2),
+                                  (temporal, dm.constant(q_temporal), 1)), (0.3, 0.7),
+                                 at, map_rows)
+    dm.backward(loss)
+    if not fused:
+        spatial, temporal = spatial.data[map_rows], temporal.data[map_rows]
+    else:
+        spatial, temporal = spatial.data, temporal.data
+    return loss.data, pooled.data, spatial, temporal, score_audio.grad, w_visual.grad
+
+
+def test_attend_matches_composite_bitwise(monkeypatch):
+    rng = np.random.default_rng(11)
+    n, ell, cells, d = 5, 3, 4, 6
+    data = [np.tanh(rng.normal(size=(n, d))), rng.normal(size=(n, ell, cells, d)),
+            rng.normal(size=(d, d)) / np.sqrt(d), rng.normal(size=(n, d)),
+            _dists(rng, (n, ell, cells, d), 2), _dists(rng, (n, ell, d), 1)]
+    for dtype in (np.float32, np.float64):
+        data[1] = data[1].astype(dtype)
+        for chunk in (1, n * ell * cells * d):     # one row per chunk, the whole batch in one
+            monkeypatch.setattr(dm, "ATTEND_CHUNK_ENTRIES", chunk)
+            for map_rows in ([], [1, 4], range(n)):
+                map_rows = np.array(map_rows, dtype=np.int64)
+                fused = _attend_run(data, map_rows, True)
+                composite = _attend_run(data, map_rows, False)
+                for got, want in zip(fused, composite):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_attend_takes_in_the_gradient_of_either_map_with_or_without_the_pooled_vector():
+    rng = np.random.default_rng(13)
+    audio, visual, w = rng.normal(size=(3, 4)), rng.normal(size=(3, 2, 3, 4)), rng.normal(size=(4, 4))
+    probes = rng.normal(size=(3, 4)), rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(2, 2, 4))
+    rows = np.array([0, 2])
+    # which of the pooled vector (0) and the two maps the loss reads
+    for reads in ((0, 1), (0, 2), (1,), (2,), (1, 2)):
+        grads = []
+        for fused in (True, False):
+            score_audio, w_visual = dm.parameter(audio), dm.parameter(w)
+            outputs = list(_attention_block(score_audio, dm.constant(visual), w_visual, rows,
+                                            fused))
+            if not fused:
+                outputs[1:] = [dm.take(m, rows) for m in outputs[1:]]
+            loss = None
+            for i in reads:
+                part = (outputs[i] * dm.constant(probes[i])).sum()
+                loss = part if loss is None else loss + part
+            dm.backward(loss)
+            grads.append((score_audio.grad.tobytes(), w_visual.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+
+def test_attend_rejects_nonfinite_scores_and_bad_map_rows():
+    audio, w = dm.parameter([[np.nan, 1.0]]), dm.parameter(np.eye(2))
+    with pytest.raises(NumericDomainError):
+        dm.attend(audio, np.ones((1, 2, 3, 2)), w)
+    audio = dm.parameter(np.ones((3, 2)))
+    for rows in ([1, 1], [2, 0], [-1], [3], [[0]]):
+        with pytest.raises(ContractError):
+            dm.attend(audio, np.ones((3, 2, 3, 2)), w, rows)
+    with pytest.raises(ContractError):     # the grid gets no gradient
+        dm.attend(audio, dm.parameter(np.ones((3, 2, 3, 2))), w)
+    with pytest.raises(ContractError):
+        dm.attend(audio, np.ones((3, 2, 3, 4)), w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -523,17 +608,12 @@ def test_tanh_matmul_matches_composite_bitwise(x_shape, m, tracked, seed):
         _through(lambda a, b: dm.tanh(a @ b), x, w, tracked, seed))
 
 
-def test_softmax_of_product_rejects_nonfinite_product():
-    with pytest.raises(NumericDomainError):
-        dm.softmax_of_product(dm.parameter([np.inf, 1.0]), dm.constant([1.0, 1.0]), axis=0)
-
-
 def test_fused_primitives_keep_one_node():
     x = dm.parameter(np.ones((2, 3)))
     y = dm.parameter(np.ones((2, 3)))
     w = dm.parameter(np.ones((3, 3)))
     for out, parents in ((dm.tanh_matmul(x, w), (x, w)),
-                         (dm.softmax_of_product(x, y, axis=1), (x, y)),
+                         (dm.attend(x, np.ones((2, 4, 5, 3)), w)[0], (x, w)),
                          (dm.product_sum(x, y, axis=1), (x, y))):
         assert out._parents == parents
 
@@ -547,7 +627,7 @@ BINARY_OPS = {
     "div": lambda a, b: a / b,
     "matmul": dm.matmul,
     "tanh_matmul": dm.tanh_matmul,
-    "softmax_of_product": lambda a, b: dm.softmax_of_product(a, b, axis=1),
+    "attend": lambda a, b: dm.attend(a, np.ones((3, 2, 4, 3)), b)[0],
     "product_sum": lambda a, b: dm.product_sum(a, b, axis=1),
 }
 
@@ -613,11 +693,10 @@ def test_backward_keeps_gradients_only_on_leaves():
     x = dm.parameter(rng.normal(size=(2, 3)))
     y = dm.parameter(rng.normal(size=(2, 3)))
     w = dm.parameter(rng.normal(size=(3, 3)))
-    c = dm.constant(rng.normal(size=(2, 3)))
     h = dm.tanh_matmul(x, w)
-    s = dm.softmax_of_product(h, c, axis=1)
-    loss = (dm.product_sum(s, y, axis=1).sum() + (x + y).sum()
-            + (h * h).sum() + (x + x).sum())
+    s, spatial, temporal = dm.attend(h, rng.normal(size=(2, 2, 4, 3)), w, [1])
+    loss = (dm.product_sum(s, y, axis=1).sum() + (x + y).sum() + spatial.sum()
+            + (temporal * temporal).sum() + (h * h).sum() + (x + x).sum())
     assert_gradient_memory_rule(loss)
 
 
@@ -687,8 +766,6 @@ def test_constructor_keeps_float32_only_on_grids():
 
 FUSED = {
     "tanh_matmul": (dm.tanh_matmul, (2, 3, 4), (4, 4)),
-    "softmax_of_product": (lambda a, b: dm.softmax_of_product(a, b, axis=2),
-                           (2, 1, 1, 4), (2, 3, 5, 4)),
     "product_sum_grid": (lambda a, b: dm.product_sum(a, b, axis=2), (2, 3, 5, 4), (2, 3, 5, 4)),
     "product_sum_to_rows": (lambda a, b: dm.product_sum(a, b, axis=1), (2, 3, 4), (2, 3, 4)),
 }
@@ -726,10 +803,11 @@ def test_float64_inputs_meet_no_cast():
     grid = dm.parameter(rng.normal(size=(2, 3, 5, 4)))
     w = dm.parameter(rng.normal(size=(4, 4)))
     out = dm.tanh_matmul(grid, w)
-    s = dm.softmax_of_product(dm.constant(rng.normal(size=(2, 1, 1, 4))), out, axis=2)
-    pooled = dm.product_sum(s, grid, axis=2)
-    assert all(t.data.dtype == np.float64 for t in (out, s, pooled))
-    dm.backward(pooled.sum())
+    pooled, spatial, temporal = dm.attend(dm.constant(rng.normal(size=(2, 4))),
+                                          rng.normal(size=(2, 3, 5, 4)), w)
+    summed = dm.product_sum(grid, out, axis=2)
+    assert all(t.data.dtype == np.float64 for t in (out, pooled, spatial, temporal, summed))
+    dm.backward(pooled.sum() + summed.sum())
     assert grid.grad.dtype == np.float64 and w.grad.dtype == np.float64
 
 
@@ -849,9 +927,9 @@ def test_block_kl_rejects_blocks_outside_either_width():
 
 def test_float32_softmax_slices_sum_to_one_within_float32_rounding():
     rng = np.random.default_rng(9)
-    p = dm.softmax_of_product(dm.constant(rng.normal(size=(6, 1, 1, 32))),
-                              dm.constant(rng.normal(size=(6, 8, 49, 32)).astype(np.float32)),
-                              axis=2)
+    _, p, _ = dm.attend(dm.constant(rng.normal(size=(6, 32))),
+                        rng.normal(size=(6, 8, 49, 32)).astype(np.float32),
+                        dm.constant(rng.normal(size=(32, 32))))
     t = dm.softmax(dm.constant(rng.normal(size=(6, 49, 32)).astype(np.float32) * 4.0), axis=1)
     for maps, ax in ((p, 2), (t, 1)):
         # two float32 roundings, of the normalizer and of each entry

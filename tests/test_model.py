@@ -1,5 +1,6 @@
 import hashlib
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +63,8 @@ def test_spatial_weights_are_distributions():
 def test_zero_audio_gives_uniform_spatial_weights():
     rng = np.random.default_rng(1)
     p = mdl.init_params(4, 2, seed=1)
-    f_a = dm.constant(np.zeros((2, 4)))
-    f_v = dm.constant(rng.normal(size=(2, 3, 5, 4)))
-    w_spa, _ = mdl.spatial_attention(f_a, f_v, p)
-    assert np.allclose(w_spa.data, 1.0 / 5.0, atol=1e-12)
+    trace = mdl.forward(p, np.zeros((2, 4)), rng.normal(size=(2, 3, 5, 4)))
+    assert np.allclose(trace.maps.spatial.data, 1.0 / 5.0, atol=1e-12)
 
 
 def test_single_frame_temporal_weight_is_one():
@@ -86,23 +85,54 @@ def test_identical_frames_give_uniform_temporal_weights():
 
 
 def test_pool_with_uniform_maps_is_plain_mean():
+    # zero visual weights score every cell 0, so both maps are uniform
     rng = np.random.default_rng(4)
-    f_v = dm.constant(rng.normal(size=(2, 3, 4, 5)))
-    maps = mdl.AttentionMaps(
-        spatial=dm.constant(np.full((2, 3, 4, 5), 0.25)),
-        temporal=dm.constant(np.full((2, 3, 5), 1.0 / 3.0)))
-    pooled = mdl.pool_visual(f_v, maps)
-    assert np.allclose(pooled.data, f_v.data.mean(axis=(1, 2)), atol=1e-12)
+    f_v = rng.normal(size=(2, 3, 4, 5))
+    pooled, spatial, temporal = dm.attend(dm.constant(rng.normal(size=(2, 5))), f_v,
+                                          dm.constant(np.zeros((5, 5))))
+    assert np.allclose(spatial.data, 0.25, atol=1e-12)
+    assert np.allclose(temporal.data, 1.0 / 3.0, atol=1e-12)
+    assert np.allclose(pooled.data, f_v.mean(axis=(1, 2)), atol=1e-12)
 
 
 def test_pool_with_one_hot_maps_selects_a_cell():
-    f_v = dm.constant(np.arange(2 * 3 * 4.0).reshape(1, 2, 3, 4))
-    spa = np.zeros((1, 2, 3, 4))
-    spa[0, :, 1, :] = 1.0
-    tem = np.zeros((1, 2, 4))
-    tem[0, 0, :] = 1.0
-    pooled = mdl.pool_visual(f_v, mdl.AttentionMaps(dm.constant(spa), dm.constant(tem)))
-    assert np.array_equal(pooled.data, f_v.data[0, 0, 1][None, :])
+    # cell 1 scores tanh(5) in every channel and the others tanh(-5); an
+    # audio score of 1e6 makes the spatial map exactly one-hot on it
+    f_v = np.full((1, 1, 3, 4), -5.0)
+    f_v[0, 0, 1] = 5.0
+    pooled, spatial, temporal = dm.attend(dm.constant(np.full((1, 4), 1e6)), f_v,
+                                          dm.constant(np.eye(4)))
+    assert np.array_equal(spatial.data[0, 0, :, 0], [0.0, 1.0, 0.0])
+    assert np.array_equal(temporal.data, np.ones((1, 1, 4)))
+    assert np.array_equal(pooled.data, f_v[0, 0, 1][None, :])
+
+
+def test_attention_backward_peak_stays_below_four_visual_tensors():
+    # one avcil batch of attention_large's shape with 12 replay rows: no
+    # full-size map outlives forward, so backward's traced peak, with what
+    # forward and the loss hold, stays under 4x the batch's visual tensor
+    n, ell, cells, d, k = 32, 8, 49, 128, 12
+    rng = np.random.default_rng(0)
+    audio = rng.normal(size=(n, d))
+    visual = rng.normal(size=(n, ell, cells, d)).astype(np.float32)
+    params = mdl.expand_classifier(mdl.init_params(d, 4, seed=1), 4, seed=2)
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, k, replace=False)] = True
+    rows = np.flatnonzero(mask)
+    cached = mdl.forward(mdl.snapshot(mdl.init_params(d, 4, seed=3)), audio, visual,
+                         "audiovisual", rows)
+    teacher = obj.TeacherBatch(cached.logits.data, cached.maps, np.arange(k))
+    tracemalloc.start()
+    try:
+        trace = mdl.forward(params, audio, visual, "audiovisual", rows)
+        loss = obj.total_loss(trace, teacher, rng.integers(0, 8, size=n), mask,
+                              obj.TaskLayout((4, 4)), obj.LossWeights())
+        tracemalloc.reset_peak()
+        dm.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * visual.nbytes
 
 
 def test_zero_features_classify_to_bias():

@@ -205,10 +205,10 @@ def test_cached_teacher_outputs_equal_a_teacher_forward_on_each_batch_bitwise(mo
     batches, cached = [], []
     real_forward = mdl.forward
 
-    def recording_forward(params, audio, visual, modality="audiovisual"):
+    def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None):
         if params.w_audio.requires_grad:
             batches.append((audio, visual))
-        return real_forward(params, audio, visual, modality)
+        return real_forward(params, audio, visual, modality, map_rows)
 
     def recording_compose(trace, teacher, labels, mask, layout, weights):
         cached.append((teacher, mask))
@@ -226,6 +226,29 @@ def test_cached_teacher_outputs_equal_a_teacher_forward_on_each_batch_bitwise(mo
             assert kept.data[teacher.map_rows].tobytes() == batch_map.data[mask].tobytes()
         exemplars_read += len(teacher.map_rows)
     assert exemplars_read == 6 * 2      # every exemplar, once per epoch
+
+
+@pytest.mark.parametrize("tag", ["avcil", "icarl_fc"])
+def test_student_forward_keeps_maps_only_of_the_rows_vad_reads(monkeypatch, tag):
+    ds, seq, config, _, state = _second_step()
+    held = []
+    real_forward = mdl.forward
+
+    def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None):
+        trace = real_forward(params, audio, visual, modality, map_rows)
+        if params.w_audio.requires_grad:
+            held.append(trace.maps.spatial.shape[0])
+        return trace
+
+    def recording_compose(trace, teacher, labels, mask, layout, weights):
+        assert np.array_equal(trace.maps.rows, np.flatnonzero(mask) if tag == "avcil" else [])
+        assert (teacher.maps is not None) == (tag == "avcil")
+        return obj.total_loss(trace, teacher, labels, mask, layout, weights)
+
+    monkeypatch.setattr(mdl, "forward", recording_forward)
+    strategy = replace(get_strategy(tag), compose=recording_compose)
+    train_step(state, seq, ds, replace(config, strategy=tag), strategy)
+    assert sum(held) == (6 * 2 if tag == "avcil" else 0)   # 6 exemplars, 2 epochs
 
 
 def test_step_grows_boundaries_and_replays_memory():
