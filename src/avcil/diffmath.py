@@ -413,8 +413,9 @@ def product_sum(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
     return _node(out.astype(_policy_dtype(out), copy=False), (a, b), vjp, "product_sum")
 
 
-# attend walks the batch in chunks of rows of about this many grid entries,
-# so no (N, L, S, d) temporary of the block outlives its chunk
+# attend gathers and runs the batch in chunks of rows of about this many grid
+# entries, so no (N, L, S, d) array of the block, the batch itself included,
+# is larger than a chunk
 ATTEND_CHUNK_ENTRIES = 1 << 16
 
 
@@ -441,66 +442,79 @@ def _with_map_grad(g_map: Array | None, at: Array, g: Array | None,
     return full
 
 
-def attend(score_audio: DiffTensor, visual, w_visual: DiffTensor,
-           map_rows=None) -> tuple[DiffTensor, DiffTensor, DiffTensor]:
+def attend(score_audio: DiffTensor, visual, w_visual: DiffTensor, map_rows=None,
+           rows=None) -> tuple[DiffTensor, DiffTensor, DiffTensor]:
     """Audio-guided attention pooling of an (N, L, S, d) visual grid, as one node.
 
-    With v = tanh(visual @ w_visual) and a the (N, d) `score_audio`, the
-    spatial map is softmax over S of a * v, the temporal map softmax over L
-    of the spatially pooled sum(spatial * v), and the result the (N, d)
-    float64 vector sum over L of temporal * sum over S of (visual * spatial).
-    It also returns the spatial (k, L, S, d) and temporal (k, L, d) maps of
-    the k strictly increasing `map_rows` only (every row when None), as two
-    tensors whose gradients the node's VJP takes in; `visual`, an array or
-    an untracked tensor, gets no gradient.
+    The grid is the batch rows `rows` of `visual` (every row when None),
+    read in place: `visual`, an array or an untracked tensor, gets no
+    gradient, and only one row chunk of it is gathered at a time. With
+    v = tanh(grid @ w_visual) and a the (N, d) `score_audio`, the spatial
+    map is softmax over S of a * v, the temporal map softmax over L of the
+    spatially pooled sum(spatial * v), and the result the (N, d) float64
+    vector sum over L of temporal * sum over S of (grid * spatial). It also
+    returns the spatial (k, L, S, d) and temporal (k, L, d) maps of the k
+    strictly increasing batch rows `map_rows` only (every row when None),
+    as two tensors whose gradients the node's VJP takes in.
 
-    The grid runs in row chunks of about `ATTEND_CHUNK_ENTRIES` entries and
-    in float32 when `visual` is float32. Only the last chunk's (N, L, S, d)
-    arrays are kept; the VJP walks the chunks in reverse and recomputes the
-    others. Every value and gradient is the one the elementary composite
-    (`tanh_matmul`, a product, `softmax`, `product_sum`) gives, bit for bit:
-    `w_visual`'s gradient is one `np.dot` over every row.
+    The grid runs in row chunks of about `ATTEND_CHUNK_ENTRIES` entries,
+    each gathered from `visual` when it is read, and in float32 when
+    `visual` is float32. Only the last chunk's grid-sized arrays are kept;
+    the VJP walks the chunks in reverse and gathers and recomputes the
+    others. `w_visual`'s gradient is the float64 sum of one `np.dot` per
+    chunk, in that reverse order. Every value and every other gradient, and
+    `w_visual`'s when the batch is one chunk, is the one the elementary
+    composite (`tanh_matmul`, a product, `softmax`, `product_sum`) gives on
+    the gathered batch, bit for bit.
     """
     if isinstance(visual, DiffTensor):
         if visual.requires_grad:
             raise ContractError("attend takes no gradient for the visual grid")
         visual = visual.data
-    vd = np.asarray(visual)
-    if score_audio.ndim != 2 or vd.ndim != 4 or vd.shape[::3] != score_audio.shape \
-            or w_visual.shape != (vd.shape[3],) * 2:
-        raise ContractError(f"attend needs (N, d) audio scores, an (N, L, S, d) grid and a "
-                            f"(d, d) weight, got {score_audio.shape}, {vd.shape} and "
-                            f"{w_visual.shape}")
-    if vd.size == 0:
+    source = np.asarray(visual)
+    if source.ndim != 4:
+        raise ContractError(f"attend needs an (N, L, S, d) grid, got {source.shape}")
+    index = np.arange(len(source)) if rows is None else np.asarray(rows)
+    if index.ndim != 1 or index.dtype.kind not in "iu" or (index.size and (
+            index.min() < 0 or index.max() >= len(source))):
+        raise ContractError("attend needs 1-d integer batch rows inside the grid")
+    n, (ell, cells, d) = index.size, source.shape[1:]
+    if score_audio.shape != (n, d) or w_visual.shape != (d, d):
+        raise ContractError(f"attend needs (N, d) audio scores, an (N, L, S, d) batch and a "
+                            f"(d, d) weight, got {score_audio.shape}, "
+                            f"{(n, *source.shape[1:])} and {w_visual.shape}")
+    if n * ell * cells * d == 0:
         raise ContractError("attend of an empty grid")
-    n, ell, cells, d = vd.shape
-    rows = np.arange(n) if map_rows is None else np.asarray(map_rows, dtype=np.int64)
-    if rows.ndim != 1 or (rows.size and (rows[0] < 0 or rows[-1] >= n
-                                         or (rows[1:] <= rows[:-1]).any())):
+    kept = np.arange(n) if map_rows is None else np.asarray(map_rows, dtype=np.int64)
+    if kept.ndim != 1 or (kept.size and (kept[0] < 0 or kept[-1] >= n
+                                         or (kept[1:] <= kept[:-1]).any())):
         raise ContractError("attend needs strictly increasing 1-d map rows inside the batch")
-    dt = np.float32 if np.float32 in (_policy_dtype(vd), w_visual.data.dtype) else np.float64
-    vd = np.ascontiguousarray(vd, dtype=dt)
+    dt = np.float32 if np.float32 in (_policy_dtype(source), w_visual.data.dtype) else np.float64
     wd = w_visual.data.astype(dt, copy=False)
     ad = score_audio.data.astype(dt, copy=False)
     step = max(1, ATTEND_CHUNK_ENTRIES // (ell * cells * d))
     starts = range(0, n, step)
-    # each chunk's rows [lo, hi) and its map rows, rows[first:stop]
-    bounds = np.searchsorted(rows, [*starts, n])
+    # each chunk's rows [lo, hi) and its map rows, kept[first:stop]
+    bounds = np.searchsorted(kept, [*starts, n])
     spans = [(lo, min(lo + step, n), first, stop)
              for lo, first, stop in zip(starts, bounds, bounds[1:])]
 
+    def chunk_of(lo: int, hi: int) -> tuple[Array, Array, Array]:
+        """Batch rows [lo, hi) of the grid, their visual scores and spatial map."""
+        grid = np.ascontiguousarray(source[index[lo:hi]], dtype=dt)
+        return (grid, *_attend_spatial(grid, wd, ad[lo:hi]))
+
     psum = np.empty((n, ell, d), dt)
     per_frame = np.empty((n, ell, d), dt)
-    spatial_rows = np.empty((rows.size, ell, cells, d), dt)
+    spatial_rows = np.empty((kept.size, ell, cells, d), dt)
     for lo, hi, first, stop in spans:
-        scores, spatial = _attend_spatial(vd[lo:hi], wd, ad[lo:hi])
+        last = grid, scores, spatial = chunk_of(lo, hi)
         psum[lo:hi] = (spatial * scores).sum(axis=2)
-        per_frame[lo:hi] = (vd[lo:hi] * spatial).sum(axis=2)
-        spatial_rows[first:stop] = spatial[rows[first:stop] - lo]
+        per_frame[lo:hi] = (grid * spatial).sum(axis=2)
+        spatial_rows[first:stop] = spatial[kept[first:stop] - lo]
     _check_softmax_input(psum)
     temporal = _softmax_data(psum, 1)
     pooled = (temporal * per_frame).sum(axis=1)
-    last = (scores, spatial)
     need_audio, need_w = score_audio.requires_grad, w_visual.requires_grad
     taken: dict = {}    # the maps' gradients, handed in by their own nodes' VJPs
 
@@ -510,20 +524,19 @@ def attend(score_audio: DiffTensor, visual, w_visual: DiffTensor,
         g_pool = None if taken.pop("pooled_unread", False) else \
             g.astype(dt, copy=False).reshape(n, 1, d)
         g_frame = None if g_pool is None else g_pool * temporal
-        g_tem = _with_map_grad(taken.pop("temporal", None), rows,
+        g_tem = _with_map_grad(taken.pop("temporal", None), kept,
                                None if g_pool is None else g_pool * per_frame, temporal.shape)
         g_psum = None if g_tem is None else \
             _softmax_vjp(temporal, 1, g_tem).astype(dt, copy=False)[:, :, None, :]
         g_spatial_rows = taken.pop("spatial", None)
         g_audio = np.empty((n, 1, 1, d), dt) if need_audio else None
-        g_scores = np.empty_like(vd) if need_w else None
+        gw = None
         for lo, hi, first, stop in reversed(spans):
-            scores, spatial = last if last is not None else _attend_spatial(
-                vd[lo:hi], wd, ad[lo:hi])
+            grid, scores, spatial = last if last is not None else chunk_of(lo, hi)
             last = None
-            g_spa = None if g_frame is None else g_frame[lo:hi, :, None, :] * vd[lo:hi]
+            g_spa = None if g_frame is None else g_frame[lo:hi, :, None, :] * grid
             g_spa = _with_map_grad(None if g_spatial_rows is None else g_spatial_rows[first:stop],
-                                   rows[first:stop] - lo, g_spa, spatial.shape)
+                                   kept[first:stop] - lo, g_spa, spatial.shape)
             if g_psum is not None:
                 g_from_psum = g_psum[lo:hi] * scores
                 g_spa = g_from_psum if g_spa is None else np.add(g_spa, g_from_psum, out=g_spa)
@@ -531,19 +544,17 @@ def attend(score_audio: DiffTensor, visual, w_visual: DiffTensor,
             if need_audio:
                 g_audio[lo:hi] = _unbroadcast(g_spa * scores, (hi - lo, 1, 1, d))
             if need_w:
-                g_sc = g_scores[lo:hi]
-                np.multiply(g_spa, ad[lo:hi, None, None, :], out=g_sc)
+                g_sc = np.multiply(g_spa, ad[lo:hi, None, None, :])
                 if g_psum is not None:
                     np.add(g_psum[lo:hi] * spatial, g_sc, out=g_sc)
                 np.multiply(scores, scores, out=scores)
                 g_sc *= np.subtract(1.0, scores, out=scores)
-        ga = gw = None
-        if need_audio:
-            ga = g_audio.reshape(n, d).astype(score_audio.data.dtype, copy=False)
-        if need_w:
-            gw = np.dot(vd.reshape(-1, d).T, g_scores.reshape(-1, d))
-            gw = gw.astype(w_visual.data.dtype, copy=False)
-        return ga, gw
+                part = np.dot(grid.reshape(-1, d).T, g_sc.reshape(-1, d))
+                gw = part.astype(np.float64, copy=False) if gw is None else \
+                    np.add(gw, part, out=gw)
+        ga = None if g_audio is None else \
+            g_audio.reshape(n, d).astype(score_audio.data.dtype, copy=False)
+        return ga, None if gw is None else gw.astype(w_visual.data.dtype, copy=False)
 
     out = _node(pooled.astype(np.float64, copy=False), (score_audio, w_visual), vjp, "attend")
 
@@ -560,7 +571,7 @@ def attend(score_audio: DiffTensor, visual, w_visual: DiffTensor,
         return map_vjp
 
     return (out, _node(spatial_rows, (out,), take("spatial"), "attend_spatial"),
-            _node(temporal[rows], (out,), take("temporal"), "attend_temporal"))
+            _node(temporal[kept], (out,), take("temporal"), "attend_temporal"))
 
 
 def _masked_lse(z: Array, mask: Array) -> tuple[Array, Array]:

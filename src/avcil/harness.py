@@ -467,7 +467,7 @@ def cli_export_attention(checkpoint_path, dataset_path, sample_ids: Sequence[int
     written: List[Path] = []
     for sid in sample_ids:
         row = np.flatnonzero(dataset.ids == sid)
-        trace = mdl.forward(params, dataset.audio[row], dataset.visual[row], "audiovisual")
+        trace = mdl.forward(params, dataset.audio, dataset.visual, "audiovisual", rows=row)
         spatial = trace.maps.spatial.data[0].mean(axis=2)     # (L, S)
         temporal = trace.maps.temporal.data[0].mean(axis=1)   # (L,)
         spath = out / f"sample_{sid}_spatial.csv"

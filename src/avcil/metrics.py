@@ -41,62 +41,62 @@ def average_forgetting(rows: Sequence[Sequence[float]]) -> float | None:
 
 
 def forward_chunks(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,
-                   modality: str, rows: np.ndarray | None = None, chunk: int = EVAL_CHUNK,
+                   modality: str, rows: np.ndarray, chunk: int = EVAL_CHUNK,
                    maps_from: int | None = None):
-    """Yield (first row, trace) over `audio`, `visual`, or over their `rows`
-    only, `chunk` rows at a time; only a chunk's rows are gathered, and
-    frozen parameters build no graph. Each trace's attention maps hold the
-    rows from `maps_from` on (in the order read), or none."""
-    n = len(audio) if rows is None else len(rows)
-    for lo in range(0, n, chunk):
-        at = slice(lo, lo + chunk) if rows is None else rows[lo:lo + chunk]
-        hi = min(lo + chunk, n)
-        first = hi if maps_from is None else min(max(maps_from, lo), hi)
-        yield lo, mdl.forward(params, audio[at], visual[at], modality,
-                              np.arange(first - lo, hi - lo))
+    """Yield (first row, trace) over the `rows` of `audio` and `visual`,
+    `chunk` rows at a time; the arrays are read in place (see
+    `model.forward`), and frozen parameters build no graph. Each trace's
+    attention maps hold the rows from `maps_from` on (in the order read),
+    or none."""
+    for lo in range(0, len(rows), chunk):
+        at = rows[lo:lo + chunk]
+        first = len(at) if maps_from is None else min(max(maps_from - lo, 0), len(at))
+        yield lo, mdl.forward(params, audio, visual, modality,
+                              np.arange(first, len(at)), at)
 
 
-def _forward_rows(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,
-                  modality: str, output: str) -> np.ndarray:
-    """One trace field ("logits" or "fused") for every row, run EVAL_CHUNK rows at a time."""
+def _forward_rows(params: mdl.ModelParams, rows: np.ndarray, audio: np.ndarray,
+                  visual: np.ndarray, modality: str, output: str) -> np.ndarray:
+    """One trace field ("logits" or "fused") for each of `rows`, run EVAL_CHUNK rows at a time."""
     out = np.concatenate([getattr(trace, output).data
-                          for _, trace in forward_chunks(params, audio, visual, modality)])
+                          for _, trace in forward_chunks(params, audio, visual, modality, rows)])
     if not np.isfinite(out).all():     # a forward without a softmax lets NaN through
         raise NumericDomainError(f"non-finite {output} in evaluation")
     return out
 
 
-def _predict_head(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,
-                  modality: str) -> np.ndarray:
-    logits = _forward_rows(params, audio, visual, modality, "logits")
+def _predict_head(params: mdl.ModelParams, rows: np.ndarray, audio: np.ndarray,
+                  visual: np.ndarray, modality: str) -> np.ndarray:
+    logits = _forward_rows(params, rows, audio, visual, modality, "logits")
     return np.argmax(logits, axis=1)  # ties -> lowest index
 
 
-def nme_classify(params: mdl.ModelParams, ex_audio: np.ndarray, ex_visual: np.ndarray,
-                 exemplar_labels, audio: np.ndarray, visual: np.ndarray,
+def nme_classify(params: mdl.ModelParams, ex_rows: np.ndarray, exemplar_labels,
+                 rows: np.ndarray, audio: np.ndarray, visual: np.ndarray,
                  num_classes: int, modality: str = "audiovisual") -> np.ndarray:
     """Nearest class mean in the normalized fused space, Euclidean distance.
 
-    Class means come from the exemplars (`ex_audio`, `ex_visual`); every
-    class below `num_classes` needs at least one. The queries are `audio`,
-    `visual`. Distance ties resolve to the lowest class index. It runs the
-    parameters it is given; `evaluate` hands it a frozen snapshot.
+    Class means come from the exemplars, the rows `ex_rows` of `audio` and
+    `visual`; every class below `num_classes` needs at least one. The
+    queries are the rows `rows`. Distance ties resolve to the lowest class
+    index. It runs the parameters it is given; `evaluate` hands it a frozen
+    snapshot.
     """
     labels = np.asarray(exemplar_labels, dtype=np.int64)
-    if len(ex_audio) != labels.size:
+    if len(ex_rows) != labels.size:
         raise ContractError("one label per exemplar required")
-    feats = _forward_rows(params, ex_audio, ex_visual, modality, "fused")
+    feats = _forward_rows(params, ex_rows, audio, visual, modality, "fused")
     means = np.empty((num_classes, feats.shape[1]))
     for c in range(num_classes):
-        rows = feats[labels == c]
-        if rows.size == 0:
+        of_c = feats[labels == c]
+        if of_c.size == 0:
             raise ContractError(f"class {c} has no exemplar for nearest-mean evaluation")
-        means[c] = rows.mean(axis=0)
+        means[c] = of_c.mean(axis=0)
     norms = np.linalg.norm(means, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ContractError("a class mean has zero norm")
     means /= norms
-    q = _forward_rows(params, audio, visual, modality, "fused")
+    q = _forward_rows(params, rows, audio, visual, modality, "fused")
     qn = np.linalg.norm(q, axis=1, keepdims=True)
     if np.any(qn == 0.0):
         raise ContractError("a query feature has zero norm")
@@ -110,29 +110,32 @@ def nme_classify(params: mdl.ModelParams, ex_audio: np.ndarray, ex_visual: np.nd
         for lo in range(0, len(q), EVAL_CHUNK)])
 
 
-def evaluate(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray, labels,
-             layout: TaskLayout, modality: str = "audiovisual",
-             nme_exemplars: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+def evaluate(params: mdl.ModelParams, rows: np.ndarray, audio: np.ndarray,
+             visual: np.ndarray, labels, layout: TaskLayout, modality: str = "audiovisual",
+             nme_exemplars: tuple[np.ndarray, np.ndarray] | None = None
              ) -> tuple[float, list[float]]:
-    """Accuracy over the samples (`audio`, `visual`), overall and broken down by task.
+    """Accuracy over the samples at `rows` of `audio` and `visual`, overall
+    and broken down by task.
 
-    Labels are model class indices. With `nme_exemplars=(audio, visual,
-    labels)` predictions come from nearest class means instead of the
+    The arrays are read in place. Labels are model class indices, one per
+    row. With `nme_exemplars=(exemplar rows, their labels)`, rows of the
+    same arrays, predictions come from nearest class means instead of the
     linear head.
     """
+    rows = np.asarray(rows, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    if len(audio) == 0:
+    if rows.size == 0:
         raise ContractError("evaluate needs at least one sample")
-    if labels.shape != (len(audio),) or len(visual) != len(audio):
+    if rows.ndim != 1 or labels.shape != rows.shape:
         raise ContractError("one label per evaluated sample required")
     if labels.min() < 0 or labels.max() >= layout.total_classes:
         raise ContractError("an evaluation label falls outside the layout")
     frozen = mdl.snapshot(params)
     if nme_exemplars is None:
-        preds = _predict_head(frozen, audio, visual, modality)
+        preds = _predict_head(frozen, rows, audio, visual, modality)
     else:
-        ex_audio, ex_visual, ex_labels = nme_exemplars
-        preds = nme_classify(frozen, ex_audio, ex_visual, ex_labels, audio, visual,
+        ex_rows, ex_labels = nme_exemplars
+        preds = nme_classify(frozen, ex_rows, ex_labels, rows, audio, visual,
                              layout.total_classes, modality)
     correct = preds == labels
     tasks = np.searchsorted(np.cumsum(layout.boundaries), labels, side="right")

@@ -133,12 +133,15 @@ def classify(fused: DiffTensor, params: ModelParams) -> DiffTensor:
 
 
 def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
-            map_rows=None) -> ForwardTrace:
+            map_rows=None, rows=None) -> ForwardTrace:
     """Run a batch through the model.
 
-    `audio` is (N, d) and `visual` (N, L, S, d), as arrays or as constant
-    tensors; a caller that runs several models on one batch wraps it once
-    with `dm.constant` and passes the same tensors to each. The attention
+    The batch is the rows `rows` of `audio` (M, d) and `visual` (M, L, S,
+    d), or every row of both when `rows` is None. Given rows, both are
+    arrays read in place: only the batch's audio rows are gathered here,
+    and the attention block gathers its visual rows a chunk at a time, so
+    training, the teacher pass and evaluation hand over the dataset's own
+    arrays. Without rows they may also be constant tensors. The attention
     block is one `dm.attend` node, and the trace's maps hold the strictly
     increasing batch rows `map_rows` only: training asks for the rows that
     `vad` reads, evaluation for none, and the default is every row. Float32
@@ -149,6 +152,8 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
     """
     if modality not in MODALITIES:
         raise ContractError(f"unknown modality {modality!r}")
+    if rows is not None:
+        audio = np.asarray(audio)[rows]
     if not isinstance(audio, DiffTensor):
         audio = dm.constant(audio)
     n, d = _check_audio(audio, params.d)
@@ -160,9 +165,12 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
                             logits=classify(fused, params), maps=None)
     if not isinstance(visual, DiffTensor):
         visual = np.asarray(visual)
-    if len(visual.shape) != 4 or visual.shape[0] != n or visual.shape[3] != d:
+    if len(visual.shape) != 4 or visual.shape[3] != d or (rows is None
+                                                          and visual.shape[0] != n):
         raise ContractError(f"visual batch must be (N, L, S, {d}), got {visual.shape}")
     if modality == "visual":
+        if rows is not None:
+            visual = visual[rows]
         if not isinstance(visual, DiffTensor):
             visual = dm.constant(visual)
         pooled = visual.mean(axis=2).mean(axis=1)
@@ -170,7 +178,8 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
         return ForwardTrace(audio=audio, attended_visual=pooled, fused=fused,
                             logits=classify(fused, params), maps=None)
     score_audio = dm.tanh_matmul(audio, params.w_audio)
-    attended, spatial, temporal = dm.attend(score_audio, visual, params.w_visual, map_rows)
+    attended, spatial, temporal = dm.attend(score_audio, visual, params.w_visual, map_rows,
+                                            rows)
     maps = AttentionMaps(spatial, temporal,
                          None if map_rows is None else np.asarray(map_rows, dtype=np.int64))
     fused, logits = fuse_and_classify(audio, attended, params)

@@ -210,7 +210,8 @@ def _teacher_outputs(teacher: mdl.ModelParams, dataset: FeatureDataset, pool: np
                      ) -> tuple[np.ndarray, Optional[mdl.AttentionMaps]]:
     """The frozen teacher's logits for every pool row and, if `keep_maps`,
     its attention maps for the pool rows from `replay_from` on (the replay
-    rows), run with no graph `config.batch_size` rows at a time.
+    rows), run with no graph `config.batch_size` rows at a time, reading
+    the dataset's arrays in place.
 
     A row's outputs do not depend on the other rows of its batch, so these
     are the bytes a forward on each training batch would give. The maps are
@@ -308,8 +309,8 @@ def train_step(state: StepState, sequence: TaskSequence,
                         map_rows = np.flatnonzero(mask)     # the rows vad reads
                 batch = start // config.batch_size
                 try:
-                    trace = mdl.forward(params, dataset.audio[rows], dataset.visual[rows],
-                                        config.modality, map_rows)
+                    trace = mdl.forward(params, dataset.audio, dataset.visual,
+                                        config.modality, map_rows, rows)
                     loss = strategy.compose(trace, teacher_batch, labels[idx], mask,
                                             layout, config.weights)
                 except NumericDomainError as err:
@@ -385,12 +386,10 @@ def run_incremental(dataset: FeatureDataset, sequence: TaskSequence,
         nme = None
         if strategy.nme_eval:
             exemplars = state.memory.rows()
-            nme = (dataset.audio[exemplars], dataset.visual[exemplars],
-                   sequence.model_labels(dataset.labels[exemplars]))
+            nme = (exemplars, sequence.model_labels(dataset.labels[exemplars]))
         try:
             with np.errstate(**_DIVERGING):
-                overall, per_task = evaluate(state.params, dataset.audio[test],
-                                             dataset.visual[test],
+                overall, per_task = evaluate(state.params, test, dataset.audio, dataset.visual,
                                              sequence.model_labels(dataset.labels[test]),
                                              sequence.layout(t), config.modality, nme)
         except NumericDomainError as err:

@@ -519,13 +519,37 @@ def _attention_block(score_audio, visual, w_visual, map_rows, fused):
     return _cast(pooled, np.float64), spatial, temporal
 
 
-def _attend_run(data, map_rows, fused):
+def _stack(parts):
+    """Tensors stacked along axis 0, as one node."""
+    ends = np.cumsum([p.shape[0] for p in parts])[:-1]
+    return dm._node(np.concatenate([p.data for p in parts]), tuple(parts),
+                    lambda g: tuple(np.split(g, ends)), "stack")
+
+
+def _composite_by_row(score_audio, visual, w_visual):
+    """The elementary composite run on each row by itself, its outputs
+    stacked. Each row casts `w_visual` itself, so `w_visual`'s gradient is
+    the float64 sum of one product per row, added in reverse row order."""
+    outputs = [_attention_block(dm.slice_axis(score_audio, 0, r, r + 1),
+                                dm.constant(visual.data[r:r + 1]), w_visual, None, False)
+               for r in range(score_audio.shape[0])]
+    return tuple(_stack(parts) for parts in zip(*outputs))
+
+
+def _attend_run(data, map_rows, block):
     """Loss, pooled vector, maps of `map_rows` and both operand gradients of
-    a loss that reads the pooled vector and, as `vad` does, the map rows."""
+    a loss that reads the pooled vector and, as `vad` does, the map rows;
+    the block is `attend` ("fused"), the composite ("composite") or the
+    composite run row by row ("by_row")."""
     audio, visual, w, probe, q_spatial, q_temporal = data
     score_audio, w_visual = dm.parameter(audio), dm.parameter(w)
-    pooled, spatial, temporal = _attention_block(score_audio, dm.constant(visual), w_visual,
-                                                 map_rows, fused)
+    fused = block == "fused"
+    if block == "by_row":
+        pooled, spatial, temporal = _composite_by_row(score_audio, dm.constant(visual),
+                                                      w_visual)
+    else:
+        pooled, spatial, temporal = _attention_block(score_audio, dm.constant(visual),
+                                                     w_visual, map_rows, fused)
     loss = (pooled * dm.constant(probe)).sum()
     if map_rows.size:
         at = np.arange(map_rows.size) if fused else map_rows
@@ -552,10 +576,54 @@ def test_attend_matches_composite_bitwise(monkeypatch):
             monkeypatch.setattr(dm, "ATTEND_CHUNK_ENTRIES", chunk)
             for map_rows in ([], [1, 4], range(n)):
                 map_rows = np.array(map_rows, dtype=np.int64)
-                fused = _attend_run(data, map_rows, True)
-                composite = _attend_run(data, map_rows, False)
+                fused = _attend_run(data, map_rows, "fused")
+                composite = _attend_run(data, map_rows, "composite")
+                if chunk == 1:      # w_visual's gradient: one product per chunk, summed
+                    composite = (*composite[:-1], _attend_run(data, map_rows, "by_row")[-1])
                 for got, want in zip(fused, composite):
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_attend_reads_its_rows_of_the_grid_in_place(monkeypatch):
+    rng = np.random.default_rng(17)
+    m, ell, cells, d = 9, 3, 4, 5
+    rows = np.array([7, 2, 2, 0, 5, 8])    # any order, a row twice
+    audio, w = rng.normal(size=(rows.size, d)), rng.normal(size=(d, d)) / np.sqrt(d)
+    probes = (rng.normal(size=(rows.size, d)), rng.normal(size=(2, ell, cells, d)),
+              rng.normal(size=(2, ell, d)))
+    for dtype in (np.float32, np.float64):
+        source = rng.normal(size=(m, ell, cells, d)).astype(dtype)
+        for chunk in (ell * cells * d * 2, rows.size * ell * cells * d):   # 3 chunks, or 1
+            monkeypatch.setattr(dm, "ATTEND_CHUNK_ENTRIES", chunk)
+            runs = []
+            for grid, at in ((source, rows), (source[rows], None)):
+                score_audio, w_visual = dm.parameter(audio), dm.parameter(w)
+                outputs = dm.attend(score_audio, grid, w_visual, [1, 4], at)
+                dm.backward(sum(((t * dm.constant(p)).sum() for t, p in zip(outputs, probes)),
+                                dm.constant(0.0)))
+                runs.append([t.data.tobytes() for t in outputs]
+                            + [score_audio.grad.tobytes(), w_visual.grad.tobytes()])
+            assert runs[0] == runs[1]
+
+
+def test_attend_gradients_in_many_chunks_pass_the_gradient_check(monkeypatch):
+    n, ell, cells, d = 5, 3, 4, 6
+    monkeypatch.setattr(dm, "ATTEND_CHUNK_ENTRIES", 2 * ell * cells * d)    # chunks of 2, 2, 1
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        source = rng.normal(size=(n + 3, ell, cells, d))
+        rows = rng.permutation(n + 3)[:n]
+        a, b = rng.normal(size=(n, d)), rng.normal(size=(d, d))
+        probes = (rng.normal(size=(n, d)), rng.normal(size=(3, ell, cells, d)),
+                  rng.normal(size=(3, ell, d)))
+
+        def loss(score_audio, w_visual):
+            outputs = dm.attend(score_audio, source, w_visual, [0, 2, n - 1], rows)
+            return sum(((t * dm.constant(p)).sum() for t, p in zip(outputs, probes)),
+                       dm.constant(0.0))
+
+        assert dm.grad_check(lambda x: loss(x, dm.constant(b)), dm.parameter(a), 1e-5) < 1e-5
+        assert dm.grad_check(lambda x: loss(dm.constant(a), x), dm.parameter(b), 1e-5) < 1e-5
 
 
 def test_attend_takes_in_the_gradient_of_either_map_with_or_without_the_pooled_vector():

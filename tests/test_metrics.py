@@ -13,6 +13,14 @@ def make_samples(rng, n, d=4, l=2, s=2):
     return rng.normal(size=(n, d)), rng.normal(size=(n, l, s, d))
 
 
+def stacked(*sets):
+    """The (audio, visual) sample sets `sets` as one pair of arrays, and
+    the rows each set holds in it."""
+    arrays = tuple(np.concatenate(parts) for parts in zip(*sets))
+    ends = np.cumsum([len(audio) for audio, _ in sets])
+    return arrays, [np.arange(end - len(audio), end) for (audio, _), end in zip(sets, ends)]
+
+
 def test_mean_accuracy_reference_row():
     assert abs(mx.mean_accuracy([79.81, 77.14, 71.43, 67.77]) - 74.04) <= 0.005
 
@@ -77,25 +85,25 @@ def test_triangle_formulas_match_the_nan_square_reference(case):
 def test_evaluate_perfect_and_constant_predictors():
     rng = np.random.default_rng(0)
     params = mdl.init_params(4, 3, seed=0)
-    samples = make_samples(rng, 12)
+    samples, rows = make_samples(rng, 12), np.arange(12)
     layout = TaskLayout((2, 1))
-    logits_labels = mx._predict_head(mdl.snapshot(params), *samples, "audiovisual")
-    overall, per_task = mx.evaluate(params, *samples, logits_labels, layout)
+    logits_labels = mx._predict_head(mdl.snapshot(params), rows, *samples, "audiovisual")
+    overall, per_task = mx.evaluate(params, rows, *samples, logits_labels, layout)
     assert overall == 100.0 and per_task[0] == 100.0 and per_task[1] == 100.0
     wrong = (logits_labels + 1) % 3
-    overall_w, _ = mx.evaluate(params, *samples, wrong, layout)
+    overall_w, _ = mx.evaluate(params, rows, *samples, wrong, layout)
     assert overall_w == 0.0
 
 
 def test_evaluate_overall_is_sample_weighted():
     rng = np.random.default_rng(1)
     params = mdl.init_params(4, 4, seed=1)
-    samples = make_samples(rng, 10)
+    samples, rows = make_samples(rng, 10), np.arange(10)
     layout = TaskLayout((2, 2))
-    preds = mx._predict_head(mdl.snapshot(params), *samples, "audiovisual")
+    preds = mx._predict_head(mdl.snapshot(params), rows, *samples, "audiovisual")
     labels = preds.copy()
     labels[:3] = (labels[:3] + 1) % 4  # break three samples
-    overall, per_task = mx.evaluate(params, *samples, labels, layout)
+    overall, per_task = mx.evaluate(params, rows, *samples, labels, layout)
     ends = np.cumsum(layout.boundaries)
     tasks = np.array([next(t for t, end in enumerate(ends) if y < end) for y in labels])
     counts = [(tasks == t).sum() for t in range(2)]
@@ -108,7 +116,7 @@ def test_evaluate_rejects_label_outside_layout():
     params = mdl.init_params(4, 2, seed=2)
     samples = make_samples(rng, 3)
     with pytest.raises(ContractError):
-        mx.evaluate(params, *samples, [0, 1, 2], TaskLayout((2,)))
+        mx.evaluate(params, np.arange(3), *samples, [0, 1, 2], TaskLayout((2,)))
 
 
 @pytest.mark.parametrize("modality", ["audio", "visual"])
@@ -120,27 +128,27 @@ def test_evaluate_rejects_non_finite_parameters_a_softmax_never_meets(modality, 
     params.cls_weight.data[0, 0] = np.nan                   # the head's logits
     if nme:                                                 # the fused features
         params.u_audio.data[0, 0] = params.u_visual.data[0, 0] = np.nan
-    samples = make_samples(rng, 4)
-    exemplars = (*make_samples(rng, 2), [0, 1]) if nme else None
+    samples, (rows, ex_rows) = stacked(make_samples(rng, 4), make_samples(rng, 2))
+    exemplars = (ex_rows, [0, 1]) if nme else None
     with pytest.raises(NumericDomainError, match="non-finite"):
-        mx.evaluate(params, *samples, [0, 1, 0, 1], TaskLayout((2,)), modality, exemplars)
+        mx.evaluate(params, rows, *samples, [0, 1, 0, 1], TaskLayout((2,)), modality, exemplars)
 
 
 def test_nme_zero_distance_exemplar_wins():
     rng = np.random.default_rng(3)
     params = mdl.init_params(4, 2, seed=3)
-    queries = make_samples(rng, 2)
+    queries, rows = make_samples(rng, 2), np.arange(2)
     # one exemplar per class, each literally a query: distance to its own mean is 0
-    preds = mx.nme_classify(params, *queries, [0, 1], *queries, num_classes=2)
+    preds = mx.nme_classify(params, rows, [0, 1], rows, *queries, num_classes=2)
     assert np.array_equal(preds, [0, 1])
 
 
 def test_nme_requires_every_class():
     rng = np.random.default_rng(4)
     params = mdl.init_params(4, 3, seed=4)
-    ex = make_samples(rng, 2)
+    samples, (ex_rows, rows) = stacked(make_samples(rng, 2), make_samples(rng, 1))
     with pytest.raises(ContractError, match="class 2"):
-        mx.nme_classify(params, *ex, [0, 1], *make_samples(rng, 1), num_classes=3)
+        mx.nme_classify(params, ex_rows, [0, 1], rows, *samples, num_classes=3)
 
 
 def test_nme_is_deterministic():
@@ -148,9 +156,9 @@ def test_nme_is_deterministic():
     params = mdl.init_params(4, 3, seed=5)
     ex = make_samples(rng, 9)
     ex_labels = [0, 1, 2] * 3
-    queries = make_samples(rng, 6)
-    a = mx.nme_classify(params, *ex, ex_labels, *queries, num_classes=3)
-    b = mx.nme_classify(params, *ex, ex_labels, *queries, num_classes=3)
+    samples, (ex_rows, rows) = stacked(ex, make_samples(rng, 6))
+    a = mx.nme_classify(params, ex_rows, ex_labels, rows, *samples, num_classes=3)
+    b = mx.nme_classify(params, ex_rows, ex_labels, rows, *samples, num_classes=3)
     assert np.array_equal(a, b)
 
 
@@ -159,16 +167,16 @@ def test_nme_in_chunks_matches_one_piece_distances():
     params = mdl.init_params(4, 5, seed=8)
     ex = make_samples(rng, 15)
     ex_labels = np.arange(15) % 5
-    audio, visual = make_samples(rng, mx.EVAL_CHUNK + 45)
+    samples, (ex_rows, rows) = stacked(ex, make_samples(rng, mx.EVAL_CHUNK + 45))
     frozen = mdl.snapshot(params)
-    feats = mx._forward_rows(frozen, *ex, "audiovisual", "fused")
+    feats = mx._forward_rows(frozen, ex_rows, *samples, "audiovisual", "fused")
     means = np.stack([feats[ex_labels == c].mean(axis=0) for c in range(5)])
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    q = mx._forward_rows(frozen, audio, visual, "audiovisual", "fused")
+    q = mx._forward_rows(frozen, rows, *samples, "audiovisual", "fused")
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     whole = np.argmin(np.linalg.norm(q[:, None, :] - means[None, :, :], axis=2), axis=1)
     assert len(set(whole.tolist())) > 1
-    preds = mx.nme_classify(params, *ex, ex_labels, audio, visual, num_classes=5)
+    preds = mx.nme_classify(params, ex_rows, ex_labels, rows, *samples, num_classes=5)
     assert np.array_equal(preds, whole)
 
 
@@ -176,12 +184,11 @@ def test_evaluate_with_nme_path():
     rng = np.random.default_rng(6)
     params = mdl.init_params(4, 3, seed=6)
     layout = TaskLayout((2, 1))
-    queries = make_samples(rng, 6)
-    ex = make_samples(rng, 6)
+    samples, (rows, ex_rows) = stacked(make_samples(rng, 6), make_samples(rng, 6))
     ex_labels = [0, 0, 1, 1, 2, 2]
-    preds = mx.nme_classify(params, *ex, ex_labels, *queries, num_classes=3)
-    overall, _ = mx.evaluate(params, *queries, preds, layout,
-                             nme_exemplars=(*ex, ex_labels))
+    preds = mx.nme_classify(params, ex_rows, ex_labels, rows, *samples, num_classes=3)
+    overall, _ = mx.evaluate(params, rows, *samples, preds, layout,
+                             nme_exemplars=(ex_rows, ex_labels))
     assert overall == 100.0
 
 
@@ -191,4 +198,6 @@ def test_chunked_evaluation_matches_one_forward(monkeypatch):
     audio, visual = make_samples(rng, 7)
     whole = np.argmax(mdl.forward(params, audio, visual).logits.data, axis=1)
     monkeypatch.setattr(mx, "EVAL_CHUNK", 3)
-    assert np.array_equal(mx._predict_head(params, audio, visual, "audiovisual"), whole)
+    for rows in (np.arange(7), rng.permutation(7)[:5]):     # every row, or some in any order
+        assert np.array_equal(mx._predict_head(params, rows, audio, visual, "audiovisual"),
+                              whole[rows])

@@ -205,10 +205,11 @@ def test_cached_teacher_outputs_equal_a_teacher_forward_on_each_batch_bitwise(mo
     batches, cached = [], []
     real_forward = mdl.forward
 
-    def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None):
+    def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None,
+                          rows=None):
         if params.w_audio.requires_grad:
-            batches.append((audio, visual))
-        return real_forward(params, audio, visual, modality, map_rows)
+            batches.append(rows)
+        return real_forward(params, audio, visual, modality, map_rows, rows)
 
     def recording_compose(trace, teacher, labels, mask, layout, weights):
         cached.append((teacher, mask))
@@ -218,8 +219,8 @@ def test_cached_teacher_outputs_equal_a_teacher_forward_on_each_batch_bitwise(mo
     out = train_step(state, seq, ds, config, replace(strategy, compose=recording_compose))
     assert len(batches) == len(cached) == 3 * 2
     exemplars_read = 0
-    for (audio, visual), (teacher, mask) in zip(batches, cached):
-        fresh = real_forward(out.teacher, audio, visual)
+    for rows, (teacher, mask) in zip(batches, cached):
+        fresh = real_forward(out.teacher, ds.audio[rows], ds.visual[rows])
         assert teacher.logits.tobytes() == fresh.logits.data.tobytes()
         for kept, batch_map in ((teacher.maps.spatial, fresh.maps.spatial),
                                 (teacher.maps.temporal, fresh.maps.temporal)):
@@ -228,14 +229,42 @@ def test_cached_teacher_outputs_equal_a_teacher_forward_on_each_batch_bitwise(mo
     assert exemplars_read == 6 * 2      # every exemplar, once per epoch
 
 
+@pytest.mark.parametrize("tag", ["avcil", "icarl_nme"])
+def test_every_forward_reads_the_dataset_arrays_in_place(monkeypatch, tag):
+    ds = make_dataset()
+    seq = build_task_sequence(range(6), 2, 3, seed=2)
+    calls = []
+    real_forward = mdl.forward
+
+    def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None,
+                          rows=None):
+        calls.append((params.w_audio.requires_grad, audio is ds.audio, visual is ds.visual,
+                      rows))
+        return real_forward(params, audio, visual, modality, map_rows, rows)
+
+    monkeypatch.setattr(mdl, "forward", recording_forward)
+    run_incremental(ds, seq, quick_config(strategy=tag, memory_capacity=6))
+    # the batch loop (trainable parameters), the teacher pass and evaluation
+    # (frozen ones) each hand over the dataset's own arrays and batch rows
+    for _, own_audio, own_visual, rows in calls:
+        assert own_audio and own_visual
+        assert rows.ndim == 1 and rows.dtype.kind == "i" and rows.size
+    student = sum(trains for trains, *_ in calls)
+    assert student == 2 * 2 * 3         # 2 steps x 2 epochs x 3 batches of 8
+    # the teacher's 3 chunks of 8 over step 2's pool, and one evaluation
+    # chunk per step, or two with nearest-mean (exemplars, then queries)
+    assert len(calls) - student == 3 + (4 if tag == "icarl_nme" else 2)
+
+
 @pytest.mark.parametrize("tag", ["avcil", "icarl_fc"])
 def test_student_forward_keeps_maps_only_of_the_rows_vad_reads(monkeypatch, tag):
     ds, seq, config, _, state = _second_step()
     held = []
     real_forward = mdl.forward
 
-    def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None):
-        trace = real_forward(params, audio, visual, modality, map_rows)
+    def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None,
+                          rows=None):
+        trace = real_forward(params, audio, visual, modality, map_rows, rows)
         if params.w_audio.requires_grad:
             held.append(trace.maps.spatial.shape[0])
         return trace
