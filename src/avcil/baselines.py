@@ -1,11 +1,11 @@
 """Strategy registry: one loss composer per training regime, shared backbone.
 
-Every composer has the same signature over a forward trace, an optional
-teacher trace, integer labels, an optional exemplar mask, the class layout,
-and the loss weights; the protocol stays strategy-agnostic. Flags tell the
-protocol what the strategy consumes (replay memory, a teacher snapshot, the
-replay rows' attention maps), how the oracle retrains, and which predictor
-evaluates it.
+Every composer has the same signature over a forward trace, the teacher's
+optional `TeacherBatch`, integer labels, an optional exemplar mask, the
+class layout, and the loss weights; the protocol stays strategy-agnostic.
+Flags tell the protocol what the strategy consumes (replay memory, a
+teacher snapshot, the replay rows' attention maps), how the oracle
+retrains, and which predictor evaluates it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .diffmath import DiffTensor
 from .errors import ConfigError
 from .model import ForwardTrace
 
-Composer = Callable[[ForwardTrace, Optional[ForwardTrace], np.ndarray,
+Composer = Callable[[ForwardTrace, Optional[obj.TeacherBatch], np.ndarray,
                      Optional[np.ndarray], obj.TaskLayout, obj.LossWeights],
                     DiffTensor]
 
@@ -36,12 +36,12 @@ class Strategy:
     distills_attention: bool = False    # its loss reads the replay rows' attention maps
 
 
-def finetune_loss(trace, teacher_trace, labels, exemplar_mask, layout, weights):
+def finetune_loss(trace, teacher, labels, exemplar_mask, layout, weights):
     """Plain cross-entropy over the full head; no replay, no teacher."""
     return obj.cross_entropy(trace.logits, labels)
 
 
-def lwf_loss(trace, teacher_trace, labels, exemplar_mask, layout, weights):
+def lwf_loss(trace, teacher, labels, exemplar_mask, layout, weights):
     """CE plus KL from the current old-class softmax to the teacher's.
 
     One softmax over all previous classes together, unlike the task-wise
@@ -49,11 +49,11 @@ def lwf_loss(trace, teacher_trace, labels, exemplar_mask, layout, weights):
     holds every old class. Reduces to plain CE at the first step.
     """
     ce = obj.cross_entropy(trace.logits, labels)
-    if teacher_trace is None:
+    if teacher is None:
         return ce
     old = layout.old_count
     one_block = obj.TaskLayout((old, layout.total_classes - old))
-    return ce + obj.tkd(trace.logits, teacher_trace.logits, one_block)
+    return ce + obj.tkd(trace.logits, teacher.logits, one_block)
 
 
 # replay variants distill exactly like lwf; they differ in memory use and,
@@ -61,10 +61,10 @@ def lwf_loss(trace, teacher_trace, labels, exemplar_mask, layout, weights):
 icarl_loss = lwf_loss
 
 
-def ssil_loss(trace, teacher_trace, labels, exemplar_mask, layout, weights):
+def ssil_loss(trace, teacher, labels, exemplar_mask, layout, weights):
     """Separated softmax plus task-wise distillation, nothing else."""
     zeroed = replace(weights, lambda_i=0.0, lambda_c=0.0)
-    return obj.total_loss(trace, teacher_trace, labels, None, layout, zeroed)
+    return obj.total_loss(trace, teacher, labels, None, layout, zeroed)
 
 
 _STRATEGIES = {

@@ -442,20 +442,20 @@ def _with_map_grad(g_map: Array | None, at: Array, g: Array | None,
     return full
 
 
-def attend(score_audio: DiffTensor, visual, w_visual: DiffTensor, map_rows=None,
+def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_rows=None,
            rows=None) -> tuple[DiffTensor, DiffTensor, DiffTensor]:
     """Audio-guided attention pooling of an (N, L, S, d) visual grid, as one node.
 
-    The grid is the batch rows `rows` of `visual` (every row when None),
-    read in place: `visual`, an array or an untracked tensor, gets no
-    gradient, and only one row chunk of it is gathered at a time. With
-    v = tanh(grid @ w_visual) and a the (N, d) `score_audio`, the spatial
-    map is softmax over S of a * v, the temporal map softmax over L of the
-    spatially pooled sum(spatial * v), and the result the (N, d) float64
-    vector sum over L of temporal * sum over S of (grid * spatial). It also
-    returns the spatial (k, L, S, d) and temporal (k, L, d) maps of the k
-    strictly increasing batch rows `map_rows` only (every row when None),
-    as two tensors whose gradients the node's VJP takes in.
+    The grid is the batch rows `rows` of the array `visual` (every row when
+    None), read in place: `visual` gets no gradient, and only one row chunk
+    of it is gathered at a time. With v = tanh(grid @ w_visual) and a the
+    (N, d) `score_audio`, the spatial map is softmax over S of a * v, the
+    temporal map softmax over L of the spatially pooled sum(spatial * v),
+    and the result the (N, d) float64 vector sum over L of temporal * sum
+    over S of (grid * spatial). It also returns the spatial (k, L, S, d)
+    and temporal (k, L, d) maps of the k strictly increasing batch rows
+    `map_rows` only (every row when None), as two tensors whose gradients
+    the node's VJP takes in.
 
     The grid runs in row chunks of about `ATTEND_CHUNK_ENTRIES` entries,
     each gathered from `visual` when it is read, and in float32 when
@@ -467,10 +467,6 @@ def attend(score_audio: DiffTensor, visual, w_visual: DiffTensor, map_rows=None,
     composite (`tanh_matmul`, a product, `softmax`, `product_sum`) gives on
     the gathered batch, bit for bit.
     """
-    if isinstance(visual, DiffTensor):
-        if visual.requires_grad:
-            raise ContractError("attend takes no gradient for the visual grid")
-        visual = visual.data
     source = np.asarray(visual)
     if source.ndim != 4:
         raise ContractError(f"attend needs an (N, L, S, d) grid, got {source.shape}")
@@ -634,26 +630,19 @@ def _kl_sum(p: Array, q: Array) -> float:
                     0.0).sum()
 
 
-def _kl_grads(p: Array, q: Array, gs: float,
-              need_p: bool, need_q: bool) -> tuple[Array | None, Array | None]:
-    """Gradients of `gs` * `_kl_sum(p, q)`, recomputed from the inputs
+def _kl_grad(p: Array, q: Array, gs: float) -> Array:
+    """Gradient in p of `gs` * `_kl_sum(p, q)`, recomputed from the inputs
     so the forward pass keeps none of its temporaries."""
-    qc = np.maximum(q, KL_CLAMP)
-    gp = gq = None
-    if need_p:
-        pos = p > 0.0
-        gp = np.log(np.where(pos, p, 1.0))
-        gp -= np.log(qc)
-        gp += 1.0
-        gp = np.where(pos, gp, 0.0)
-        gp *= gs
-    if need_q:
-        gq = np.where(q >= KL_CLAMP, -p / qc, 0.0)
-        gq *= gs
-    return gp, gq
+    pos = p > 0.0
+    gp = np.log(np.where(pos, p, 1.0))
+    gp -= np.log(np.maximum(q, KL_CLAMP))
+    gp += 1.0
+    gp = np.where(pos, gp, 0.0)
+    gp *= gs
+    return gp
 
 
-# kl_rows gathers given rows in chunks of about this many entries, so its
+# kl_rows gathers its rows in chunks of about this many entries, so its
 # float64 temporaries stay small whatever the size of the maps
 KL_CHUNK_ENTRIES = 1 << 16
 # kl_rows reads q as at least this inside the log, so a zero q entry stays finite
@@ -661,45 +650,41 @@ KL_CLAMP = 1e-12
 
 
 def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequence[float],
-            rows=None, q_rows=None) -> DiffTensor:
+            rows, q_rows) -> DiffTensor:
     """sum_k weights[k] * mean KL(p_k || q_k) over the distributions along
     axis_k, as one node.
 
-    Each such slice must be a probability vector (`check_distributions`);
-    zero p entries contribute zero and q is clamped below at `KL_CLAMP`
-    inside the log only. Computed in float64, so the sum-to-1 check keeps its
-    tolerance on float32 maps. Axis 0 holds the rows and is never a
-    distribution axis. Given strictly increasing `rows`, pairs are read at
-    those rows only, in chunks of about `KL_CHUNK_ENTRIES` entries; with
-    none, at every row in one chunk. Given `q_rows` as well, one per row,
-    each q is read at `q_rows[i]` where its p is read at `rows[i]`, so q may
-    hold other rows than p (a frozen teacher's maps of the replay rows);
-    such a q must not track gradients, and is not checked here: whoever
-    caches it checks it once. A tracked operand's gradient is written into
-    the rows read and is zero elsewhere.
+    Each p is read at the strictly increasing `rows` only, and each q at
+    `q_rows[i]` where its p is read at `rows[i]`, so q may hold other rows
+    than p (a frozen teacher's maps of the replay rows); rows are read in
+    chunks of about `KL_CHUNK_ENTRIES` entries. Every p slice must be a
+    probability vector (`check_distributions`); q is not checked here, since
+    whoever caches it checks it once, and takes no gradient, so a q that
+    tracks one is rejected. Zero p entries contribute zero and q is clamped
+    below at `KL_CLAMP` inside the log only. Computed in float64, so the
+    sum-to-1 check keeps its tolerance on float32 maps. Axis 0 holds the
+    rows and is never a distribution axis. A tracked p's gradient is
+    written into the rows read and is zero elsewhere.
     """
     if len(pairs) != len(weights) or not pairs:
         raise ContractError("kl_rows needs one weight per (p, q, axis) pair")
-    idx = None if rows is None else np.asarray(rows, dtype=np.int64)
-    if idx is not None and (idx.ndim != 1 or idx.size == 0 or (idx[1:] <= idx[:-1]).any()):
+    idx = np.asarray(rows, dtype=np.int64)
+    if idx.ndim != 1 or idx.size == 0 or (idx[1:] <= idx[:-1]).any():
         raise ContractError("kl_rows needs a non-empty, strictly increasing 1-d row array")
-    q_idx = idx if q_rows is None else np.asarray(q_rows, dtype=np.int64)
-    if q_rows is not None and (idx is None or q_idx.shape != idx.shape):
+    q_idx = np.asarray(q_rows, dtype=np.int64)
+    if q_idx.shape != idx.shape:
         raise ContractError("kl_rows needs one q row per row read")
     axes, n_slices, chunks = [], [], []
     for p, q, axis in pairs:
-        if p.shape[1:] != q.shape[1:] or (q_rows is None and p.shape[0] != q.shape[0]):
+        if p.shape[1:] != q.shape[1:]:
             raise ContractError(f"kl_rows shape mismatch: {p.shape} vs {q.shape}")
-        if q_rows is not None and q.requires_grad:
-            raise ContractError("kl_rows reads q at its own rows only when q tracks no gradient")
+        if q.requires_grad:
+            raise ContractError("kl_rows takes no gradient in q")
         ax = _check_axis(axis, p.ndim)
         axes.append(ax)
-        n_slices.append(_kl_slices(p.shape if idx is None else (idx.size, *p.shape[1:]), ax))
+        n_slices.append(_kl_slices((idx.size, *p.shape[1:]), ax))
         if ax == 0:
             raise ContractError("kl_rows distributions must lie along a non-row axis")
-        if idx is None:
-            chunks.append([(slice(None), slice(None))])
-            continue
         if idx[0] < 0 or idx[-1] >= p.shape[0] or q_idx.min() < 0 or q_idx.max() >= q.shape[0]:
             raise ContractError("kl_rows row out of range")
         step = max(1, KL_CHUNK_ENTRIES // (p.data.size // p.shape[0]))
@@ -713,11 +698,9 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
     for (p, q, _), ax, n, parts, w in zip(pairs, axes, n_slices, chunks, weights):
         kl_sum = None
         for at_p, at_q in parts:
-            p64, q64 = read64(p, at_p), read64(q, at_q)
+            p64 = read64(p, at_p)
             check_distributions(p64, ax, "kl_rows p")
-            if q_rows is None:
-                check_distributions(q64, ax, "kl_rows q")
-            part = _kl_sum(p64, q64)
+            part = _kl_sum(p64, read64(q, at_q))
             kl_sum = part if kl_sum is None else kl_sum + part
         term = kl_sum / n * w
         total = term if total is None else total + term
@@ -725,19 +708,16 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
     def vjp(g: Array):
         out: list[Array | None] = []
         for (p, q, _), n, parts, w in zip(pairs, n_slices, chunks, weights):
-            gs = float(g) * w / n
-            full = [np.zeros_like(t.data) if t.requires_grad else None for t in (p, q)]
-            for at_p, at_q in parts:
-                grads = _kl_grads(read64(p, at_p), read64(q, at_q), gs,
-                                  p.requires_grad, q.requires_grad)
-                for dest, at, grad in zip(full, (at_p, at_q), grads):
-                    if dest is not None:
-                        dest[at] = grad
-            out += full
+            full = None
+            if p.requires_grad:
+                gs = float(g) * w / n
+                full = np.zeros_like(p.data)
+                for at_p, at_q in parts:
+                    full[at_p] = _kl_grad(read64(p, at_p), read64(q, at_q), gs)
+            out.append(full)
         return tuple(out)
 
-    parents = tuple(t for p, q, _ in pairs for t in (p, q))
-    return _node(_as_f64(total), parents, vjp, "kl_rows")
+    return _node(_as_f64(total), tuple(p for p, _, _ in pairs), vjp, "kl_rows")
 
 
 def block_kl(logits: DiffTensor, teacher_logits: Array,
@@ -774,7 +754,7 @@ def block_kl(logits: DiffTensor, teacher_logits: Array,
         grad = np.zeros_like(z)
         gs = float(g) / n
         for lo, hi, p, q in blocks:
-            grad[:, lo:hi] = _softmax_vjp(p, 1, _kl_grads(p, q, gs, True, False)[0])
+            grad[:, lo:hi] = _softmax_vjp(p, 1, _kl_grad(p, q, gs))
         return (grad,)
 
     return _node(_as_f64(total), (logits,), vjp, "block_kl")

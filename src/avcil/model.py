@@ -136,26 +136,24 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
             map_rows=None, rows=None) -> ForwardTrace:
     """Run a batch through the model.
 
-    The batch is the rows `rows` of `audio` (M, d) and `visual` (M, L, S,
-    d), or every row of both when `rows` is None. Given rows, both are
-    arrays read in place: only the batch's audio rows are gathered here,
-    and the attention block gathers its visual rows a chunk at a time, so
-    training, the teacher pass and evaluation hand over the dataset's own
-    arrays. Without rows they may also be constant tensors. The attention
-    block is one `dm.attend` node, and the trace's maps hold the strictly
-    increasing batch rows `map_rows` only: training asks for the rows that
-    `vad` reads, evaluation for none, and the default is every row. Float32
-    visual features keep the attention block, up to the pooled (N, d)
-    vector, in float32; the rest of the model runs in float64 (the dtype
-    policy of `diffmath`). In `audio` mode the visual pathway is dropped; in
-    `visual` mode pooling is uniform over cells and frames (no attention).
+    The batch is the rows `rows` of the arrays `audio` (M, d) and `visual`
+    (M, L, S, d), or every row of both when `rows` is None. Both are read
+    in place: only the batch's audio rows are gathered here, and the
+    attention block gathers its visual rows a chunk at a time, so training,
+    the teacher pass and evaluation hand over the dataset's own arrays. The
+    attention block is one `dm.attend` node, and the trace's maps hold the
+    strictly increasing batch rows `map_rows` only: training asks for the
+    rows that `vad` reads, evaluation for none, and the default is every
+    row. Float32 visual features keep the attention block, up to the pooled
+    (N, d) vector, in float32; the rest of the model runs in float64 (the
+    dtype policy of `diffmath`). In `audio` mode the visual pathway is
+    dropped; in `visual` mode pooling is uniform over cells and frames (no
+    attention).
     """
     if modality not in MODALITIES:
         raise ContractError(f"unknown modality {modality!r}")
-    if rows is not None:
-        audio = np.asarray(audio)[rows]
-    if not isinstance(audio, DiffTensor):
-        audio = dm.constant(audio)
+    audio = np.asarray(audio)
+    audio = dm.constant(audio if rows is None else audio[rows])
     n, d = _check_audio(audio, params.d)
     if n == 0:
         raise ContractError("forward needs a non-empty batch")
@@ -163,16 +161,11 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
         fused = dm.tanh_matmul(audio, params.u_audio)
         return ForwardTrace(audio=audio, attended_visual=None, fused=fused,
                             logits=classify(fused, params), maps=None)
-    if not isinstance(visual, DiffTensor):
-        visual = np.asarray(visual)
-    if len(visual.shape) != 4 or visual.shape[3] != d or (rows is None
-                                                          and visual.shape[0] != n):
+    visual = np.asarray(visual)
+    if visual.ndim != 4 or visual.shape[3] != d or (rows is None and visual.shape[0] != n):
         raise ContractError(f"visual batch must be (N, L, S, {d}), got {visual.shape}")
     if modality == "visual":
-        if rows is not None:
-            visual = visual[rows]
-        if not isinstance(visual, DiffTensor):
-            visual = dm.constant(visual)
+        visual = dm.constant(visual if rows is None else visual[rows])
         pooled = visual.mean(axis=2).mean(axis=1)
         fused = dm.tanh_matmul(pooled, params.u_visual)
         return ForwardTrace(audio=audio, attended_visual=pooled, fused=fused,

@@ -135,24 +135,23 @@ def d_avsc(f_audio: DiffTensor, f_visual: DiffTensor, labels,
 
 
 def vad(current: AttentionMaps, teacher: AttentionMaps, exemplar_mask,
-        lambda_vad: float, teacher_rows=None) -> DiffTensor:
+        lambda_vad: float, teacher_rows) -> DiffTensor:
     """Visual attention distillation on replayed samples only.
 
     KL from the current model's attention to the frozen teacher's, spatial
     and temporal maps mixed by `lambda_vad`, as one node that reads only the
     masked rows. The current maps must hold every masked row (see
     `AttentionMaps.rows`); training's hold exactly those. The teacher's maps
-    are read at the same rows, and must then hold the same rows as the
-    current ones, or, given `teacher_rows`, at `teacher_rows[i]` for the
-    i-th masked row. An empty mask contributes an exact zero.
+    are read at `teacher_rows[i]` for the i-th masked row, track no
+    gradient, and are checked to be distributions by whoever caches them.
+    An empty mask contributes an exact zero.
     """
     if not 0.0 <= lambda_vad <= 1.0:
         raise ContractError("lambda_vad must lie in [0, 1]")
-    held = _held(current)
     if current.spatial.shape[1:] != teacher.spatial.shape[1:] \
-            or current.temporal.shape[1:] != teacher.temporal.shape[1:] \
-            or (teacher_rows is None and not np.array_equal(held, _held(teacher))):
+            or current.temporal.shape[1:] != teacher.temporal.shape[1:]:
         raise ContractError("attention map shapes differ between current and teacher")
+    held = _held(current)
     mask = np.asarray(exemplar_mask, dtype=bool)
     if mask.ndim != 1 or (current.rows is None and mask.size != held.size):
         raise ContractError("exemplar mask must have one flag per sample")
@@ -196,19 +195,18 @@ def ss_ce(logits: DiffTensor, labels, layout: TaskLayout) -> DiffTensor:
     return dm.nll(logits, labels[:, None] == cols, support) / float(n)
 
 
-def tkd(logits: DiffTensor, teacher_logits, layout: TaskLayout) -> DiffTensor:
+def tkd(logits: DiffTensor, teacher_logits: np.ndarray, layout: TaskLayout) -> DiffTensor:
     """Task-wise knowledge distillation.
 
     Per previous task block, softmax both models within the block; the
     batch-mean KLs from current to teacher sum in one `block_kl` node. The
-    teacher's logits, an array or a tensor, get no gradient.
+    teacher's logits are an array and get no gradient.
     """
-    if isinstance(teacher_logits, DiffTensor):
-        teacher_logits = teacher_logits.data
     if layout.step < 2:
         raise ContractError("distillation needs at least one previous task")
-    if teacher_logits.shape != (logits.shape[0], layout.old_count):
-        raise ContractError("teacher logits must cover exactly the previous tasks")
+    if not isinstance(teacher_logits, np.ndarray) \
+            or teacher_logits.shape != (logits.shape[0], layout.old_count):
+        raise ContractError("teacher logits must be an array covering exactly the previous tasks")
     if logits.shape[1] != layout.total_classes:
         raise ContractError("logit width does not match the layout")
     return dm.block_kl(logits, teacher_logits,
@@ -226,30 +224,28 @@ class TeacherBatch:
     map_rows: np.ndarray | None
 
 
-def total_loss(trace: ForwardTrace, teacher_trace: ForwardTrace | TeacherBatch | None,
-               labels, exemplar_mask, layout: TaskLayout, weights: LossWeights) -> DiffTensor:
+def total_loss(trace: ForwardTrace, teacher: TeacherBatch | None, labels, exemplar_mask,
+               layout: TaskLayout, weights: LossWeights) -> DiffTensor:
     """Classification plus the three regularizers, in a fixed order.
 
-    `teacher_trace`, the teacher's forward trace on the batch or a
-    `TeacherBatch`, must be present exactly when the layout has previous
-    tasks. Passing `exemplar_mask=None` disables attention distillation
-    outright (an all-False mask merely makes it zero). Contrastive terms
-    need both modal features and apply at every step; distillation terms
-    only from step 2.
+    `teacher`, the frozen teacher's outputs for the batch, must be present
+    exactly when the layout has previous tasks. Passing `exemplar_mask=None`
+    disables attention distillation outright (an all-False mask merely
+    makes it zero). Contrastive terms need both modal features and apply at
+    every step; distillation terms only from step 2.
     """
-    if (layout.step > 1) != (teacher_trace is not None):
-        raise ContractError("teacher trace must be present exactly for steps after the first")
+    if (layout.step > 1) != (teacher is not None):
+        raise ContractError("teacher outputs must be present exactly for steps after the first")
     parts = [ss_ce(trace.logits, labels, layout)]
-    if teacher_trace is not None:
-        parts.append(tkd(trace.logits, teacher_trace.logits, layout))
+    if teacher is not None:
+        parts.append(tkd(trace.logits, teacher.logits, layout))
     if trace.attended_visual is not None and trace.maps is not None \
             and (weights.lambda_i != 0.0 or weights.lambda_c != 0.0):
         parts.append(d_avsc(trace.audio, trace.attended_visual, labels, weights))
-    if teacher_trace is not None and exemplar_mask is not None \
-            and trace.maps is not None and teacher_trace.maps is not None:
-        rows = teacher_trace.map_rows if isinstance(teacher_trace, TeacherBatch) else None
-        parts.append(vad(trace.maps, teacher_trace.maps, exemplar_mask, weights.lambda_vad,
-                         rows))
+    if teacher is not None and exemplar_mask is not None \
+            and trace.maps is not None and teacher.maps is not None:
+        parts.append(vad(trace.maps, teacher.maps, exemplar_mask, weights.lambda_vad,
+                         teacher.map_rows))
     return _chain_sum(parts)
 
 

@@ -195,7 +195,6 @@ class StepState:
     step: int                       # number of completed steps
     params: mdl.ModelParams
     memory: ExemplarMemory
-    teacher: Optional[mdl.ModelParams] = None
     loss_curves: List[List[float]] = field(default_factory=list)   # per step, per epoch
     rows: List[List[float]] = field(default_factory=list)   # rows[t][i]: task i after step t
     overall: List[float] = field(default_factory=list)      # per step, every seen test sample
@@ -336,7 +335,7 @@ def train_step(state: StepState, sequence: TaskSequence,
         events.append({"event": "memory_updated", "step": t,
                        "memory_size": memory.total(),
                        "classes_stored": len(memory.store)})
-    return replace(state, step=t, params=params, memory=memory, teacher=teacher,
+    return replace(state, step=t, params=params, memory=memory,
                    loss_curves=state.loss_curves + [curve])
 
 

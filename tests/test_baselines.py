@@ -19,6 +19,14 @@ def tiny_batch(num_classes=4, d=6, n=8, seed=0):
     return (ds.audio[rows], ds.visual[rows]), ds.labels[rows]
 
 
+def teacher_outputs(teacher, batch, mask=None):
+    """The frozen `teacher`'s outputs on `batch` as the `TeacherBatch`
+    training caches: its logits, and its maps read at the masked rows."""
+    trace = mdl.forward(teacher, *batch)
+    return obj.TeacherBatch(trace.logits.data, trace.maps,
+                            None if mask is None else np.flatnonzero(mask))
+
+
 def softmax_rows(z):
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -90,11 +98,11 @@ def test_lwf_distillation_matches_brute_force():
     # the teacher only knows the first two classes; wire its projections to the
     # student's shapes by reusing the same d
     trace = mdl.forward(student, *batch)
-    teacher_trace = mdl.forward(teacher, *batch)
-    loss = lwf_loss(trace, teacher_trace, labels, None, TaskLayout((2, 2)),
+    cached = teacher_outputs(teacher, batch)
+    loss = lwf_loss(trace, cached, labels, None, TaskLayout((2, 2)),
                     LossWeights())
     ce = float(obj.cross_entropy(trace.logits, labels).data)
-    kd = brute_kl(trace.logits.data[:, :2], teacher_trace.logits.data)
+    kd = brute_kl(trace.logits.data[:, :2], cached.logits)
     assert loss.data == pytest.approx(ce + kd, abs=1e-12)
 
 
@@ -105,7 +113,7 @@ def test_lwf_gradient_reaches_the_old_columns_only_through_kd():
     student = mdl.init_params(6, 4, seed=3)
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     trace = mdl.forward(student, *batch)
-    loss = lwf_loss(trace, mdl.forward(teacher, *batch), labels, None,
+    loss = lwf_loss(trace, teacher_outputs(teacher, batch), labels, None,
                     TaskLayout((2, 2)), LossWeights())
     dm.backward(loss)
     assert student.cls_weight.grad is not None
@@ -118,10 +126,10 @@ def test_ssil_is_separated_ce_plus_task_distillation():
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     layout = TaskLayout((2, 2))
     trace = mdl.forward(student, *batch)
-    teacher_trace = mdl.forward(teacher, *batch)
-    loss = ssil_loss(trace, teacher_trace, labels, None, layout, LossWeights())
+    cached = teacher_outputs(teacher, batch)
+    loss = ssil_loss(trace, cached, labels, None, layout, LossWeights())
     want = (obj.ss_ce(trace.logits, labels, layout)
-            + obj.tkd(trace.logits, teacher_trace.logits, layout))
+            + obj.tkd(trace.logits, cached.logits, layout))
     assert loss.data == want.data
 
 
@@ -131,11 +139,10 @@ def test_ssil_ignores_contrastive_weights_and_mask():
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     layout = TaskLayout((2, 2))
     trace = mdl.forward(student, *batch)
-    teacher_trace = mdl.forward(teacher, *batch)
     mask = np.array([True, False] * 4)
     heavy = LossWeights(lambda_i=3.0, lambda_c=2.0, lambda_vad=0.9)
-    a = ssil_loss(trace, teacher_trace, labels, mask, layout, heavy)
-    b = ssil_loss(trace, teacher_trace, labels, None, layout, LossWeights())
+    a = ssil_loss(trace, teacher_outputs(teacher, batch, mask), labels, mask, layout, heavy)
+    b = ssil_loss(trace, teacher_outputs(teacher, batch), labels, None, layout, LossWeights())
     assert a.data == b.data
 
 
@@ -146,9 +153,9 @@ def test_avcil_all_off_is_bitwise_ssil():
     layout = TaskLayout((2, 2))
     off = LossWeights(lambda_i=0.0, lambda_c=0.0)
     trace = mdl.forward(student, *batch)
-    teacher_trace = mdl.forward(teacher, *batch)
-    a = get_strategy("avcil").compose(trace, teacher_trace, labels, None, layout, off)
-    b = ssil_loss(trace, teacher_trace, labels, None, layout, LossWeights())
+    cached = teacher_outputs(teacher, batch)
+    a = get_strategy("avcil").compose(trace, cached, labels, None, layout, off)
+    b = ssil_loss(trace, cached, labels, None, layout, LossWeights())
     assert a.data == b.data
 
 
@@ -160,10 +167,10 @@ def test_avcil_equals_total_loss():
     mask = np.zeros(8, dtype=bool)
     mask[:2] = True
     trace = mdl.forward(student, *batch)
-    teacher_trace = mdl.forward(teacher, *batch)
-    a = get_strategy("avcil").compose(trace, teacher_trace, labels, mask, layout,
+    cached = teacher_outputs(teacher, batch, mask)
+    a = get_strategy("avcil").compose(trace, cached, labels, mask, layout,
                                         LossWeights())
-    b = obj.total_loss(trace, teacher_trace, labels, mask, layout, LossWeights())
+    b = obj.total_loss(trace, cached, labels, mask, layout, LossWeights())
     assert a.data == b.data
 
 
@@ -176,9 +183,8 @@ def test_every_composer_backpropagates_finite_gradients():
         student = mdl.init_params(6, 4, seed=3)
         s = get_strategy(tag)
         trace = mdl.forward(student, *batch)
-        teacher_trace = (mdl.forward(teacher, *batch)
-                         if s.uses_teacher else None)
-        loss = s.compose(trace, teacher_trace, labels, mask, layout, LossWeights())
+        cached = teacher_outputs(teacher, batch, mask) if s.uses_teacher else None
+        loss = s.compose(trace, cached, labels, mask, layout, LossWeights())
         dm.backward(loss)
         for p in student.parameters():
             if p.grad is not None:

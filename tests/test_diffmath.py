@@ -86,41 +86,46 @@ def test_softmax_rows_are_distributions(xs):
 
 def test_kl_rows_identical_is_zero():
     p = dm.constant([[0.25, 0.75], [0.5, 0.5]])
-    assert dm.kl_rows(((p, dm.constant(p.data.copy()), 1),), (1.0,)).item() == 0.0
+    rows = np.arange(2)
+    assert dm.kl_rows(((p, dm.constant(p.data.copy()), 1),), (1.0,), rows, rows).item() == 0.0
 
 
 def test_kl_rows_point_mass_vs_uniform():
     p = dm.constant([[1.0, 0.0]])
     q = dm.constant([[0.5, 0.5]])
-    assert abs(dm.kl_rows(((p, q, 1),), (1.0,)).item() - math.log(2.0)) < 1e-12
+    assert abs(dm.kl_rows(((p, q, 1),), (1.0,), [0], [0]).item() - math.log(2.0)) < 1e-12
 
 
 def test_kl_rows_half_vs_quarter():
     p = dm.constant([[0.5, 0.5]])
     q = dm.constant([[0.25, 0.75]])
-    assert abs(dm.kl_rows(((p, q, 1),), (1.0,)).item() - 0.5 * math.log(4.0 / 3.0)) < 1e-12
+    assert abs(dm.kl_rows(((p, q, 1),), (1.0,), [0], [0]).item()
+               - 0.5 * math.log(4.0 / 3.0)) < 1e-12
 
 
 def test_kl_rows_means_over_slices():
     p = dm.constant([[1.0, 0.0], [0.5, 0.5]])
     q = dm.constant([[0.5, 0.5], [0.5, 0.5]])
     expected = 0.5 * (math.log(2.0) + 0.0)
-    assert abs(dm.kl_rows(((p, q, 1),), (1.0,)).item() - expected) < 1e-12
+    rows = np.arange(2)
+    assert abs(dm.kl_rows(((p, q, 1),), (1.0,), rows, rows).item() - expected) < 1e-12
 
 
 def test_kl_rows_rejects_non_distribution():
     with pytest.raises(ContractError):
-        dm.kl_rows(((dm.constant([[0.7, 0.7]]), dm.constant([[0.5, 0.5]]), 1),), (1.0,))
+        dm.kl_rows(((dm.constant([[0.7, 0.7]]), dm.constant([[0.5, 0.5]]), 1),), (1.0,),
+                   [0], [0])
     with pytest.raises(ContractError):
-        dm.kl_rows(((dm.constant([[1.5, -0.5]]), dm.constant([[0.5, 0.5]]), 1),), (1.0,))
+        dm.kl_rows(((dm.constant([[1.5, -0.5]]), dm.constant([[0.5, 0.5]]), 1),), (1.0,),
+                   [0], [0])
 
 
-def test_kl_rows_rejects_distributions_along_the_row_axis_without_rows():
+def test_kl_rows_rejects_distributions_along_the_row_axis():
     for p in ([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]):
         t = dm.constant(p)
         for axis in (0, -t.ndim):
             with pytest.raises(ContractError, match="non-row axis"):
-                dm.kl_rows(((t, t, axis),), (1.0,))
+                dm.kl_rows(((t, t, axis),), (1.0,), [0], [0])
 
 
 def test_backward_requires_scalar():
@@ -198,7 +203,8 @@ def test_grad_check_kl_rows_through_softmax():
     q = dm.softmax(raw_q, axis=1)
 
     def f(t):
-        return dm.kl_rows(((dm.softmax(t, axis=1), dm.constant(q.data), 1),), (1.0,))
+        return dm.kl_rows(((dm.softmax(t, axis=1), dm.constant(q.data), 1),), (1.0,),
+                          np.arange(2), np.arange(2))
 
     x = dm.constant(rng.normal(size=(2, 5)))
     assert dm.grad_check(f, x, h=1e-5) < 1e-6
@@ -210,13 +216,9 @@ def test_grad_check_kl_rows_direct_small_step():
     q = rng.dirichlet(np.ones(4), size=2)
 
     def in_p(t):
-        return dm.kl_rows(((t, dm.constant(q), 1),), (1.0,))
-
-    def in_q(t):
-        return dm.kl_rows(((dm.constant(p), t, 1),), (1.0,))
+        return dm.kl_rows(((t, dm.constant(q), 1),), (1.0,), np.arange(2), np.arange(2))
 
     assert dm.grad_check(in_p, dm.constant(p), h=1e-7) < 1e-5
-    assert dm.grad_check(in_q, dm.constant(q), h=1e-7) < 1e-5
 
 
 # --- nll -----------------------------------------------------------------
@@ -509,7 +511,7 @@ def _attention_block(score_audio, visual, w_visual, map_rows, fused):
     """The pooled vector and the maps of `map_rows`, from `attend` or from
     the elementary composite it replaces (its maps then hold every row)."""
     if fused:
-        return dm.attend(score_audio, visual, w_visual, map_rows)
+        return dm.attend(score_audio, visual.data, w_visual, map_rows)
     n, d = score_audio.shape
     dt = visual.data.dtype
     scores = dm.tanh(dm.matmul(visual, _cast(w_visual, dt)))
@@ -657,7 +659,7 @@ def test_attend_rejects_nonfinite_scores_and_bad_map_rows():
     for rows in ([1, 1], [2, 0], [-1], [3], [[0]]):
         with pytest.raises(ContractError):
             dm.attend(audio, np.ones((3, 2, 3, 2)), w, rows)
-    with pytest.raises(ContractError):     # the grid gets no gradient
+    with pytest.raises(ContractError):     # the grid is an array, never a tensor
         dm.attend(audio, dm.parameter(np.ones((3, 2, 3, 2))), w)
     with pytest.raises(ContractError):
         dm.attend(audio, np.ones((3, 2, 3, 4)), w)
@@ -715,10 +717,13 @@ def test_vjp_skips_constant_operands(op, constant_side):
 
 @pytest.mark.parametrize("constant_side", [0, 1])
 def test_kl_rows_vjp_skips_a_constant_side(constant_side):
-    rows = np.random.default_rng(4).dirichlet(np.ones(3), size=(2, 2))
-    p, q = (dm.constant(x) if i == constant_side else dm.parameter(x)
-            for i, x in enumerate(rows))
-    grads = dm.kl_rows(((p, q, 1),), (1.0,))._vjp(np.ones(()))
+    # q never takes a gradient, so the sides are the p of each of two pairs
+    dists = np.random.default_rng(4).dirichlet(np.ones(3), size=(2, 2))
+    ps = [dm.constant(x) if i == constant_side else dm.parameter(x)
+          for i, x in enumerate(dists)]
+    rows = np.arange(2)
+    grads = dm.kl_rows(tuple((p, dm.constant(dists[0]), 1) for p in ps), (1.0, 1.0),
+                       rows, rows)._vjp(np.ones(()))
     assert grads[constant_side] is None
     assert grads[1 - constant_side].shape == (2, 3)
 
@@ -806,17 +811,18 @@ def test_model_loss_backward_keeps_gradients_only_on_parameters():
     rng = np.random.default_rng(3)
     params = mdl.init_params(4, 4, seed=3)
     teacher = mdl.snapshot(mdl.init_params(4, 2, seed=4))
-    audio = dm.constant(rng.normal(size=(5, 4)))
-    visual = dm.constant(rng.normal(size=(5, 2, 3, 4)))
+    audio = rng.normal(size=(5, 4))
+    visual = rng.normal(size=(5, 2, 3, 4))
     labels = np.array([0, 1, 2, 3, 2])
     mask = np.array([True, True, False, False, False])
     trace = mdl.forward(params, audio, visual)
-    teacher_trace = mdl.forward(teacher, audio, visual)
-    loss = obj.total_loss(trace, teacher_trace, labels, mask, obj.TaskLayout((2, 2)),
-                          obj.LossWeights())
+    cached = mdl.forward(teacher, audio, visual)
+    loss = obj.total_loss(trace, obj.TeacherBatch(cached.logits.data, cached.maps,
+                                                  np.flatnonzero(mask)),
+                          labels, mask, obj.TaskLayout((2, 2)), obj.LossWeights())
     assert_gradient_memory_rule(loss)
     assert all(p.grad is not None for p in params.parameters())
-    assert audio.grad is None and visual.grad is None
+    assert trace.audio.grad is None
     assert all(p.grad is None for p in teacher.parameters())
 
 
@@ -898,33 +904,20 @@ def test_kl_rows_at_matches_the_take_composite_bitwise():
         tea_spa, tea_tem = dm.constant(spa[1]), dm.constant(tem[1])
         if fused:
             out = dm.kl_rows(((cur_spa, tea_spa, 2), (cur_tem, tea_tem, 1)),
-                             (lam, 1.0 - lam), rows)
+                             (lam, 1.0 - lam), rows, rows)
         else:
-            out = (dm.kl_rows(((dm.take(cur_spa, rows), dm.take(tea_spa, rows), 2),), (1.0,))
+            taken = np.arange(rows.size)
+            out = (dm.kl_rows(((dm.take(cur_spa, rows), dm.take(tea_spa, rows), 2),), (1.0,),
+                              taken, taken)
                    * lam
-                   + dm.kl_rows(((dm.take(cur_tem, rows), dm.take(tea_tem, rows), 1),), (1.0,))
+                   + dm.kl_rows(((dm.take(cur_tem, rows), dm.take(tea_tem, rows), 1),), (1.0,),
+                                taken, taken)
                    * (1.0 - lam))
         dm.backward(out)
         return out.data, cur_spa.grad, cur_tem.grad
 
     for got, want in zip(run(True), run(False)):
         assert np.array_equal(got, want)
-
-
-def test_kl_rows_whole_tensors_equal_every_row_given_bitwise():
-    rng = np.random.default_rng(12)
-    spa = [_dists(rng, (5, 2, 3, 4), 2) for _ in range(2)]
-    tem = [_dists(rng, (5, 2, 4), 1) for _ in range(2)]
-
-    def run(rows):
-        cur_spa, tea_tem = dm.parameter(spa[0]), dm.parameter(tem[1])
-        out = dm.kl_rows(((cur_spa, dm.constant(spa[1]), 2), (dm.constant(tem[0]), tea_tem, 1)),
-                         (0.3, 0.7), rows)
-        dm.backward(out)
-        return out.data, cur_spa.grad, tea_tem.grad
-
-    for got, want in zip(run(None), run(np.arange(5))):
-        assert got.tobytes() == want.tobytes()
 
 
 def test_kl_rows_at_chunks_change_no_gradient_bit(monkeypatch):
@@ -934,7 +927,7 @@ def test_kl_rows_at_chunks_change_no_gradient_bit(monkeypatch):
 
     def run():
         cur = dm.parameter(spa[0])
-        out = dm.kl_rows(((cur, dm.constant(spa[1]), 2),), (1.0,), rows)
+        out = dm.kl_rows(((cur, dm.constant(spa[1]), 2),), (1.0,), rows, rows)
         dm.backward(out)
         return out.item(), cur.grad
 
@@ -950,15 +943,14 @@ def test_kl_rows_at_reads_and_writes_only_its_rows():
     p = _dists(rng, (4, 3, 2), 1)
     q = _dists(rng, (4, 3, 2), 1)
     p[0] = q[0] = np.nan           # never read: no check fires, no value leaks
-    tp, tq = dm.parameter(p), dm.parameter(q)
-    out = dm.kl_rows(((tp, tq, 1),), (1.0,), [1, 3])
+    tp = dm.parameter(p)
+    out = dm.kl_rows(((tp, dm.constant(q), 1),), (1.0,), [1, 3], [1, 3])
     assert np.isfinite(out.item())
     assert out.item() == dm.kl_rows(((dm.constant(p[[1, 3]]), dm.constant(q[[1, 3]]), 1),),
-                                    (1.0,)).item()
+                                    (1.0,), [0, 1], [0, 1]).item()
     dm.backward(out)
-    for grad in (tp.grad, tq.grad):
-        assert np.array_equal(grad[[0, 2]], np.zeros((2, 3, 2)))
-        assert np.all(grad[[1, 3]] != 0.0)
+    assert np.array_equal(tp.grad[[0, 2]], np.zeros((2, 3, 2)))
+    assert np.all(tp.grad[[1, 3]] != 0.0)
 
 
 def test_kl_rows_reads_q_at_its_own_rows_bitwise_as_a_gathered_q():
@@ -970,7 +962,7 @@ def test_kl_rows_reads_q_at_its_own_rows_bitwise_as_a_gathered_q():
     out = dm.kl_rows(((tp, dm.constant(q), 1),), (1.0,), [0, 2, 3], q_rows)
     ref_p = dm.parameter(p)
     ref = dm.kl_rows(((ref_p, dm.constant(np.concatenate([q[[5]], q[[0]], q[[0]], q[[3]]])),
-                       1),), (1.0,), [0, 2, 3])
+                       1),), (1.0,), [0, 2, 3], [0, 2, 3])
     assert out.data.tobytes() == ref.data.tobytes()
     dm.backward(out)
     dm.backward(ref)
@@ -978,7 +970,7 @@ def test_kl_rows_reads_q_at_its_own_rows_bitwise_as_a_gathered_q():
     for bad in ([5, 0], [6, 0, 3], [-1, 0, 3]):
         with pytest.raises(ContractError):
             dm.kl_rows(((tp, dm.constant(q), 1),), (1.0,), [0, 2, 3], bad)
-    with pytest.raises(ContractError):     # a tracked q read at other rows
+    with pytest.raises(ContractError):     # a tracked q
         dm.kl_rows(((dm.constant(p), dm.parameter(q), 1),), (1.0,), [0, 2, 3], q_rows)
 
 
@@ -1004,7 +996,7 @@ def test_float32_softmax_slices_sum_to_one_within_float32_rounding():
         assert maps.data.dtype == np.float32
         assert np.abs(maps.data.sum(axis=ax, dtype=np.float64) - 1.0).max() < 2e-7
     # the KL reads them in float64, so its 1e-6 sum check holds with room
-    out = dm.kl_rows(((p, p, 2),), (1.0,), [0, 5])
+    out = dm.kl_rows(((p, p, 2),), (1.0,), [0, 5], [0, 5])
     assert out.data.dtype == np.float64 and abs(out.item()) < 1e-12
 
 
@@ -1012,10 +1004,10 @@ def test_kl_rows_at_rejects_bad_rows_and_weights():
     t = dm.constant(np.full((3, 2), 0.5))
     for rows in ([], [0, 0], [1, 0], [-1], [3], [[0]]):
         with pytest.raises(ContractError):
-            dm.kl_rows(((t, t, 1),), (1.0,), rows)
+            dm.kl_rows(((t, t, 1),), (1.0,), rows, rows)
     with pytest.raises(ContractError):     # distributions across rows
-        dm.kl_rows(((t, t, 0),), (1.0,), [0])
+        dm.kl_rows(((t, t, 0),), (1.0,), [0], [0])
     with pytest.raises(ContractError):
-        dm.kl_rows(((t, t, 1),), (1.0, 0.0), [0])
+        dm.kl_rows(((t, t, 1),), (1.0, 0.0), [0], [0])
     with pytest.raises(ContractError):
-        dm.kl_rows(((t, dm.constant(np.full((3, 4), 0.25)), 1),), (1.0,), [0])
+        dm.kl_rows(((t, dm.constant(np.full((3, 4), 0.25)), 1),), (1.0,), [0], [0])

@@ -177,7 +177,7 @@ def test_vad_identical_maps_is_exactly_zero():
     spa, tem = random_maps(rng)
     cur = AttentionMaps(dm.constant(spa), dm.constant(tem))
     tea = AttentionMaps(dm.constant(spa.copy()), dm.constant(tem.copy()))
-    assert obj.vad(cur, tea, np.ones(5, dtype=bool), 0.5).item() == 0.0
+    assert obj.vad(cur, tea, np.ones(5, dtype=bool), 0.5, np.arange(5)).item() == 0.0
 
 
 def test_vad_empty_mask_is_exactly_zero():
@@ -186,13 +186,13 @@ def test_vad_empty_mask_is_exactly_zero():
     spa2, tem2 = random_maps(rng)
     cur = AttentionMaps(dm.constant(spa), dm.constant(tem))
     tea = AttentionMaps(dm.constant(spa2), dm.constant(tem2))
-    assert obj.vad(cur, tea, np.zeros(5, dtype=bool), 0.5).item() == 0.0
+    assert obj.vad(cur, tea, np.zeros(5, dtype=bool), 0.5, np.arange(0)).item() == 0.0
 
 
 def test_vad_single_cell_analytic_value():
     cur = AttentionMaps(dm.constant([[[[0.5], [0.5]]]]), dm.constant([[[1.0]]]))
     tea = AttentionMaps(dm.constant([[[[0.25], [0.75]]]]), dm.constant([[[1.0]]]))
-    got = obj.vad(cur, tea, np.array([True]), 1.0).item()
+    got = obj.vad(cur, tea, np.array([True]), 1.0, np.arange(1)).item()
     assert abs(got - 0.5 * math.log(4.0 / 3.0)) < 1e-12
     assert abs(got - 0.143841) < 5e-7
 
@@ -205,9 +205,11 @@ def test_vad_only_masked_samples_count():
     spa_c2[0] = rng.dirichlet(np.ones(4), size=(3, 2)).transpose(0, 2, 1)
     mask = np.array([False, True, True, True, True])
     a = obj.vad(AttentionMaps(dm.constant(spa_c), dm.constant(tem_c)),
-                AttentionMaps(dm.constant(spa_t), dm.constant(tem_t)), mask, 0.5).item()
+                AttentionMaps(dm.constant(spa_t), dm.constant(tem_t)), mask, 0.5,
+                np.flatnonzero(mask)).item()
     b = obj.vad(AttentionMaps(dm.constant(spa_c2), dm.constant(tem_c)),
-                AttentionMaps(dm.constant(spa_t), dm.constant(tem_t)), mask, 0.5).item()
+                AttentionMaps(dm.constant(spa_t), dm.constant(tem_t)), mask, 0.5,
+                np.flatnonzero(mask)).item()
     assert a == b
 
 
@@ -219,7 +221,8 @@ def test_vad_matches_brute_force(seed):
     mask = rng.random(5) < 0.6
     lam = 0.3
     ours = obj.vad(AttentionMaps(dm.constant(spa_c), dm.constant(tem_c)),
-                   AttentionMaps(dm.constant(spa_t), dm.constant(tem_t)), mask, lam).item()
+                   AttentionMaps(dm.constant(spa_t), dm.constant(tem_t)), mask, lam,
+                   np.flatnonzero(mask)).item()
     assert abs(ours - brute_vad(spa_c, spa_t, tem_c, tem_t, mask, lam)) < 1e-9
 
 
@@ -229,9 +232,9 @@ def test_vad_rejects_shape_mismatch_and_bad_lambda():
     cur = AttentionMaps(dm.constant(spa), dm.constant(tem))
     small = AttentionMaps(dm.constant(spa[:, :2]), dm.constant(tem[:, :2]))
     with pytest.raises(ContractError):
-        obj.vad(cur, small, np.ones(5, dtype=bool), 0.5)
+        obj.vad(cur, small, np.ones(5, dtype=bool), 0.5, np.arange(5))
     with pytest.raises(ContractError):
-        obj.vad(cur, cur, np.ones(5, dtype=bool), 1.5)
+        obj.vad(cur, cur, np.ones(5, dtype=bool), 1.5, np.arange(5))
 
 
 # --- separated softmax ----------------------------------------------------
@@ -325,7 +328,7 @@ def test_tkd_identical_teacher_is_exactly_zero():
     layout = obj.TaskLayout((3, 2, 2))
     logits = rng.normal(size=(5, 7))
     teacher = logits[:, :5].copy()
-    assert obj.tkd(dm.constant(logits), dm.constant(teacher), layout).item() == 0.0
+    assert obj.tkd(dm.constant(logits), teacher, layout).item() == 0.0
 
 
 def test_tkd_block_shift_invariance():
@@ -333,10 +336,10 @@ def test_tkd_block_shift_invariance():
     layout = obj.TaskLayout((3, 2, 2))
     logits = rng.normal(size=(5, 7))
     teacher = rng.normal(size=(5, 5))
-    base = obj.tkd(dm.constant(logits), dm.constant(teacher), layout).item()
+    base = obj.tkd(dm.constant(logits), teacher, layout).item()
     shifted = logits.copy()
     shifted[:, 0:3] += 7.0      # constant shift inside one block
-    got = obj.tkd(dm.constant(shifted), dm.constant(teacher), layout).item()
+    got = obj.tkd(dm.constant(shifted), teacher, layout).item()
     assert abs(got - base) < 1e-9
 
 
@@ -346,27 +349,28 @@ def test_tkd_matches_brute_force(seed):
     layout = obj.TaskLayout((2, 3, 2))
     logits = rng.normal(size=(6, 7))
     teacher = rng.normal(size=(6, 5))
-    ours = obj.tkd(dm.constant(logits), dm.constant(teacher), layout).item()
+    ours = obj.tkd(dm.constant(logits), teacher, layout).item()
     assert abs(ours - brute_tkd(logits, teacher, layout.boundaries)) < 1e-9
 
 
 def test_tkd_rejects_wrong_teacher_width():
     layout = obj.TaskLayout((2, 2))
     with pytest.raises(ContractError):
-        obj.tkd(dm.constant(np.zeros((3, 4))), dm.constant(np.zeros((3, 3))), layout)
+        obj.tkd(dm.constant(np.zeros((3, 4))), np.zeros((3, 3)), layout)
     with pytest.raises(ContractError):
-        obj.tkd(dm.constant(np.zeros((3, 4))), dm.constant(np.zeros((3, 2))), obj.TaskLayout((4,)))
+        obj.tkd(dm.constant(np.zeros((3, 4))), np.zeros((3, 2)), obj.TaskLayout((4,)))
 
 
 def _reference_tkd(logits, teacher, layout):
     """tkd as it was composed per block: softmax of each block's slice, one
     single-pair kl_rows node per block, and a chain of adds."""
     total = None
+    every_row = np.arange(logits.shape[0])
     for task in range(layout.step - 1):
         lo, hi = layout.block_bounds(task)
         cur = dm.softmax(dm.slice_axis(logits, 1, lo, hi), axis=1)
-        tea = dm.softmax(dm.slice_axis(teacher, 1, lo, hi), axis=1)
-        part = dm.kl_rows(((cur, tea, 1),), (1.0,))
+        tea = dm.softmax(dm.slice_axis(dm.constant(teacher), 1, lo, hi), axis=1)
+        part = dm.kl_rows(((cur, tea, 1),), (1.0,), every_row, every_row)
         total = part if total is None else total + part
     return total
 
@@ -380,7 +384,7 @@ def test_tkd_is_one_kl_node_bitwise_equal_to_the_per_block_composite(boundaries)
 
     def run(loss):
         x = dm.parameter(logits)
-        out = loss(x, dm.constant(teacher), layout)
+        out = loss(x, teacher, layout)
         dm.backward(out)
         return out, x.grad
 
@@ -417,6 +421,13 @@ def make_trace(rng, n, layout_total, l=2, s=2, d=4, with_maps=True):
                         maps=maps)
 
 
+def cached(trace, mask=None):
+    """A teacher's `trace` as the `TeacherBatch` training caches: its logits,
+    and its maps read at the masked rows."""
+    return obj.TeacherBatch(trace.logits.data, trace.maps,
+                            None if mask is None else np.flatnonzero(mask))
+
+
 def test_total_loss_first_step_is_ce_plus_contrastive():
     rng = np.random.default_rng(12)
     layout = obj.TaskLayout((4,))
@@ -433,15 +444,16 @@ def test_total_loss_composes_all_four_terms():
     rng = np.random.default_rng(13)
     layout = obj.TaskLayout((3, 2))
     trace = make_trace(rng, 6, 5)
-    teacher = make_trace(rng, 6, 3)
+    teacher_trace = make_trace(rng, 6, 3)
     labels = rng.integers(0, 5, size=6)
     mask = np.array([True, False, True, False, False, True])
+    teacher = cached(teacher_trace, mask)
     w = obj.LossWeights(lambda_i=0.4, lambda_c=0.8, lambda_vad=0.6, tau=0.2)
     total = obj.total_loss(trace, teacher, labels, mask, layout, w).item()
     expected = obj.ss_ce(trace.logits, labels, layout).item() \
         + obj.tkd(trace.logits, teacher.logits, layout).item() \
         + obj.d_avsc(trace.audio, trace.attended_visual, labels, w).item() \
-        + obj.vad(trace.maps, teacher.maps, mask, 0.6).item()
+        + obj.vad(trace.maps, teacher.maps, mask, 0.6, np.flatnonzero(mask)).item()
     assert abs(total - expected) < 1e-12
 
 
@@ -449,7 +461,7 @@ def test_total_loss_mask_none_skips_attention_distillation():
     rng = np.random.default_rng(14)
     layout = obj.TaskLayout((3, 2))
     trace = make_trace(rng, 4, 5)
-    teacher = make_trace(rng, 4, 3)
+    teacher = cached(make_trace(rng, 4, 3))
     labels = rng.integers(0, 5, size=4)
     w = obj.LossWeights(lambda_i=0.0, lambda_c=0.0)
     skipped = obj.total_loss(trace, teacher, labels, None, layout, w).item()
@@ -461,12 +473,34 @@ def test_total_loss_mask_none_skips_attention_distillation():
 def test_total_loss_teacher_presence_contract():
     rng = np.random.default_rng(15)
     trace = make_trace(rng, 3, 4)
-    teacher = make_trace(rng, 3, 2)
+    teacher = cached(make_trace(rng, 3, 2))
     labels = np.zeros(3, dtype=int)
     with pytest.raises(ContractError):
         obj.total_loss(trace, teacher, labels, None, obj.TaskLayout((4,)), obj.LossWeights())
     with pytest.raises(ContractError):
         obj.total_loss(trace, None, labels, None, obj.TaskLayout((2, 2)), obj.LossWeights())
+
+
+def test_total_loss_rejects_a_teacher_forward_trace():
+    rng = np.random.default_rng(20)
+    trace = make_trace(rng, 3, 4)
+    teacher_trace = make_trace(rng, 3, 2)
+    labels = np.zeros(3, dtype=int)
+    for mask in (np.array([True, False, True]), None):
+        with pytest.raises(ContractError):
+            obj.total_loss(trace, teacher_trace, labels, mask, obj.TaskLayout((2, 2)),
+                           obj.LossWeights())
+
+
+def test_tkd_takes_the_teacher_logits_as_an_array_only():
+    rng = np.random.default_rng(21)
+    layout = obj.TaskLayout((2, 2))
+    logits = dm.constant(rng.normal(size=(3, 4)))
+    teacher = rng.normal(size=(3, 2))
+    for not_an_array in (dm.constant(teacher), teacher.tolist()):
+        with pytest.raises(ContractError):
+            obj.tkd(logits, not_an_array, layout)
+    assert obj.tkd(logits, teacher, layout).item() > 0.0
 
 
 # --- batch-order invariance and gradients --------------------------------
@@ -514,7 +548,7 @@ def test_ss_ce_and_tkd_gradients_pass_finite_differences():
         return obj.ss_ce(t, labels, layout)
 
     def fk(t):
-        return obj.tkd(t, dm.constant(teacher), layout)
+        return obj.tkd(t, teacher, layout)
 
     assert dm.grad_check(fs, dm.constant(logits), h=1e-5) < 1e-6
     assert dm.grad_check(fk, dm.constant(logits), h=1e-5) < 1e-6
@@ -532,6 +566,6 @@ def test_vad_gradients_pass_finite_differences():
     def f(t):
         maps = AttentionMaps(dm.softmax(t, axis=2),
                              dm.softmax(dm.constant(raw_tem), axis=1))
-        return obj.vad(maps, tea, mask, 0.4)
+        return obj.vad(maps, tea, mask, 0.4, np.flatnonzero(mask))
 
     assert dm.grad_check(f, dm.constant(raw), h=1e-5) < 1e-6

@@ -153,7 +153,20 @@ def test_replay_strategy_needs_capacity():
 
 # --- single steps ---------------------------------------------------------
 
-def test_teacher_is_snapshotted_before_expansion():
+def _record_snapshots(monkeypatch):
+    """Every teacher `mdl.snapshot` returns from here on, in order."""
+    snapshots = []
+    real_snapshot = mdl.snapshot
+
+    def recording_snapshot(params):
+        snapshots.append(real_snapshot(params))
+        return snapshots[-1]
+
+    monkeypatch.setattr(mdl, "snapshot", recording_snapshot)
+    return snapshots
+
+
+def test_teacher_is_snapshotted_before_expansion(monkeypatch):
     ds = make_dataset()
     seq = build_task_sequence(range(6), 2, 3, seed=2)
     config = quick_config(strategy="avcil")
@@ -164,12 +177,13 @@ def test_teacher_is_snapshotted_before_expansion():
     state = train_step(state, seq, ds, config, strategy)
     end_of_step1 = {name: getattr(state.params, name).data.copy()
                     for name in ("w_audio", "cls_weight", "cls_bias")}
+    snapshots = _record_snapshots(monkeypatch)
     state = train_step(state, seq, ds, config, strategy)
-    assert state.teacher is not None
-    assert state.teacher.cls_weight.shape == (3, ds.d)      # pre-expansion width
-    assert np.array_equal(state.teacher.cls_weight.data, end_of_step1["cls_weight"])
-    assert np.array_equal(state.teacher.w_audio.data, end_of_step1["w_audio"])
-    assert not state.teacher.cls_weight.requires_grad
+    [teacher] = snapshots
+    assert teacher.cls_weight.shape == (3, ds.d)      # pre-expansion width
+    assert np.array_equal(teacher.cls_weight.data, end_of_step1["cls_weight"])
+    assert np.array_equal(teacher.w_audio.data, end_of_step1["w_audio"])
+    assert not teacher.cls_weight.requires_grad
     assert state.params.num_classes == 6
 
 
@@ -216,11 +230,13 @@ def test_cached_teacher_outputs_equal_a_teacher_forward_on_each_batch_bitwise(mo
         return obj.total_loss(trace, teacher, labels, mask, layout, weights)
 
     monkeypatch.setattr(mdl, "forward", recording_forward)
-    out = train_step(state, seq, ds, config, replace(strategy, compose=recording_compose))
+    snapshots = _record_snapshots(monkeypatch)
+    train_step(state, seq, ds, config, replace(strategy, compose=recording_compose))
     assert len(batches) == len(cached) == 3 * 2
     exemplars_read = 0
+    [snapshot] = snapshots
     for rows, (teacher, mask) in zip(batches, cached):
-        fresh = real_forward(out.teacher, ds.audio[rows], ds.visual[rows])
+        fresh = real_forward(snapshot, ds.audio[rows], ds.visual[rows])
         assert teacher.logits.tobytes() == fresh.logits.data.tobytes()
         for kept, batch_map in ((teacher.maps.spatial, fresh.maps.spatial),
                                 (teacher.maps.temporal, fresh.maps.temporal)):
