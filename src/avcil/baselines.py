@@ -1,11 +1,12 @@
 """Strategy registry: one loss composer per training regime, shared backbone.
 
 Every composer has the same signature over a forward trace, the teacher's
-optional `TeacherBatch`, integer labels, an optional exemplar mask, the
-class layout, and the loss weights; the protocol stays strategy-agnostic.
-Flags tell the protocol what the strategy consumes (replay memory, a
-teacher snapshot, the replay rows' attention maps), how the oracle
-retrains, and which predictor evaluates it.
+optional `TeacherBatch`, integer labels, the class layout, and the loss
+weights; the protocol stays strategy-agnostic. Flags tell the protocol what
+the strategy consumes (replay memory, a teacher snapshot, the replay rows'
+attention maps), how the oracle retrains, and which predictor evaluates it.
+Attention distillation reads the maps the protocol handed over, so a
+composer that must not distill hands `total_loss` a teacher without them.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .errors import ConfigError
 from .model import ForwardTrace
 
 Composer = Callable[[ForwardTrace, Optional[obj.TeacherBatch], np.ndarray,
-                     Optional[np.ndarray], obj.TaskLayout, obj.LossWeights],
-                    DiffTensor]
+                     obj.TaskLayout, obj.LossWeights], DiffTensor]
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,12 @@ class Strategy:
     distills_attention: bool = False    # its loss reads the replay rows' attention maps
 
 
-def finetune_loss(trace, teacher, labels, exemplar_mask, layout, weights):
+def finetune_loss(trace, teacher, labels, layout, weights):
     """Plain cross-entropy over the full head; no replay, no teacher."""
     return obj.cross_entropy(trace.logits, labels)
 
 
-def lwf_loss(trace, teacher, labels, exemplar_mask, layout, weights):
+def lwf_loss(trace, teacher, labels, layout, weights):
     """CE plus KL from the current old-class softmax to the teacher's.
 
     One softmax over all previous classes together, unlike the task-wise
@@ -61,10 +61,12 @@ def lwf_loss(trace, teacher, labels, exemplar_mask, layout, weights):
 icarl_loss = lwf_loss
 
 
-def ssil_loss(trace, teacher, labels, exemplar_mask, layout, weights):
+def ssil_loss(trace, teacher, labels, layout, weights):
     """Separated softmax plus task-wise distillation, nothing else."""
     zeroed = replace(weights, lambda_i=0.0, lambda_c=0.0)
-    return obj.total_loss(trace, teacher, labels, None, layout, zeroed)
+    if teacher is not None:
+        teacher = replace(teacher, maps=None)
+    return obj.total_loss(trace, teacher, labels, layout, zeroed)
 
 
 _STRATEGIES = {

@@ -649,56 +649,52 @@ KL_CHUNK_ENTRIES = 1 << 16
 KL_CLAMP = 1e-12
 
 
-def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequence[float],
-            rows, q_rows) -> DiffTensor:
+def kl_rows(pairs: Sequence[tuple[DiffTensor, Array, int]], weights: Sequence[float],
+            q_rows) -> DiffTensor:
     """sum_k weights[k] * mean KL(p_k || q_k) over the distributions along
     axis_k, as one node.
 
-    Each p is read at the strictly increasing `rows` only, and each q at
-    `q_rows[i]` where its p is read at `rows[i]`, so q may hold other rows
-    than p (a frozen teacher's maps of the replay rows); rows are read in
-    chunks of about `KL_CHUNK_ENTRIES` entries. Every p slice must be a
-    probability vector (`check_distributions`); q is not checked here, since
-    whoever caches it checks it once, and takes no gradient, so a q that
-    tracks one is rejected. Zero p entries contribute zero and q is clamped
-    below at `KL_CLAMP` inside the log only. Computed in float64, so the
-    sum-to-1 check keeps its tolerance on float32 maps. Axis 0 holds the
-    rows and is never a distribution axis. A tracked p's gradient is
-    written into the rows read and is zero elsewhere.
+    Each p is read whole, in row slices of about `KL_CHUNK_ENTRIES`
+    entries, and its q at `q_rows[i]` for its row i, so q may hold other
+    rows than p (a frozen teacher's maps of the replay rows). Every p slice
+    must be a probability vector (`check_distributions`). q is a plain
+    array that takes no gradient and is not checked here, since whoever
+    caches it checks it once. Zero p entries contribute zero and q is
+    clamped below at `KL_CLAMP` inside the log only. Computed in float64,
+    so the sum-to-1 check keeps its tolerance on float32 maps. Axis 0 holds
+    the rows and is never a distribution axis.
     """
     if len(pairs) != len(weights) or not pairs:
         raise ContractError("kl_rows needs one weight per (p, q, axis) pair")
-    idx = np.asarray(rows, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0 or (idx[1:] <= idx[:-1]).any():
-        raise ContractError("kl_rows needs a non-empty, strictly increasing 1-d row array")
     q_idx = np.asarray(q_rows, dtype=np.int64)
-    if q_idx.shape != idx.shape:
-        raise ContractError("kl_rows needs one q row per row read")
     axes, n_slices, chunks = [], [], []
     for p, q, axis in pairs:
+        if not isinstance(q, np.ndarray):
+            raise ContractError("kl_rows takes q as an array")
         if p.shape[1:] != q.shape[1:]:
             raise ContractError(f"kl_rows shape mismatch: {p.shape} vs {q.shape}")
-        if q.requires_grad:
-            raise ContractError("kl_rows takes no gradient in q")
         ax = _check_axis(axis, p.ndim)
-        axes.append(ax)
-        n_slices.append(_kl_slices((idx.size, *p.shape[1:]), ax))
         if ax == 0:
             raise ContractError("kl_rows distributions must lie along a non-row axis")
-        if idx[0] < 0 or idx[-1] >= p.shape[0] or q_idx.min() < 0 or q_idx.max() >= q.shape[0]:
+        if q_idx.shape != p.shape[:1]:
+            raise ContractError("kl_rows needs one q row per row of p")
+        axes.append(ax)
+        n_slices.append(_kl_slices(p.shape, ax))
+        if q_idx.min() < 0 or q_idx.max() >= q.shape[0]:
             raise ContractError("kl_rows row out of range")
         step = max(1, KL_CHUNK_ENTRIES // (p.data.size // p.shape[0]))
-        chunks.append([(idx[i:i + step], q_idx[i:i + step]) for i in range(0, idx.size, step)])
+        chunks.append([(slice(i, i + step), q_idx[i:i + step])
+                       for i in range(0, q_idx.size, step)])
 
-    def read64(t: DiffTensor, at) -> Array:
-        return t.data[at].astype(np.float64, copy=False)
+    def read64(t: Array, at) -> Array:
+        return t[at].astype(np.float64, copy=False)
 
     # the operands are read again by the VJP rather than kept alive until then
     total = None
     for (p, q, _), ax, n, parts, w in zip(pairs, axes, n_slices, chunks, weights):
         kl_sum = None
         for at_p, at_q in parts:
-            p64 = read64(p, at_p)
+            p64 = read64(p.data, at_p)
             check_distributions(p64, ax, "kl_rows p")
             part = _kl_sum(p64, read64(q, at_q))
             kl_sum = part if kl_sum is None else kl_sum + part
@@ -711,9 +707,9 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, DiffTensor, int]], weights: Sequen
             full = None
             if p.requires_grad:
                 gs = float(g) * w / n
-                full = np.zeros_like(p.data)
+                full = np.empty_like(p.data)
                 for at_p, at_q in parts:
-                    full[at_p] = _kl_grad(read64(p, at_p), read64(q, at_q), gs)
+                    full[at_p] = _kl_grad(read64(p.data, at_p), read64(q, at_q), gs)
             out.append(full)
         return tuple(out)
 

@@ -512,8 +512,8 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
     check("take", lambda x: dm.take(x, np.array([0, 2, 2])).sum(), a)
     check("slice", lambda x: dm.slice_axis(x, 1, 1, 4).sum(), a)
     q = rng.dirichlet(np.ones(d), size=n)
-    check("kl_rows_p", lambda x: dm.kl_rows(((dm.softmax(x, axis=1), dm.constant(q), 1),),
-                                            (1.0,), np.arange(n), np.arange(n)), a)
+    check("kl_rows_p", lambda x: dm.kl_rows(((dm.softmax(x, axis=1), q, 1),), (1.0,),
+                                            np.arange(n)), a)
 
     labels = rng.integers(0, classes, size=n)
     labels[:2] = [0, classes - 1]          # both blocks populated
@@ -533,23 +533,22 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
     check("loss_tkd", lambda x: obj.tkd(x, old, layout), logits)
 
     params = mdl.init_params(d, classes, seed=seed + 1)
-    mask = np.zeros(n, dtype=bool)
-    mask[:2] = True
-    replay = np.flatnonzero(mask)
+    replay = np.arange(2)
     # the teacher's outputs as training caches them: logits of every row,
-    # maps of the replay rows only
+    # map arrays of the replay rows only
     teacher = mdl.forward(mdl.snapshot(mdl.init_params(d, 2, seed=seed + 2)), audio, visual,
                           map_rows=replay)
-    cached = obj.TeacherBatch(teacher.logits.data, teacher.maps, np.arange(replay.size))
+    teacher_maps = (teacher.maps.spatial.data, teacher.maps.temporal.data)
+    cached = obj.TeacherBatch(teacher.logits.data, teacher_maps, np.arange(replay.size))
 
     # `forward` reads the six tensors only, so replacing one leaves `flat` unread
     def student(x):
         return mdl.forward(dataclasses.replace(params, w_audio=x), audio, visual, map_rows=replay)
 
-    check("loss_vad", lambda x: obj.vad(student(x).maps, cached.maps, mask, weights.lambda_vad,
-                                        cached.map_rows), params.w_audio.data.copy())
-    check("loss_total", lambda x: obj.total_loss(student(x), cached, labels, mask, layout,
-                                                 weights), params.w_audio.data.copy())
+    check("loss_vad", lambda x: obj.vad(student(x).maps, cached.maps, cached.map_rows,
+                                        weights.lambda_vad), params.w_audio.data.copy())
+    check("loss_total", lambda x: obj.total_loss(student(x), cached, labels, layout, weights),
+          params.w_audio.data.copy())
 
     # the fused primitives, each in both operands; `row` broadcasts against `grid`
     row = rng.normal(size=(n, 1, d))
@@ -579,15 +578,14 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
         check(f"attend{tag}_score_audio", lambda x: attended(x, dm.constant(b), rows), a)
         check(f"attend{tag}_w_visual", lambda x: attended(dm.constant(a), x, rows), b)
 
-    # the row-restricted KL behind vad, whose q takes no gradient; the
-    # second pair is constant and only shifts the value
-    q_grid = dm.softmax(dm.constant(rng.normal(size=(n, ell, d))), axis=1).data
-    fixed = (dm.constant(q), dm.constant(rng.dirichlet(np.ones(d), size=n)), 1)
-    kl_at_rows = np.array([0, 2, n - 1])
+    # the KL behind vad, whose q is an array read at other rows than p's,
+    # row 2 twice; the second pair is constant and only shifts the value
+    q_grid = dm.softmax(dm.constant(rng.normal(size=(n + 2, ell, d))), axis=1).data
+    fixed = (dm.constant(q), rng.dirichlet(np.ones(d), size=n + 2), 1)
+    q_rows = np.maximum(np.arange(n) + 1, 2)
 
     def kl_at(x):
-        return dm.kl_rows(((dm.softmax(x, axis=1), dm.constant(q_grid), 1), fixed), (0.3, 0.7),
-                          kl_at_rows, kl_at_rows)
+        return dm.kl_rows(((dm.softmax(x, axis=1), q_grid, 1), fixed), (0.3, 0.7), q_rows)
 
     check("kl_rows_given_rows_p", kl_at, grid)
 

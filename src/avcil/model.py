@@ -58,9 +58,8 @@ class ModelParams:
 
 @dataclass
 class AttentionMaps:
-    """Attention weights of some batch rows: spatial is (k, L, S, d), temporal
-    is (k, L, d), and row i belongs to batch row `rows[i]` (strictly
-    increasing), or to batch row i when `rows` is None.
+    """Attention weights of the batch rows `forward` was asked for, in
+    order: spatial is (k, L, S, d), temporal is (k, L, d).
 
     Spatial slices sum to 1 over the S axis, temporal over the L axis,
     independently per sample and channel.
@@ -68,7 +67,6 @@ class AttentionMaps:
 
     spatial: DiffTensor
     temporal: DiffTensor
-    rows: np.ndarray | None = None
 
 
 @dataclass
@@ -173,11 +171,9 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
     score_audio = dm.tanh_matmul(audio, params.w_audio)
     attended, spatial, temporal = dm.attend(score_audio, visual, params.w_visual, map_rows,
                                             rows)
-    maps = AttentionMaps(spatial, temporal,
-                         None if map_rows is None else np.asarray(map_rows, dtype=np.int64))
     fused, logits = fuse_and_classify(audio, attended, params)
     return ForwardTrace(audio=audio, attended_visual=attended, fused=fused,
-                        logits=logits, maps=maps)
+                        logits=logits, maps=AttentionMaps(spatial, temporal))
 
 
 def _check_audio(f_audio: DiffTensor, d: int) -> tuple[int, int]:

@@ -134,41 +134,33 @@ def d_avsc(f_audio: DiffTensor, f_visual: DiffTensor, labels,
     return _chain_sum(parts)
 
 
-def vad(current: AttentionMaps, teacher: AttentionMaps, exemplar_mask,
-        lambda_vad: float, teacher_rows) -> DiffTensor:
+def vad(current: AttentionMaps | None, teacher_maps: tuple[np.ndarray, np.ndarray],
+        teacher_rows, lambda_vad: float) -> DiffTensor:
     """Visual attention distillation on replayed samples only.
 
     KL from the current model's attention to the frozen teacher's, spatial
-    and temporal maps mixed by `lambda_vad`, as one node that reads only the
-    masked rows. The current maps must hold every masked row (see
-    `AttentionMaps.rows`); training's hold exactly those. The teacher's maps
-    are read at `teacher_rows[i]` for the i-th masked row, track no
+    and temporal maps mixed by `lambda_vad`, as one node. `current` holds
+    the maps of exactly the replayed rows, the ones training asked
+    `forward` for, and is read whole; the teacher's `(spatial, temporal)`
+    arrays are read at `teacher_rows[i]` for the i-th of them, track no
     gradient, and are checked to be distributions by whoever caches them.
-    An empty mask contributes an exact zero.
+    Maps with no rows contribute an exact zero.
     """
     if not 0.0 <= lambda_vad <= 1.0:
         raise ContractError("lambda_vad must lie in [0, 1]")
-    if current.spatial.shape[1:] != teacher.spatial.shape[1:] \
-            or current.temporal.shape[1:] != teacher.temporal.shape[1:]:
+    if current is None:
+        raise ContractError("attention distillation needs the current attention maps")
+    spatial, temporal = teacher_maps
+    if current.spatial.shape[1:] != spatial.shape[1:] \
+            or current.temporal.shape[1:] != temporal.shape[1:]:
         raise ContractError("attention map shapes differ between current and teacher")
-    held = _held(current)
-    mask = np.asarray(exemplar_mask, dtype=bool)
-    if mask.ndim != 1 or (current.rows is None and mask.size != held.size):
-        raise ContractError("exemplar mask must have one flag per sample")
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
+    rows = np.asarray(teacher_rows, dtype=np.int64)
+    if rows.shape != current.spatial.shape[:1]:
+        raise ContractError("the teacher needs one map row per current map row")
+    if rows.size == 0:
         return dm.constant(0.0)
-    at = np.searchsorted(held, idx)
-    if at[-1] >= held.size or not np.array_equal(held[at], idx):
-        raise ContractError("the current attention maps lack a masked row")
-    return dm.kl_rows(((current.spatial, teacher.spatial, 2),
-                       (current.temporal, teacher.temporal, 1)),
-                      (lambda_vad, 1.0 - lambda_vad), at, teacher_rows)
-
-
-def _held(maps: AttentionMaps) -> np.ndarray:
-    """The batch rows `maps` holds, in order."""
-    return np.arange(maps.spatial.shape[0]) if maps.rows is None else maps.rows
+    return dm.kl_rows(((current.spatial, spatial, 2), (current.temporal, temporal, 1)),
+                      (lambda_vad, 1.0 - lambda_vad), rows)
 
 
 def cross_entropy(logits: DiffTensor, labels) -> DiffTensor:
@@ -216,23 +208,24 @@ def tkd(logits: DiffTensor, teacher_logits: np.ndarray, layout: TaskLayout) -> D
 @dataclass(frozen=True)
 class TeacherBatch:
     """The frozen teacher's outputs for one batch, read from a cache of the
-    step: its logits of the batch rows, and attention maps (None when none
-    are kept) whose row `map_rows[i]` belongs to the batch's i-th exemplar."""
+    step: its logits of the batch rows, and its `(spatial, temporal)`
+    attention maps as arrays (None when none are kept), whose row
+    `map_rows[i]` belongs to the batch's i-th replayed row."""
 
     logits: np.ndarray
-    maps: AttentionMaps | None
+    maps: tuple[np.ndarray, np.ndarray] | None
     map_rows: np.ndarray | None
 
 
-def total_loss(trace: ForwardTrace, teacher: TeacherBatch | None, labels, exemplar_mask,
+def total_loss(trace: ForwardTrace, teacher: TeacherBatch | None, labels,
                layout: TaskLayout, weights: LossWeights) -> DiffTensor:
     """Classification plus the three regularizers, in a fixed order.
 
     `teacher`, the frozen teacher's outputs for the batch, must be present
-    exactly when the layout has previous tasks. Passing `exemplar_mask=None`
-    disables attention distillation outright (an all-False mask merely
-    makes it zero). Contrastive terms need both modal features and apply at
-    every step; distillation terms only from step 2.
+    exactly when the layout has previous tasks. Attention distillation runs
+    exactly when the teacher carries maps, and then reads the trace's maps
+    whole. Contrastive terms need both modal features and apply at every
+    step; distillation terms only from step 2.
     """
     if (layout.step > 1) != (teacher is not None):
         raise ContractError("teacher outputs must be present exactly for steps after the first")
@@ -242,10 +235,8 @@ def total_loss(trace: ForwardTrace, teacher: TeacherBatch | None, labels, exempl
     if trace.attended_visual is not None and trace.maps is not None \
             and (weights.lambda_i != 0.0 or weights.lambda_c != 0.0):
         parts.append(d_avsc(trace.audio, trace.attended_visual, labels, weights))
-    if teacher is not None and exemplar_mask is not None \
-            and trace.maps is not None and teacher.maps is not None:
-        parts.append(vad(trace.maps, teacher.maps, exemplar_mask, weights.lambda_vad,
-                         teacher.map_rows))
+    if teacher is not None and teacher.maps is not None:
+        parts.append(vad(trace.maps, teacher.maps, teacher.map_rows, weights.lambda_vad))
     return _chain_sum(parts)
 
 

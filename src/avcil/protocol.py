@@ -206,11 +206,12 @@ class StepState:
 
 def _teacher_outputs(teacher: mdl.ModelParams, dataset: FeatureDataset, pool: np.ndarray,
                      replay_from: int, config: TrainConfig, keep_maps: bool
-                     ) -> tuple[np.ndarray, Optional[mdl.AttentionMaps]]:
+                     ) -> tuple[np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]:
     """The frozen teacher's logits for every pool row and, if `keep_maps`,
-    its attention maps for the pool rows from `replay_from` on (the replay
-    rows), run with no graph `config.batch_size` rows at a time, reading
-    the dataset's arrays in place.
+    its `(spatial, temporal)` attention map arrays for the pool rows from
+    `replay_from` on (the replay rows), run with no graph
+    `config.batch_size` rows at a time, reading the dataset's arrays in
+    place.
 
     A row's outputs do not depend on the other rows of its batch, so these
     are the bytes a forward on each training batch would give. The maps are
@@ -226,14 +227,12 @@ def _teacher_outputs(teacher: mdl.ModelParams, dataset: FeatureDataset, pool: np
             continue
         chunk_maps = (trace.maps.spatial.data, trace.maps.temporal.data)
         if maps is None:    # filled in place: no second copy of the replay maps
-            maps = [np.empty((len(pool) - replay_from, *m.shape[1:]), m.dtype)
-                    for m in chunk_maps]
+            maps = tuple(np.empty((len(pool) - replay_from, *m.shape[1:]), m.dtype)
+                         for m in chunk_maps)
         first = max(lo, replay_from) - replay_from
         for kept, m, axis in zip(maps, chunk_maps, (2, 1)):
             dm.check_distributions(m, axis, "teacher attention maps")
             kept[first:first + len(m)] = m
-    if maps is not None:
-        maps = mdl.AttentionMaps(*map(dm.view, maps))
     return np.concatenate(logits), maps
 
 
@@ -277,7 +276,6 @@ def train_step(state: StepState, sequence: TaskSequence,
     if len(pool) == 0:
         raise ContractError(f"no training samples for step {t}")
     labels = sequence.model_labels(dataset.labels[pool])
-    exemplar = np.arange(len(pool)) >= len(pool) - len(replay)
 
     opt = dm.AdamState(params.flat.size, lr=config.lr, weight_decay=config.weight_decay)
     curve: List[float] = []
@@ -298,20 +296,19 @@ def train_step(state: StepState, sequence: TaskSequence,
             for start in range(0, n, config.batch_size):
                 idx = perm[start:start + config.batch_size]
                 rows = pool[idx]
-                mask = exemplar[idx] if config.use_vad else None
-                teacher_batch, map_rows = None, ()
+                teacher_batch, map_rows, teacher_rows = None, (), None
                 if teacher is not None:
-                    teacher_batch = TeacherBatch(
-                        teacher_logits[idx], teacher_maps,
-                        None if mask is None else idx[mask] - replay_from)
-                    if teacher_maps is not None and mask is not None:
-                        map_rows = np.flatnonzero(mask)     # the rows vad reads
+                    if teacher_maps is not None:
+                        map_rows = np.flatnonzero(idx >= replay_from)   # the rows vad reads
+                        teacher_rows = idx[map_rows] - replay_from
+                    teacher_batch = TeacherBatch(teacher_logits[idx], teacher_maps,
+                                                 teacher_rows)
                 batch = start // config.batch_size
                 try:
                     trace = mdl.forward(params, dataset.audio, dataset.visual,
                                         config.modality, map_rows, rows)
-                    loss = strategy.compose(trace, teacher_batch, labels[idx], mask,
-                                            layout, config.weights)
+                    loss = strategy.compose(trace, teacher_batch, labels[idx], layout,
+                                            config.weights)
                 except NumericDomainError as err:
                     # parameters an Adam step left non-finite trip a check before the loss
                     raise TrainingDiverged(t, epoch, batch, reason=str(err)) from err

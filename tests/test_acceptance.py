@@ -112,8 +112,12 @@ def test_criterion_03_loss_reduction_identities():
     batch = ds.audio[:5], ds.visual[:5]
     maps = mdl.forward(mdl.snapshot(mdl.init_params(6, 4, seed=1)), *batch, "audiovisual").maps
     other = mdl.forward(mdl.snapshot(mdl.init_params(6, 4, seed=2)), *batch, "audiovisual").maps
-    assert abs(float(obj.vad(maps, maps, np.ones(5, bool), 0.5, np.arange(5)).data)) <= 1e-9
-    assert float(obj.vad(maps, other, np.zeros(5, bool), 0.5, np.arange(0)).data) == 0.0
+    same = (maps.spatial.data, maps.temporal.data)
+    assert abs(float(obj.vad(maps, same, np.arange(5), 0.5).data)) <= 1e-9
+    none = mdl.forward(mdl.snapshot(mdl.init_params(6, 4, seed=1)), *batch, "audiovisual",
+                       []).maps
+    assert float(obj.vad(none, (other.spatial.data, other.temporal.data), np.arange(0),
+                         0.5).data) == 0.0
 
     # with a single task the separated softmax is plain cross-entropy
     logits = dm.constant(rng.normal(size=(n, 5)))

@@ -21,10 +21,14 @@ def tiny_batch(num_classes=4, d=6, n=8, seed=0):
 
 def teacher_outputs(teacher, batch, mask=None):
     """The frozen `teacher`'s outputs on `batch` as the `TeacherBatch`
-    training caches: its logits, and its maps read at the masked rows."""
+    training caches: its logits and, given a mask, its map arrays read at
+    the masked rows."""
     trace = mdl.forward(teacher, *batch)
-    return obj.TeacherBatch(trace.logits.data, trace.maps,
-                            None if mask is None else np.flatnonzero(mask))
+    if mask is None:
+        return obj.TeacherBatch(trace.logits.data, None, None)
+    return obj.TeacherBatch(trace.logits.data,
+                            (trace.maps.spatial.data, trace.maps.temporal.data),
+                            np.flatnonzero(mask))
 
 
 def softmax_rows(z):
@@ -79,7 +83,7 @@ def test_finetune_is_cross_entropy():
     params = mdl.init_params(6, 4, seed=3)
     trace = mdl.forward(params, *batch)
     layout = TaskLayout((2, 2))
-    loss = finetune_loss(trace, None, labels, None, layout, LossWeights())
+    loss = finetune_loss(trace, None, labels, layout, LossWeights())
     assert loss.data == obj.cross_entropy(trace.logits, labels).data
 
 
@@ -87,7 +91,7 @@ def test_lwf_without_teacher_is_plain_ce():
     batch, labels = tiny_batch()
     params = mdl.init_params(6, 4, seed=3)
     trace = mdl.forward(params, *batch)
-    loss = lwf_loss(trace, None, labels, None, TaskLayout((4,)), LossWeights())
+    loss = lwf_loss(trace, None, labels, TaskLayout((4,)), LossWeights())
     assert loss.data == obj.cross_entropy(trace.logits, labels).data
 
 
@@ -99,8 +103,7 @@ def test_lwf_distillation_matches_brute_force():
     # student's shapes by reusing the same d
     trace = mdl.forward(student, *batch)
     cached = teacher_outputs(teacher, batch)
-    loss = lwf_loss(trace, cached, labels, None, TaskLayout((2, 2)),
-                    LossWeights())
+    loss = lwf_loss(trace, cached, labels, TaskLayout((2, 2)), LossWeights())
     ce = float(obj.cross_entropy(trace.logits, labels).data)
     kd = brute_kl(trace.logits.data[:, :2], cached.logits)
     assert loss.data == pytest.approx(ce + kd, abs=1e-12)
@@ -113,8 +116,8 @@ def test_lwf_gradient_reaches_the_old_columns_only_through_kd():
     student = mdl.init_params(6, 4, seed=3)
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     trace = mdl.forward(student, *batch)
-    loss = lwf_loss(trace, teacher_outputs(teacher, batch), labels, None,
-                    TaskLayout((2, 2)), LossWeights())
+    loss = lwf_loss(trace, teacher_outputs(teacher, batch), labels, TaskLayout((2, 2)),
+                    LossWeights())
     dm.backward(loss)
     assert student.cls_weight.grad is not None
     assert np.all(np.isfinite(student.cls_weight.grad))
@@ -127,7 +130,7 @@ def test_ssil_is_separated_ce_plus_task_distillation():
     layout = TaskLayout((2, 2))
     trace = mdl.forward(student, *batch)
     cached = teacher_outputs(teacher, batch)
-    loss = ssil_loss(trace, cached, labels, None, layout, LossWeights())
+    loss = ssil_loss(trace, cached, labels, layout, LossWeights())
     want = (obj.ss_ce(trace.logits, labels, layout)
             + obj.tkd(trace.logits, cached.logits, layout))
     assert loss.data == want.data
@@ -138,11 +141,11 @@ def test_ssil_ignores_contrastive_weights_and_mask():
     student = mdl.init_params(6, 4, seed=3)
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     layout = TaskLayout((2, 2))
-    trace = mdl.forward(student, *batch)
     mask = np.array([True, False] * 4)
+    trace = mdl.forward(student, *batch, map_rows=np.flatnonzero(mask))
     heavy = LossWeights(lambda_i=3.0, lambda_c=2.0, lambda_vad=0.9)
-    a = ssil_loss(trace, teacher_outputs(teacher, batch, mask), labels, mask, layout, heavy)
-    b = ssil_loss(trace, teacher_outputs(teacher, batch), labels, None, layout, LossWeights())
+    a = ssil_loss(trace, teacher_outputs(teacher, batch, mask), labels, layout, heavy)
+    b = ssil_loss(trace, teacher_outputs(teacher, batch), labels, layout, LossWeights())
     assert a.data == b.data
 
 
@@ -154,8 +157,8 @@ def test_avcil_all_off_is_bitwise_ssil():
     off = LossWeights(lambda_i=0.0, lambda_c=0.0)
     trace = mdl.forward(student, *batch)
     cached = teacher_outputs(teacher, batch)
-    a = get_strategy("avcil").compose(trace, cached, labels, None, layout, off)
-    b = ssil_loss(trace, cached, labels, None, layout, LossWeights())
+    a = get_strategy("avcil").compose(trace, cached, labels, layout, off)
+    b = ssil_loss(trace, cached, labels, layout, LossWeights())
     assert a.data == b.data
 
 
@@ -166,11 +169,10 @@ def test_avcil_equals_total_loss():
     layout = TaskLayout((2, 2))
     mask = np.zeros(8, dtype=bool)
     mask[:2] = True
-    trace = mdl.forward(student, *batch)
+    trace = mdl.forward(student, *batch, map_rows=np.flatnonzero(mask))
     cached = teacher_outputs(teacher, batch, mask)
-    a = get_strategy("avcil").compose(trace, cached, labels, mask, layout,
-                                        LossWeights())
-    b = obj.total_loss(trace, cached, labels, mask, layout, LossWeights())
+    a = get_strategy("avcil").compose(trace, cached, labels, layout, LossWeights())
+    b = obj.total_loss(trace, cached, labels, layout, LossWeights())
     assert a.data == b.data
 
 
@@ -182,9 +184,9 @@ def test_every_composer_backpropagates_finite_gradients():
     for tag in STRATEGY_TAGS:
         student = mdl.init_params(6, 4, seed=3)
         s = get_strategy(tag)
-        trace = mdl.forward(student, *batch)
+        trace = mdl.forward(student, *batch, map_rows=np.flatnonzero(mask))
         cached = teacher_outputs(teacher, batch, mask) if s.uses_teacher else None
-        loss = s.compose(trace, cached, labels, mask, layout, LossWeights())
+        loss = s.compose(trace, cached, labels, layout, LossWeights())
         dm.backward(loss)
         for p in student.parameters():
             if p.grad is not None:

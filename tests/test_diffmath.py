@@ -87,37 +87,35 @@ def test_softmax_rows_are_distributions(xs):
 def test_kl_rows_identical_is_zero():
     p = dm.constant([[0.25, 0.75], [0.5, 0.5]])
     rows = np.arange(2)
-    assert dm.kl_rows(((p, dm.constant(p.data.copy()), 1),), (1.0,), rows, rows).item() == 0.0
+    assert dm.kl_rows(((p, p.data.copy(), 1),), (1.0,), rows).item() == 0.0
 
 
 def test_kl_rows_point_mass_vs_uniform():
     p = dm.constant([[1.0, 0.0]])
-    q = dm.constant([[0.5, 0.5]])
-    assert abs(dm.kl_rows(((p, q, 1),), (1.0,), [0], [0]).item() - math.log(2.0)) < 1e-12
+    q = np.array([[0.5, 0.5]])
+    assert abs(dm.kl_rows(((p, q, 1),), (1.0,), [0]).item() - math.log(2.0)) < 1e-12
 
 
 def test_kl_rows_half_vs_quarter():
     p = dm.constant([[0.5, 0.5]])
-    q = dm.constant([[0.25, 0.75]])
-    assert abs(dm.kl_rows(((p, q, 1),), (1.0,), [0], [0]).item()
+    q = np.array([[0.25, 0.75]])
+    assert abs(dm.kl_rows(((p, q, 1),), (1.0,), [0]).item()
                - 0.5 * math.log(4.0 / 3.0)) < 1e-12
 
 
 def test_kl_rows_means_over_slices():
     p = dm.constant([[1.0, 0.0], [0.5, 0.5]])
-    q = dm.constant([[0.5, 0.5], [0.5, 0.5]])
+    q = np.array([[0.5, 0.5], [0.5, 0.5]])
     expected = 0.5 * (math.log(2.0) + 0.0)
     rows = np.arange(2)
-    assert abs(dm.kl_rows(((p, q, 1),), (1.0,), rows, rows).item() - expected) < 1e-12
+    assert abs(dm.kl_rows(((p, q, 1),), (1.0,), rows).item() - expected) < 1e-12
 
 
 def test_kl_rows_rejects_non_distribution():
     with pytest.raises(ContractError):
-        dm.kl_rows(((dm.constant([[0.7, 0.7]]), dm.constant([[0.5, 0.5]]), 1),), (1.0,),
-                   [0], [0])
+        dm.kl_rows(((dm.constant([[0.7, 0.7]]), np.array([[0.5, 0.5]]), 1),), (1.0,), [0])
     with pytest.raises(ContractError):
-        dm.kl_rows(((dm.constant([[1.5, -0.5]]), dm.constant([[0.5, 0.5]]), 1),), (1.0,),
-                   [0], [0])
+        dm.kl_rows(((dm.constant([[1.5, -0.5]]), np.array([[0.5, 0.5]]), 1),), (1.0,), [0])
 
 
 def test_kl_rows_rejects_distributions_along_the_row_axis():
@@ -125,7 +123,7 @@ def test_kl_rows_rejects_distributions_along_the_row_axis():
         t = dm.constant(p)
         for axis in (0, -t.ndim):
             with pytest.raises(ContractError, match="non-row axis"):
-                dm.kl_rows(((t, t, axis),), (1.0,), [0], [0])
+                dm.kl_rows(((t, t.data, axis),), (1.0,), [0])
 
 
 def test_backward_requires_scalar():
@@ -203,8 +201,7 @@ def test_grad_check_kl_rows_through_softmax():
     q = dm.softmax(raw_q, axis=1)
 
     def f(t):
-        return dm.kl_rows(((dm.softmax(t, axis=1), dm.constant(q.data), 1),), (1.0,),
-                          np.arange(2), np.arange(2))
+        return dm.kl_rows(((dm.softmax(t, axis=1), q.data, 1),), (1.0,), np.arange(2))
 
     x = dm.constant(rng.normal(size=(2, 5)))
     assert dm.grad_check(f, x, h=1e-5) < 1e-6
@@ -216,7 +213,7 @@ def test_grad_check_kl_rows_direct_small_step():
     q = rng.dirichlet(np.ones(4), size=2)
 
     def in_p(t):
-        return dm.kl_rows(((t, dm.constant(q), 1),), (1.0,), np.arange(2), np.arange(2))
+        return dm.kl_rows(((t, q, 1),), (1.0,), np.arange(2))
 
     assert dm.grad_check(in_p, dm.constant(p), h=1e-7) < 1e-5
 
@@ -552,18 +549,15 @@ def _attend_run(data, map_rows, block):
     else:
         pooled, spatial, temporal = _attention_block(score_audio, dm.constant(visual),
                                                      w_visual, map_rows, fused)
+    if not fused:
+        spatial, temporal = dm.take(spatial, map_rows), dm.take(temporal, map_rows)
     loss = (pooled * dm.constant(probe)).sum()
     if map_rows.size:
-        at = np.arange(map_rows.size) if fused else map_rows
-        loss = loss + dm.kl_rows(((spatial, dm.constant(q_spatial), 2),
-                                  (temporal, dm.constant(q_temporal), 1)), (0.3, 0.7),
-                                 at, map_rows)
+        loss = loss + dm.kl_rows(((spatial, q_spatial, 2), (temporal, q_temporal, 1)),
+                                 (0.3, 0.7), map_rows)
     dm.backward(loss)
-    if not fused:
-        spatial, temporal = spatial.data[map_rows], temporal.data[map_rows]
-    else:
-        spatial, temporal = spatial.data, temporal.data
-    return loss.data, pooled.data, spatial, temporal, score_audio.grad, w_visual.grad
+    return (loss.data, pooled.data, spatial.data, temporal.data, score_audio.grad,
+            w_visual.grad)
 
 
 def test_attend_matches_composite_bitwise(monkeypatch):
@@ -721,9 +715,8 @@ def test_kl_rows_vjp_skips_a_constant_side(constant_side):
     dists = np.random.default_rng(4).dirichlet(np.ones(3), size=(2, 2))
     ps = [dm.constant(x) if i == constant_side else dm.parameter(x)
           for i, x in enumerate(dists)]
-    rows = np.arange(2)
-    grads = dm.kl_rows(tuple((p, dm.constant(dists[0]), 1) for p in ps), (1.0, 1.0),
-                       rows, rows)._vjp(np.ones(()))
+    grads = dm.kl_rows(tuple((p, dists[0], 1) for p in ps), (1.0, 1.0),
+                       np.arange(2))._vjp(np.ones(()))
     assert grads[constant_side] is None
     assert grads[1 - constant_side].shape == (2, 3)
 
@@ -814,12 +807,12 @@ def test_model_loss_backward_keeps_gradients_only_on_parameters():
     audio = rng.normal(size=(5, 4))
     visual = rng.normal(size=(5, 2, 3, 4))
     labels = np.array([0, 1, 2, 3, 2])
-    mask = np.array([True, True, False, False, False])
-    trace = mdl.forward(params, audio, visual)
+    replay = np.array([0, 1])
+    trace = mdl.forward(params, audio, visual, map_rows=replay)
     cached = mdl.forward(teacher, audio, visual)
-    loss = obj.total_loss(trace, obj.TeacherBatch(cached.logits.data, cached.maps,
-                                                  np.flatnonzero(mask)),
-                          labels, mask, obj.TaskLayout((2, 2)), obj.LossWeights())
+    teacher_maps = (cached.maps.spatial.data, cached.maps.temporal.data)
+    loss = obj.total_loss(trace, obj.TeacherBatch(cached.logits.data, teacher_maps, replay),
+                          labels, obj.TaskLayout((2, 2)), obj.LossWeights())
     assert_gradient_memory_rule(loss)
     assert all(p.grad is not None for p in params.parameters())
     assert trace.audio.grad is None
@@ -885,7 +878,7 @@ def test_float64_inputs_meet_no_cast():
     assert grid.grad.dtype == np.float64 and w.grad.dtype == np.float64
 
 
-# --- kl_rows at given rows: the row-restricted KL behind vad --------------
+# --- kl_rows with q at given rows: the KL behind vad ----------------------
 
 
 def _dists(rng, shape, axis):
@@ -901,17 +894,14 @@ def test_kl_rows_at_matches_the_take_composite_bitwise():
 
     def run(fused):
         cur_spa, cur_tem = dm.parameter(spa[0]), dm.parameter(tem[0])
-        tea_spa, tea_tem = dm.constant(spa[1]), dm.constant(tem[1])
         if fused:
-            out = dm.kl_rows(((cur_spa, tea_spa, 2), (cur_tem, tea_tem, 1)),
-                             (lam, 1.0 - lam), rows, rows)
+            out = dm.kl_rows(((dm.take(cur_spa, rows), spa[1], 2),
+                              (dm.take(cur_tem, rows), tem[1], 1)), (lam, 1.0 - lam), rows)
         else:
             taken = np.arange(rows.size)
-            out = (dm.kl_rows(((dm.take(cur_spa, rows), dm.take(tea_spa, rows), 2),), (1.0,),
-                              taken, taken)
+            out = (dm.kl_rows(((dm.take(cur_spa, rows), spa[1][rows], 2),), (1.0,), taken)
                    * lam
-                   + dm.kl_rows(((dm.take(cur_tem, rows), dm.take(tea_tem, rows), 1),), (1.0,),
-                                taken, taken)
+                   + dm.kl_rows(((dm.take(cur_tem, rows), tem[1][rows], 1),), (1.0,), taken)
                    * (1.0 - lam))
         dm.backward(out)
         return out.data, cur_spa.grad, cur_tem.grad
@@ -926,8 +916,8 @@ def test_kl_rows_at_chunks_change_no_gradient_bit(monkeypatch):
     rows = np.array([0, 2, 3, 5])
 
     def run():
-        cur = dm.parameter(spa[0])
-        out = dm.kl_rows(((cur, dm.constant(spa[1]), 2),), (1.0,), rows, rows)
+        cur = dm.parameter(spa[0][rows])
+        out = dm.kl_rows(((cur, spa[1], 2),), (1.0,), rows)
         dm.backward(out)
         return out.item(), cur.grad
 
@@ -942,36 +932,35 @@ def test_kl_rows_at_reads_and_writes_only_its_rows():
     rng = np.random.default_rng(8)
     p = _dists(rng, (4, 3, 2), 1)
     q = _dists(rng, (4, 3, 2), 1)
-    p[0] = q[0] = np.nan           # never read: no check fires, no value leaks
-    tp = dm.parameter(p)
-    out = dm.kl_rows(((tp, dm.constant(q), 1),), (1.0,), [1, 3], [1, 3])
+    q[0] = np.nan                  # never read: no value leaks
+    tp = dm.parameter(p[[1, 3]])
+    out = dm.kl_rows(((tp, q, 1),), (1.0,), [1, 3])
     assert np.isfinite(out.item())
-    assert out.item() == dm.kl_rows(((dm.constant(p[[1, 3]]), dm.constant(q[[1, 3]]), 1),),
-                                    (1.0,), [0, 1], [0, 1]).item()
+    assert out.item() == dm.kl_rows(((dm.constant(p[[1, 3]]), q[[1, 3]], 1),),
+                                    (1.0,), [0, 1]).item()
     dm.backward(out)
-    assert np.array_equal(tp.grad[[0, 2]], np.zeros((2, 3, 2)))
-    assert np.all(tp.grad[[1, 3]] != 0.0)
+    assert np.all(np.isfinite(tp.grad)) and np.all(tp.grad != 0.0)
 
 
 def test_kl_rows_reads_q_at_its_own_rows_bitwise_as_a_gathered_q():
     rng = np.random.default_rng(12)
     p = _dists(rng, (4, 3, 2), 1)
     q = _dists(rng, (6, 3, 2), 1)
-    q_rows = [5, 0, 3]             # any order: the i-th row read pairs with q_rows[i]
-    tp = dm.parameter(p)
-    out = dm.kl_rows(((tp, dm.constant(q), 1),), (1.0,), [0, 2, 3], q_rows)
-    ref_p = dm.parameter(p)
-    ref = dm.kl_rows(((ref_p, dm.constant(np.concatenate([q[[5]], q[[0]], q[[0]], q[[3]]])),
-                       1),), (1.0,), [0, 2, 3], [0, 2, 3])
+    q_rows = [5, 0, 3]             # any order: p's i-th row pairs with q_rows[i]
+    tp = dm.parameter(p[[0, 2, 3]])
+    out = dm.kl_rows(((tp, q, 1),), (1.0,), q_rows)
+    ref_p = dm.parameter(p[[0, 2, 3]])
+    ref = dm.kl_rows(((ref_p, q[q_rows], 1),), (1.0,), [0, 1, 2])
     assert out.data.tobytes() == ref.data.tobytes()
     dm.backward(out)
     dm.backward(ref)
     assert tp.grad.tobytes() == ref_p.grad.tobytes()
     for bad in ([5, 0], [6, 0, 3], [-1, 0, 3]):
         with pytest.raises(ContractError):
-            dm.kl_rows(((tp, dm.constant(q), 1),), (1.0,), [0, 2, 3], bad)
-    with pytest.raises(ContractError):     # a tracked q
-        dm.kl_rows(((dm.constant(p), dm.parameter(q), 1),), (1.0,), [0, 2, 3], q_rows)
+            dm.kl_rows(((tp, q, 1),), (1.0,), bad)
+    for tensor_q in (dm.constant(q), dm.parameter(q)):     # a q tensor, tracked or not
+        with pytest.raises(ContractError, match="q as an array"):
+            dm.kl_rows(((dm.constant(p[[0, 2, 3]]), tensor_q, 1),), (1.0,), q_rows)
 
 
 def test_block_kl_rejects_blocks_outside_either_width():
@@ -996,18 +985,20 @@ def test_float32_softmax_slices_sum_to_one_within_float32_rounding():
         assert maps.data.dtype == np.float32
         assert np.abs(maps.data.sum(axis=ax, dtype=np.float64) - 1.0).max() < 2e-7
     # the KL reads them in float64, so its 1e-6 sum check holds with room
-    out = dm.kl_rows(((p, p, 2),), (1.0,), [0, 5], [0, 5])
+    out = dm.kl_rows(((p, p.data, 2),), (1.0,), np.arange(6))
     assert out.data.dtype == np.float64 and abs(out.item()) < 1e-12
 
 
 def test_kl_rows_at_rejects_bad_rows_and_weights():
     t = dm.constant(np.full((3, 2), 0.5))
-    for rows in ([], [0, 0], [1, 0], [-1], [3], [[0]]):
+    for rows in ([], [0, 1], [-1, 0, 1], [0, 1, 3], [[0, 1, 2]]):
         with pytest.raises(ContractError):
-            dm.kl_rows(((t, t, 1),), (1.0,), rows, rows)
+            dm.kl_rows(((t, t.data, 1),), (1.0,), rows)
+    with pytest.raises(ContractError):     # no rows at all
+        dm.kl_rows(((dm.constant(np.zeros((0, 2))), t.data, 1),), (1.0,), [])
     with pytest.raises(ContractError):     # distributions across rows
-        dm.kl_rows(((t, t, 0),), (1.0,), [0], [0])
+        dm.kl_rows(((t, t.data, 0),), (1.0,), [0, 1, 2])
     with pytest.raises(ContractError):
-        dm.kl_rows(((t, t, 1),), (1.0, 0.0), [0], [0])
+        dm.kl_rows(((t, t.data, 1),), (1.0, 0.0), [0, 1, 2])
     with pytest.raises(ContractError):
-        dm.kl_rows(((t, dm.constant(np.full((3, 4), 0.25)), 1),), (1.0,), [0], [0])
+        dm.kl_rows(((t, np.full((3, 4), 0.25), 1),), (1.0,), [0, 1, 2])

@@ -124,11 +124,13 @@ def test_attention_backward_peak_stays_below_one_and_a_half_visual_batches():
     rows = np.flatnonzero(mask)
     cached = mdl.forward(mdl.snapshot(mdl.init_params(d, 4, seed=3)), audio, visual,
                          "audiovisual", rows, batch)
-    teacher = obj.TeacherBatch(cached.logits.data, cached.maps, np.arange(k))
+    teacher = obj.TeacherBatch(cached.logits.data,
+                               (cached.maps.spatial.data, cached.maps.temporal.data),
+                               np.arange(k))
     tracemalloc.start()
     try:
         trace = mdl.forward(params, audio, visual, "audiovisual", rows, batch)
-        loss = obj.total_loss(trace, teacher, rng.integers(0, 8, size=n), mask,
+        loss = obj.total_loss(trace, teacher, rng.integers(0, 8, size=n),
                               obj.TaskLayout((4, 4)), obj.LossWeights())
         tracemalloc.reset_peak()
         dm.backward(loss)
@@ -410,13 +412,13 @@ def _graph_nodes(loss):
 
 
 def _loss_on(params, teacher, audio, visual):
-    trace = mdl.forward(params, audio, visual)
+    replay = np.array([0, 1])
+    trace = mdl.forward(params, audio, visual, map_rows=replay)
     cached = mdl.forward(teacher, audio, visual)
-    mask = np.array([True, True, False, False, False])
-    loss = obj.total_loss(trace, obj.TeacherBatch(cached.logits.data, cached.maps,
-                                                  np.flatnonzero(mask)),
-                          np.array([0, 1, 2, 3, 2]), mask,
-                          obj.TaskLayout((2, 2)), obj.LossWeights())
+    teacher_maps = (cached.maps.spatial.data, cached.maps.temporal.data)
+    loss = obj.total_loss(trace, obj.TeacherBatch(cached.logits.data, teacher_maps, replay),
+                          np.array([0, 1, 2, 3, 2]), obj.TaskLayout((2, 2)),
+                          obj.LossWeights())
     return trace, loss
 
 

@@ -91,6 +91,11 @@ def random_maps(rng, n=5, l=3, s=4, d=2):
     return spa, tem
 
 
+def replayed_maps(spa, tem, rows):
+    """The current maps as training hands them to `vad`: the replayed rows only."""
+    return AttentionMaps(dm.constant(spa[rows]), dm.constant(tem[rows]))
+
+
 # --- instance alignment ---------------------------------------------------
 
 
@@ -176,23 +181,21 @@ def test_vad_identical_maps_is_exactly_zero():
     rng = np.random.default_rng(4)
     spa, tem = random_maps(rng)
     cur = AttentionMaps(dm.constant(spa), dm.constant(tem))
-    tea = AttentionMaps(dm.constant(spa.copy()), dm.constant(tem.copy()))
-    assert obj.vad(cur, tea, np.ones(5, dtype=bool), 0.5, np.arange(5)).item() == 0.0
+    assert obj.vad(cur, (spa.copy(), tem.copy()), np.arange(5), 0.5).item() == 0.0
 
 
 def test_vad_empty_mask_is_exactly_zero():
     rng = np.random.default_rng(5)
     spa, tem = random_maps(rng)
     spa2, tem2 = random_maps(rng)
-    cur = AttentionMaps(dm.constant(spa), dm.constant(tem))
-    tea = AttentionMaps(dm.constant(spa2), dm.constant(tem2))
-    assert obj.vad(cur, tea, np.zeros(5, dtype=bool), 0.5, np.arange(0)).item() == 0.0
+    cur = AttentionMaps(dm.constant(spa[:0]), dm.constant(tem[:0]))    # no replayed row
+    assert obj.vad(cur, (spa2, tem2), np.arange(0), 0.5).item() == 0.0
 
 
 def test_vad_single_cell_analytic_value():
     cur = AttentionMaps(dm.constant([[[[0.5], [0.5]]]]), dm.constant([[[1.0]]]))
-    tea = AttentionMaps(dm.constant([[[[0.25], [0.75]]]]), dm.constant([[[1.0]]]))
-    got = obj.vad(cur, tea, np.array([True]), 1.0, np.arange(1)).item()
+    tea = (np.array([[[[0.25], [0.75]]]]), np.array([[[1.0]]]))
+    got = obj.vad(cur, tea, np.arange(1), 1.0).item()
     assert abs(got - 0.5 * math.log(4.0 / 3.0)) < 1e-12
     assert abs(got - 0.143841) < 5e-7
 
@@ -201,15 +204,12 @@ def test_vad_only_masked_samples_count():
     rng = np.random.default_rng(6)
     spa_c, tem_c = random_maps(rng)
     spa_t, tem_t = random_maps(rng)
-    spa_c2 = spa_c.copy()
-    spa_c2[0] = rng.dirichlet(np.ones(4), size=(3, 2)).transpose(0, 2, 1)
-    mask = np.array([False, True, True, True, True])
-    a = obj.vad(AttentionMaps(dm.constant(spa_c), dm.constant(tem_c)),
-                AttentionMaps(dm.constant(spa_t), dm.constant(tem_t)), mask, 0.5,
-                np.flatnonzero(mask)).item()
-    b = obj.vad(AttentionMaps(dm.constant(spa_c2), dm.constant(tem_c)),
-                AttentionMaps(dm.constant(spa_t), dm.constant(tem_t)), mask, 0.5,
-                np.flatnonzero(mask)).item()
+    spa_t2 = spa_t.copy()
+    spa_t2[0] = rng.dirichlet(np.ones(4), size=(3, 2)).transpose(0, 2, 1)
+    rows = np.flatnonzero([False, True, True, True, True])
+    cur = replayed_maps(spa_c, tem_c, rows)
+    a = obj.vad(cur, (spa_t, tem_t), rows, 0.5).item()
+    b = obj.vad(cur, (spa_t2, tem_t), rows, 0.5).item()    # a teacher row never read
     assert a == b
 
 
@@ -220,9 +220,8 @@ def test_vad_matches_brute_force(seed):
     spa_t, tem_t = random_maps(rng)
     mask = rng.random(5) < 0.6
     lam = 0.3
-    ours = obj.vad(AttentionMaps(dm.constant(spa_c), dm.constant(tem_c)),
-                   AttentionMaps(dm.constant(spa_t), dm.constant(tem_t)), mask, lam,
-                   np.flatnonzero(mask)).item()
+    rows = np.flatnonzero(mask)
+    ours = obj.vad(replayed_maps(spa_c, tem_c, rows), (spa_t, tem_t), rows, lam).item()
     assert abs(ours - brute_vad(spa_c, spa_t, tem_c, tem_t, mask, lam)) < 1e-9
 
 
@@ -230,11 +229,15 @@ def test_vad_rejects_shape_mismatch_and_bad_lambda():
     rng = np.random.default_rng(7)
     spa, tem = random_maps(rng)
     cur = AttentionMaps(dm.constant(spa), dm.constant(tem))
-    small = AttentionMaps(dm.constant(spa[:, :2]), dm.constant(tem[:, :2]))
     with pytest.raises(ContractError):
-        obj.vad(cur, small, np.ones(5, dtype=bool), 0.5, np.arange(5))
+        obj.vad(cur, (spa[:, :2], tem[:, :2]), np.arange(5), 0.5)
     with pytest.raises(ContractError):
-        obj.vad(cur, cur, np.ones(5, dtype=bool), 1.5, np.arange(5))
+        obj.vad(cur, (spa, tem), np.arange(5), 1.5)
+    with pytest.raises(ContractError):     # no current maps
+        obj.vad(None, (spa, tem), np.arange(5), 0.5)
+    for held, teacher_rows in ((cur, np.arange(4)), (replayed_maps(spa, tem, []), [0, 1])):
+        with pytest.raises(ContractError, match="one map row per current map row"):
+            obj.vad(held, (spa, tem), teacher_rows, 0.5)
 
 
 # --- separated softmax ----------------------------------------------------
@@ -370,7 +373,7 @@ def _reference_tkd(logits, teacher, layout):
         lo, hi = layout.block_bounds(task)
         cur = dm.softmax(dm.slice_axis(logits, 1, lo, hi), axis=1)
         tea = dm.softmax(dm.slice_axis(dm.constant(teacher), 1, lo, hi), axis=1)
-        part = dm.kl_rows(((cur, tea, 1),), (1.0,), every_row, every_row)
+        part = dm.kl_rows(((cur, tea.data, 1),), (1.0,), every_row)
         total = part if total is None else total + part
     return total
 
@@ -422,10 +425,13 @@ def make_trace(rng, n, layout_total, l=2, s=2, d=4, with_maps=True):
 
 
 def cached(trace, mask=None):
-    """A teacher's `trace` as the `TeacherBatch` training caches: its logits,
-    and its maps read at the masked rows."""
-    return obj.TeacherBatch(trace.logits.data, trace.maps,
-                            None if mask is None else np.flatnonzero(mask))
+    """A teacher's `trace` as the `TeacherBatch` training caches: its logits
+    and, given a mask, its map arrays read at the masked rows."""
+    if mask is None:
+        return obj.TeacherBatch(trace.logits.data, None, None)
+    return obj.TeacherBatch(trace.logits.data,
+                            (trace.maps.spatial.data, trace.maps.temporal.data),
+                            np.flatnonzero(mask))
 
 
 def test_total_loss_first_step_is_ce_plus_contrastive():
@@ -434,7 +440,7 @@ def test_total_loss_first_step_is_ce_plus_contrastive():
     trace = make_trace(rng, 5, 4)
     labels = rng.integers(0, 4, size=5)
     w = obj.LossWeights(lambda_i=0.5, lambda_c=1.0, tau=0.1)
-    total = obj.total_loss(trace, None, labels, None, layout, w).item()
+    total = obj.total_loss(trace, None, labels, layout, w).item()
     expected = obj.ss_ce(trace.logits, labels, layout).item() \
         + obj.d_avsc(trace.audio, trace.attended_visual, labels, w).item()
     assert abs(total - expected) < 1e-12
@@ -448,23 +454,25 @@ def test_total_loss_composes_all_four_terms():
     labels = rng.integers(0, 5, size=6)
     mask = np.array([True, False, True, False, False, True])
     teacher = cached(teacher_trace, mask)
+    trace.maps = replayed_maps(trace.maps.spatial.data, trace.maps.temporal.data,
+                               teacher.map_rows)
     w = obj.LossWeights(lambda_i=0.4, lambda_c=0.8, lambda_vad=0.6, tau=0.2)
-    total = obj.total_loss(trace, teacher, labels, mask, layout, w).item()
+    total = obj.total_loss(trace, teacher, labels, layout, w).item()
     expected = obj.ss_ce(trace.logits, labels, layout).item() \
         + obj.tkd(trace.logits, teacher.logits, layout).item() \
         + obj.d_avsc(trace.audio, trace.attended_visual, labels, w).item() \
-        + obj.vad(trace.maps, teacher.maps, mask, 0.6, np.flatnonzero(mask)).item()
+        + obj.vad(trace.maps, teacher.maps, teacher.map_rows, 0.6).item()
     assert abs(total - expected) < 1e-12
 
 
-def test_total_loss_mask_none_skips_attention_distillation():
+def test_total_loss_teacher_without_maps_skips_attention_distillation():
     rng = np.random.default_rng(14)
     layout = obj.TaskLayout((3, 2))
     trace = make_trace(rng, 4, 5)
     teacher = cached(make_trace(rng, 4, 3))
     labels = rng.integers(0, 5, size=4)
     w = obj.LossWeights(lambda_i=0.0, lambda_c=0.0)
-    skipped = obj.total_loss(trace, teacher, labels, None, layout, w).item()
+    skipped = obj.total_loss(trace, teacher, labels, layout, w).item()
     expected = obj.ss_ce(trace.logits, labels, layout).item() \
         + obj.tkd(trace.logits, teacher.logits, layout).item()
     assert skipped == expected
@@ -476,9 +484,9 @@ def test_total_loss_teacher_presence_contract():
     teacher = cached(make_trace(rng, 3, 2))
     labels = np.zeros(3, dtype=int)
     with pytest.raises(ContractError):
-        obj.total_loss(trace, teacher, labels, None, obj.TaskLayout((4,)), obj.LossWeights())
+        obj.total_loss(trace, teacher, labels, obj.TaskLayout((4,)), obj.LossWeights())
     with pytest.raises(ContractError):
-        obj.total_loss(trace, None, labels, None, obj.TaskLayout((2, 2)), obj.LossWeights())
+        obj.total_loss(trace, None, labels, obj.TaskLayout((2, 2)), obj.LossWeights())
 
 
 def test_total_loss_rejects_a_teacher_forward_trace():
@@ -486,10 +494,8 @@ def test_total_loss_rejects_a_teacher_forward_trace():
     trace = make_trace(rng, 3, 4)
     teacher_trace = make_trace(rng, 3, 2)
     labels = np.zeros(3, dtype=int)
-    for mask in (np.array([True, False, True]), None):
-        with pytest.raises(ContractError):
-            obj.total_loss(trace, teacher_trace, labels, mask, obj.TaskLayout((2, 2)),
-                           obj.LossWeights())
+    with pytest.raises(ContractError):
+        obj.total_loss(trace, teacher_trace, labels, obj.TaskLayout((2, 2)), obj.LossWeights())
 
 
 def test_tkd_takes_the_teacher_logits_as_an_array_only():
@@ -560,12 +566,11 @@ def test_vad_gradients_pass_finite_differences():
     raw = rng.normal(size=(n, l, s, d))
     raw_tem = rng.normal(size=(n, l, d))
     tea_spa, tea_tem = random_maps(rng, n, l, s, d)
-    tea = AttentionMaps(dm.constant(tea_spa), dm.constant(tea_tem))
-    mask = np.array([True, True, False])
+    rows = np.flatnonzero([True, True, False])
 
     def f(t):
-        maps = AttentionMaps(dm.softmax(t, axis=2),
-                             dm.softmax(dm.constant(raw_tem), axis=1))
-        return obj.vad(maps, tea, mask, 0.4, np.flatnonzero(mask))
+        maps = AttentionMaps(dm.softmax(dm.take(t, rows), axis=2),
+                             dm.softmax(dm.constant(raw_tem[rows]), axis=1))
+        return obj.vad(maps, (tea_spa, tea_tem), rows, 0.4)
 
     assert dm.grad_check(f, dm.constant(raw), h=1e-5) < 1e-6
