@@ -1,12 +1,12 @@
 """Strategy registry: one loss composer per training regime, shared backbone.
 
 Every composer has the same signature over a forward trace, the teacher's
-optional `TeacherBatch`, integer labels, the class layout, and the loss
+optional logits of the batch, integer labels, the class layout, and the loss
 weights; the protocol stays strategy-agnostic. Flags tell the protocol what
 the strategy consumes (replay memory, a teacher snapshot, the replay rows'
-attention maps), how the oracle retrains, and which predictor evaluates it.
-Attention distillation reads the maps the protocol handed over, so a
-composer that must not distill hands `total_loss` a teacher without them.
+attention distillation), how the oracle retrains, and which predictor
+evaluates it. Attention distillation is an output of the forward trace, so a
+composer that must not distill hands `total_loss` a trace without it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .diffmath import DiffTensor
 from .errors import ConfigError
 from .model import ForwardTrace
 
-Composer = Callable[[ForwardTrace, Optional[obj.TeacherBatch], np.ndarray,
+Composer = Callable[[ForwardTrace, Optional[np.ndarray], np.ndarray,
                      obj.TaskLayout, obj.LossWeights], DiffTensor]
 
 
@@ -33,15 +33,15 @@ class Strategy:
     retrains_on_all: bool
     nme_eval: bool
     compose: Composer
-    distills_attention: bool = False    # its loss reads the replay rows' attention maps
+    distills_attention: bool = False    # its loss distills the replay rows' attention
 
 
-def finetune_loss(trace, teacher, labels, layout, weights):
+def finetune_loss(trace, teacher_logits, labels, layout, weights):
     """Plain cross-entropy over the full head; no replay, no teacher."""
     return obj.cross_entropy(trace.logits, labels)
 
 
-def lwf_loss(trace, teacher, labels, layout, weights):
+def lwf_loss(trace, teacher_logits, labels, layout, weights):
     """CE plus KL from the current old-class softmax to the teacher's.
 
     One softmax over all previous classes together, unlike the task-wise
@@ -49,11 +49,11 @@ def lwf_loss(trace, teacher, labels, layout, weights):
     holds every old class. Reduces to plain CE at the first step.
     """
     ce = obj.cross_entropy(trace.logits, labels)
-    if teacher is None:
+    if teacher_logits is None:
         return ce
     old = layout.old_count
     one_block = obj.TaskLayout((old, layout.total_classes - old))
-    return ce + obj.tkd(trace.logits, teacher.logits, one_block)
+    return ce + obj.tkd(trace.logits, teacher_logits, one_block)
 
 
 # replay variants distill exactly like lwf; they differ in memory use and,
@@ -61,12 +61,10 @@ def lwf_loss(trace, teacher, labels, layout, weights):
 icarl_loss = lwf_loss
 
 
-def ssil_loss(trace, teacher, labels, layout, weights):
+def ssil_loss(trace, teacher_logits, labels, layout, weights):
     """Separated softmax plus task-wise distillation, nothing else."""
     zeroed = replace(weights, lambda_i=0.0, lambda_c=0.0)
-    if teacher is not None:
-        teacher = replace(teacher, maps=None)
-    return obj.total_loss(trace, teacher, labels, layout, zeroed)
+    return obj.total_loss(replace(trace, vad=None), teacher_logits, labels, layout, zeroed)
 
 
 _STRATEGIES = {

@@ -13,9 +13,10 @@ float32 (the model's (N, L, S, d) visual grid, its attention maps and its
 included, is float64. The fused primitives `tanh_matmul`, `product_sum` and
 `attend` (the whole attention block, run in row chunks) compute in float32
 when an input is float32, return a result of two or fewer axes as float64,
-and hand each operand its gradient in its own dtype. `kl_rows` and
-`block_kl` always compute in float64. Float64 inputs never meet a cast, so
-an all-float64 graph runs exactly the float64 arithmetic.
+and hand each operand its gradient in its own dtype. `kl_rows`, `block_kl`
+and `attend`'s attention distillation always compute in float64. Float64
+inputs never meet a cast, so an all-float64 graph runs exactly the float64
+arithmetic.
 """
 
 from __future__ import annotations
@@ -429,21 +430,14 @@ def _attend_spatial(visual: Array, w: Array, audio: Array) -> tuple[Array, Array
     return scores, _softmax_data(spatial, 2, out=spatial)
 
 
-def _with_map_grad(g_map: Array | None, at: Array, g: Array | None,
-                   shape: tuple[int, ...]) -> Array | None:
-    """The gradient a map's own node would have held: `g_map` written at rows
-    `at` of zeros of `shape`, plus the block's own part `g` when there is one."""
-    if g_map is None:
-        return g
-    full = np.zeros(shape, g_map.dtype if g is None else np.result_type(g_map, g))
-    full[at] = g_map
-    if g is not None:
-        full += g
-    return full
+def _f64(t: Array) -> Array:
+    """`t` in float64, not copied when it already is."""
+    return t.astype(np.float64, copy=False)
 
 
 def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_rows=None,
-           rows=None) -> tuple[DiffTensor, DiffTensor, DiffTensor]:
+           rows=None, distill=None
+           ) -> tuple[DiffTensor, tuple[Array, Array] | None, DiffTensor | None]:
     """Audio-guided attention pooling of an (N, L, S, d) visual grid, as one node.
 
     The grid is the batch rows `rows` of the array `visual` (every row when
@@ -451,11 +445,21 @@ def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_row
     of it is gathered at a time. With v = tanh(grid @ w_visual) and a the
     (N, d) `score_audio`, the spatial map is softmax over S of a * v, the
     temporal map softmax over L of the spatially pooled sum(spatial * v),
-    and the result the (N, d) float64 vector sum over L of temporal * sum
-    over S of (grid * spatial). It also returns the spatial (k, L, S, d)
-    and temporal (k, L, d) maps of the k strictly increasing batch rows
-    `map_rows` only (every row when None), as two tensors whose gradients
-    the node's VJP takes in.
+    and the pooled vector the (N, d) float64 sum over L of temporal * sum
+    over S of (grid * spatial).
+
+    Returns `(pooled, maps, vad)` for the maps of the k strictly increasing
+    batch rows `map_rows` (every row when None). Without `distill`, `maps`
+    is their spatial (k, L, S, d) and temporal (k, L, d) arrays and `vad`
+    None. Given `distill` = `((spatial, temporal), teacher_rows,
+    lambda_vad)`, a frozen teacher's map arrays (checked by whoever caches
+    them) and its row of each map row, `maps` is None and `vad` the scalar
+    node lambda_vad * mean spatial KL + (1 - lambda_vad) * mean temporal KL
+    to the teacher, in float64: `kl_rows`' value on the map arrays, bit for
+    bit when the batch is one chunk or each chunk one row, and an exact 0
+    with no map row. Each chunk's spatial KL is summed as its map is built
+    and its gradient added to the chunk's map gradient in the VJP, so no
+    (k, L, S, d) map or map gradient exists.
 
     The grid runs in row chunks of about `ATTEND_CHUNK_ENTRIES` entries,
     each gathered from `visual` when it is read, and in float32 when
@@ -485,6 +489,18 @@ def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_row
     if kept.ndim != 1 or (kept.size and (kept[0] < 0 or kept[-1] >= n
                                          or (kept[1:] <= kept[:-1]).any())):
         raise ContractError("attend needs strictly increasing 1-d map rows inside the batch")
+    if distill is not None:
+        (q_spatial, q_temporal), q_rows, lambda_vad = distill
+        q_rows = np.asarray(q_rows, dtype=np.int64)
+        if not (isinstance(q_spatial, np.ndarray) and isinstance(q_temporal, np.ndarray)
+                and q_spatial.shape[1:] == (ell, cells, d) and q_temporal.shape[1:] == (ell, d)):
+            raise ContractError("attend distills toward (M, L, S, d) and (M, L, d) map arrays")
+        if q_rows.shape != kept.shape or (q_rows.size and (
+                q_rows.min() < 0 or q_rows.max() >= min(len(q_spatial), len(q_temporal)))):
+            raise ContractError("attend needs one teacher map row, inside the teacher's maps, "
+                                "per map row")
+        if not 0.0 <= lambda_vad <= 1.0:
+            raise ContractError("lambda_vad must lie in [0, 1]")
     dt = np.float32 if np.float32 in (_policy_dtype(source), w_visual.data.dtype) else np.float64
     wd = w_visual.data.astype(dt, copy=False)
     ad = score_audio.data.astype(dt, copy=False)
@@ -502,47 +518,55 @@ def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_row
 
     psum = np.empty((n, ell, d), dt)
     per_frame = np.empty((n, ell, d), dt)
-    spatial_rows = np.empty((kept.size, ell, cells, d), dt)
+    spatial_rows = np.empty((kept.size, ell, cells, d), dt) if distill is None else None
+    kl_spatial = None
     for lo, hi, first, stop in spans:
         last = grid, scores, spatial = chunk_of(lo, hi)
         psum[lo:hi] = (spatial * scores).sum(axis=2)
         per_frame[lo:hi] = (grid * spatial).sum(axis=2)
-        spatial_rows[first:stop] = spatial[kept[first:stop] - lo]
+        if distill is None:
+            spatial_rows[first:stop] = spatial[kept[first:stop] - lo]
+        elif stop > first:
+            part = _kl_sum(_f64(spatial[kept[first:stop] - lo]),
+                           _f64(q_spatial[q_rows[first:stop]]))
+            kl_spatial = part if kl_spatial is None else kl_spatial + part
     _check_softmax_input(psum)
     temporal = _softmax_data(psum, 1)
     pooled = (temporal * per_frame).sum(axis=1)
     need_audio, need_w = score_audio.requires_grad, w_visual.requires_grad
-    taken: dict = {}    # the maps' gradients, handed in by their own nodes' VJPs
+    g_vad = None    # the VAD output's gradient, handed in by its own node's VJP
 
     def vjp(g: Array):
         nonlocal last
-        # each part is None when nothing downstream read the output it comes from
-        g_pool = None if taken.pop("pooled_unread", False) else \
-            g.astype(dt, copy=False).reshape(n, 1, d)
-        g_frame = None if g_pool is None else g_pool * temporal
-        g_tem = _with_map_grad(taken.pop("temporal", None), kept,
-                               None if g_pool is None else g_pool * per_frame, temporal.shape)
-        g_psum = None if g_tem is None else \
-            _softmax_vjp(temporal, 1, g_tem).astype(dt, copy=False)[:, :, None, :]
-        g_spatial_rows = taken.pop("spatial", None)
+        g_pool = g.astype(dt, copy=False).reshape(n, 1, d)
+        if g_vad is not None:
+            gs_spatial = g_vad * lambda_vad / (kept.size * ell * d)
+            gs_temporal = g_vad * (1.0 - lambda_vad) / (kept.size * d)
         g_audio = np.empty((n, 1, 1, d), dt) if need_audio else None
         gw = None
         for lo, hi, first, stop in reversed(spans):
             grid, scores, spatial = last if last is not None else chunk_of(lo, hi)
             last = None
-            g_spa = None if g_frame is None else g_frame[lo:hi, :, None, :] * grid
-            g_spa = _with_map_grad(None if g_spatial_rows is None else g_spatial_rows[first:stop],
-                                   kept[first:stop] - lo, g_spa, spatial.shape)
-            if g_psum is not None:
-                g_from_psum = g_psum[lo:hi] * scores
-                g_spa = g_from_psum if g_spa is None else np.add(g_spa, g_from_psum, out=g_spa)
-            g_spa = _softmax_vjp(spatial, 2, g_spa.astype(dt, copy=False))
+            distilled = g_vad is not None and stop > first
+            at = kept[first:stop] - lo
+            g_tem = g_pool[lo:hi] * per_frame[lo:hi]
+            if distilled:
+                teacher_at = q_rows[first:stop]
+                g_tem[at] += _kl_grad(_f64(temporal[kept[first:stop]]),
+                                      _f64(q_temporal[teacher_at]),
+                                      gs_temporal).astype(dt, copy=False)
+            g_psum = _softmax_vjp(temporal[lo:hi], 1, g_tem).astype(dt, copy=False)[:, :, None, :]
+            g_spa = (g_pool[lo:hi] * temporal[lo:hi])[:, :, None, :] * grid
+            if distilled:
+                g_spa[at] += _kl_grad(_f64(spatial[at]), _f64(q_spatial[teacher_at]),
+                                      gs_spatial).astype(dt, copy=False)
+            np.add(g_spa, g_psum * scores, out=g_spa)
+            g_spa = _softmax_vjp(spatial, 2, g_spa)
             if need_audio:
                 g_audio[lo:hi] = _unbroadcast(g_spa * scores, (hi - lo, 1, 1, d))
             if need_w:
                 g_sc = np.multiply(g_spa, ad[lo:hi, None, None, :])
-                if g_psum is not None:
-                    np.add(g_psum[lo:hi] * spatial, g_sc, out=g_sc)
+                np.add(g_psum * spatial, g_sc, out=g_sc)
                 np.multiply(scores, scores, out=scores)
                 g_sc *= np.subtract(1.0, scores, out=scores)
                 part = np.dot(grid.reshape(-1, d).T, g_sc.reshape(-1, d))
@@ -553,21 +577,27 @@ def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_row
         return ga, None if gw is None else gw.astype(w_visual.data.dtype, copy=False)
 
     out = _node(pooled.astype(np.float64, copy=False), (score_audio, w_visual), vjp, "attend")
+    if distill is None:
+        return out, (spatial_rows, temporal[kept]), None
+    if not kept.size:
+        return out, None, constant(0.0)
+    # the temporal KL in kl_rows' row chunks, so its sum is the one kl_rows gives
+    step = max(1, KL_CHUNK_ENTRIES // (ell * d))
+    kl_temporal = None
+    for i in range(0, kept.size, step):
+        part = _kl_sum(_f64(temporal[kept[i:i + step]]), _f64(q_temporal[q_rows[i:i + step]]))
+        kl_temporal = part if kl_temporal is None else kl_temporal + part
+    value = (kl_spatial / (kept.size * ell * d) * lambda_vad
+             + kl_temporal / (kept.size * d) * (1.0 - lambda_vad))
 
-    def take(name: str):
-        def map_vjp(g: Array):
-            taken[name] = g
-            if out.grad is not None:
-                return (None,)
-            # every reader of the pooled vector has run and none gave it a
-            # gradient (a loss of the maps alone): wake the node's VJP with
-            # a zero gradient that it ignores
-            taken["pooled_unread"] = True
-            return (np.zeros_like(out.data),)
-        return map_vjp
+    def vad_vjp(g: Array):
+        nonlocal g_vad
+        g_vad = float(g)
+        # a node has one output, so this hands the VAD's gradient to the block's
+        # VJP, waking it with a zero gradient when nothing read the pooled vector
+        return (None if out.grad is not None else np.zeros_like(out.data),)
 
-    return (out, _node(spatial_rows, (out,), take("spatial"), "attend_spatial"),
-            _node(temporal[kept], (out,), take("temporal"), "attend_temporal"))
+    return out, None, _node(_as_f64(value), (out,), vad_vjp, "attend_vad")
 
 
 def _masked_lse(z: Array, mask: Array) -> tuple[Array, Array]:
@@ -623,21 +653,31 @@ def _kl_slices(shape: tuple[int, ...], ax: int) -> int:
     return size // shape[ax]
 
 
+def _log_ratio(p: Array, q: Array) -> tuple[Array, Array]:
+    """Where p > 0, and log(p / q) as a new float64 array (q clamped below at
+    `KL_CLAMP`, p read as 1 where it is 0), built with one temporary."""
+    pos = p > 0.0
+    out = np.where(pos, p, 1.0)
+    np.log(out, out=out)
+    log_q = np.maximum(q, KL_CLAMP)
+    out -= np.log(log_q, out=log_q)
+    return pos, out
+
+
 def _kl_sum(p: Array, q: Array) -> float:
     """Sum of p * log(p / q) over float64 arrays; zero p entries add zero."""
-    pos = p > 0.0
-    return np.where(pos, p * (np.log(np.where(pos, p, 1.0)) - np.log(np.maximum(q, KL_CLAMP))),
-                    0.0).sum()
+    pos, terms = _log_ratio(p, q)
+    terms *= p
+    terms[~pos] = 0.0
+    return terms.sum()
 
 
 def _kl_grad(p: Array, q: Array, gs: float) -> Array:
     """Gradient in p of `gs` * `_kl_sum(p, q)`, recomputed from the inputs
     so the forward pass keeps none of its temporaries."""
-    pos = p > 0.0
-    gp = np.log(np.where(pos, p, 1.0))
-    gp -= np.log(np.maximum(q, KL_CLAMP))
+    pos, gp = _log_ratio(p, q)
     gp += 1.0
-    gp = np.where(pos, gp, 0.0)
+    gp[~pos] = 0.0
     gp *= gs
     return gp
 
@@ -686,17 +726,14 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, Array, int]], weights: Sequence[fl
         chunks.append([(slice(i, i + step), q_idx[i:i + step])
                        for i in range(0, q_idx.size, step)])
 
-    def read64(t: Array, at) -> Array:
-        return t[at].astype(np.float64, copy=False)
-
     # the operands are read again by the VJP rather than kept alive until then
     total = None
     for (p, q, _), ax, n, parts, w in zip(pairs, axes, n_slices, chunks, weights):
         kl_sum = None
         for at_p, at_q in parts:
-            p64 = read64(p.data, at_p)
+            p64 = _f64(p.data[at_p])
             check_distributions(p64, ax, "kl_rows p")
-            part = _kl_sum(p64, read64(q, at_q))
+            part = _kl_sum(p64, _f64(q[at_q]))
             kl_sum = part if kl_sum is None else kl_sum + part
         term = kl_sum / n * w
         total = term if total is None else total + term
@@ -709,7 +746,7 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, Array, int]], weights: Sequence[fl
                 gs = float(g) * w / n
                 full = np.empty_like(p.data)
                 for at_p, at_q in parts:
-                    full[at_p] = _kl_grad(read64(p.data, at_p), read64(q, at_q), gs)
+                    full[at_p] = _kl_grad(_f64(p.data[at_p]), _f64(q[at_q]), gs)
             out.append(full)
         return tuple(out)
 

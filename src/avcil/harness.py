@@ -456,7 +456,7 @@ def cli_ablate(config_path) -> Path:
 def cli_export_attention(checkpoint_path, dataset_path, sample_ids: Sequence[int],
                          out_dir) -> List[Path]:
     """Channel-averaged attention maps for chosen samples, one CSV pair each."""
-    params = mdl.load_checkpoint(checkpoint_path)
+    params = mdl.snapshot(mdl.load_checkpoint(checkpoint_path))    # frozen: no graph
     dataset = load_dataset(dataset_path)
     if params.d != dataset.d:
         raise ConfigError(f"the checkpoint has d={params.d}, the dataset d={dataset.d}")
@@ -468,8 +468,8 @@ def cli_export_attention(checkpoint_path, dataset_path, sample_ids: Sequence[int
     for sid in sample_ids:
         row = np.flatnonzero(dataset.ids == sid)
         trace = mdl.forward(params, dataset.audio, dataset.visual, "audiovisual", rows=row)
-        spatial = trace.maps.spatial.data[0].mean(axis=2)     # (L, S)
-        temporal = trace.maps.temporal.data[0].mean(axis=1)   # (L,)
+        spatial = trace.maps[0][0].mean(axis=2)     # (L, S)
+        temporal = trace.maps[1][0].mean(axis=1)    # (L,)
         spath = out / f"sample_{sid}_spatial.csv"
         tpath = out / f"sample_{sid}_temporal.csv"
         _write_csv(spath, [[repr(float(v)) for v in row] for row in spatial])
@@ -534,26 +534,23 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
 
     params = mdl.init_params(d, classes, seed=seed + 1)
     replay = np.arange(2)
-    # the teacher's outputs as training caches them: logits of every row,
-    # map arrays of the replay rows only
-    teacher = mdl.forward(mdl.snapshot(mdl.init_params(d, 2, seed=seed + 2)), audio, visual,
-                          map_rows=replay)
-    teacher_maps = (teacher.maps.spatial.data, teacher.maps.temporal.data)
-    cached = obj.TeacherBatch(teacher.logits.data, teacher_maps, np.arange(replay.size))
+    # the teacher's outputs as training caches them: logits and map arrays
+    teacher = mdl.forward(mdl.snapshot(mdl.init_params(d, 2, seed=seed + 2)), audio, visual)
+    distill = (teacher.maps, replay, weights.lambda_vad)
 
     # `forward` reads the six tensors only, so replacing one leaves `flat` unread
     def student(x):
-        return mdl.forward(dataclasses.replace(params, w_audio=x), audio, visual, map_rows=replay)
+        return mdl.forward(dataclasses.replace(params, w_audio=x), audio, visual,
+                           map_rows=replay, distill=distill)
 
-    check("loss_vad", lambda x: obj.vad(student(x).maps, cached.maps, cached.map_rows,
-                                        weights.lambda_vad), params.w_audio.data.copy())
-    check("loss_total", lambda x: obj.total_loss(student(x), cached, labels, layout, weights),
+    check("loss_vad", lambda x: obj.vad(student(x)), params.w_audio.data.copy())
+    check("loss_total", lambda x: obj.total_loss(student(x), teacher.logits.data, labels,
+                                                 layout, weights),
           params.w_audio.data.copy())
 
     # the fused primitives, each in both operands; `row` broadcasts against `grid`
     row = rng.normal(size=(n, 1, d))
     grid = rng.normal(size=(n, ell, d))
-    probe_grid = rng.normal(size=(n, ell, d))
 
     def weighted(t, weights):
         return (t * dm.constant(weights)).sum()
@@ -566,17 +563,25 @@ def gradcheck_report(seed: int = 0, n: int = 5, d: int = 6, ell: int = 3,
         dm.product_sum(dm.constant(row), x, axis=1), probe), grid)
 
     # the attention block in either operand, read through the pooled vector
-    # alone and through the maps of three rows as well
-    def attended(score_audio, w_visual, rows):
-        pooled, spatial, temporal = dm.attend(score_audio, visual, w_visual, rows)
-        loss = weighted(pooled, probe)
-        if rows.size:
-            loss = loss + weighted(spatial, visual[rows]) + weighted(temporal, probe_grid[rows])
-        return loss
+    # alone, then with its VAD output as well (weighted up to the pooled
+    # part's scale), in row chunks of two: map rows 1 and 2 straddle a chunk
+    # edge, and the teacher's rows are read out of order, row 3 twice
+    def attended(score_audio, w_visual, distilled=False):
+        if not distilled:
+            return weighted(dm.attend(score_audio, visual, w_visual, [])[0], probe)
+        pooled, _, vad = dm.attend(score_audio, visual, w_visual, [1, 2, n - 1],
+                                   distill=(teacher.maps, [3, 0, 3], 0.3))
+        return weighted(pooled, probe) + vad * 10.0
 
-    for tag, rows in (("", np.zeros(0, np.int64)), ("_maps", np.array([0, 2, n - 1]))):
-        check(f"attend{tag}_score_audio", lambda x: attended(x, dm.constant(b), rows), a)
-        check(f"attend{tag}_w_visual", lambda x: attended(dm.constant(a), x, rows), b)
+    check("attend_score_audio", lambda x: attended(x, dm.constant(b)), a)
+    check("attend_w_visual", lambda x: attended(dm.constant(a), x), b)
+    chunk_entries = dm.ATTEND_CHUNK_ENTRIES
+    dm.ATTEND_CHUNK_ENTRIES = 2 * visual[0].size
+    try:
+        check("attend_vad_score_audio", lambda x: attended(x, dm.constant(b), True), a)
+        check("attend_vad_w_visual", lambda x: attended(dm.constant(a), x, True), b)
+    finally:
+        dm.ATTEND_CHUNK_ENTRIES = chunk_entries
 
     # the KL behind vad, whose q is an array read at other rows than p's,
     # row 2 twice; the second pair is constant and only shifts the value

@@ -57,31 +57,22 @@ class ModelParams:
 
 
 @dataclass
-class AttentionMaps:
-    """Attention weights of the batch rows `forward` was asked for, in
-    order: spatial is (k, L, S, d), temporal is (k, L, d).
-
-    Spatial slices sum to 1 over the S axis, temporal over the L axis,
-    independently per sample and channel.
-    """
-
-    spatial: DiffTensor
-    temporal: DiffTensor
-
-
-@dataclass
 class ForwardTrace:
     """Everything downstream losses read from one forward pass.
 
-    `attended_visual` and `maps` are None in audio-only mode; `maps` is also
-    None in visual-only mode, where pooling is uniform instead of attended.
+    `attended_visual` is None in audio-only mode. `maps` holds the spatial
+    (k, L, S, d) and temporal (k, L, d) attention arrays of the batch rows
+    `forward` was asked for, in order, each slice summing to 1 over S or L;
+    `vad` is their distillation instead, when `forward` was given the
+    teacher's maps. Both are None outside the audiovisual mode.
     """
 
     audio: DiffTensor
     attended_visual: DiffTensor | None
     fused: DiffTensor
     logits: DiffTensor
-    maps: AttentionMaps | None
+    maps: tuple[np.ndarray, np.ndarray] | None
+    vad: DiffTensor | None = None
 
 
 def _from_flat(flat: np.ndarray, d: int, num_classes: int, trainable: bool) -> ModelParams:
@@ -131,7 +122,7 @@ def classify(fused: DiffTensor, params: ModelParams) -> DiffTensor:
 
 
 def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
-            map_rows=None, rows=None) -> ForwardTrace:
+            map_rows=None, rows=None, distill=None) -> ForwardTrace:
     """Run a batch through the model.
 
     The batch is the rows `rows` of the arrays `audio` (M, d) and `visual`
@@ -139,14 +130,15 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
     in place: only the batch's audio rows are gathered here, and the
     attention block gathers its visual rows a chunk at a time, so training,
     the teacher pass and evaluation hand over the dataset's own arrays. The
-    attention block is one `dm.attend` node, and the trace's maps hold the
-    strictly increasing batch rows `map_rows` only: training asks for the
-    rows that `vad` reads, evaluation for none, and the default is every
-    row. Float32 visual features keep the attention block, up to the pooled
-    (N, d) vector, in float32; the rest of the model runs in float64 (the
-    dtype policy of `diffmath`). In `audio` mode the visual pathway is
-    dropped; in `visual` mode pooling is uniform over cells and frames (no
-    attention).
+    attention block is one `dm.attend` node. It reads the maps of the
+    strictly increasing batch rows `map_rows` (every row when None) into
+    the trace's map arrays or, given `distill` (see `dm.attend`), into the
+    trace's `vad`: training distills the replay rows toward the teacher's
+    maps, evaluation reads none. Float32 visual features keep the attention
+    block, up to the pooled (N, d) vector, in float32; the rest of the
+    model runs in float64 (the dtype policy of `diffmath`). In `audio` mode
+    the visual pathway is dropped; in `visual` mode pooling is uniform over
+    cells and frames (no attention).
     """
     if modality not in MODALITIES:
         raise ContractError(f"unknown modality {modality!r}")
@@ -169,11 +161,11 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
         return ForwardTrace(audio=audio, attended_visual=pooled, fused=fused,
                             logits=classify(fused, params), maps=None)
     score_audio = dm.tanh_matmul(audio, params.w_audio)
-    attended, spatial, temporal = dm.attend(score_audio, visual, params.w_visual, map_rows,
-                                            rows)
+    attended, maps, vad = dm.attend(score_audio, visual, params.w_visual, map_rows, rows,
+                                    distill)
     fused, logits = fuse_and_classify(audio, attended, params)
     return ForwardTrace(audio=audio, attended_visual=attended, fused=fused,
-                        logits=logits, maps=AttentionMaps(spatial, temporal))
+                        logits=logits, maps=maps, vad=vad)
 
 
 def _check_audio(f_audio: DiffTensor, d: int) -> tuple[int, int]:

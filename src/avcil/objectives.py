@@ -5,9 +5,10 @@ All losses are scalar DiffTensors built from the primitives in `diffmath`, so
 a single backward pass yields gradients through every active term. Terms with
 a zero weight are skipped rather than multiplied by zero, which keeps a run
 with disabled components bit-identical to one that never constructs them.
-The four softmax heads are one `dm.nll` node each, told apart by their masks;
-the two distillation terms are one node each, `tkd` a `dm.block_kl` and `vad`
-a `dm.kl_rows`.
+The four softmax heads are one `dm.nll` node each, told apart by their masks.
+`tkd` is one `dm.block_kl` node. `vad` builds nothing: the attention node
+`dm.attend` computes the distillation while it builds the maps, and `vad`
+reads that output of the forward trace.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import diffmath as dm
 from .diffmath import DiffTensor
 from .errors import ContractError, NumericDomainError
-from .model import AttentionMaps, ForwardTrace
+from .model import ForwardTrace
 
 
 @dataclass(frozen=True)
@@ -134,33 +135,17 @@ def d_avsc(f_audio: DiffTensor, f_visual: DiffTensor, labels,
     return _chain_sum(parts)
 
 
-def vad(current: AttentionMaps | None, teacher_maps: tuple[np.ndarray, np.ndarray],
-        teacher_rows, lambda_vad: float) -> DiffTensor:
+def vad(trace: ForwardTrace) -> DiffTensor:
     """Visual attention distillation on replayed samples only.
 
     KL from the current model's attention to the frozen teacher's, spatial
-    and temporal maps mixed by `lambda_vad`, as one node. `current` holds
-    the maps of exactly the replayed rows, the ones training asked
-    `forward` for, and is read whole; the teacher's `(spatial, temporal)`
-    arrays are read at `teacher_rows[i]` for the i-th of them, track no
-    gradient, and are checked to be distributions by whoever caches them.
-    Maps with no rows contribute an exact zero.
+    and temporal maps mixed by `lambda_vad`: the VAD output of the trace's
+    attention node, which training asks for by handing `forward` the
+    teacher's maps of the replayed rows (see `dm.attend`).
     """
-    if not 0.0 <= lambda_vad <= 1.0:
-        raise ContractError("lambda_vad must lie in [0, 1]")
-    if current is None:
-        raise ContractError("attention distillation needs the current attention maps")
-    spatial, temporal = teacher_maps
-    if current.spatial.shape[1:] != spatial.shape[1:] \
-            or current.temporal.shape[1:] != temporal.shape[1:]:
-        raise ContractError("attention map shapes differ between current and teacher")
-    rows = np.asarray(teacher_rows, dtype=np.int64)
-    if rows.shape != current.spatial.shape[:1]:
-        raise ContractError("the teacher needs one map row per current map row")
-    if rows.size == 0:
-        return dm.constant(0.0)
-    return dm.kl_rows(((current.spatial, spatial, 2), (current.temporal, temporal, 1)),
-                      (lambda_vad, 1.0 - lambda_vad), rows)
+    if trace.vad is None:
+        raise ContractError("attention distillation needs a forward given the teacher's maps")
+    return trace.vad
 
 
 def cross_entropy(logits: DiffTensor, labels) -> DiffTensor:
@@ -205,38 +190,27 @@ def tkd(logits: DiffTensor, teacher_logits: np.ndarray, layout: TaskLayout) -> D
                        [layout.block_bounds(task) for task in range(layout.step - 1)])
 
 
-@dataclass(frozen=True)
-class TeacherBatch:
-    """The frozen teacher's outputs for one batch, read from a cache of the
-    step: its logits of the batch rows, and its `(spatial, temporal)`
-    attention maps as arrays (None when none are kept), whose row
-    `map_rows[i]` belongs to the batch's i-th replayed row."""
-
-    logits: np.ndarray
-    maps: tuple[np.ndarray, np.ndarray] | None
-    map_rows: np.ndarray | None
-
-
-def total_loss(trace: ForwardTrace, teacher: TeacherBatch | None, labels,
+def total_loss(trace: ForwardTrace, teacher_logits: np.ndarray | None, labels,
                layout: TaskLayout, weights: LossWeights) -> DiffTensor:
     """Classification plus the three regularizers, in a fixed order.
 
-    `teacher`, the frozen teacher's outputs for the batch, must be present
-    exactly when the layout has previous tasks. Attention distillation runs
-    exactly when the teacher carries maps, and then reads the trace's maps
-    whole. Contrastive terms need both modal features and apply at every
-    step; distillation terms only from step 2.
+    `teacher_logits`, the frozen teacher's logits of the batch, must be
+    present exactly when the layout has previous tasks. Attention
+    distillation runs exactly when the trace carries it. Contrastive terms
+    need both modal features and apply at every step; distillation terms
+    only from step 2.
     """
-    if (layout.step > 1) != (teacher is not None):
+    if (layout.step > 1) != (teacher_logits is not None):
         raise ContractError("teacher outputs must be present exactly for steps after the first")
     parts = [ss_ce(trace.logits, labels, layout)]
-    if teacher is not None:
-        parts.append(tkd(trace.logits, teacher.logits, layout))
-    if trace.attended_visual is not None and trace.maps is not None \
+    if teacher_logits is not None:
+        parts.append(tkd(trace.logits, teacher_logits, layout))
+    # the attention ran (the audiovisual mode) when it left maps or a distillation
+    if trace.attended_visual is not None and (trace.maps is not None or trace.vad is not None) \
             and (weights.lambda_i != 0.0 or weights.lambda_c != 0.0):
         parts.append(d_avsc(trace.audio, trace.attended_visual, labels, weights))
-    if teacher is not None and teacher.maps is not None:
-        parts.append(vad(trace.maps, teacher.maps, teacher.map_rows, weights.lambda_vad))
+    if trace.vad is not None:
+        parts.append(vad(trace))
     return _chain_sum(parts)
 
 

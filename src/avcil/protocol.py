@@ -24,7 +24,7 @@ from .baselines import Strategy, get_strategy
 from .datasets import FeatureDataset
 from .errors import ConfigError, ContractError, NumericDomainError, TrainingDiverged
 from .metrics import evaluate, forward_chunks
-from .objectives import LossWeights, TaskLayout, TeacherBatch
+from .objectives import LossWeights, TaskLayout
 
 logger = logging.getLogger("avcil.protocol")
 
@@ -215,24 +215,23 @@ def _teacher_outputs(teacher: mdl.ModelParams, dataset: FeatureDataset, pool: np
 
     A row's outputs do not depend on the other rows of its batch, so these
     are the bytes a forward on each training batch would give. The maps are
-    checked to be distributions here, once, so `vad` need not check them
-    in every batch.
+    checked to be distributions here, once, so the attention node that
+    distills toward them need not check them in every batch.
     """
     logits, maps = [], None
     for lo, trace in forward_chunks(teacher, dataset.audio, dataset.visual, config.modality,
                                     pool, config.batch_size,
                                     replay_from if keep_maps else None):
         logits.append(trace.logits.data)
-        if trace.maps is None or trace.maps.spatial.shape[0] == 0:
-            continue
-        chunk_maps = (trace.maps.spatial.data, trace.maps.temporal.data)
-        if maps is None:    # filled in place: no second copy of the replay maps
-            maps = tuple(np.empty((len(pool) - replay_from, *m.shape[1:]), m.dtype)
-                         for m in chunk_maps)
-        first = max(lo, replay_from) - replay_from
-        for kept, m, axis in zip(maps, chunk_maps, (2, 1)):
-            dm.check_distributions(m, axis, "teacher attention maps")
-            kept[first:first + len(m)] = m
+        if trace.maps is not None and len(trace.maps[0]):
+            if maps is None:    # filled in place: no second copy of the replay maps
+                maps = tuple(np.empty((len(pool) - replay_from, *m.shape[1:]), m.dtype)
+                             for m in trace.maps)
+            first = max(lo, replay_from) - replay_from
+            for kept, m, axis in zip(maps, trace.maps, (2, 1)):
+                dm.check_distributions(m, axis, "teacher attention maps")
+                kept[first:first + len(m)] = m
+        del trace   # so the next chunk is built while this one's maps are already freed
     return np.concatenate(logits), maps
 
 
@@ -296,18 +295,18 @@ def train_step(state: StepState, sequence: TaskSequence,
             for start in range(0, n, config.batch_size):
                 idx = perm[start:start + config.batch_size]
                 rows = pool[idx]
-                teacher_batch, map_rows, teacher_rows = None, (), None
+                batch_logits, map_rows, distill = None, (), None
                 if teacher is not None:
+                    batch_logits = teacher_logits[idx]
                     if teacher_maps is not None:
                         map_rows = np.flatnonzero(idx >= replay_from)   # the rows vad reads
-                        teacher_rows = idx[map_rows] - replay_from
-                    teacher_batch = TeacherBatch(teacher_logits[idx], teacher_maps,
-                                                 teacher_rows)
+                        distill = (teacher_maps, idx[map_rows] - replay_from,
+                                   config.weights.lambda_vad)
                 batch = start // config.batch_size
                 try:
                     trace = mdl.forward(params, dataset.audio, dataset.visual,
-                                        config.modality, map_rows, rows)
-                    loss = strategy.compose(trace, teacher_batch, labels[idx], layout,
+                                        config.modality, map_rows, rows, distill)
+                    loss = strategy.compose(trace, batch_logits, labels[idx], layout,
                                             config.weights)
                 except NumericDomainError as err:
                     # parameters an Adam step left non-finite trip a check before the loss

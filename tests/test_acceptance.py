@@ -110,14 +110,14 @@ def test_criterion_03_loss_reduction_identities():
                          train_per_class=3, test_per_class=2, seed=9)
     ds = generate_synthetic(spec)
     batch = ds.audio[:5], ds.visual[:5]
-    maps = mdl.forward(mdl.snapshot(mdl.init_params(6, 4, seed=1)), *batch, "audiovisual").maps
+    student = mdl.snapshot(mdl.init_params(6, 4, seed=1))
+    same = mdl.forward(student, *batch, "audiovisual").maps
     other = mdl.forward(mdl.snapshot(mdl.init_params(6, 4, seed=2)), *batch, "audiovisual").maps
-    same = (maps.spatial.data, maps.temporal.data)
-    assert abs(float(obj.vad(maps, same, np.arange(5), 0.5).data)) <= 1e-9
-    none = mdl.forward(mdl.snapshot(mdl.init_params(6, 4, seed=1)), *batch, "audiovisual",
-                       []).maps
-    assert float(obj.vad(none, (other.spatial.data, other.temporal.data), np.arange(0),
-                         0.5).data) == 0.0
+    every = np.arange(5)
+    assert abs(float(obj.vad(mdl.forward(student, *batch, "audiovisual", every,
+                                         distill=(same, every, 0.5))).data)) <= 1e-9
+    none = mdl.forward(student, *batch, "audiovisual", [], distill=(other, [], 0.5))
+    assert float(obj.vad(none).data) == 0.0
 
     # with a single task the separated softmax is plain cross-entropy
     logits = dm.constant(rng.normal(size=(n, 5)))
@@ -252,10 +252,9 @@ def test_criterion_09_attention_distillation_reduces_drift(bench):
         exemplars = ds.audio[rows], ds.visual[rows]
         teacher = mdl.snapshot(state.params)
         state = train_step(state, seq, ds, cfg, strat)
-        cur = mdl.forward(state.params, *exemplars, "audiovisual").maps
+        cur = mdl.forward(mdl.snapshot(state.params), *exemplars, "audiovisual").maps
         old = mdl.forward(teacher, *exemplars, "audiovisual").maps
-        deltas = [np.abs(cur.spatial.data - old.spatial.data).ravel(),
-                  np.abs(cur.temporal.data - old.temporal.data).ravel()]
+        deltas = [np.abs(c - o).ravel() for c, o in zip(cur, old)]
         return float(np.concatenate(deltas).mean())
 
     for seed in BENCH_SEEDS:

@@ -20,15 +20,13 @@ def tiny_batch(num_classes=4, d=6, n=8, seed=0):
 
 
 def teacher_outputs(teacher, batch, mask=None):
-    """The frozen `teacher`'s outputs on `batch` as the `TeacherBatch`
-    training caches: its logits and, given a mask, its map arrays read at
-    the masked rows."""
+    """The frozen `teacher`'s outputs on `batch` as training hands them over:
+    its logits, for the loss, and, given a mask, the `distill` argument of a
+    student forward that distills the masked rows toward its maps."""
     trace = mdl.forward(teacher, *batch)
     if mask is None:
-        return obj.TeacherBatch(trace.logits.data, None, None)
-    return obj.TeacherBatch(trace.logits.data,
-                            (trace.maps.spatial.data, trace.maps.temporal.data),
-                            np.flatnonzero(mask))
+        return trace.logits.data, None
+    return trace.logits.data, (trace.maps, np.flatnonzero(mask), LossWeights().lambda_vad)
 
 
 def softmax_rows(z):
@@ -102,10 +100,10 @@ def test_lwf_distillation_matches_brute_force():
     # the teacher only knows the first two classes; wire its projections to the
     # student's shapes by reusing the same d
     trace = mdl.forward(student, *batch)
-    cached = teacher_outputs(teacher, batch)
+    cached, _ = teacher_outputs(teacher, batch)
     loss = lwf_loss(trace, cached, labels, TaskLayout((2, 2)), LossWeights())
     ce = float(obj.cross_entropy(trace.logits, labels).data)
-    kd = brute_kl(trace.logits.data[:, :2], cached.logits)
+    kd = brute_kl(trace.logits.data[:, :2], cached)
     assert loss.data == pytest.approx(ce + kd, abs=1e-12)
 
 
@@ -116,7 +114,7 @@ def test_lwf_gradient_reaches_the_old_columns_only_through_kd():
     student = mdl.init_params(6, 4, seed=3)
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     trace = mdl.forward(student, *batch)
-    loss = lwf_loss(trace, teacher_outputs(teacher, batch), labels, TaskLayout((2, 2)),
+    loss = lwf_loss(trace, teacher_outputs(teacher, batch)[0], labels, TaskLayout((2, 2)),
                     LossWeights())
     dm.backward(loss)
     assert student.cls_weight.grad is not None
@@ -129,10 +127,10 @@ def test_ssil_is_separated_ce_plus_task_distillation():
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     layout = TaskLayout((2, 2))
     trace = mdl.forward(student, *batch)
-    cached = teacher_outputs(teacher, batch)
+    cached, _ = teacher_outputs(teacher, batch)
     loss = ssil_loss(trace, cached, labels, layout, LossWeights())
     want = (obj.ss_ce(trace.logits, labels, layout)
-            + obj.tkd(trace.logits, cached.logits, layout))
+            + obj.tkd(trace.logits, cached, layout))
     assert loss.data == want.data
 
 
@@ -142,10 +140,11 @@ def test_ssil_ignores_contrastive_weights_and_mask():
     teacher = mdl.snapshot(mdl.init_params(6, 2, seed=7))
     layout = TaskLayout((2, 2))
     mask = np.array([True, False] * 4)
-    trace = mdl.forward(student, *batch, map_rows=np.flatnonzero(mask))
+    cached, distill = teacher_outputs(teacher, batch, mask)
+    trace = mdl.forward(student, *batch, map_rows=np.flatnonzero(mask), distill=distill)
     heavy = LossWeights(lambda_i=3.0, lambda_c=2.0, lambda_vad=0.9)
-    a = ssil_loss(trace, teacher_outputs(teacher, batch, mask), labels, layout, heavy)
-    b = ssil_loss(trace, teacher_outputs(teacher, batch), labels, layout, LossWeights())
+    a = ssil_loss(trace, cached, labels, layout, heavy)
+    b = ssil_loss(mdl.forward(student, *batch), cached, labels, layout, LossWeights())
     assert a.data == b.data
 
 
@@ -156,7 +155,7 @@ def test_avcil_all_off_is_bitwise_ssil():
     layout = TaskLayout((2, 2))
     off = LossWeights(lambda_i=0.0, lambda_c=0.0)
     trace = mdl.forward(student, *batch)
-    cached = teacher_outputs(teacher, batch)
+    cached, _ = teacher_outputs(teacher, batch)
     a = get_strategy("avcil").compose(trace, cached, labels, layout, off)
     b = ssil_loss(trace, cached, labels, layout, LossWeights())
     assert a.data == b.data
@@ -169,8 +168,9 @@ def test_avcil_equals_total_loss():
     layout = TaskLayout((2, 2))
     mask = np.zeros(8, dtype=bool)
     mask[:2] = True
-    trace = mdl.forward(student, *batch, map_rows=np.flatnonzero(mask))
-    cached = teacher_outputs(teacher, batch, mask)
+    cached, distill = teacher_outputs(teacher, batch, mask)
+    trace = mdl.forward(student, *batch, map_rows=np.flatnonzero(mask), distill=distill)
+    assert trace.vad is not None
     a = get_strategy("avcil").compose(trace, cached, labels, layout, LossWeights())
     b = obj.total_loss(trace, cached, labels, layout, LossWeights())
     assert a.data == b.data
@@ -184,8 +184,9 @@ def test_every_composer_backpropagates_finite_gradients():
     for tag in STRATEGY_TAGS:
         student = mdl.init_params(6, 4, seed=3)
         s = get_strategy(tag)
-        trace = mdl.forward(student, *batch, map_rows=np.flatnonzero(mask))
-        cached = teacher_outputs(teacher, batch, mask) if s.uses_teacher else None
+        cached, distill = (teacher_outputs(teacher, batch, mask) if s.uses_teacher
+                           else (None, None))
+        trace = mdl.forward(student, *batch, map_rows=np.flatnonzero(mask), distill=distill)
         loss = s.compose(trace, cached, labels, layout, LossWeights())
         dm.backward(loss)
         for p in student.parameters():

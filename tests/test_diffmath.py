@@ -504,18 +504,31 @@ def _cast(t, dtype):
     return dm._node(t.data.astype(dtype), (t,), lambda g: (g.astype(t.data.dtype),), "cast")
 
 
-def _attention_block(score_audio, visual, w_visual, map_rows, fused):
-    """The pooled vector and the maps of `map_rows`, from `attend` or from
-    the elementary composite it replaces (its maps then hold every row)."""
+def _attention_block(score_audio, visual, w_visual, map_rows, fused, distill=None):
+    """The pooled vector, and the maps of `map_rows` or, given `distill`, their
+    VAD, from `attend` or from the elementary composite it replaces (whose
+    maps then hold every row, and whose VAD is a `kl_rows` of their rows)."""
     if fused:
-        return dm.attend(score_audio, visual.data, w_visual, map_rows)
+        pooled, maps, vad = dm.attend(score_audio, visual.data, w_visual, map_rows,
+                                      distill=distill)
+        return (pooled, vad) if distill is not None else (pooled, *maps)
     n, d = score_audio.shape
     dt = visual.data.dtype
     scores = dm.tanh(dm.matmul(visual, _cast(w_visual, dt)))
     spatial = dm.softmax(_cast(score_audio, dt).reshape((n, 1, 1, d)) * scores, axis=2)
     temporal = dm.softmax((spatial * scores).sum(axis=2), axis=1)
     pooled = (temporal * (visual * spatial).sum(axis=2)).sum(axis=1)
-    return _cast(pooled, np.float64), spatial, temporal
+    pooled = _cast(pooled, np.float64)
+    if distill is None:
+        return pooled, spatial, temporal
+    return pooled, _composite_vad(spatial, temporal, map_rows, distill)
+
+
+def _composite_vad(spatial, temporal, map_rows, distill):
+    """The composite's VAD: one `kl_rows` node over the map rows of its maps."""
+    (q_spatial, q_temporal), q_rows, lam = distill
+    return dm.kl_rows(((dm.take(spatial, map_rows), q_spatial, 2),
+                       (dm.take(temporal, map_rows), q_temporal, 1)), (lam, 1.0 - lam), q_rows)
 
 
 def _stack(parts):
@@ -537,27 +550,32 @@ def _composite_by_row(score_audio, visual, w_visual):
 
 def _attend_run(data, map_rows, block):
     """Loss, pooled vector, maps of `map_rows` and both operand gradients of
-    a loss that reads the pooled vector and, as `vad` does, the map rows;
-    the block is `attend` ("fused"), the composite ("composite") or the
-    composite run row by row ("by_row")."""
+    a loss that reads the pooled vector and, as training does, the VAD of
+    the map rows toward the teacher's maps at other rows; the block is
+    `attend` ("fused"), the composite ("composite") or the composite run row
+    by row ("by_row")."""
     audio, visual, w, probe, q_spatial, q_temporal = data
     score_audio, w_visual = dm.parameter(audio), dm.parameter(w)
-    fused = block == "fused"
+    distill = ((q_spatial, q_temporal), (map_rows + 2) % len(audio), 0.3)
     if block == "by_row":
         pooled, spatial, temporal = _composite_by_row(score_audio, dm.constant(visual),
                                                       w_visual)
+        vad = _composite_vad(spatial, temporal, map_rows, distill) if map_rows.size else None
+    elif map_rows.size:
+        pooled, vad = _attention_block(score_audio, dm.constant(visual), w_visual, map_rows,
+                                       block == "fused", distill)
     else:
-        pooled, spatial, temporal = _attention_block(score_audio, dm.constant(visual),
-                                                     w_visual, map_rows, fused)
-    if not fused:
-        spatial, temporal = dm.take(spatial, map_rows), dm.take(temporal, map_rows)
+        pooled = _attention_block(score_audio, dm.constant(visual), w_visual, map_rows,
+                                  block == "fused")[0]
     loss = (pooled * dm.constant(probe)).sum()
     if map_rows.size:
-        loss = loss + dm.kl_rows(((spatial, q_spatial, 2), (temporal, q_temporal, 1)),
-                                 (0.3, 0.7), map_rows)
+        loss = loss + vad
     dm.backward(loss)
-    return (loss.data, pooled.data, spatial.data, temporal.data, score_audio.grad,
-            w_visual.grad)
+    maps = _attention_block(dm.constant(audio), dm.constant(visual), dm.constant(w), map_rows,
+                            block == "fused")[1:]
+    if block != "fused":
+        maps = tuple(m.data[map_rows] for m in maps)
+    return (loss.data, pooled.data, *maps, score_audio.grad, w_visual.grad)
 
 
 def test_attend_matches_composite_bitwise(monkeypatch):
@@ -569,14 +587,16 @@ def test_attend_matches_composite_bitwise(monkeypatch):
     for dtype in (np.float32, np.float64):
         data[1] = data[1].astype(dtype)
         for chunk in (1, n * ell * cells * d):     # one row per chunk, the whole batch in one
+            # kl_rows sums its rows in the same chunks as the attention
             monkeypatch.setattr(dm, "ATTEND_CHUNK_ENTRIES", chunk)
+            monkeypatch.setattr(dm, "KL_CHUNK_ENTRIES", chunk)
             for map_rows in ([], [1, 4], range(n)):
                 map_rows = np.array(map_rows, dtype=np.int64)
                 fused = _attend_run(data, map_rows, "fused")
                 composite = _attend_run(data, map_rows, "composite")
                 if chunk == 1:      # w_visual's gradient: one product per chunk, summed
                     composite = (*composite[:-1], _attend_run(data, map_rows, "by_row")[-1])
-                for got, want in zip(fused, composite):
+                for got, want in zip(fused, composite, strict=True):
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -585,8 +605,8 @@ def test_attend_reads_its_rows_of_the_grid_in_place(monkeypatch):
     m, ell, cells, d = 9, 3, 4, 5
     rows = np.array([7, 2, 2, 0, 5, 8])    # any order, a row twice
     audio, w = rng.normal(size=(rows.size, d)), rng.normal(size=(d, d)) / np.sqrt(d)
-    probes = (rng.normal(size=(rows.size, d)), rng.normal(size=(2, ell, cells, d)),
-              rng.normal(size=(2, ell, d)))
+    probe = rng.normal(size=(rows.size, d))
+    teacher = (_dists(rng, (3, ell, cells, d), 2), _dists(rng, (3, ell, d), 1))
     for dtype in (np.float32, np.float64):
         source = rng.normal(size=(m, ell, cells, d)).astype(dtype)
         for chunk in (ell * cells * d * 2, rows.size * ell * cells * d):   # 3 chunks, or 1
@@ -594,10 +614,11 @@ def test_attend_reads_its_rows_of_the_grid_in_place(monkeypatch):
             runs = []
             for grid, at in ((source, rows), (source[rows], None)):
                 score_audio, w_visual = dm.parameter(audio), dm.parameter(w)
-                outputs = dm.attend(score_audio, grid, w_visual, [1, 4], at)
-                dm.backward(sum(((t * dm.constant(p)).sum() for t, p in zip(outputs, probes)),
-                                dm.constant(0.0)))
-                runs.append([t.data.tobytes() for t in outputs]
+                _, maps, _ = dm.attend(dm.constant(audio), grid, dm.constant(w), [1, 4], at)
+                pooled, _, vad = dm.attend(score_audio, grid, w_visual, [1, 4], at,
+                                           distill=(teacher, [2, 0], 0.4))
+                dm.backward((pooled * dm.constant(probe)).sum() + vad)
+                runs.append([t.tobytes() for t in (*maps, pooled.data, vad.data)]
                             + [score_audio.grad.tobytes(), w_visual.grad.tobytes()])
             assert runs[0] == runs[1]
 
@@ -610,36 +631,36 @@ def test_attend_gradients_in_many_chunks_pass_the_gradient_check(monkeypatch):
         source = rng.normal(size=(n + 3, ell, cells, d))
         rows = rng.permutation(n + 3)[:n]
         a, b = rng.normal(size=(n, d)), rng.normal(size=(d, d))
-        probes = (rng.normal(size=(n, d)), rng.normal(size=(3, ell, cells, d)),
-                  rng.normal(size=(3, ell, d)))
+        probe = rng.normal(size=(n, d))
+        # map rows 0 | 2 | n - 1 in three chunks, the teacher's read out of order, row 1 twice
+        teacher = (_dists(rng, (3, ell, cells, d), 2), _dists(rng, (3, ell, d), 1))
 
         def loss(score_audio, w_visual):
-            outputs = dm.attend(score_audio, source, w_visual, [0, 2, n - 1], rows)
-            return sum(((t * dm.constant(p)).sum() for t, p in zip(outputs, probes)),
-                       dm.constant(0.0))
+            pooled, _, vad = dm.attend(score_audio, source, w_visual, [0, 2, n - 1], rows,
+                                       distill=(teacher, [1, 2, 1], 0.6))
+            return (pooled * dm.constant(probe)).sum() + vad * 10.0
 
         assert dm.grad_check(lambda x: loss(x, dm.constant(b)), dm.parameter(a), 1e-5) < 1e-5
         assert dm.grad_check(lambda x: loss(dm.constant(a), x), dm.parameter(b), 1e-5) < 1e-5
 
 
-def test_attend_takes_in_the_gradient_of_either_map_with_or_without_the_pooled_vector():
+def test_attend_takes_in_the_vad_gradient_with_or_without_the_pooled_vector():
     rng = np.random.default_rng(13)
     audio, visual, w = rng.normal(size=(3, 4)), rng.normal(size=(3, 2, 3, 4)), rng.normal(size=(4, 4))
-    probes = rng.normal(size=(3, 4)), rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(2, 2, 4))
+    probe = rng.normal(size=(3, 4))
     rows = np.array([0, 2])
-    # which of the pooled vector (0) and the two maps the loss reads
-    for reads in ((0, 1), (0, 2), (1,), (2,), (1, 2)):
+    distill = ((_dists(rng, (2, 2, 3, 4), 2), _dists(rng, (2, 2, 4), 1)), [1, 0], 0.7)
+    # which of the pooled vector (0) and the VAD (1) the loss reads
+    for reads in ((0, 1), (1,), (0,)):
         grads = []
         for fused in (True, False):
             score_audio, w_visual = dm.parameter(audio), dm.parameter(w)
-            outputs = list(_attention_block(score_audio, dm.constant(visual), w_visual, rows,
-                                            fused))
-            if not fused:
-                outputs[1:] = [dm.take(m, rows) for m in outputs[1:]]
+            pooled, vad = _attention_block(score_audio, dm.constant(visual), w_visual, rows,
+                                           fused, distill)
+            parts = [(pooled * dm.constant(probe)).sum(), vad * 3.0]
             loss = None
             for i in reads:
-                part = (outputs[i] * dm.constant(probes[i])).sum()
-                loss = part if loss is None else loss + part
+                loss = parts[i] if loss is None else loss + parts[i]
             dm.backward(loss)
             grads.append((score_audio.grad.tobytes(), w_visual.grad.tobytes()))
         assert grads[0] == grads[1]
@@ -657,6 +678,14 @@ def test_attend_rejects_nonfinite_scores_and_bad_map_rows():
         dm.attend(audio, dm.parameter(np.ones((3, 2, 3, 2))), w)
     with pytest.raises(ContractError):
         dm.attend(audio, np.ones((3, 2, 3, 4)), w)
+    maps = np.full((2, 2, 3, 2), 1.0 / 3.0), np.full((2, 2, 2), 0.5)
+    for bad in ((maps, [0], 0.5),                          # one teacher row per map row
+                (maps, [0, 2], 0.5), (maps, [-1, 0], 0.5),  # teacher rows inside its maps
+                (maps, [0, 1], 1.5),                        # lambda_vad in [0, 1]
+                ((maps[0][:, :1], maps[1]), [0, 1], 0.5),   # the batch's map shapes
+                ((dm.constant(maps[0]), maps[1]), [0, 1], 0.5)):    # arrays only
+        with pytest.raises(ContractError):
+            dm.attend(audio, np.ones((3, 2, 3, 2)), w, [0, 2], distill=bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -760,9 +789,10 @@ def test_backward_keeps_gradients_only_on_leaves():
     y = dm.parameter(rng.normal(size=(2, 3)))
     w = dm.parameter(rng.normal(size=(3, 3)))
     h = dm.tanh_matmul(x, w)
-    s, spatial, temporal = dm.attend(h, rng.normal(size=(2, 2, 4, 3)), w, [1])
-    loss = (dm.product_sum(s, y, axis=1).sum() + (x + y).sum() + spatial.sum()
-            + (temporal * temporal).sum() + (h * h).sum() + (x + x).sum())
+    teacher = (_dists(rng, (1, 2, 4, 3), 2), _dists(rng, (1, 2, 3), 1))
+    s, _, vad = dm.attend(h, rng.normal(size=(2, 2, 4, 3)), w, [1], distill=(teacher, [0], 0.5))
+    loss = (dm.product_sum(s, y, axis=1).sum() + (x + y).sum() + vad
+            + (h * h).sum() + (x + x).sum())
     assert_gradient_memory_rule(loss)
 
 
@@ -808,11 +838,11 @@ def test_model_loss_backward_keeps_gradients_only_on_parameters():
     visual = rng.normal(size=(5, 2, 3, 4))
     labels = np.array([0, 1, 2, 3, 2])
     replay = np.array([0, 1])
-    trace = mdl.forward(params, audio, visual, map_rows=replay)
     cached = mdl.forward(teacher, audio, visual)
-    teacher_maps = (cached.maps.spatial.data, cached.maps.temporal.data)
-    loss = obj.total_loss(trace, obj.TeacherBatch(cached.logits.data, teacher_maps, replay),
-                          labels, obj.TaskLayout((2, 2)), obj.LossWeights())
+    trace = mdl.forward(params, audio, visual, map_rows=replay,
+                        distill=(cached.maps, replay, 0.5))
+    loss = obj.total_loss(trace, cached.logits.data, labels, obj.TaskLayout((2, 2)),
+                          obj.LossWeights())
     assert_gradient_memory_rule(loss)
     assert all(p.grad is not None for p in params.parameters())
     assert trace.audio.grad is None
@@ -870,10 +900,11 @@ def test_float64_inputs_meet_no_cast():
     grid = dm.parameter(rng.normal(size=(2, 3, 5, 4)))
     w = dm.parameter(rng.normal(size=(4, 4)))
     out = dm.tanh_matmul(grid, w)
-    pooled, spatial, temporal = dm.attend(dm.constant(rng.normal(size=(2, 4))),
-                                          rng.normal(size=(2, 3, 5, 4)), w)
+    pooled, maps, _ = dm.attend(dm.constant(rng.normal(size=(2, 4))),
+                                rng.normal(size=(2, 3, 5, 4)), w)
     summed = dm.product_sum(grid, out, axis=2)
-    assert all(t.data.dtype == np.float64 for t in (out, pooled, spatial, temporal, summed))
+    assert all(t.data.dtype == np.float64 for t in (out, pooled, summed))
+    assert all(m.dtype == np.float64 for m in maps)
     dm.backward(pooled.sum() + summed.sum())
     assert grid.grad.dtype == np.float64 and w.grad.dtype == np.float64
 
@@ -976,16 +1007,16 @@ def test_block_kl_rejects_blocks_outside_either_width():
 
 def test_float32_softmax_slices_sum_to_one_within_float32_rounding():
     rng = np.random.default_rng(9)
-    _, p, _ = dm.attend(dm.constant(rng.normal(size=(6, 32))),
-                        rng.normal(size=(6, 8, 49, 32)).astype(np.float32),
-                        dm.constant(rng.normal(size=(32, 32))))
+    _, (p, _), _ = dm.attend(dm.constant(rng.normal(size=(6, 32))),
+                             rng.normal(size=(6, 8, 49, 32)).astype(np.float32),
+                             dm.constant(rng.normal(size=(32, 32))))
     t = dm.softmax(dm.constant(rng.normal(size=(6, 49, 32)).astype(np.float32) * 4.0), axis=1)
-    for maps, ax in ((p, 2), (t, 1)):
+    for maps, ax in ((p, 2), (t.data, 1)):
         # two float32 roundings, of the normalizer and of each entry
-        assert maps.data.dtype == np.float32
-        assert np.abs(maps.data.sum(axis=ax, dtype=np.float64) - 1.0).max() < 2e-7
+        assert maps.dtype == np.float32
+        assert np.abs(maps.sum(axis=ax, dtype=np.float64) - 1.0).max() < 2e-7
     # the KL reads them in float64, so its 1e-6 sum check holds with room
-    out = dm.kl_rows(((p, p.data, 2),), (1.0,), np.arange(6))
+    out = dm.kl_rows(((dm.constant(p), p, 2),), (1.0,), np.arange(6))
     assert out.data.dtype == np.float64 and abs(out.item()) < 1e-12
 
 

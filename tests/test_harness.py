@@ -1049,6 +1049,27 @@ def test_export_attention_rows_are_distributions(tmp_path):
         assert abs(sum(weights) - 1.0) < 1e-6
 
 
+def test_export_attention_runs_frozen_parameters(tmp_path, monkeypatch):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"mode": "aligned", "num_classes": 2, "d": 4,
+                                     "frames": 2, "cells": 2, "train_per_class": 2,
+                                     "test_per_class": 1, "seed": 0}))
+    cli.main(["generate", str(spec_path), str(tmp_path / "ds.avcf")])
+    mdl.save_checkpoint(mdl.init_params(4, 2, seed=0), tmp_path / "m.avcp")
+    trains = []
+    real_forward = mdl.forward
+
+    def recording_forward(params, *args, **kwargs):
+        trains.append(params.w_audio.requires_grad)
+        return real_forward(params, *args, **kwargs)
+
+    monkeypatch.setattr(mdl, "forward", recording_forward)
+    assert cli.main(["export-attention", str(tmp_path / "m.avcp"),
+                     str(tmp_path / "ds.avcf"), str(tmp_path / "maps"),
+                     "--samples", "0", "1"]) == 0
+    assert trains == [False, False]     # no gradient graph for a map export
+
+
 def test_export_attention_unknown_id_exits_2(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"mode": "aligned", "num_classes": 2, "d": 4,

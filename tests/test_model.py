@@ -53,8 +53,7 @@ def test_spatial_weights_are_distributions():
     p = mdl.init_params(6, 3, seed=0)
     batch = make_batch(rng, 4, 3, 5, 6)
     trace = mdl.forward(p, *batch)
-    spa = trace.maps.spatial.data
-    tem = trace.maps.temporal.data
+    spa, tem = trace.maps
     assert np.allclose(spa.sum(axis=2), 1.0, atol=1e-12)
     assert np.allclose(tem.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(spa > 0.0) and np.all(tem > 0.0)
@@ -64,7 +63,7 @@ def test_zero_audio_gives_uniform_spatial_weights():
     rng = np.random.default_rng(1)
     p = mdl.init_params(4, 2, seed=1)
     trace = mdl.forward(p, np.zeros((2, 4)), rng.normal(size=(2, 3, 5, 4)))
-    assert np.allclose(trace.maps.spatial.data, 1.0 / 5.0, atol=1e-12)
+    assert np.allclose(trace.maps[0], 1.0 / 5.0, atol=1e-12)
 
 
 def test_single_frame_temporal_weight_is_one():
@@ -72,7 +71,7 @@ def test_single_frame_temporal_weight_is_one():
     p = mdl.init_params(4, 2, seed=2)
     batch = make_batch(rng, 3, 1, 4, 4)
     trace = mdl.forward(p, *batch)
-    assert np.allclose(trace.maps.temporal.data, 1.0, atol=1e-12)
+    assert np.allclose(trace.maps[1], 1.0, atol=1e-12)
 
 
 def test_identical_frames_give_uniform_temporal_weights():
@@ -81,17 +80,17 @@ def test_identical_frames_give_uniform_temporal_weights():
     frame = rng.normal(size=(4, 4))
     batch = rng.normal(size=(1, 4)), np.stack([frame] * 3)[None]
     trace = mdl.forward(p, *batch)
-    assert np.allclose(trace.maps.temporal.data, 1.0 / 3.0, atol=1e-12)
+    assert np.allclose(trace.maps[1], 1.0 / 3.0, atol=1e-12)
 
 
 def test_pool_with_uniform_maps_is_plain_mean():
     # zero visual weights score every cell 0, so both maps are uniform
     rng = np.random.default_rng(4)
     f_v = rng.normal(size=(2, 3, 4, 5))
-    pooled, spatial, temporal = dm.attend(dm.constant(rng.normal(size=(2, 5))), f_v,
-                                          dm.constant(np.zeros((5, 5))))
-    assert np.allclose(spatial.data, 0.25, atol=1e-12)
-    assert np.allclose(temporal.data, 1.0 / 3.0, atol=1e-12)
+    pooled, (spatial, temporal), _ = dm.attend(dm.constant(rng.normal(size=(2, 5))), f_v,
+                                               dm.constant(np.zeros((5, 5))))
+    assert np.allclose(spatial, 0.25, atol=1e-12)
+    assert np.allclose(temporal, 1.0 / 3.0, atol=1e-12)
     assert np.allclose(pooled.data, f_v.mean(axis=(1, 2)), atol=1e-12)
 
 
@@ -100,44 +99,70 @@ def test_pool_with_one_hot_maps_selects_a_cell():
     # audio score of 1e6 makes the spatial map exactly one-hot on it
     f_v = np.full((1, 1, 3, 4), -5.0)
     f_v[0, 0, 1] = 5.0
-    pooled, spatial, temporal = dm.attend(dm.constant(np.full((1, 4), 1e6)), f_v,
-                                          dm.constant(np.eye(4)))
-    assert np.array_equal(spatial.data[0, 0, :, 0], [0.0, 1.0, 0.0])
-    assert np.array_equal(temporal.data, np.ones((1, 1, 4)))
+    pooled, (spatial, temporal), _ = dm.attend(dm.constant(np.full((1, 4), 1e6)), f_v,
+                                               dm.constant(np.eye(4)))
+    assert np.array_equal(spatial[0, 0, :, 0], [0.0, 1.0, 0.0])
+    assert np.array_equal(temporal, np.ones((1, 1, 4)))
     assert np.array_equal(pooled.data, f_v[0, 0, 1][None, :])
 
 
-def test_attention_backward_peak_stays_below_one_and_a_half_visual_batches():
-    # one avcil batch of attention_large's shape with 12 replay rows, read in
-    # place from a larger grid: no full-size map outlives forward, and
-    # neither a copy of the batch nor a full-size score gradient ever
-    # exists, so backward's traced peak, with what forward and the loss
-    # hold, stays under 1.5x the batch's visual bytes
-    n, ell, cells, d, k = 32, 8, 49, 128, 12
+def _attention_backward_peak(k):
+    """Traced bytes of backward over one avcil batch of attention_large's
+    shape with `k` replay rows, read in place from a larger grid, and the
+    batch's visual bytes."""
+    n, ell, cells, d = 32, 8, 49, 128
     rng = np.random.default_rng(0)
     audio = rng.normal(size=(n + 8, d))
     visual = rng.normal(size=(n + 8, ell, cells, d)).astype(np.float32)
     batch = rng.permutation(n + 8)[:n]
     params = mdl.expand_classifier(mdl.init_params(d, 4, seed=1), 4, seed=2)
-    mask = np.zeros(n, dtype=bool)
-    mask[rng.choice(n, k, replace=False)] = True
-    rows = np.flatnonzero(mask)
+    rows = np.sort(rng.choice(n, k, replace=False))
     cached = mdl.forward(mdl.snapshot(mdl.init_params(d, 4, seed=3)), audio, visual,
                          "audiovisual", rows, batch)
-    teacher = obj.TeacherBatch(cached.logits.data,
-                               (cached.maps.spatial.data, cached.maps.temporal.data),
-                               np.arange(k))
+    weights = obj.LossWeights()
     tracemalloc.start()
     try:
-        trace = mdl.forward(params, audio, visual, "audiovisual", rows, batch)
-        loss = obj.total_loss(trace, teacher, rng.integers(0, 8, size=n),
-                              obj.TaskLayout((4, 4)), obj.LossWeights())
+        trace = mdl.forward(params, audio, visual, "audiovisual", rows, batch,
+                            (cached.maps, np.arange(k), weights.lambda_vad))
+        loss = obj.total_loss(trace, cached.logits.data, rng.integers(0, 8, size=n),
+                              obj.TaskLayout((4, 4)), weights)
         tracemalloc.reset_peak()
         dm.backward(loss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n * visual[0].nbytes
+    return peak, n * visual[0].nbytes
+
+
+def test_attention_backward_peak_stays_below_one_and_a_half_visual_batches():
+    # no full-size map outlives forward, and neither a copy of the batch, a
+    # full-size score gradient nor a map gradient of the replay rows ever
+    # exists, so backward's traced peak, with what forward and the loss
+    # hold, stays under 1.5x the batch's visual bytes, and does not grow
+    # with the number of replay rows
+    peak, batch_bytes = _attention_backward_peak(12)
+    assert peak < 1.5 * batch_bytes
+    few, many = _attention_backward_peak(4)[0], _attention_backward_peak(24)[0]
+    assert abs(many - few) <= 0.25 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(32, 4, 4, 16), (6, 8, 49, 128)])
+def test_fused_vad_equals_kl_rows_on_the_map_arrays_bitwise(shape):
+    # desk's shape runs as one chunk, attention_large's one row per chunk
+    n, ell, cells, d = shape
+    rng = np.random.default_rng(31)
+    audio = rng.normal(size=(n, d))
+    visual = rng.normal(size=(n, ell, cells, d)).astype(np.float32)
+    params = mdl.init_params(d, 4, seed=1)
+    teacher_maps = mdl.forward(mdl.snapshot(mdl.init_params(d, 4, seed=2)), audio, visual).maps
+    rows, teacher_rows = np.array([1, 2, 4, n - 1]), np.array([n - 1, 0, 0, 3])
+    spatial, temporal = mdl.forward(mdl.snapshot(params), audio, visual, map_rows=rows).maps
+    expected = dm.kl_rows(((dm.constant(spatial), teacher_maps[0], 2),
+                           (dm.constant(temporal), teacher_maps[1], 1)), (0.3, 0.7), teacher_rows)
+    fused = mdl.forward(params, audio, visual, map_rows=rows,
+                        distill=(teacher_maps, teacher_rows, 0.3))
+    assert fused.maps is None
+    assert fused.vad.data.tobytes() == expected.data.tobytes()
 
 
 def test_zero_features_classify_to_bias():
@@ -155,8 +180,8 @@ def test_forward_matches_numpy_reference():
     trace = mdl.forward(p, *batch)
     audio, visual = batch
     w_spa, w_tem, pooled, fused, logits = reference_forward(audio, visual, p)
-    assert np.allclose(trace.maps.spatial.data, w_spa, atol=1e-12)
-    assert np.allclose(trace.maps.temporal.data, w_tem, atol=1e-12)
+    assert np.allclose(trace.maps[0], w_spa, atol=1e-12)
+    assert np.allclose(trace.maps[1], w_tem, atol=1e-12)
     assert np.allclose(trace.attended_visual.data, pooled, atol=1e-12)
     assert np.allclose(trace.fused.data, fused, atol=1e-12)
     assert np.allclose(trace.logits.data, logits, atol=1e-12)
@@ -169,7 +194,7 @@ def test_forward_is_bit_deterministic():
     a = mdl.forward(p, *batch)
     b = mdl.forward(p, *batch)
     assert np.array_equal(a.logits.data, b.logits.data)
-    assert np.array_equal(a.maps.spatial.data, b.maps.spatial.data)
+    assert np.array_equal(a.maps[0], b.maps[0])
 
 
 def test_audio_only_path():
@@ -413,12 +438,12 @@ def _graph_nodes(loss):
 
 def _loss_on(params, teacher, audio, visual):
     replay = np.array([0, 1])
-    trace = mdl.forward(params, audio, visual, map_rows=replay)
+    weights = obj.LossWeights()
     cached = mdl.forward(teacher, audio, visual)
-    teacher_maps = (cached.maps.spatial.data, cached.maps.temporal.data)
-    loss = obj.total_loss(trace, obj.TeacherBatch(cached.logits.data, teacher_maps, replay),
-                          np.array([0, 1, 2, 3, 2]), obj.TaskLayout((2, 2)),
-                          obj.LossWeights())
+    trace = mdl.forward(params, audio, visual, map_rows=replay,
+                        distill=(cached.maps, replay, weights.lambda_vad))
+    loss = obj.total_loss(trace, cached.logits.data, np.array([0, 1, 2, 3, 2]),
+                          obj.TaskLayout((2, 2)), weights)
     return trace, loss
 
 
@@ -430,10 +455,10 @@ def _float32_batch(seed, n=5, l=2, s=3, d=4):
 def test_float32_features_keep_the_attention_maps_float32_and_all_else_float64():
     params = mdl.init_params(4, 4, seed=3)
     teacher = mdl.snapshot(mdl.init_params(4, 2, seed=4))
-    trace, loss = _loss_on(params, teacher, *_float32_batch(21))
-    assert trace.maps.spatial.data.dtype == np.float32
-    assert trace.maps.temporal.data.dtype == np.float32
-    for t in (trace.audio, trace.attended_visual, trace.fused, trace.logits, loss):
+    batch = _float32_batch(21)
+    trace, loss = _loss_on(params, teacher, *batch)
+    assert all(m.dtype == np.float32 for m in mdl.forward(params, *batch).maps)
+    for t in (trace.audio, trace.attended_visual, trace.fused, trace.logits, trace.vad, loss):
         assert t.data.dtype == np.float64
     dm.backward(loss)
     opt = dm.AdamState(params.flat.size)
@@ -467,10 +492,8 @@ def test_float64_graph_is_unchanged_and_float32_adds_no_node():
                                     visual.astype(np.float64))[1])
     nodes32 = _graph_nodes(_loss_on(params, teacher, audio, visual)[1])
     # the count may fall as nodes fuse but must not rise, and float32
-    # inputs add no cast node
+    # inputs add no cast node: the attention node keeps its float32 grids
+    # inside, so every node of either graph is float64
     assert len(nodes32) == len(nodes64) <= 91
-    assert all(t.data.dtype == np.float64 for t in nodes64)
-    grids = [t for t in nodes32 if t.data.dtype == np.float32]
-    assert grids and all(t.ndim > 2 for t in grids)
-    assert sum(t.data.nbytes for t in nodes64) == (sum(t.data.nbytes for t in nodes32)
-                                                   + sum(t.data.nbytes for t in grids))
+    assert all(t.data.dtype == np.float64 for t in nodes64 + nodes32)
+    assert sum(t.data.nbytes for t in nodes64) == sum(t.data.nbytes for t in nodes32)

@@ -6,7 +6,7 @@ import pytest
 from avcil import diffmath as dm
 from avcil import objectives as obj
 from avcil.errors import ContractError, NumericDomainError
-from avcil.model import AttentionMaps, ForwardTrace
+from avcil.model import ForwardTrace
 
 
 def normalize(x):
@@ -91,9 +91,26 @@ def random_maps(rng, n=5, l=3, s=4, d=2):
     return spa, tem
 
 
-def replayed_maps(spa, tem, rows):
-    """The current maps as training hands them to `vad`: the replayed rows only."""
-    return AttentionMaps(dm.constant(spa[rows]), dm.constant(tem[rows]))
+def attention_batch(rng, n=5, l=3, s=4, d=2):
+    """Audio scores, a visual grid and a visual weight for one attention node."""
+    return rng.normal(size=(n, d)), rng.normal(size=(n, l, s, d)), rng.normal(size=(d, d))
+
+
+def vad_trace(vad):
+    """A trace that carries `vad` and nothing the loss reads beside it."""
+    nothing = dm.constant(0.0)
+    return ForwardTrace(nothing, None, nothing, nothing, None, vad)
+
+
+def student_vad(batch, rows, teacher_maps, teacher_rows, lam):
+    """`vad` of an attention node over `batch` that distills its map rows
+    `rows` toward `teacher_maps` at `teacher_rows`, and the node's maps of
+    every row as arrays."""
+    audio, visual, w = (dm.constant(x) for x in batch)
+    _, maps, _ = dm.attend(audio, visual.data, w)
+    _, _, out = dm.attend(audio, visual.data, w, rows,
+                          distill=(teacher_maps, teacher_rows, lam))
+    return obj.vad(vad_trace(out)), maps
 
 
 # --- instance alignment ---------------------------------------------------
@@ -179,65 +196,66 @@ def test_d_avsc_is_the_weighted_sum():
 
 def test_vad_identical_maps_is_exactly_zero():
     rng = np.random.default_rng(4)
-    spa, tem = random_maps(rng)
-    cur = AttentionMaps(dm.constant(spa), dm.constant(tem))
-    assert obj.vad(cur, (spa.copy(), tem.copy()), np.arange(5), 0.5).item() == 0.0
+    batch = attention_batch(rng)
+    _, maps = student_vad(batch, [], random_maps(rng), [], 0.5)
+    copied = tuple(m.copy() for m in maps)
+    assert student_vad(batch, np.arange(5), copied, np.arange(5), 0.5)[0].item() == 0.0
 
 
 def test_vad_empty_mask_is_exactly_zero():
     rng = np.random.default_rng(5)
-    spa, tem = random_maps(rng)
-    spa2, tem2 = random_maps(rng)
-    cur = AttentionMaps(dm.constant(spa[:0]), dm.constant(tem[:0]))    # no replayed row
-    assert obj.vad(cur, (spa2, tem2), np.arange(0), 0.5).item() == 0.0
+    out, _ = student_vad(attention_batch(rng), [], random_maps(rng), np.arange(0), 0.5)
+    assert out.item() == 0.0     # no replayed row
 
 
 def test_vad_single_cell_analytic_value():
-    cur = AttentionMaps(dm.constant([[[[0.5], [0.5]]]]), dm.constant([[[1.0]]]))
+    # zero audio scores spread the spatial map evenly over the two cells,
+    # and a single frame takes the whole temporal weight
+    batch = np.zeros((1, 1)), np.ones((1, 1, 2, 1)), np.ones((1, 1))
     tea = (np.array([[[[0.25], [0.75]]]]), np.array([[[1.0]]]))
-    got = obj.vad(cur, tea, np.arange(1), 1.0).item()
-    assert abs(got - 0.5 * math.log(4.0 / 3.0)) < 1e-12
-    assert abs(got - 0.143841) < 5e-7
+    got, maps = student_vad(batch, [0], tea, [0], 1.0)
+    assert maps[0].ravel().tolist() == [0.5, 0.5] and maps[1].item() == 1.0
+    assert abs(got.item() - 0.5 * math.log(4.0 / 3.0)) < 1e-12
+    assert abs(got.item() - 0.143841) < 5e-7
 
 
 def test_vad_only_masked_samples_count():
     rng = np.random.default_rng(6)
-    spa_c, tem_c = random_maps(rng)
+    batch = attention_batch(rng)
     spa_t, tem_t = random_maps(rng)
     spa_t2 = spa_t.copy()
     spa_t2[0] = rng.dirichlet(np.ones(4), size=(3, 2)).transpose(0, 2, 1)
     rows = np.flatnonzero([False, True, True, True, True])
-    cur = replayed_maps(spa_c, tem_c, rows)
-    a = obj.vad(cur, (spa_t, tem_t), rows, 0.5).item()
-    b = obj.vad(cur, (spa_t2, tem_t), rows, 0.5).item()    # a teacher row never read
+    a = student_vad(batch, rows, (spa_t, tem_t), rows, 0.5)[0].item()
+    b = student_vad(batch, rows, (spa_t2, tem_t), rows, 0.5)[0].item()  # a teacher row never read
     assert a == b
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_vad_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
-    spa_c, tem_c = random_maps(rng)
+    batch = attention_batch(rng)
     spa_t, tem_t = random_maps(rng)
     mask = rng.random(5) < 0.6
     lam = 0.3
     rows = np.flatnonzero(mask)
-    ours = obj.vad(replayed_maps(spa_c, tem_c, rows), (spa_t, tem_t), rows, lam).item()
-    assert abs(ours - brute_vad(spa_c, spa_t, tem_c, tem_t, mask, lam)) < 1e-9
+    ours, (spa_c, tem_c) = student_vad(batch, rows, (spa_t, tem_t), rows, lam)
+    assert abs(ours.item() - brute_vad(spa_c, spa_t, tem_c, tem_t, mask, lam)) < 1e-9
 
 
 def test_vad_rejects_shape_mismatch_and_bad_lambda():
     rng = np.random.default_rng(7)
+    batch = attention_batch(rng)
     spa, tem = random_maps(rng)
-    cur = AttentionMaps(dm.constant(spa), dm.constant(tem))
     with pytest.raises(ContractError):
-        obj.vad(cur, (spa[:, :2], tem[:, :2]), np.arange(5), 0.5)
+        student_vad(batch, np.arange(5), (spa[:, :2], tem[:, :2]), np.arange(5), 0.5)
     with pytest.raises(ContractError):
-        obj.vad(cur, (spa, tem), np.arange(5), 1.5)
-    with pytest.raises(ContractError):     # no current maps
-        obj.vad(None, (spa, tem), np.arange(5), 0.5)
-    for held, teacher_rows in ((cur, np.arange(4)), (replayed_maps(spa, tem, []), [0, 1])):
-        with pytest.raises(ContractError, match="one map row per current map row"):
-            obj.vad(held, (spa, tem), teacher_rows, 0.5)
+        student_vad(batch, np.arange(5), (spa, tem), np.arange(5), 1.5)
+    with pytest.raises(ContractError):     # a trace that distills nothing
+        obj.vad(vad_trace(None))
+    for rows, teacher_rows in ((np.arange(5), np.arange(4)), ([], [0, 1])):
+        with pytest.raises(ContractError, match="one teacher map row"):
+            student_vad(batch, rows, (spa, tem), teacher_rows, 0.5)
 
 
 # --- separated softmax ----------------------------------------------------
@@ -415,23 +433,12 @@ def make_trace(rng, n, layout_total, l=2, s=2, d=4, with_maps=True):
 
     maps = None
     if with_maps:
-        maps = AttentionMaps(dm.constant(soft(rng.normal(size=(n, l, s, d)), 2)),
-                             dm.constant(soft(rng.normal(size=(n, l, d)), 1)))
+        maps = (soft(rng.normal(size=(n, l, s, d)), 2), soft(rng.normal(size=(n, l, d)), 1))
     return ForwardTrace(audio=dm.constant(rng.normal(size=(n, d))),
                         attended_visual=dm.constant(rng.normal(size=(n, d))),
                         fused=dm.constant(rng.normal(size=(n, d))),
                         logits=dm.constant(rng.normal(size=(n, layout_total))),
                         maps=maps)
-
-
-def cached(trace, mask=None):
-    """A teacher's `trace` as the `TeacherBatch` training caches: its logits
-    and, given a mask, its map arrays read at the masked rows."""
-    if mask is None:
-        return obj.TeacherBatch(trace.logits.data, None, None)
-    return obj.TeacherBatch(trace.logits.data,
-                            (trace.maps.spatial.data, trace.maps.temporal.data),
-                            np.flatnonzero(mask))
 
 
 def test_total_loss_first_step_is_ce_plus_contrastive():
@@ -450,38 +457,38 @@ def test_total_loss_composes_all_four_terms():
     rng = np.random.default_rng(13)
     layout = obj.TaskLayout((3, 2))
     trace = make_trace(rng, 6, 5)
-    teacher_trace = make_trace(rng, 6, 3)
+    teacher_logits = make_trace(rng, 6, 3).logits.data
     labels = rng.integers(0, 5, size=6)
-    mask = np.array([True, False, True, False, False, True])
-    teacher = cached(teacher_trace, mask)
-    trace.maps = replayed_maps(trace.maps.spatial.data, trace.maps.temporal.data,
-                               teacher.map_rows)
+    rows = np.flatnonzero([True, False, True, False, False, True])
+    distilled, _ = student_vad(attention_batch(rng, n=6), rows, random_maps(rng, n=6), rows,
+                               0.6)
+    trace.maps, trace.vad = None, distilled
     w = obj.LossWeights(lambda_i=0.4, lambda_c=0.8, lambda_vad=0.6, tau=0.2)
-    total = obj.total_loss(trace, teacher, labels, layout, w).item()
+    total = obj.total_loss(trace, teacher_logits, labels, layout, w).item()
     expected = obj.ss_ce(trace.logits, labels, layout).item() \
-        + obj.tkd(trace.logits, teacher.logits, layout).item() \
+        + obj.tkd(trace.logits, teacher_logits, layout).item() \
         + obj.d_avsc(trace.audio, trace.attended_visual, labels, w).item() \
-        + obj.vad(trace.maps, teacher.maps, teacher.map_rows, 0.6).item()
+        + distilled.item()
     assert abs(total - expected) < 1e-12
 
 
 def test_total_loss_teacher_without_maps_skips_attention_distillation():
     rng = np.random.default_rng(14)
     layout = obj.TaskLayout((3, 2))
-    trace = make_trace(rng, 4, 5)
-    teacher = cached(make_trace(rng, 4, 3))
+    trace = make_trace(rng, 4, 5)      # a forward given no teacher maps: no vad
+    teacher_logits = make_trace(rng, 4, 3).logits.data
     labels = rng.integers(0, 5, size=4)
     w = obj.LossWeights(lambda_i=0.0, lambda_c=0.0)
-    skipped = obj.total_loss(trace, teacher, labels, layout, w).item()
+    skipped = obj.total_loss(trace, teacher_logits, labels, layout, w).item()
     expected = obj.ss_ce(trace.logits, labels, layout).item() \
-        + obj.tkd(trace.logits, teacher.logits, layout).item()
+        + obj.tkd(trace.logits, teacher_logits, layout).item()
     assert skipped == expected
 
 
 def test_total_loss_teacher_presence_contract():
     rng = np.random.default_rng(15)
     trace = make_trace(rng, 3, 4)
-    teacher = cached(make_trace(rng, 3, 2))
+    teacher = make_trace(rng, 3, 2).logits.data
     labels = np.zeros(3, dtype=int)
     with pytest.raises(ContractError):
         obj.total_loss(trace, teacher, labels, obj.TaskLayout((4,)), obj.LossWeights())
@@ -563,14 +570,13 @@ def test_ss_ce_and_tkd_gradients_pass_finite_differences():
 def test_vad_gradients_pass_finite_differences():
     rng = np.random.default_rng(19)
     n, l, s, d = 3, 2, 3, 2
-    raw = rng.normal(size=(n, l, s, d))
-    raw_tem = rng.normal(size=(n, l, d))
+    audio, visual, w = attention_batch(rng, n, l, s, d)
     tea_spa, tea_tem = random_maps(rng, n, l, s, d)
     rows = np.flatnonzero([True, True, False])
 
     def f(t):
-        maps = AttentionMaps(dm.softmax(dm.take(t, rows), axis=2),
-                             dm.softmax(dm.constant(raw_tem[rows]), axis=1))
-        return obj.vad(maps, (tea_spa, tea_tem), rows, 0.4)
+        _, _, out = dm.attend(t, visual, dm.constant(w), rows,
+                              distill=((tea_spa, tea_tem), rows, 0.4))
+        return obj.vad(vad_trace(out))
 
-    assert dm.grad_check(f, dm.constant(raw), h=1e-5) < 1e-6
+    assert dm.grad_check(f, dm.constant(audio), h=1e-5) < 1e-6

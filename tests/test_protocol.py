@@ -1,5 +1,7 @@
 import logging
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from avcil.errors import ConfigError, ContractError, TrainingDiverged
 from avcil.metrics import mean_accuracy
 from avcil.objectives import LossWeights
 from avcil.protocol import (ExemplarMemory, StepState, TrainConfig, TaskSequence,
-                            build_task_sequence, run_incremental, train_step,
-                            update_memory)
+                            _teacher_outputs, build_task_sequence, run_incremental,
+                            train_step, update_memory)
 
 
 def make_dataset(num_classes=6, seed=0, train=6, test=3, d=6):
@@ -220,14 +222,14 @@ def test_cached_teacher_outputs_equal_a_teacher_forward_on_each_batch_bitwise(mo
     real_forward = mdl.forward
 
     def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None,
-                          rows=None):
+                          rows=None, distill=None):
         if params.w_audio.requires_grad:
-            batches.append((rows, map_rows))
-        return real_forward(params, audio, visual, modality, map_rows, rows)
+            batches.append((rows, map_rows, distill))
+        return real_forward(params, audio, visual, modality, map_rows, rows, distill)
 
-    def recording_compose(trace, teacher, labels, layout, weights):
-        cached.append(teacher)
-        return obj.total_loss(trace, teacher, labels, layout, weights)
+    def recording_compose(trace, teacher_logits, labels, layout, weights):
+        cached.append(teacher_logits)
+        return obj.total_loss(trace, teacher_logits, labels, layout, weights)
 
     monkeypatch.setattr(mdl, "forward", recording_forward)
     snapshots = _record_snapshots(monkeypatch)
@@ -235,13 +237,35 @@ def test_cached_teacher_outputs_equal_a_teacher_forward_on_each_batch_bitwise(mo
     assert len(batches) == len(cached) == 3 * 2
     exemplars_read = 0
     [snapshot] = snapshots
-    for (rows, map_rows), teacher in zip(batches, cached):
+    for (rows, map_rows, distill), teacher_logits in zip(batches, cached):
+        teacher_maps, teacher_rows, lam = distill
         fresh = real_forward(snapshot, ds.audio[rows], ds.visual[rows])
-        assert teacher.logits.tobytes() == fresh.logits.data.tobytes()
-        for kept, batch_map in zip(teacher.maps, (fresh.maps.spatial, fresh.maps.temporal)):
-            assert kept[teacher.map_rows].tobytes() == batch_map.data[map_rows].tobytes()
-        exemplars_read += len(teacher.map_rows)
+        assert teacher_logits.tobytes() == fresh.logits.data.tobytes()
+        for kept, batch_map in zip(teacher_maps, fresh.maps):
+            assert kept[teacher_rows].tobytes() == batch_map[map_rows].tobytes()
+        assert lam == config.weights.lambda_vad
+        exemplars_read += len(teacher_rows)
     assert exemplars_read == 6 * 2      # every exemplar, once per epoch
+
+
+def test_teacher_pass_holds_the_cache_and_one_chunk_of_maps():
+    # each chunk's maps are freed before the next chunk is built, so the pass
+    # peaks at the cache plus one chunk's maps and the attention's work on a
+    # row or two, well under half a chunk's maps at attention_large's shape
+    n, ell, cells, d, chunk, replay_from = 64, 8, 49, 128, 24, 16
+    rng = np.random.default_rng(3)
+    dataset = SimpleNamespace(audio=rng.normal(size=(n, d)),
+                              visual=rng.standard_normal((n, ell, cells, d), np.float32))
+    teacher = mdl.snapshot(mdl.init_params(d, 4, seed=1))
+    tracemalloc.start()
+    try:
+        _, maps = _teacher_outputs(teacher, dataset, rng.permutation(n), replay_from,
+                                   quick_config(batch_size=chunk), keep_maps=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cache = sum(m.nbytes for m in maps)
+    assert peak < cache + 1.5 * cache * chunk / (n - replay_from)
 
 
 @pytest.mark.parametrize("tag", ["avcil", "icarl_nme"])
@@ -252,10 +276,10 @@ def test_every_forward_reads_the_dataset_arrays_in_place(monkeypatch, tag):
     real_forward = mdl.forward
 
     def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None,
-                          rows=None):
+                          rows=None, distill=None):
         calls.append((params.w_audio.requires_grad, audio is ds.audio, visual is ds.visual,
                       rows))
-        return real_forward(params, audio, visual, modality, map_rows, rows)
+        return real_forward(params, audio, visual, modality, map_rows, rows, distill)
 
     monkeypatch.setattr(mdl, "forward", recording_forward)
     run_incremental(ds, seq, quick_config(strategy=tag, memory_capacity=6))
@@ -278,17 +302,20 @@ def test_student_forward_keeps_maps_only_of_the_rows_vad_reads(monkeypatch, tag)
     real_forward = mdl.forward
 
     def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None,
-                          rows=None):
-        trace = real_forward(params, audio, visual, modality, map_rows, rows)
+                          rows=None, distill=None):
+        trace = real_forward(params, audio, visual, modality, map_rows, rows, distill)
         if params.w_audio.requires_grad:
-            held.append(trace.maps.spatial.shape[0])
+            held.append(len(map_rows))
+            # avcil distills its map rows and keeps no map array; icarl_fc reads none
+            assert (trace.maps is None) == (distill is not None) == (tag == "avcil")
+            assert tag == "avcil" or len(trace.maps[0]) == 0
         return trace
 
-    def recording_compose(trace, teacher, labels, layout, weights):
+    def recording_compose(trace, teacher_logits, labels, layout, weights):
         replayed = np.count_nonzero(labels < 3)     # step 1's classes come from memory
-        assert trace.maps.spatial.shape[0] == (replayed if tag == "avcil" else 0)
-        assert (teacher.maps is not None) == (tag == "avcil")
-        return obj.total_loss(trace, teacher, labels, layout, weights)
+        assert held[-1] == (replayed if tag == "avcil" else 0)
+        assert (trace.vad is not None) == (tag == "avcil")
+        return obj.total_loss(trace, teacher_logits, labels, layout, weights)
 
     monkeypatch.setattr(mdl, "forward", recording_forward)
     strategy = replace(get_strategy(tag), compose=recording_compose)
