@@ -11,9 +11,10 @@ Two generator modes cover the behaviors the training engine must exhibit:
   and `b` only in visual, so no single modality can beat chance-per-factor.
 
 Features are float32 on disk and in memory, so save/load round-trips are
-bit-exact. A batch keeps that precision for the visual grid, whose attention
-block runs in float32; the (N, d) audio rows are widened to float64 when the
-model wraps them (the dtype policy of `diffmath`).
+bit-exact. The model reads the visual grid in place and in float32: the
+attention block runs in float32 inside `diffmath.attend`, and `visual` mode
+sums the grid's cells in float32 through a `diffmath.view`. The (N, d) audio
+rows are copied to float64, as every `diffmath` constant is.
 """
 
 from __future__ import annotations
@@ -148,14 +149,12 @@ def _allocate(spec: GeneratorSpec, class_names: list[str]) -> FeatureDataset:
         num_classes=spec.num_classes, manifest=manifest)
 
 
-def generate_synthetic(spec: GeneratorSpec, _b_permutation: Sequence[int] | None = None) -> FeatureDataset:
+def generate_synthetic(spec: GeneratorSpec) -> FeatureDataset:
     """Deterministic in `spec.seed`; regenerating yields byte-identical files.
 
-    `_b_permutation` is a test hook for xor_pairs that permutes which visual
-    direction each b index uses; audio generation never reads b, so the audio
-    bytes must not change under it. Features beyond this machine's physical
-    memory raise `ConfigError` (exit 2 from the CLI) before any allocation,
-    and features that overflow float32 raise it after generation.
+    Features beyond this machine's physical memory raise `ConfigError`
+    (exit 2 from the CLI) before any allocation, and features that overflow
+    float32 raise it after generation.
     """
     rows = spec.num_classes * (spec.train_per_class + spec.test_per_class)
     size = 4 * rows * spec.d * (1 + spec.frames * spec.cells)
@@ -164,7 +163,7 @@ def generate_synthetic(spec: GeneratorSpec, _b_permutation: Sequence[int] | None
                           f"cells give {size} bytes of features, over the {memory} bytes of memory")
     with np.errstate(over="ignore", invalid="ignore"):     # reported below instead
         ds = _generate_aligned(spec) if spec.mode == "aligned" \
-            else _generate_xor(spec, _b_permutation)
+            else _generate_xor(spec)
     if not (np.isfinite(ds.audio).all() and np.isfinite(ds.visual).all()):
         raise ConfigError("separation and noise_sigma give features that overflow float32")
     return ds
@@ -203,7 +202,10 @@ def _generate_aligned(spec: GeneratorSpec) -> FeatureDataset:
     return ds
 
 
-def _generate_xor(spec: GeneratorSpec, b_permutation: Sequence[int] | None) -> FeatureDataset:
+def _generate_xor(spec: GeneratorSpec, b_permutation: Sequence[int] | None = None
+                  ) -> FeatureDataset:
+    """xor_pairs features; `b_permutation` reorders which visual direction
+    each b index uses (the identity when None). Audio never reads b."""
     d, ell, s_cells = spec.d, spec.frames, spec.cells
     k = math.isqrt(spec.num_classes)
     perm = list(range(k)) if b_permutation is None else list(b_permutation)

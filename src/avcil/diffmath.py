@@ -7,16 +7,14 @@ gradient checker, and an Adam optimizer. All operations are deterministic;
 identical inputs produce bit-identical outputs because every reduction runs
 in a fixed order on contiguous buffers.
 
-Dtype policy: a tensor of three or more axes built from float32 data stays
-float32 (the model's (N, L, S, d) visual grid, its attention maps and its
-(N, L, d) poolings); everything else, every tensor of (N, d) or fewer axes
-included, is float64. The fused primitives `tanh_matmul`, `product_sum` and
-`attend` (the whole attention block, run in row chunks) compute in float32
-when an input is float32, return a result of two or fewer axes as float64,
-and hand each operand its gradient in its own dtype. `kl_rows`, `block_kl`
-and `attend`'s attention distillation always compute in float64. Float64
-inputs never meet a cast, so an all-float64 graph runs exactly the float64
-arithmetic.
+Dtypes: `DiffTensor(...)`, `constant` and `parameter` always hold a float64
+copy of their data, and `view` is the one way a graph holds an array in that
+array's own dtype. The primitives compute in their operands' dtype and cast
+nothing. Float32 lives only inside `attend` (the whole attention block, run
+in row chunks): given a float32 grid it runs in float32, returns its maps as
+float32 arrays and its pooled vector, attention distillation and gradients
+in float64. `kl_rows`, `block_kl` and that distillation always compute in
+float64.
 """
 
 from __future__ import annotations
@@ -65,27 +63,6 @@ def _as_f64(values) -> Array:
     return np.array(values, dtype=np.float64)
 
 
-def _policy_dtype(arr: Array) -> type:
-    """float32 for float32 data of three or more axes, float64 otherwise."""
-    return np.float32 if arr.dtype == np.float32 and arr.ndim > 2 else np.float64
-
-
-def _as_policy(values) -> Array:
-    """A fresh array of `values` in the dtype the policy gives it."""
-    arr = np.asarray(values)
-    return np.array(arr, dtype=_policy_dtype(arr))
-
-
-def _compute_dtype(a: "DiffTensor", b: "DiffTensor") -> type:
-    """A fused primitive runs in float32 when either operand is float32."""
-    return np.float32 if np.float32 in (a.data.dtype, b.data.dtype) else np.float64
-
-
-def _in_dtype(grad: Array | None, t: "DiffTensor") -> Array | None:
-    """`grad` in the dtype of the tensor it belongs to (no copy when it already is)."""
-    return None if grad is None else grad.astype(t.data.dtype, copy=False)
-
-
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -103,17 +80,16 @@ class DiffTensor:
     """An array that remembers how it was produced.
 
     `data` is the value, `grad` (same shape and dtype) is filled in by
-    :func:`backward`. A new tensor copies its input: float32 data of three or
-    more axes stays float32, anything else becomes float64 (see the module
-    docstring). Tensors returned by primitives hold references to their
-    inputs, so a forward pass builds an acyclic graph; leaves are constants
-    or parameters.
+    :func:`backward`. A new tensor holds a float64 copy of its input; only
+    :func:`view` holds an array as it is. Tensors returned by primitives
+    hold references to their inputs, so a forward pass builds an acyclic
+    graph; leaves are constants, parameters or views.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op", "_done", "_index")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_policy(data)
+        self.data = _as_f64(data)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[DiffTensor, ...] = ()
@@ -206,8 +182,9 @@ def parameter(data) -> DiffTensor:
 
 
 def view(data: Array, grad: Array | None = None) -> DiffTensor:
-    """A leaf over `data` itself, not a copy. Given `grad`, an array of the
-    same shape, the leaf tracks gradients and `backward` adds them into it."""
+    """A leaf over `data` itself, not a copy, in `data`'s own dtype. Given
+    `grad`, an array of the same shape, the leaf tracks gradients and
+    `backward` adds them into it."""
     out = _node(data, (), None, "leaf")
     out.grad = grad
     out.requires_grad = grad is not None
@@ -249,11 +226,10 @@ def _broadcast_op(a: DiffTensor, b: DiffTensor, fn, op, da, db) -> DiffTensor:
     return _node(out, (a, b), vjp, op)
 
 
-def _product_vjp(a: DiffTensor, b: DiffTensor, ad: Array, bd: Array, g: Array):
-    """Gradients of a * b (broadcast) for the operands that track them, from
-    the operand values `ad`, `bd` in the compute dtype of `g`."""
-    return (_in_dtype(_unbroadcast(g * bd, ad.shape), a) if a.requires_grad else None,
-            _in_dtype(_unbroadcast(g * ad, bd.shape), b) if b.requires_grad else None)
+def _product_vjp(a: DiffTensor, b: DiffTensor, g: Array):
+    """Gradients of a * b (broadcast) for the operands that track them."""
+    return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
 
 # --- primitives -----------------------------------------------------------
@@ -267,9 +243,10 @@ def _check_matmul(a: DiffTensor, b: DiffTensor) -> None:
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
 
 
-def _matmul_vjp(a: DiffTensor, b: DiffTensor, ad: Array, bd: Array, g: Array):
-    """Gradients of ad @ bd for the operands that track them, each in its own dtype."""
-    ga = _in_dtype(g @ bd.T, a) if a.requires_grad else None
+def _matmul_vjp(a: DiffTensor, b: DiffTensor, g: Array):
+    """Gradients of a @ b for the operands that track them."""
+    ad = a.data
+    ga = g @ b.data.T if a.requires_grad else None
     gb = None
     if b.requires_grad:
         if ad.ndim == 1:
@@ -280,29 +257,23 @@ def _matmul_vjp(a: DiffTensor, b: DiffTensor, ad: Array, bd: Array, g: Array):
             last = ad.ndim - 1
             gb = np.dot(ad.transpose((last, *range(last))).reshape(ad.shape[-1], -1),
                         g.reshape(-1, g.shape[-1]))
-        gb = _in_dtype(gb, b)
     return ga, gb
 
 
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     """Contract the last axis of `a` with the first of a 2-d `b`."""
     _check_matmul(a, b)
-    return _node(a.data @ b.data, (a, b), lambda g: _matmul_vjp(a, b, a.data, b.data, g),
-                 "matmul")
+    return _node(a.data @ b.data, (a, b), lambda g: _matmul_vjp(a, b, g), "matmul")
 
 
 def tanh_matmul(x: DiffTensor, w: DiffTensor) -> DiffTensor:
-    """tanh(x @ w) as one node; only the tanh output is kept for the VJP."""
+    """tanh(x @ w) as one node, in the operands' dtype; only the tanh output
+    is kept for the VJP."""
     _check_matmul(x, w)
-    dt = _compute_dtype(x, w)
-    xd, wd = x.data.astype(dt, copy=False), w.data.astype(dt, copy=False)
-    out = xd @ wd
+    out = x.data @ w.data
     np.tanh(out, out=out)
-
-    def vjp(g: Array):
-        return _matmul_vjp(x, w, xd, wd, g.astype(dt, copy=False) * (1.0 - out * out))
-
-    return _node(out.astype(_policy_dtype(out), copy=False), (x, w), vjp, "tanh_matmul")
+    return _node(out, (x, w), lambda g: _matmul_vjp(x, w, g * (1.0 - out * out)),
+                 "tanh_matmul")
 
 
 def tanh(x: DiffTensor) -> DiffTensor:
@@ -399,19 +370,18 @@ def softmax(x: DiffTensor, axis: int) -> DiffTensor:
 
 
 def product_sum(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
-    """(a * b).sum(axis), `a` and `b` broadcast; the product is not kept."""
-    dt = _compute_dtype(a, b)
-    ad, bd = a.data.astype(dt, copy=False), b.data.astype(dt, copy=False)
-    product = ad * bd
+    """(a * b).sum(axis), `a` and `b` broadcast, in the operands' dtype; the
+    product is not kept."""
+    product = a.data * b.data
     ax = _check_axis(axis, product.ndim)
     shape = product.shape
     out = product.sum(axis=ax)
 
     def vjp(g: Array):
-        g = g.astype(dt, copy=False).reshape(shape[:ax] + (1,) + shape[ax + 1:])
-        return _product_vjp(a, b, ad, bd, np.broadcast_to(g, shape))
+        g = g.reshape(shape[:ax] + (1,) + shape[ax + 1:])
+        return _product_vjp(a, b, np.broadcast_to(g, shape))
 
-    return _node(out.astype(_policy_dtype(out), copy=False), (a, b), vjp, "product_sum")
+    return _node(out, (a, b), vjp, "product_sum")
 
 
 # attend gathers and runs the batch in chunks of rows of about this many grid
@@ -462,14 +432,17 @@ def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_row
     (k, L, S, d) map or map gradient exists.
 
     The grid runs in row chunks of about `ATTEND_CHUNK_ENTRIES` entries,
-    each gathered from `visual` when it is read, and in float32 when
-    `visual` is float32. Only the last chunk's grid-sized arrays are kept;
-    the VJP walks the chunks in reverse and gathers and recomputes the
-    others. `w_visual`'s gradient is the float64 sum of one `np.dot` per
-    chunk, in that reverse order. Every value and every other gradient, and
-    `w_visual`'s when the batch is one chunk, is the one the elementary
-    composite (`tanh_matmul`, a product, `softmax`, `product_sum`) gives on
-    the gathered batch, bit for bit.
+    each gathered from `visual` when it is read. The block computes in
+    float32 when `visual` is float32, whatever the other operands' dtype,
+    and in float64 otherwise; the pooled vector and both gradients are
+    float64. Only the last chunk's grid-sized arrays are kept; the VJP walks
+    the chunks in reverse and gathers and recomputes the others. `w_visual`'s
+    gradient is the float64 sum of one `np.dot` per chunk, in that reverse
+    order. Every value and every other gradient, and `w_visual`'s when the
+    batch is one chunk, is the one the elementary composite (`matmul`,
+    `tanh`, a product, `softmax` and sums over a `view` of the gathered
+    batch, with the audio scores and `w_visual` cast to its dtype) gives,
+    bit for bit.
     """
     source = np.asarray(visual)
     if source.ndim != 4:
@@ -501,7 +474,7 @@ def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_row
                                 "per map row")
         if not 0.0 <= lambda_vad <= 1.0:
             raise ContractError("lambda_vad must lie in [0, 1]")
-    dt = np.float32 if np.float32 in (_policy_dtype(source), w_visual.data.dtype) else np.float64
+    dt = np.float32 if source.dtype == np.float32 else np.float64
     wd = w_visual.data.astype(dt, copy=False)
     ad = score_audio.data.astype(dt, copy=False)
     step = max(1, ATTEND_CHUNK_ENTRIES // (ell * cells * d))
@@ -570,13 +543,10 @@ def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_row
                 np.multiply(scores, scores, out=scores)
                 g_sc *= np.subtract(1.0, scores, out=scores)
                 part = np.dot(grid.reshape(-1, d).T, g_sc.reshape(-1, d))
-                gw = part.astype(np.float64, copy=False) if gw is None else \
-                    np.add(gw, part, out=gw)
-        ga = None if g_audio is None else \
-            g_audio.reshape(n, d).astype(score_audio.data.dtype, copy=False)
-        return ga, None if gw is None else gw.astype(w_visual.data.dtype, copy=False)
+                gw = _f64(part) if gw is None else np.add(gw, part, out=gw)
+        return None if g_audio is None else _f64(g_audio.reshape(n, d)), gw
 
-    out = _node(pooled.astype(np.float64, copy=False), (score_audio, w_visual), vjp, "attend")
+    out = _node(_f64(pooled), (score_audio, w_visual), vjp, "attend")
     if distill is None:
         return out, (spatial_rows, temporal[kept]), None
     if not kept.size:
@@ -637,11 +607,12 @@ def nll(logits: DiffTensor, positives, support=None) -> DiffTensor:
 
 def check_distributions(t: Array, axis: int, what: str) -> None:
     """Raise ContractError, naming `what`, unless every slice of `t` along
-    `axis` is a probability vector: no negative entry, and a float64 sum
-    within 1e-6 of 1."""
-    if (t < 0.0).any():
-        raise ContractError(f"{what}: negative entry")
-    if (np.abs(t.sum(axis=axis, dtype=np.float64) - 1.0) > 1e-6).any():
+    `axis` is a probability vector: no negative or NaN entry, and a float64
+    sum within 1e-6 of 1. Both tests pass only on a comparison that holds,
+    so a NaN fails them."""
+    if not (t >= 0.0).all():
+        raise ContractError(f"{what}: negative or NaN entry")
+    if not (np.abs(t.sum(axis=axis, dtype=np.float64) - 1.0) <= 1e-6).all():
         raise ContractError(f"{what}: a slice does not sum to 1")
 
 

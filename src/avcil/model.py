@@ -135,10 +135,11 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
     the trace's map arrays or, given `distill` (see `dm.attend`), into the
     trace's `vad`: training distills the replay rows toward the teacher's
     maps, evaluation reads none. Float32 visual features keep the attention
-    block, up to the pooled (N, d) vector, in float32; the rest of the
-    model runs in float64 (the dtype policy of `diffmath`). In `audio` mode
-    the visual pathway is dropped; in `visual` mode pooling is uniform over
-    cells and frames (no attention).
+    block, up to the pooled (N, d) vector, in float32 inside `dm.attend`;
+    every tensor that takes a gradient is float64. In `audio` mode the
+    visual pathway is dropped; in `visual` mode pooling is uniform over
+    cells and frames (no attention): the grid is a `dm.view` in its own
+    dtype, summed over cells in that dtype and then averaged in float64.
     """
     if modality not in MODALITIES:
         raise ContractError(f"unknown modality {modality!r}")
@@ -155,7 +156,7 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
     if visual.ndim != 4 or visual.shape[3] != d or (rows is None and visual.shape[0] != n):
         raise ContractError(f"visual batch must be (N, L, S, {d}), got {visual.shape}")
     if modality == "visual":
-        visual = dm.constant(visual if rows is None else visual[rows])
+        visual = dm.view(visual if rows is None else visual[rows])
         pooled = visual.mean(axis=2).mean(axis=1)
         fused = dm.tanh_matmul(pooled, params.u_visual)
         return ForwardTrace(audio=audio, attended_visual=pooled, fused=fused,

@@ -29,6 +29,14 @@ def xor_spec(**kw):
     return GeneratorSpec(**base)
 
 
+def generate(spec: GeneratorSpec, b_permutation=None) -> FeatureDataset:
+    """`generate_synthetic`, or for xor_pairs with `b_permutation` the
+    generator with each b index's visual direction reordered."""
+    if b_permutation is None:
+        return dsets.generate_synthetic(spec)
+    return dsets._generate_xor(spec, b_permutation)
+
+
 def empty_dataset():
     return FeatureDataset(audio=np.zeros((0, 3), np.float32),
                           visual=np.zeros((0, 1, 1, 3), np.float32),
@@ -113,8 +121,7 @@ PINNED_DATASETS = {
 
 def _dataset_bytes(tmp_path, spec: dict, permutation=None) -> bytes:
     path = tmp_path / "pinned.avcf"
-    dsets.save_dataset(dsets.generate_synthetic(GeneratorSpec(**spec),
-                                                _b_permutation=permutation), path)
+    dsets.save_dataset(generate(GeneratorSpec(**spec), permutation), path)
     return path.read_bytes()
 
 
@@ -172,7 +179,7 @@ def test_aligned_cross_modal_correlation():
 
 def test_xor_audio_ignores_b(tmp_path):
     plain = dsets.generate_synthetic(xor_spec())
-    permuted = dsets.generate_synthetic(xor_spec(), _b_permutation=[2, 0, 1])
+    permuted = generate(xor_spec(), [2, 0, 1])
     assert plain.audio.tobytes() == permuted.audio.tobytes()
     assert plain.visual.tobytes() != permuted.visual.tobytes()
 

@@ -116,6 +116,11 @@ def test_kl_rows_rejects_non_distribution():
         dm.kl_rows(((dm.constant([[0.7, 0.7]]), np.array([[0.5, 0.5]]), 1),), (1.0,), [0])
     with pytest.raises(ContractError):
         dm.kl_rows(((dm.constant([[1.5, -0.5]]), np.array([[0.5, 0.5]]), 1),), (1.0,), [0])
+    # NaN fails every comparison, so it must fail the checks rather than pass them
+    with pytest.raises(ContractError):
+        dm.kl_rows(((dm.constant([[np.nan, 1.0]]), np.array([[0.5, 0.5]]), 1),), (1.0,), [0])
+    with pytest.raises(ContractError):
+        dm.check_distributions(np.array([[np.nan, 0.5]]), 1, "p")
 
 
 def test_kl_rows_rejects_distributions_along_the_row_axis():
@@ -500,14 +505,15 @@ def test_product_sum_matches_composite_bitwise(case):
 
 def _cast(t, dtype):
     """A node rounding `t` to `dtype`, whose VJP rounds the gradient back to
-    `t`'s dtype: the casts a fused primitive makes at its edges."""
+    `t`'s dtype: the casts `attend` makes at its edges."""
     return dm._node(t.data.astype(dtype), (t,), lambda g: (g.astype(t.data.dtype),), "cast")
 
 
 def _attention_block(score_audio, visual, w_visual, map_rows, fused, distill=None):
     """The pooled vector, and the maps of `map_rows` or, given `distill`, their
     VAD, from `attend` or from the elementary composite it replaces (whose
-    maps then hold every row, and whose VAD is a `kl_rows` of their rows)."""
+    maps then hold every row, and whose VAD is a `kl_rows` of their rows).
+    `visual` is a `view`, so the composite runs in the grid's own dtype."""
     if fused:
         pooled, maps, vad = dm.attend(score_audio, visual.data, w_visual, map_rows,
                                       distill=distill)
@@ -543,7 +549,7 @@ def _composite_by_row(score_audio, visual, w_visual):
     stacked. Each row casts `w_visual` itself, so `w_visual`'s gradient is
     the float64 sum of one product per row, added in reverse row order."""
     outputs = [_attention_block(dm.slice_axis(score_audio, 0, r, r + 1),
-                                dm.constant(visual.data[r:r + 1]), w_visual, None, False)
+                                dm.view(visual.data[r:r + 1]), w_visual, None, False)
                for r in range(score_audio.shape[0])]
     return tuple(_stack(parts) for parts in zip(*outputs))
 
@@ -558,23 +564,24 @@ def _attend_run(data, map_rows, block):
     score_audio, w_visual = dm.parameter(audio), dm.parameter(w)
     distill = ((q_spatial, q_temporal), (map_rows + 2) % len(audio), 0.3)
     if block == "by_row":
-        pooled, spatial, temporal = _composite_by_row(score_audio, dm.constant(visual),
+        pooled, spatial, temporal = _composite_by_row(score_audio, dm.view(visual),
                                                       w_visual)
         vad = _composite_vad(spatial, temporal, map_rows, distill) if map_rows.size else None
     elif map_rows.size:
-        pooled, vad = _attention_block(score_audio, dm.constant(visual), w_visual, map_rows,
+        pooled, vad = _attention_block(score_audio, dm.view(visual), w_visual, map_rows,
                                        block == "fused", distill)
     else:
-        pooled = _attention_block(score_audio, dm.constant(visual), w_visual, map_rows,
+        pooled = _attention_block(score_audio, dm.view(visual), w_visual, map_rows,
                                   block == "fused")[0]
     loss = (pooled * dm.constant(probe)).sum()
     if map_rows.size:
         loss = loss + vad
     dm.backward(loss)
-    maps = _attention_block(dm.constant(audio), dm.constant(visual), dm.constant(w), map_rows,
+    maps = _attention_block(dm.constant(audio), dm.view(visual), dm.constant(w), map_rows,
                             block == "fused")[1:]
     if block != "fused":
         maps = tuple(m.data[map_rows] for m in maps)
+    assert all(m.dtype == visual.dtype for m in maps)    # the block ran in the grid's dtype
     return (loss.data, pooled.data, *maps, score_audio.grad, w_visual.grad)
 
 
@@ -655,7 +662,7 @@ def test_attend_takes_in_the_vad_gradient_with_or_without_the_pooled_vector():
         grads = []
         for fused in (True, False):
             score_audio, w_visual = dm.parameter(audio), dm.parameter(w)
-            pooled, vad = _attention_block(score_audio, dm.constant(visual), w_visual, rows,
+            pooled, vad = _attention_block(score_audio, dm.view(visual), w_visual, rows,
                                            fused, distill)
             parts = [(pooled * dm.constant(probe)).sum(), vad * 3.0]
             loss = None
@@ -849,50 +856,17 @@ def test_model_loss_backward_keeps_gradients_only_on_parameters():
     assert all(p.grad is None for p in teacher.parameters())
 
 
-# --- dtype policy: float32 grids, float64 everything else ------------------
+# --- dtypes: float64 tensors, float32 only inside attend ------------------
 
 
-def test_constructor_keeps_float32_only_on_grids():
-    assert dm.constant(np.ones((2, 3, 4), np.float32)).data.dtype == np.float32
-    assert dm.constant(np.ones((2, 3), np.float32)).data.dtype == np.float64
-    assert dm.constant(np.ones((2, 3, 4), np.int64)).data.dtype == np.float64
-    assert dm.constant([1.0, 2.0]).data.dtype == np.float64
+def test_constructor_copies_to_float64_and_view_keeps_the_array():
+    for data in (np.ones((2, 3, 4), np.float32), np.ones((2, 3), np.float32),
+                 np.ones((2, 3, 4), np.int64), [1.0, 2.0]):
+        made = dm.constant(data)
+        assert made.data.dtype == np.float64
+        assert not np.shares_memory(made.data, data)
     source = np.ones((2, 2, 2), np.float32)
-    assert not np.shares_memory(dm.constant(source).data, source)
-
-
-FUSED = {
-    "tanh_matmul": (dm.tanh_matmul, (2, 3, 4), (4, 4)),
-    "product_sum_grid": (lambda a, b: dm.product_sum(a, b, axis=2), (2, 3, 5, 4), (2, 3, 5, 4)),
-    "product_sum_to_rows": (lambda a, b: dm.product_sum(a, b, axis=1), (2, 3, 4), (2, 3, 4)),
-}
-
-
-@pytest.mark.parametrize("name,f32_side", [(name, side) for name in sorted(FUSED)
-                                            for side in (0, 1)
-                                            if len(FUSED[name][1 + side]) > 2])
-def test_fused_primitives_compute_in_float32_and_return_each_gradient_in_its_dtype(
-        name, f32_side):
-    fn, a_shape, b_shape = FUSED[name]
-    rng = np.random.default_rng(5)
-    values = [rng.normal(size=a_shape), rng.normal(size=b_shape)]
-    values[f32_side] = values[f32_side].astype(np.float32)
-
-    def run(a_value, b_value):
-        a, b = dm.parameter(a_value), dm.parameter(b_value)
-        out = fn(a, b)
-        probe = np.random.default_rng(0).normal(size=out.shape)
-        dm.backward((out * dm.constant(probe)).sum())
-        return out, a, b
-
-    out, a, b = run(*values)
-    assert a.data.dtype == values[0].dtype and b.data.dtype == values[1].dtype
-    assert out.data.dtype == (np.float32 if out.ndim > 2 else np.float64)
-    assert a.grad.dtype == a.data.dtype and b.grad.dtype == b.data.dtype
-    # the float64 computation agrees to float32 precision
-    ref, ref_a, ref_b = run(*(v.astype(np.float64) for v in values))
-    for got, want in ((out.data, ref.data), (a.grad, ref_a.grad), (b.grad, ref_b.grad)):
-        assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
+    assert dm.view(source).data is source
 
 
 def test_float64_inputs_meet_no_cast():
@@ -1010,7 +984,7 @@ def test_float32_softmax_slices_sum_to_one_within_float32_rounding():
     _, (p, _), _ = dm.attend(dm.constant(rng.normal(size=(6, 32))),
                              rng.normal(size=(6, 8, 49, 32)).astype(np.float32),
                              dm.constant(rng.normal(size=(32, 32))))
-    t = dm.softmax(dm.constant(rng.normal(size=(6, 49, 32)).astype(np.float32) * 4.0), axis=1)
+    t = dm.softmax(dm.view(rng.normal(size=(6, 49, 32)).astype(np.float32) * 4.0), axis=1)
     for maps, ax in ((p, 2), (t.data, 1)):
         # two float32 roundings, of the normalizer and of each entry
         assert maps.dtype == np.float32

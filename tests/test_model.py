@@ -420,7 +420,7 @@ def test_corrupted_checkpoint_loads_or_raises_format_error(writes, keep):
     _assert_views_of_the_vector(params, trainable=True)
 
 
-# --- dtype policy: the attention block runs in the features' float32 --------
+# --- dtypes: the attention block runs in the features' float32 -------------
 
 
 def _graph_nodes(loss):

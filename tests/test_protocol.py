@@ -9,7 +9,7 @@ import pytest
 import avcil.diffmath as dm
 import avcil.model as mdl
 import avcil.objectives as obj
-from avcil.baselines import Strategy, get_strategy
+from avcil.baselines import STRATEGY_TAGS, Strategy, get_strategy
 from avcil.datasets import GeneratorSpec, generate_synthetic
 from avcil.errors import ConfigError, ContractError, TrainingDiverged
 from avcil.metrics import mean_accuracy
@@ -462,6 +462,34 @@ def test_modalities_run_end_to_end():
         out = run_incremental(ds, seq, quick_config(strategy="avcil",
                                                     modality=modality))
         assert len(out.overall) == 2
+
+
+def test_every_tracked_node_is_float64_in_every_strategy_and_modality(monkeypatch):
+    ds = make_dataset(num_classes=4)
+    assert ds.visual.dtype == np.float32
+    seq = build_task_sequence(range(4), 2, 2, seed=6)
+    made = []     # (tracked, dtype, op, ndim) of every node any primitive builds
+    node = dm._node
+
+    def recording(data, parents, vjp, op):
+        out = node(data, parents, vjp, op)
+        made.append((out.requires_grad, out.data.dtype, op, out.data.ndim))
+        return out
+
+    monkeypatch.setattr(dm, "_node", recording)
+    jobs = [(tag, "audiovisual") for tag in STRATEGY_TAGS] + [("avcil", "audio"),
+                                                              ("avcil", "visual")]
+    for tag, modality in jobs:
+        made.clear()
+        run_incremental(ds, seq, quick_config(strategy=tag, modality=modality, epochs=1))
+        assert any(tracked for tracked, *_ in made)
+        assert all(dtype == np.float64 for tracked, dtype, *_ in made if tracked), tag
+        # float32 stays inside attend, but for the visual mode's untracked
+        # grid view and its sum over cells
+        others = {(tracked, op, ndim) for tracked, dtype, op, ndim in made
+                  if dtype != np.float64}
+        assert others == ({(False, "leaf", 4), (False, "sum", 3)} if modality == "visual"
+                          else set()), (tag, modality)
 
 
 def test_training_actually_learns():
