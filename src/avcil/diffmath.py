@@ -15,12 +15,26 @@ in row chunks): given a float32 grid it runs in float32, returns its maps as
 float32 arrays and its pooled vector, attention distillation and gradients
 in float64. `kl_rows`, `block_kl` and that distillation always compute in
 float64.
+
+Threads: `attend` runs its row chunks on lanes, a pool of one thread per
+usable core and two at most. Each chunk writes its own rows of the block's
+arrays. Of the three sums that cross chunks, the calling thread adds the
+spatial distillation's parts (chunk order) and `w_visual`'s gradient parts
+(reverse chunk order) as the chunks finish, and the temporal distillation
+once they are done, each in the order one thread adds them, so no value or
+gradient depends on the number of lanes. No thread starts at import, for a
+one-chunk call, or on a machine with one usable core.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +62,7 @@ __all__ = [
     "softmax",
     "tanh_matmul",
     "attend",
+    "attend_dtype",
     "product_sum",
     "nll",
     "kl_rows",
@@ -390,14 +405,92 @@ def product_sum(a: DiffTensor, b: DiffTensor, axis: int) -> DiffTensor:
 ATTEND_CHUNK_ENTRIES = 1 << 16
 
 
-def _attend_spatial(visual: Array, w: Array, audio: Array) -> tuple[Array, Array]:
-    """A chunk's visual scores tanh(visual @ w) and its spatial map: the
-    softmax over cells of their product with the chunk's audio scores."""
-    scores = visual @ w
-    np.tanh(scores, out=scores)
-    spatial = audio[:, None, None, :] * scores
-    _check_softmax_input(spatial)
-    return scores, _softmax_data(spatial, 2, out=spatial)
+class _Lanes:
+    """The threads `attend` runs its row chunks on: a pool of one thread per
+    usable core, `MOST` at most, so a call's lane workspaces take the same
+    memory on any machine.
+
+    The pool starts at the first call that has two lanes to run, never at
+    import and never for a one-chunk call. A forked child forgets its copy
+    of the pool, whose threads did not survive the fork.
+    """
+
+    # the most lanes a call runs on, whatever the core count
+    MOST = 2
+    # the caller submits the chunk at position i only once every chunk up to
+    # i - LEAD * lanes is folded, which bounds the results waiting for a fold
+    LEAD = 2
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.cores: int | None = None   # lanes a call may use, counted when first needed
+        self.pool: ThreadPoolExecutor | None = None
+        self.starting = threading.Lock()    # so two calling threads start one pool
+
+    def width(self, chunks: int) -> int:
+        """How many lanes a call of `chunks` chunks runs on."""
+        if chunks < 2:
+            return 1
+        if self.cores is None:
+            usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
+            self.cores = min(usable, self.MOST)
+        return min(chunks, self.cores)
+
+    def run(self, work: Callable[[int, list], object], fold: Callable[[object], None],
+            spaces: list[list[Array]], count: int) -> None:
+        """fold(work(i, space)) for each position i in range(count), in
+        position order, no two running works sharing a workspace of `spaces`.
+
+        With one workspace every position runs on the calling thread. With
+        more, the works run on the pool under the caller's numpy error state,
+        position 0 on `spaces[0]` and each other on whichever workspace is
+        free, while the caller folds the results in position order: the
+        folds a single lane makes. The first error in that order, of a work
+        or a fold, is raised once every submitted work has stopped or been
+        cancelled: the error a single lane meets first.
+        """
+        if len(spaces) == 1:
+            for i in range(count):
+                fold(work(i, spaces[0]))
+            return
+        with self.starting:
+            if self.pool is None:
+                self.pool = ThreadPoolExecutor(self.cores, thread_name_prefix="avcil-attend")
+        state = np.geterr()
+        free: queue.SimpleQueue = queue.SimpleQueue()
+        for space in spaces[1:]:
+            free.put(space)
+
+        def task(i: int, space: list[Array] | None) -> object:
+            space = free.get() if space is None else space
+            try:
+                with np.errstate(**state):
+                    return work(i, space)
+            finally:
+                free.put(space)
+
+        window: collections.deque = collections.deque()
+        try:
+            for i in range(count):
+                window.append(self.pool.submit(task, i, spaces[0] if i == 0 else None))
+                if len(window) == self.LEAD * len(spaces):
+                    fold(window.popleft().result())
+            while window:
+                fold(window.popleft().result())
+        finally:
+            # after an error, the later positions' results and errors are
+            # dropped: a single lane would not have reached them
+            for future in window:
+                future.cancel()
+            wait(window)
+
+
+_LANES = _Lanes()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_LANES.reset)
 
 
 def _f64(t: Array) -> Array:
@@ -405,44 +498,53 @@ def _f64(t: Array) -> Array:
     return t.astype(np.float64, copy=False)
 
 
+def attend_dtype(visual: Array) -> type:
+    """The dtype `attend` computes in and writes its maps in, for the grid
+    `visual`: float32 for a float32 grid, float64 for any other."""
+    return np.float32 if visual.dtype == np.float32 else np.float64
+
+
 def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_rows=None,
-           rows=None, distill=None
+           rows=None, distill=None, maps_out=None
            ) -> tuple[DiffTensor, tuple[Array, Array] | None, DiffTensor | None]:
     """Audio-guided attention pooling of an (N, L, S, d) visual grid, as one node.
 
     The grid is the batch rows `rows` of the array `visual` (every row when
     None), read in place: `visual` gets no gradient, and only one row chunk
-    of it is gathered at a time. With v = tanh(grid @ w_visual) and a the
-    (N, d) `score_audio`, the spatial map is softmax over S of a * v, the
-    temporal map softmax over L of the spatially pooled sum(spatial * v),
-    and the pooled vector the (N, d) float64 sum over L of temporal * sum
-    over S of (grid * spatial).
+    of it per lane is gathered at a time. With v = tanh(grid @ w_visual) and
+    a the (N, d) `score_audio`, the spatial map is softmax over S of a * v,
+    the temporal map softmax over L of the spatially pooled sum(spatial *
+    v), and the pooled vector the (N, d) float64 sum over L of temporal *
+    sum over S of (grid * spatial).
 
     Returns `(pooled, maps, vad)` for the maps of the k strictly increasing
     batch rows `map_rows` (every row when None). Without `distill`, `maps`
     is their spatial (k, L, S, d) and temporal (k, L, d) arrays and `vad`
-    None. Given `distill` = `((spatial, temporal), teacher_rows,
-    lambda_vad)`, a frozen teacher's map arrays (checked by whoever caches
-    them) and its row of each map row, `maps` is None and `vad` the scalar
-    node lambda_vad * mean spatial KL + (1 - lambda_vad) * mean temporal KL
-    to the teacher, in float64: `kl_rows`' value on the map arrays, bit for
-    bit when the batch is one chunk or each chunk one row, and an exact 0
-    with no map row. Each chunk's spatial KL is summed as its map is built
-    and its gradient added to the chunk's map gradient in the VJP, so no
-    (k, L, S, d) map or map gradient exists.
+    None; given `maps_out`, a pair of arrays of those shapes in the
+    block's dtype (rows of a caller's cache, say), the maps are written
+    into them and `maps` is `maps_out`. Given `distill` = `((spatial, temporal),
+    teacher_rows, lambda_vad)`, a frozen teacher's map arrays (checked by
+    whoever caches them) and its row of each map row, `maps` is None and
+    `vad` the scalar node lambda_vad * mean spatial KL + (1 - lambda_vad) *
+    mean temporal KL to the teacher, in float64: `kl_rows`' value on the map
+    arrays, bit for bit when the batch is one chunk or each chunk one row,
+    and an exact 0 with no map row. Each chunk's spatial KL is summed as its
+    map is built and its gradient added to the chunk's map gradient in the
+    VJP, so no (k, L, S, d) map or map gradient exists.
 
     The grid runs in row chunks of about `ATTEND_CHUNK_ENTRIES` entries,
-    each gathered from `visual` when it is read. The block computes in
-    float32 when `visual` is float32, whatever the other operands' dtype,
-    and in float64 otherwise; the pooled vector and both gradients are
-    float64. Only the last chunk's grid-sized arrays are kept; the VJP walks
-    the chunks in reverse and gathers and recomputes the others. `w_visual`'s
-    gradient is the float64 sum of one `np.dot` per chunk, in that reverse
-    order. Every value and every other gradient, and `w_visual`'s when the
-    batch is one chunk, is the one the elementary composite (`matmul`,
-    `tanh`, a product, `softmax` and sums over a `view` of the gathered
-    batch, with the audio scores and `w_visual` cast to its dtype) gives,
-    bit for bit.
+    each gathered from `visual` when it is read, spread over the lanes (see
+    the module docstring) in workspaces allocated here. The block computes
+    in float32 when `visual` is float32, whatever the other operands'
+    dtype, and in float64 otherwise; the pooled vector and both gradients
+    are float64. Only the last chunk's grid-sized arrays are kept; the VJP
+    walks the chunks in reverse and gathers and recomputes the others.
+    `w_visual`'s gradient is the float64 sum of one `np.dot` per chunk, in
+    that reverse order. Every value and every other gradient, and
+    `w_visual`'s when the batch is one chunk, is the one the elementary
+    composite (`matmul`, `tanh`, a product, `softmax` and sums over a `view`
+    of the gathered batch, with the audio scores and `w_visual` cast to its
+    dtype) gives, bit for bit, on any number of lanes.
     """
     source = np.asarray(visual)
     if source.ndim != 4:
@@ -462,6 +564,7 @@ def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_row
     if kept.ndim != 1 or (kept.size and (kept[0] < 0 or kept[-1] >= n
                                          or (kept[1:] <= kept[:-1]).any())):
         raise ContractError("attend needs strictly increasing 1-d map rows inside the batch")
+    dt = attend_dtype(source)
     if distill is not None:
         (q_spatial, q_temporal), q_rows, lambda_vad = distill
         q_rows = np.asarray(q_rows, dtype=np.int64)
@@ -474,7 +577,15 @@ def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_row
                                 "per map row")
         if not 0.0 <= lambda_vad <= 1.0:
             raise ContractError("lambda_vad must lie in [0, 1]")
-    dt = np.float32 if source.dtype == np.float32 else np.float64
+        if maps_out is not None:
+            raise ContractError("attend writes no maps when it distills them")
+    elif maps_out is not None and not (
+            len(maps_out) == 2
+            and all(isinstance(m, np.ndarray) and m.dtype == dt for m in maps_out)
+            and maps_out[0].shape == (kept.size, ell, cells, d)
+            and maps_out[1].shape == (kept.size, ell, d)):
+        raise ContractError(f"attend writes its maps into (k, L, S, d) and (k, L, d) "
+                            f"{dt.__name__} arrays, one row per map row")
     wd = w_visual.data.astype(dt, copy=False)
     ad = score_audio.data.astype(dt, copy=False)
     step = max(1, ATTEND_CHUNK_ENTRIES // (ell * cells * d))
@@ -483,26 +594,68 @@ def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_row
     bounds = np.searchsorted(kept, [*starts, n])
     spans = [(lo, min(lo + step, n), first, stop)
              for lo, first, stop in zip(starts, bounds, bounds[1:])]
+    width = _LANES.width(len(spans))
 
-    def chunk_of(lo: int, hi: int) -> tuple[Array, Array, Array]:
-        """Batch rows [lo, hi) of the grid, their visual scores and spatial map."""
-        grid = np.ascontiguousarray(source[index[lo:hi]], dtype=dt)
-        return (grid, *_attend_spatial(grid, wd, ad[lo:hi]))
+    chunk_shape = (min(step, n), ell, cells, d)
+
+    def workspace(arrays: int) -> list[Array]:
+        """One lane's grid-sized arrays, each as many rows as a chunk."""
+        return [np.empty(chunk_shape, dt) for _ in range(arrays)]
+
+    def chunk_of(lo: int, hi: int, space: list[Array]) -> tuple[Array, Array, Array]:
+        """Batch rows [lo, hi) of the grid, their visual scores and spatial
+        map, in the first three arrays of `space`."""
+        c = hi - lo
+        grid, scores, spatial = space[0][:c], space[1][:c], space[2][:c]
+        if source.dtype == dt:
+            source.take(index[lo:hi], axis=0, out=grid, mode="clip")
+        else:
+            grid[...] = source[index[lo:hi]]
+        np.tanh(np.matmul(grid, wd, out=scores), out=scores)
+        np.multiply(ad[lo:hi, None, None, :], scores, out=spatial)
+        _check_softmax_input(spatial)
+        return grid, scores, _softmax_data(spatial, 2, out=spatial)
 
     psum = np.empty((n, ell, d), dt)
     per_frame = np.empty((n, ell, d), dt)
-    spatial_rows = np.empty((kept.size, ell, cells, d), dt) if distill is None else None
+    if distill is None:
+        maps = maps_out if maps_out is not None else (np.empty((kept.size, ell, cells, d), dt),
+                                                      np.empty((kept.size, ell, d), dt))
+    last = None     # the workspace that holds the last chunk, kept for the VJP
     kl_spatial = None
-    for lo, hi, first, stop in spans:
-        last = grid, scores, spatial = chunk_of(lo, hi)
-        psum[lo:hi] = (spatial * scores).sum(axis=2)
-        per_frame[lo:hi] = (grid * spatial).sum(axis=2)
+
+    def forward_chunk(i: int, space: list[Array]) -> float | None:
+        nonlocal last
+        lo, hi, first, stop = spans[i]
+        grid, scores, spatial = chunk_of(lo, hi, space)
+        product = space[3][:hi - lo]    # each product is summed away at once
+        np.multiply(spatial, scores, out=product).sum(axis=2, out=psum[lo:hi])
+        np.multiply(grid, spatial, out=product).sum(axis=2, out=per_frame[lo:hi])
+        if i == len(spans) - 1:
+            last = space[:3]
         if distill is None:
-            spatial_rows[first:stop] = spatial[kept[first:stop] - lo]
+            spatial.take(kept[first:stop] - lo, axis=0, out=maps[0][first:stop], mode="clip")
         elif stop > first:
-            part = _kl_sum(_f64(spatial[kept[first:stop] - lo]),
-                           _f64(q_spatial[q_rows[first:stop]]))
+            k = stop - first    # the chunk's map rows, read into the lane's own arrays
+            p = spatial.take(kept[first:stop] - lo, axis=0, out=product[:k], mode="clip")
+            q = q_spatial.take(q_rows[first:stop], axis=0, out=space[4][:k], mode="clip")
+            return _kl_sum(p, q, space[5][:k], space[6])
+        return None
+
+    def add_kl(part: float | None) -> None:
+        nonlocal kl_spatial
+        if part is not None:
             kl_spatial = part if kl_spatial is None else kl_spatial + part
+
+    def forward_space() -> list[Array]:
+        """A lane's grid-sized arrays and, when it distills, the spatial KL's:
+        the teacher's rows, the float64 terms and a block of log q."""
+        if distill is None:
+            return workspace(4)
+        return workspace(4) + [np.empty(chunk_shape, q_spatial.dtype), np.empty(chunk_shape),
+                               np.empty(min(KL_BLOCK_ENTRIES, math.prod(chunk_shape)))]
+
+    _LANES.run(forward_chunk, add_kl, [forward_space() for _ in range(width)], len(spans))
     _check_softmax_input(psum)
     temporal = _softmax_data(psum, 1)
     pooled = (temporal * per_frame).sum(axis=1)
@@ -511,51 +664,80 @@ def attend(score_audio: DiffTensor, visual: Array, w_visual: DiffTensor, map_row
 
     def vjp(g: Array):
         nonlocal last
+        # the last chunk's arrays, which a first VJP reads and overwrites
+        kept_last, last = last, None
         g_pool = g.astype(dt, copy=False).reshape(n, 1, d)
         if g_vad is not None:
             gs_spatial = g_vad * lambda_vad / (kept.size * ell * d)
             gs_temporal = g_vad * (1.0 - lambda_vad) / (kept.size * d)
         g_audio = np.empty((n, 1, 1, d), dt) if need_audio else None
+        # the gradient parts waiting for their fold, one slot per position the fold may trail by
+        parts = np.empty((_Lanes.LEAD * width, d, d), dt) if need_w else None
         gw = None
-        for lo, hi, first, stop in reversed(spans):
-            grid, scores, spatial = last if last is not None else chunk_of(lo, hi)
-            last = None
+
+        def backward_chunk(i: int, space: list[Array]) -> Array | None:
+            lo, hi, first, stop = spans[-1 - i]
+            c = hi - lo
+            if i == 0 and kept_last is not None:    # still in the forward's workspace
+                grid, scores, spatial = space[0][:c], space[1][:c], space[2][:c]
+            else:
+                grid, scores, spatial = chunk_of(lo, hi, space)
+            g_spa, temp = space[3][:c], space[4][:c]
             distilled = g_vad is not None and stop > first
             at = kept[first:stop] - lo
             g_tem = g_pool[lo:hi] * per_frame[lo:hi]
             if distilled:
                 teacher_at = q_rows[first:stop]
-                g_tem[at] += _kl_grad(_f64(temporal[kept[first:stop]]),
-                                      _f64(q_temporal[teacher_at]),
+                g_tem[at] += _kl_grad(temporal[kept[first:stop]], q_temporal[teacher_at],
                                       gs_temporal).astype(dt, copy=False)
             g_psum = _softmax_vjp(temporal[lo:hi], 1, g_tem).astype(dt, copy=False)[:, :, None, :]
-            g_spa = (g_pool[lo:hi] * temporal[lo:hi])[:, :, None, :] * grid
+            np.multiply((g_pool[lo:hi] * temporal[lo:hi])[:, :, None, :], grid, out=g_spa)
             if distilled:
-                g_spa[at] += _kl_grad(_f64(spatial[at]), _f64(q_spatial[teacher_at]),
-                                      gs_spatial).astype(dt, copy=False)
-            np.add(g_spa, g_psum * scores, out=g_spa)
-            g_spa = _softmax_vjp(spatial, 2, g_spa)
+                _add_kl_grad(g_spa, spatial, q_spatial, at, teacher_at, gs_spatial, space[5:])
+            np.add(g_spa, np.multiply(g_psum, scores, out=temp), out=g_spa)
+            # the spatial softmax's VJP, in place
+            g_spa -= np.multiply(spatial, g_spa, out=temp).sum(axis=2, keepdims=True)
+            g_spa *= spatial
             if need_audio:
-                g_audio[lo:hi] = _unbroadcast(g_spa * scores, (hi - lo, 1, 1, d))
-            if need_w:
-                g_sc = np.multiply(g_spa, ad[lo:hi, None, None, :])
-                np.add(g_psum * spatial, g_sc, out=g_sc)
-                np.multiply(scores, scores, out=scores)
-                g_sc *= np.subtract(1.0, scores, out=scores)
-                part = np.dot(grid.reshape(-1, d).T, g_sc.reshape(-1, d))
-                gw = _f64(part) if gw is None else np.add(gw, part, out=gw)
+                g_audio[lo:hi] = _unbroadcast(np.multiply(g_spa, scores, out=temp),
+                                              (c, 1, 1, d))
+            if not need_w:
+                return None
+            g_sc = np.multiply(g_spa, ad[lo:hi, None, None, :], out=temp)
+            np.add(np.multiply(g_psum, spatial, out=g_spa), g_sc, out=g_sc)
+            np.multiply(scores, scores, out=scores)
+            g_sc *= np.subtract(1.0, scores, out=scores)
+            return np.dot(grid.reshape(-1, d).T, g_sc.reshape(-1, d), out=parts[i % len(parts)])
+
+        def add_part(part: Array | None) -> None:
+            nonlocal gw
+            if part is not None:
+                gw = part.astype(np.float64) if gw is None else np.add(gw, part, out=gw)
+
+        def lane_space(arrays: list[Array]) -> list[Array]:
+            """A lane's grid-sized arrays and, when it distills, the spatial
+            KL gradient's block buffers (see `_add_kl_grad`)."""
+            if g_vad is None:
+                return arrays
+            block = min(KL_BLOCK_ENTRIES, kept.size * ell * cells * d)
+            return arrays + [np.empty(block), np.empty(block), np.empty(block, dt)]
+
+        spaces = [lane_space(workspace(5) if kept_last is None else kept_last + workspace(2))]
+        spaces += [lane_space(workspace(5)) for _ in range(width - 1)]
+        _LANES.run(backward_chunk, add_part, spaces, len(spans))
         return None if g_audio is None else _f64(g_audio.reshape(n, d)), gw
 
     out = _node(_f64(pooled), (score_audio, w_visual), vjp, "attend")
     if distill is None:
-        return out, (spatial_rows, temporal[kept]), None
+        temporal.take(kept, axis=0, out=maps[1], mode="clip")
+        return out, maps, None
     if not kept.size:
         return out, None, constant(0.0)
     # the temporal KL in kl_rows' row chunks, so its sum is the one kl_rows gives
-    step = max(1, KL_CHUNK_ENTRIES // (ell * d))
+    kl_step = max(1, KL_CHUNK_ENTRIES // (ell * d))
     kl_temporal = None
-    for i in range(0, kept.size, step):
-        part = _kl_sum(_f64(temporal[kept[i:i + step]]), _f64(q_temporal[q_rows[i:i + step]]))
+    for i in range(0, kept.size, kl_step):
+        part = _kl_sum(temporal[kept[i:i + kl_step]], q_temporal[q_rows[i:i + kl_step]])
         kl_temporal = part if kl_temporal is None else kl_temporal + part
     value = (kl_spatial / (kept.size * ell * d) * lambda_vad
              + kl_temporal / (kept.size * d) * (1.0 - lambda_vad))
@@ -624,33 +806,74 @@ def _kl_slices(shape: tuple[int, ...], ax: int) -> int:
     return size // shape[ax]
 
 
-def _log_ratio(p: Array, q: Array) -> tuple[Array, Array]:
-    """Where p > 0, and log(p / q) as a new float64 array (q clamped below at
-    `KL_CLAMP`, p read as 1 where it is 0), built with one temporary."""
+def _log_ratio(p: Array, q: Array, out: Array | None = None,
+               log_q: Array | None = None) -> tuple[Array, Array]:
+    """Where p > 0, and log(p / q) in float64 (q clamped below at
+    `KL_CLAMP`, p read as 1 where it is 0), written into `out` (a new array
+    when None). p and q are read in float64 as they are, and log q is built
+    `KL_BLOCK_ENTRIES` entries at a time, in `log_q` when given."""
     pos = p > 0.0
-    out = np.where(pos, p, 1.0)
+    if out is None:     # C order, so `reshape(-1)` below is a view of it
+        out = np.ascontiguousarray(np.where(pos, p, np.float64(1.0)))
+    else:
+        np.copyto(out, p)
+        np.copyto(out, 1.0, where=~pos)
     np.log(out, out=out)
-    log_q = np.maximum(q, KL_CLAMP)
-    out -= np.log(log_q, out=log_q)
+    flat_out, flat_q = out.reshape(-1), q.reshape(-1)
+    for lo in range(0, out.size, KL_BLOCK_ENTRIES):
+        q_block = flat_q[lo:lo + KL_BLOCK_ENTRIES]
+        block = np.maximum(q_block, KL_CLAMP, dtype=np.float64,
+                           out=None if log_q is None else log_q[:q_block.size])
+        flat_out[lo:lo + q_block.size] -= np.log(block, out=block)
     return pos, out
 
 
-def _kl_sum(p: Array, q: Array) -> float:
-    """Sum of p * log(p / q) over float64 arrays; zero p entries add zero."""
-    pos, terms = _log_ratio(p, q)
+def _kl_sum(p: Array, q: Array, out: Array | None = None,
+            log_q: Array | None = None) -> float:
+    """Sum of p * log(p / q), in float64 (in `out` and with `log_q` as
+    `_log_ratio` takes them); zero p entries add zero."""
+    pos, terms = _log_ratio(p, q, out, log_q)
     terms *= p
     terms[~pos] = 0.0
     return terms.sum()
 
 
-def _kl_grad(p: Array, q: Array, gs: float) -> Array:
-    """Gradient in p of `gs` * `_kl_sum(p, q)`, recomputed from the inputs
-    so the forward pass keeps none of its temporaries."""
-    pos, gp = _log_ratio(p, q)
+def _kl_grad(p: Array, q: Array, gs: float, out: Array | None = None,
+             log_q: Array | None = None) -> Array:
+    """Gradient in p of `gs` * `_kl_sum(p, q)`, in float64 (in `out` and
+    with `log_q` as `_log_ratio` takes them), recomputed from the inputs so
+    the forward pass keeps none of its temporaries."""
+    pos, gp = _log_ratio(p, q, out, log_q)
     gp += 1.0
     gp[~pos] = 0.0
     gp *= gs
     return gp
+
+
+def _add_kl_grad(g: Array, p: Array, q: Array, rows: Array, q_rows: Array, gs: float,
+                 buffers: list[Array]) -> None:
+    """Add `_kl_grad(p[rows], q[q_rows], gs)`, rounded to `g`'s dtype, into
+    `g[rows]`, about `KL_BLOCK_ENTRIES` entries at a time: as many whole
+    rows as fit, or a slice of one row. `buffers` are two float64 arrays and
+    one of `g`'s dtype, each as large as a block."""
+    ratio, log_q, rounded = buffers
+    entries = g[0].size
+    per = KL_BLOCK_ENTRIES // entries   # whole rows a block holds
+    if per:
+        for i in range(0, rows.size, per):
+            at = rows[i:i + per]
+            k = at.size * entries
+            rounded[:k] = _kl_grad(p[at].reshape(-1), q[q_rows[i:i + per]].reshape(-1), gs,
+                                   ratio[:k], log_q[:k])
+            g[at] += rounded[:k].reshape(-1, *g.shape[1:])
+        return
+    for row, q_row in zip(rows, q_rows):
+        g_row, p_row, q_row = g[row].reshape(-1), p[row].reshape(-1), q[q_row].reshape(-1)
+        for lo in range(0, entries, KL_BLOCK_ENTRIES):
+            at = slice(lo, lo + KL_BLOCK_ENTRIES)
+            k = g_row[at].size
+            rounded[:k] = _kl_grad(p_row[at], q_row[at], gs, ratio[:k], log_q[:k])
+            g_row[at] += rounded[:k]
 
 
 # kl_rows gathers its rows in chunks of about this many entries, so its
@@ -658,6 +881,9 @@ def _kl_grad(p: Array, q: Array, gs: float) -> Array:
 KL_CHUNK_ENTRIES = 1 << 16
 # kl_rows reads q as at least this inside the log, so a zero q entry stays finite
 KL_CLAMP = 1e-12
+# the KL helpers build their float64 log q, and attend its spatial KL gradient,
+# this many entries at a time
+KL_BLOCK_ENTRIES = 1 << 13
 
 
 def kl_rows(pairs: Sequence[tuple[DiffTensor, Array, int]], weights: Sequence[float],
@@ -702,9 +928,9 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, Array, int]], weights: Sequence[fl
     for (p, q, _), ax, n, parts, w in zip(pairs, axes, n_slices, chunks, weights):
         kl_sum = None
         for at_p, at_q in parts:
-            p64 = _f64(p.data[at_p])
-            check_distributions(p64, ax, "kl_rows p")
-            part = _kl_sum(p64, _f64(q[at_q]))
+            p_rows = p.data[at_p]
+            check_distributions(p_rows, ax, "kl_rows p")
+            part = _kl_sum(p_rows, q[at_q])
             kl_sum = part if kl_sum is None else kl_sum + part
         term = kl_sum / n * w
         total = term if total is None else total + term
@@ -717,7 +943,7 @@ def kl_rows(pairs: Sequence[tuple[DiffTensor, Array, int]], weights: Sequence[fl
                 gs = float(g) * w / n
                 full = np.empty_like(p.data)
                 for at_p, at_q in parts:
-                    full[at_p] = _kl_grad(_f64(p.data[at_p]), _f64(q[at_q]), gs)
+                    full[at_p] = _kl_grad(p.data[at_p], q[at_q], gs)
             out.append(full)
         return tuple(out)
 

@@ -42,17 +42,21 @@ def average_forgetting(rows: Sequence[Sequence[float]]) -> float | None:
 
 def forward_chunks(params: mdl.ModelParams, audio: np.ndarray, visual: np.ndarray,
                    modality: str, rows: np.ndarray, chunk: int = EVAL_CHUNK,
-                   maps_from: int | None = None):
+                   maps_from: int | None = None, maps_out=None):
     """Yield (first row, trace) over the `rows` of `audio` and `visual`,
     `chunk` rows at a time; the arrays are read in place (see
     `model.forward`), and frozen parameters build no graph. Each trace's
     attention maps hold the rows from `maps_from` on (in the order read),
-    or none."""
+    or none; given `maps_out`, a spatial and a temporal array with a row
+    for each of those rows, each chunk writes its maps into its rows of
+    them."""
     for lo in range(0, len(rows), chunk):
         at = rows[lo:lo + chunk]
         first = len(at) if maps_from is None else min(max(maps_from - lo, 0), len(at))
+        into = None if maps_out is None else tuple(
+            m[lo + first - maps_from:lo + len(at) - maps_from] for m in maps_out)
         yield lo, mdl.forward(params, audio, visual, modality,
-                              np.arange(first, len(at)), at)
+                              np.arange(first, len(at)), at, maps_out=into)
 
 
 def _forward_rows(params: mdl.ModelParams, rows: np.ndarray, audio: np.ndarray,

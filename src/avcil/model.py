@@ -122,7 +122,7 @@ def classify(fused: DiffTensor, params: ModelParams) -> DiffTensor:
 
 
 def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
-            map_rows=None, rows=None, distill=None) -> ForwardTrace:
+            map_rows=None, rows=None, distill=None, maps_out=None) -> ForwardTrace:
     """Run a batch through the model.
 
     The batch is the rows `rows` of the arrays `audio` (M, d) and `visual`
@@ -134,12 +134,14 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
     strictly increasing batch rows `map_rows` (every row when None) into
     the trace's map arrays or, given `distill` (see `dm.attend`), into the
     trace's `vad`: training distills the replay rows toward the teacher's
-    maps, evaluation reads none. Float32 visual features keep the attention
-    block, up to the pooled (N, d) vector, in float32 inside `dm.attend`;
-    every tensor that takes a gradient is float64. In `audio` mode the
-    visual pathway is dropped; in `visual` mode pooling is uniform over
-    cells and frames (no attention): the grid is a `dm.view` in its own
-    dtype, summed over cells in that dtype and then averaged in float64.
+    maps, evaluation reads none; given `maps_out`, the attention block
+    writes the maps into those arrays (the teacher pass's cache). Float32
+    visual features keep the attention block, up to the pooled (N, d)
+    vector, in float32 inside `dm.attend`; every tensor that takes a
+    gradient is float64. In `audio` mode the visual pathway is dropped; in
+    `visual` mode pooling is uniform over cells and frames (no attention):
+    the grid is a `dm.view` in its own dtype, summed over cells in that
+    dtype and then averaged in float64.
     """
     if modality not in MODALITIES:
         raise ContractError(f"unknown modality {modality!r}")
@@ -163,7 +165,7 @@ def forward(params: ModelParams, audio, visual, modality: str = "audiovisual",
                             logits=classify(fused, params), maps=None)
     score_audio = dm.tanh_matmul(audio, params.w_audio)
     attended, maps, vad = dm.attend(score_audio, visual, params.w_visual, map_rows, rows,
-                                    distill)
+                                    distill, maps_out)
     fused, logits = fuse_and_classify(audio, attended, params)
     return ForwardTrace(audio=audio, attended_visual=attended, fused=fused,
                         logits=logits, maps=maps, vad=vad)

@@ -211,27 +211,28 @@ def _teacher_outputs(teacher: mdl.ModelParams, dataset: FeatureDataset, pool: np
     its `(spatial, temporal)` attention map arrays for the pool rows from
     `replay_from` on (the replay rows), run with no graph
     `config.batch_size` rows at a time, reading the dataset's arrays in
-    place.
+    place. The attention block writes each chunk's maps straight into their
+    rows of the cache, so no chunk's maps exist beside it.
 
     A row's outputs do not depend on the other rows of its batch, so these
     are the bytes a forward on each training batch would give. The maps are
     checked to be distributions here, once, so the attention node that
     distills toward them need not check them in every batch.
     """
-    logits, maps = [], None
-    for lo, trace in forward_chunks(teacher, dataset.audio, dataset.visual, config.modality,
-                                    pool, config.batch_size,
-                                    replay_from if keep_maps else None):
+    maps = None
+    if keep_maps and config.modality == "audiovisual" and len(pool) > replay_from:
+        _, ell, cells, d = dataset.visual.shape
+        dt = dm.attend_dtype(dataset.visual)
+        maps = (np.empty((len(pool) - replay_from, ell, cells, d), dt),
+                np.empty((len(pool) - replay_from, ell, d), dt))
+    logits = []
+    for _, trace in forward_chunks(teacher, dataset.audio, dataset.visual, config.modality,
+                                   pool, config.batch_size,
+                                   replay_from if keep_maps else None, maps):
         logits.append(trace.logits.data)
-        if trace.maps is not None and len(trace.maps[0]):
-            if maps is None:    # filled in place: no second copy of the replay maps
-                maps = tuple(np.empty((len(pool) - replay_from, *m.shape[1:]), m.dtype)
-                             for m in trace.maps)
-            first = max(lo, replay_from) - replay_from
-            for kept, m, axis in zip(maps, trace.maps, (2, 1)):
+        if maps is not None:
+            for m, axis in zip(trace.maps, (2, 1)):
                 dm.check_distributions(m, axis, "teacher attention maps")
-                kept[first:first + len(m)] = m
-        del trace   # so the next chunk is built while this one's maps are already freed
     return np.concatenate(logits), maps
 
 

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -285,24 +286,98 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
                     "BLIS_NUM_THREADS")
 
 
+# the attention-sized shape, where the float32 grid matmuls are large enough
+# for a threaded BLAS to split them, and each batch of 8 rows runs as 8 chunks
+# of the attention block
+ATTENTION_RUN = {"format_version": 1, "name": "attention",
+                 "dataset": {"mode": "aligned", "num_classes": 4, "d": 128, "frames": 8,
+                             "cells": 49, "train_per_class": 6, "test_per_class": 2,
+                             "seed": 3},
+                 "steps": 2, "classes_per_step": 2,
+                 "epochs": 2, "batch_size": 8, "lr": 3e-3, "memory_capacity": 4,
+                 "seeds": [0]}
+SRC = str(Path(harness.__file__).resolve().parents[1])
+
+
+def _attention_run(tmp_path, tag, **fields):
+    """Write ATTENTION_RUN, with `fields`, to a config of its own; return its
+    path and the run directory it writes."""
+    path, root = tmp_path / f"{tag}.json", tmp_path / tag
+    path.write_text(json.dumps(dict(ATTENTION_RUN, output_root=str(root), **fields)))
+    return path, root / ATTENTION_RUN["name"]
+
+
+def _child_run(args, env=None):
+    """Run python with `args` on this checkout's sources, with `env` added,
+    in a process group of its own, so a child that overruns is killed with
+    every process it started."""
+    with subprocess.Popen([sys.executable, *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=SRC, **(env or {})),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as child:
+        try:
+            _, err = child.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            raise
+    assert child.returncode == 0, err.decode()
+
+
 def test_result_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the attention-sized shape, where the float32 grid matmuls are large
-    # enough for a threaded BLAS to split them
-    cfg = {"format_version": 1, "name": "threads",
-           "dataset": {"mode": "aligned", "num_classes": 4, "d": 128, "frames": 8,
-                        "cells": 49, "train_per_class": 6, "test_per_class": 2,
-                        "seed": 3},
-           "steps": 2, "classes_per_step": 2,
-           "epochs": 2, "batch_size": 8, "lr": 3e-3, "memory_capacity": 4,
-           "seeds": [0]}
-    src = str(Path(harness.__file__).resolve().parents[1])
     results = {}
     for threads in ("1", "2"):
-        root = tmp_path / f"threads_{threads}"
-        path = tmp_path / f"threads_{threads}.json"
-        path.write_text(json.dumps(dict(cfg, output_root=str(root))))
-        env = dict(os.environ, PYTHONPATH=src, **{v: threads for v in BLAS_THREAD_VARS})
-        subprocess.run([sys.executable, "-m", "avcil", "run", str(path)], env=env,
-                       check=True, capture_output=True, timeout=300)
-        results[threads] = (root / "threads" / "seed_0" / "result.json").read_bytes()
+        path, out = _attention_run(tmp_path, f"threads_{threads}")
+        _child_run(["-m", "avcil", "run", path], {v: threads for v in BLAS_THREAD_VARS})
+        results[threads] = (out / "seed_0" / "result.json").read_bytes()
     assert results["1"] == results["2"]
+
+
+USABLE_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+# `avcil run`, pinned to one CPU before avcil is imported
+PINNED_RUN = ("import os; os.sched_setaffinity(0, {%d}); "
+              "from avcil.cli import entry; entry()")
+
+
+@pytest.mark.skipif(len(USABLE_CPUS) < 2, reason="needs two usable CPUs")
+def test_result_bytes_do_not_depend_on_the_number_of_cores(tmp_path):
+    # one usable CPU runs every attention chunk on the calling thread, more
+    # spread the chunks over as many lanes
+    results = {}
+    for cores, prefix in (("one", ["-c", PINNED_RUN % USABLE_CPUS[0]]), ("all", ["-m", "avcil"])):
+        path, out = _attention_run(tmp_path, cores)
+        _child_run([*prefix, "run", path])
+        results[cores] = (out / "seed_0" / "result.json").read_bytes()
+    assert results["one"] == results["all"]
+
+
+# a multi-chunk attention call starts the lane pool, then two job processes
+# fork from this process, whose pool thread does not survive the fork
+FORK_AFTER_LANES = (
+    "import sys; import numpy as np; from avcil import diffmath as dm, harness; "
+    "rng = np.random.default_rng(0); "
+    "dm.attend(dm.constant(rng.normal(size=(8, 128))), "
+    "rng.normal(size=(8, 8, 49, 128)).astype(np.float32), dm.constant(np.eye(128))); "
+    "assert (dm._LANES.pool is None) == (dm._LANES.cores == 1); "
+    "harness.cli_run(sys.argv[1], workers=2)")
+
+
+def test_jobs_fork_cleanly_from_a_process_whose_attention_ran_on_lanes(tmp_path):
+    outputs = {}
+    for workers in (1, 2):
+        path, out = _attention_run(tmp_path, f"workers_{workers}", seeds=[0, 1])
+        if workers == 1:
+            harness.cli_run(path)
+        else:
+            _child_run(["-c", FORK_AFTER_LANES, path])
+        outputs[workers] = {p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*.json"))}
+    assert len(outputs[1]) == 3 and outputs[1] == outputs[2]
+
+
+def test_a_desk_sized_run_starts_no_attention_thread(bench, monkeypatch):
+    # every attention call at d=16 is one chunk, so no lane is ever counted
+    lanes = dm._Lanes()
+    monkeypatch.setattr(dm, "_LANES", lanes)
+    bench_run(*bench, "avcil", 0, steps=2)
+    assert lanes.cores is None and lanes.pool is None

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -693,6 +695,132 @@ def test_attend_rejects_nonfinite_scores_and_bad_map_rows():
                 ((dm.constant(maps[0]), maps[1]), [0, 1], 0.5)):    # arrays only
         with pytest.raises(ContractError):
             dm.attend(audio, np.ones((3, 2, 3, 2)), w, [0, 2], distill=bad)
+
+
+def _lanes(monkeypatch, cores):
+    """attend's lanes, `cores` of them whatever the machine has, for one test."""
+    lanes = dm._Lanes()
+    lanes.cores = cores
+    monkeypatch.setattr(dm, "_LANES", lanes)
+    return lanes
+
+
+def _attend_on_lanes(monkeypatch, cores, data, distilled):
+    """Every output and gradient of a forward and backward through attend on
+    `cores` lanes, as bytes, and the maps written into arrays handed in."""
+    audio, source, rows, w, probe, teacher = data
+    lanes = _lanes(monkeypatch, cores)
+    score_audio, w_visual = dm.parameter(audio), dm.parameter(w)
+    kept = np.array([0, 3, 4, 9])
+    try:
+        _, ell, cells, d = source.shape
+        out = np.empty((4, ell, cells, d), np.float32), np.empty((4, ell, d), np.float32)
+        _, maps, _ = dm.attend(dm.constant(audio), source, dm.constant(w), kept, rows,
+                               maps_out=out)
+        assert maps is out
+        pooled, _, vad = dm.attend(score_audio, source, w_visual, kept, rows,
+                                   distill=(teacher, [2, 0, 2, 1], 0.4) if distilled else None)
+        loss = (pooled * dm.constant(probe)).sum()
+        dm.backward(loss + vad * 3.0 if distilled else loss)
+    finally:
+        if lanes.pool is not None:
+            lanes.pool.shutdown()
+    return [t.tobytes() for t in (*maps, pooled.data, score_audio.grad, w_visual.grad)
+            + ((vad.data,) if distilled else ())]
+
+
+def _lane_data(rng, n=12, ell=2, cells=3, d=4):
+    source = rng.normal(size=(n + 3, ell, cells, d)).astype(np.float32)
+    return [rng.normal(size=(n, d)), source, rng.permutation(n + 3)[:n],
+            rng.normal(size=(d, d)), rng.normal(size=(n, d)),
+            (_dists(rng, (3, ell, cells, d), 2).astype(np.float32),
+             _dists(rng, (3, ell, d), 1).astype(np.float32))]
+
+
+def test_attend_on_more_lanes_than_cores_equals_one_lane_bitwise(monkeypatch):
+    # one row per chunk, so every sum across chunks (the spatial VAD, w_visual's
+    # gradient) is folded from parts that up to five lanes finish in any order
+    monkeypatch.setattr(dm, "ATTEND_CHUNK_ENTRIES", 1)
+    data = _lane_data(np.random.default_rng(23))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for distilled in (False, True):
+            one = _attend_on_lanes(monkeypatch, 1, data, distilled)
+            for cores in (2, 5):
+                for _ in range(5):
+                    assert _attend_on_lanes(monkeypatch, cores, data, distilled) == one
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_attend_runs_every_lane_under_the_callers_error_state(monkeypatch):
+    # a pool thread starts with numpy's default error state, not the caller's
+    monkeypatch.setattr(dm, "ATTEND_CHUNK_ENTRIES", 1)
+    data = _lane_data(np.random.default_rng(29))
+    real_softmax = dm._softmax_data
+    seen = []
+
+    def recording_softmax(x, ax, out=None):
+        if x.ndim == 4:     # a chunk's spatial map, built on a lane
+            seen.append((threading.get_ident(), np.geterr()))
+        return real_softmax(x, ax, out)
+
+    monkeypatch.setattr(dm, "_softmax_data", recording_softmax)
+    with np.errstate(over="ignore", under="raise", divide="warn", invalid="raise"):
+        state = np.geterr()
+        _attend_on_lanes(monkeypatch, 2, data, distilled=True)
+    assert seen and threading.get_ident() not in {ident for ident, _ in seen}
+    assert all(each == state for _, each in seen)
+
+
+def test_lanes_stop_at_two_whatever_the_core_count(monkeypatch):
+    # so the lanes' workspaces, allocated per call, take the same memory on any machine
+    monkeypatch.setattr(dm.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    lanes = dm._Lanes()
+    assert [lanes.width(chunks) for chunks in (1, 2, 8)] == [1, 2, 2]
+    monkeypatch.setattr(dm.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert dm._Lanes().width(8) == 1
+
+
+@pytest.mark.parametrize("cores, chunk_entries", [(1, 1 << 16), (2, 1)])
+def test_attend_backward_runs_again_for_a_second_loss_on_the_same_output(
+        monkeypatch, cores, chunk_entries):
+    # the first backward overwrites the last chunk's arrays the forward kept,
+    # so the second one gathers and recomputes that chunk
+    monkeypatch.setattr(dm, "ATTEND_CHUNK_ENTRIES", chunk_entries)
+    lanes = _lanes(monkeypatch, cores)
+    audio, source, rows, w, probe, _ = _lane_data(np.random.default_rng(37))
+    score_audio, w_visual = dm.parameter(audio), dm.parameter(w)
+    try:
+        pooled, _, _ = dm.attend(score_audio, source, w_visual, rows=rows)
+        grads = []
+        for _ in range(2):
+            dm.backward((pooled * dm.constant(probe)).sum())
+            grads.append((score_audio.grad.copy(), w_visual.grad.copy()))
+    finally:
+        if lanes.pool is not None:
+            lanes.pool.shutdown()
+    for first, second in zip(*grads):
+        assert second.tobytes() == (first * 2).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_attend_raises_the_one_lane_error_from_any_lane(monkeypatch):
+    monkeypatch.setattr(dm, "ATTEND_CHUNK_ENTRIES", 1)
+    data = _lane_data(np.random.default_rng(31))
+    nan_grid = data[1].copy()
+    nan_grid[data[2][7], 1, 2, 0] = np.nan     # batch row 7, one row per chunk
+    loud = data[0].copy()
+    loud[9] *= 1e4                              # row 9's spatial softmax underflows
+    for case, under, error in (([data[0], nan_grid, *data[2:]], "ignore", NumericDomainError),
+                               ([loud, *data[1:]], "raise", FloatingPointError)):
+        messages = []
+        for cores in (1, 2, 5):
+            with np.errstate(under=under), pytest.raises(error) as caught:
+                _attend_on_lanes(monkeypatch, cores, case, distilled=True)
+            messages.append(str(caught.value))
+        assert messages == [messages[0]] * 3
 
 
 @settings(max_examples=60, deadline=None)

@@ -205,9 +205,9 @@ def test_teacher_runs_once_per_step_in_chunks_of_the_batch_size(monkeypatch):
     calls = []
     real_forward = mdl.forward
 
-    def recording_forward(params, *args):
+    def recording_forward(params, *args, **kwargs):
         calls.append(params.w_audio.requires_grad)
-        return real_forward(params, *args)
+        return real_forward(params, *args, **kwargs)
 
     monkeypatch.setattr(mdl, "forward", recording_forward)
     train_step(state, seq, ds, config, strategy)
@@ -222,10 +222,10 @@ def test_cached_teacher_outputs_equal_a_teacher_forward_on_each_batch_bitwise(mo
     real_forward = mdl.forward
 
     def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None,
-                          rows=None, distill=None):
+                          rows=None, distill=None, maps_out=None):
         if params.w_audio.requires_grad:
             batches.append((rows, map_rows, distill))
-        return real_forward(params, audio, visual, modality, map_rows, rows, distill)
+        return real_forward(params, audio, visual, modality, map_rows, rows, distill, maps_out)
 
     def recording_compose(trace, teacher_logits, labels, layout, weights):
         cached.append(teacher_logits)
@@ -276,10 +276,10 @@ def test_every_forward_reads_the_dataset_arrays_in_place(monkeypatch, tag):
     real_forward = mdl.forward
 
     def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None,
-                          rows=None, distill=None):
+                          rows=None, distill=None, maps_out=None):
         calls.append((params.w_audio.requires_grad, audio is ds.audio, visual is ds.visual,
                       rows))
-        return real_forward(params, audio, visual, modality, map_rows, rows, distill)
+        return real_forward(params, audio, visual, modality, map_rows, rows, distill, maps_out)
 
     monkeypatch.setattr(mdl, "forward", recording_forward)
     run_incremental(ds, seq, quick_config(strategy=tag, memory_capacity=6))
@@ -302,8 +302,8 @@ def test_student_forward_keeps_maps_only_of_the_rows_vad_reads(monkeypatch, tag)
     real_forward = mdl.forward
 
     def recording_forward(params, audio, visual, modality="audiovisual", map_rows=None,
-                          rows=None, distill=None):
-        trace = real_forward(params, audio, visual, modality, map_rows, rows, distill)
+                          rows=None, distill=None, maps_out=None):
+        trace = real_forward(params, audio, visual, modality, map_rows, rows, distill, maps_out)
         if params.w_audio.requires_grad:
             held.append(len(map_rows))
             # avcil distills its map rows and keeps no map array; icarl_fc reads none
